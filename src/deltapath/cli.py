@@ -20,6 +20,7 @@ from . import oracle, workloads
 from .errors import DeltaPathError, EventParseError, VerifyMismatchError
 from .graph_model import (
     AddLink,
+    AddNode,
     GraphStore,
     Topology,
     TopologyEvent,
@@ -215,7 +216,6 @@ class _Replay:
         self.warn_duplicates(block.events)
         t0 = time.perf_counter()
         batch = step_epoch(self.store, self.graph, block.events)
-        self.policies.on_epoch(block.events)
         fixpoint_us = int((time.perf_counter() - t0) * 1e6)
         if batch and log.isEnabledFor(logging.DEBUG):
             log.debug("rule changes:\n%s", rules_to_csv(block.epoch_id, batch))
@@ -292,25 +292,38 @@ def cmd_query(args) -> int:
 
 
 def _bench_failures(args, topo, strategy) -> list[dict]:
+    """Time single failures on one initialized engine; each failure is
+    undone outside the timed region and must restore the rules exactly."""
     import random
 
     rng = random.Random(args.seed)
     kind = workloads.ScenarioKind(args.kind)
+    replay = _Replay(topo, strategy, args.workers)
+    graph, store = replay.graph, replay.store
+    before = dict(store._est)
     rows = []
     latencies = []
     for trial in range(1, args.trials + 1):
-        replay = _Replay(topo, strategy, args.workers)
         if kind is workloads.ScenarioKind.LINK_FAILURE:
-            a, b, _p = topo.links[rng.randrange(len(topo.links))]
+            a, b, p = topo.links[rng.randrange(len(topo.links))]
             events: list[TopologyEvent] = [parse_event(f"-link {a} {b}")]
+            restore = [AddLink(a, b, graph.link_props(a, b, strategy.link_cost(p)))]
             target = f"{a}-{b}"
         else:
             node = topo.nodes[rng.randrange(len(topo.nodes))]
             events = [parse_event(f"-node {node.id}")]
+            restore = [AddNode(node.id, graph.nodes[node.id].label)]
+            for (x, w), mult in graph.out_edges(node.id).items():
+                restore += [AddLink(node.id, x, graph.link_props(node.id, x, w))] * mult
             target = str(node.id)
         t0 = time.perf_counter()
-        batch = step_epoch(replay.store, replay.graph, events)
+        batch = step_epoch(store, graph, events)
         us = int((time.perf_counter() - t0) * 1e6)
+        step_epoch(store, graph, restore)
+        if store._est != before:
+            raise VerifyMismatchError(
+                f"trial {trial}: restoring {target} did not restore the rules"
+            )
         latencies.append(us)
         rows.append(
             {"trial": trial, "target": target, "rules_changed": len(batch),

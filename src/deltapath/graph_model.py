@@ -199,6 +199,8 @@ class GraphStore:
                 del self.nodes[n]
                 out = []
                 for (dst, w), mult in self._adj.get(n, {}).items():
+                    if dst not in self.nodes:
+                        continue  # far end removed earlier this epoch, link retracted then
                     for _ in range(mult):
                         out.append(EdgeRecord(n, dst, w, -1))
                         out.append(EdgeRecord(dst, n, w, -1))
@@ -396,8 +398,8 @@ def save_topology(topo: Topology, path) -> None:
             fh.write(f"node {rec.id} {rec.label.value}\n")
         for a, b, p in topo.links:
             fh.write(
-                f"link {a} {b} capacity={p.capacity:g} "
-                f"utilization={p.utilization:g} delay={p.delay:g}\n"
+                f"link {a} {b} capacity={p.capacity!r} "
+                f"utilization={p.utilization!r} delay={p.delay!r}\n"
             )
 
 
@@ -406,19 +408,19 @@ def format_event(ev: TopologyEvent) -> str:
     match ev:
         case AddLink(a=a, b=b, props=p):
             return (
-                f"+link {a} {b} capacity={p.capacity:g} "
-                f"utilization={p.utilization:g} delay={p.delay:g}"
+                f"+link {a} {b} capacity={p.capacity!r} "
+                f"utilization={p.utilization!r} delay={p.delay!r}"
             )
         case RemoveLink(a=a, b=b, w=None):
             return f"-link {a} {b}"
         case RemoveLink(a=a, b=b, w=w):
-            return f"-link {a} {b} w={w:g}"
+            return f"-link {a} {b} w={w!r}"
         case AddNode(id=n, label=label):
             return f"+node {n} {label.value}"
         case RemoveNode(id=n):
             return f"-node {n}"
         case UpdateWeight(a=a, b=b, utilization=u):
-            return f"weight {a} {b} utilization={u:g}"
+            return f"weight {a} {b} utilization={u!r}"
     raise TypeError(f"unknown event type: {ev!r}")
 
 

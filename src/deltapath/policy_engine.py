@@ -1,16 +1,19 @@
 """Waypoint, NOT-constraint, and backup-path policies.
 
 Waypoint policies decompose into segment retrievals over the base rules.
-NOT constraints are evaluated as simulated node failures on a private fork
-of the graph and rule store; forks are shared between policies with the
-same exclusion set and keep themselves current by ingesting every epoch's
-events (minus those touching their excluded nodes).  Backup-style policies
-remove the primary path's links from a throwaway fork and re-route.
+NOT and backup policies route on the live graph with nodes (NOT) or the
+primary path's links (backup) masked, by one Dijkstra search from the
+destination.  The search uses the engine's selection key and cost order,
+so its tree equals the engine's fixpoint on the masked graph bit for bit:
+under the built-in strategies extending a path never improves its key
+(Sobrinho, "Algebra and algorithms for QoS path computation", IEEE/ACM
+ToN 2002).  No policy keeps state between epochs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -20,18 +23,9 @@ from .errors import (
     UnknownNodeError,
     UnreachableError,
 )
-from .graph_model import (
-    AddLink,
-    AddNode,
-    GraphStore,
-    NodeId,
-    RemoveLink,
-    RemoveNode,
-    TopologyEvent,
-    UpdateWeight,
-)
-from .path_retrieval import Path, retrieve
-from .routing_core import RuleStore, step_epoch
+from .graph_model import GraphStore, NodeId
+from .path_retrieval import Path, path_links, retrieve
+from .routing_core import RuleStore, _tautology_key
 from .strategy import Strategy
 
 
@@ -108,24 +102,44 @@ def parse_policy(policy_id: int, text: str) -> Policy:
     return Policy(policy_id, src, dst, Waypoints(nodes))
 
 
-@dataclass
-class PolicyFork:
-    """A private graph + rule store pair with some nodes excluded, kept at
-    fixpoint against the live event stream."""
-
-    exclusions: frozenset[NodeId]
-    graph: GraphStore
-    rules: RuleStore
-    policy_ids: set[int] = field(default_factory=set)
-
-
-def _event_touches(ev: TopologyEvent, excluded: frozenset[NodeId]) -> bool:
-    match ev:
-        case AddLink(a=a, b=b) | RemoveLink(a=a, b=b) | UpdateWeight(a=a, b=b):
-            return a in excluded or b in excluded
-        case AddNode(id=n) | RemoveNode(id=n):
-            return n in excluded
-    return False
+def _search(
+    graph: GraphStore,
+    strategy: Strategy,
+    dst: NodeId,
+    skip_nodes: frozenset[NodeId] = frozenset(),
+    skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
+) -> dict[NodeId, tuple]:
+    """Every node's rule toward `dst` on the graph without `skip_nodes` and
+    without the links `skip_links` (both directions, all parallel copies),
+    as the engine's key: node -> (signed cost, length, next)."""
+    if dst not in graph.nodes or dst in skip_nodes:
+        return {}
+    neg = strategy.maximize
+    fp = strategy.path_cost
+    start = _tautology_key(strategy, dst)
+    tree: dict[NodeId, tuple] = {}
+    best = {dst: start}
+    heap = [(start, dst)]
+    while heap:
+        key, u = heapq.heappop(heap)
+        if u in tree:
+            continue
+        tree[u] = key
+        cost = -key[0] if neg else key[0]
+        length = key[1] + 1
+        # edge (u, x, w) lets x route through u, as in the engine's join
+        for (x, w) in graph.out_edges(u):
+            if x in tree or x in skip_nodes:
+                continue
+            if (x, u) in skip_links or (u, x) in skip_links:
+                continue
+            c = fp(w, cost)
+            cand = (-c if neg else c, length, u)
+            old = best.get(x)
+            if old is None or cand < old:
+                best[x] = cand
+                heapq.heappush(heap, (cand, x))
+    return tree
 
 
 class PolicyEngine:
@@ -136,7 +150,6 @@ class PolicyEngine:
         self.rules = rules
         self.strategy = strategy
         self.policies: dict[int, Policy] = {}
-        self._forks: dict[frozenset[NodeId], PolicyFork] = {}
 
     # --- lifecycle
 
@@ -153,21 +166,6 @@ class PolicyEngine:
 
     def remove(self, policy_id: int) -> None:
         self.policies.pop(policy_id, None)
-        for exclusions in list(self._forks):
-            fork = self._forks[exclusions]
-            fork.policy_ids.discard(policy_id)
-            if not fork.policy_ids:
-                del self._forks[exclusions]
-
-    def on_epoch(self, events: list[TopologyEvent]) -> None:
-        """Bring every live fork to the fixpoint of the new epoch; events
-        touching a fork's excluded nodes do not apply to it."""
-        for fork in self._forks.values():
-            kept = [ev for ev in events if not _event_touches(ev, fork.exclusions)]
-            step_epoch(fork.rules, fork.graph, kept)
-
-    def fork_count(self) -> int:
-        return len(self._forks)
 
     # --- evaluation
 
@@ -198,27 +196,16 @@ class PolicyEngine:
         )
 
     def eval_not(self, policy: Policy) -> PolicyResult:
-        """Retrieval on the shared fork that excludes the policy's nodes."""
-        fork = self._fork_for(policy.body.nodes)
-        fork.policy_ids.add(policy.id)
-        path = retrieve(fork.rules.established_rules(), policy.src, policy.dst)
+        """The route on the live graph with the policy's nodes masked."""
+        path = self._masked_path(policy, skip_nodes=policy.body.nodes)
         return PolicyResult(policy, (path,), "not")
 
     def eval_backup(self, policy: Policy) -> PolicyResult:
-        """Primary from the base rules, backup from a throwaway fork with
-        the primary's links removed; the pair is link-disjoint."""
-        view = self.rules.established_rules()
-        primary = retrieve(view, policy.src, policy.dst)
-        graph = self.graph.fork()
-        rules = self.rules.fork()
-        removals = []
-        for a, b in zip(primary.hops, primary.hops[1:]):
-            for (dst, w), mult in list(graph.out_edges(a).items()):
-                if dst == b:
-                    removals.extend([RemoveLink(a, b, w)] * mult)
-        step_epoch(rules, graph, removals)
+        """Primary from the base rules, backup on the live graph with both
+        directions of every primary link masked; the pair is link-disjoint."""
+        primary = retrieve(self.rules.established_rules(), policy.src, policy.dst)
         try:
-            backup = retrieve(rules.established_rules(), policy.src, policy.dst)
+            backup = self._masked_path(policy, skip_links=frozenset(path_links(primary)))
         except UnreachableError:
             raise NoBackupError(
                 f"no link-disjoint backup for ({policy.src}, {policy.dst})"
@@ -230,16 +217,14 @@ class PolicyEngine:
         }[policy.body]
         return PolicyResult(policy, (primary, backup), kind)
 
-    # --- forks
-
-    def _fork_for(self, exclusions: frozenset[NodeId]) -> PolicyFork:
-        fork = self._forks.get(exclusions)
-        if fork is None:
-            graph = self.graph.fork()
-            rules = self.rules.fork()
-            # nodes already gone from the base graph need no removal here
-            removals = [RemoveNode(n) for n in sorted(exclusions) if n in graph.nodes]
-            step_epoch(rules, graph, removals)
-            fork = PolicyFork(exclusions, graph, rules)
-            self._forks[exclusions] = fork
-        return fork
+    def _masked_path(self, policy: Policy, **mask) -> Path:
+        """Chase `next` from the policy's src through the masked search tree."""
+        tree = _search(self.graph, self.strategy, policy.dst, **mask)
+        first = tree.get(policy.src)
+        if first is None:
+            raise UnreachableError(f"no masked route for ({policy.src}, {policy.dst})")
+        hops = [policy.src]
+        while hops[-1] != policy.dst:
+            hops.append(tree[hops[-1]][2])
+        cost = -first[0] if self.strategy.maximize else first[0]
+        return Path(tuple(hops), cost, first[1])

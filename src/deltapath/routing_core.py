@@ -134,14 +134,6 @@ class RuleStore:
 
     # --- maintenance
 
-    def fork(self) -> RuleStore:
-        other = RuleStore(self.strategy, self.workers, self.horizon)
-        other.epoch = self.epoch
-        other.candidates = {g: dict(c) for g, c in self.candidates.items()}
-        other._est = dict(self._est)
-        other._by_src = {s: dict(d) for s, d in self._by_src.items()}
-        return other
-
     def check_integrity(self, graph: GraphStore | None = None) -> None:
         for group, cands in self.candidates.items():
             assert cands, f"empty candidate group {group} not collected"

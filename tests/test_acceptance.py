@@ -27,8 +27,8 @@ from deltapath.graph_model import (
     parse_event,
 )
 from deltapath.path_retrieval import path_links, retrieve
-from deltapath.policy_engine import PolicyEngine, parse_policy
-from deltapath.routing_core import initialize, step_epoch
+from deltapath.policy_engine import PolicyEngine, _search, parse_policy
+from deltapath.routing_core import ForwardingRule, initialize, step_epoch
 from deltapath.strategy import builtin
 
 from conftest import props, random_connected_topology, random_events
@@ -387,9 +387,14 @@ def test_c07_not_constraints_match_the_oracle(k8_uniform):
         pruned.apply_deltas(deltas)
         want = oracle.apsp_additive(pruned, SD)
         assert path.cost == want.cost_of(s, t)
-        # the whole fork, not just this pair, matches the node-deleted oracle
-        fork = engine._forks[frozenset(excluded)]
-        assert oracle.compare_view(want, fork.rules.established_rules()) == []
+        # every destination's search tree, not just this pair, matches the
+        # node-deleted oracle
+        view = {
+            (x, d): ForwardingRule(x, d, key[2], key[0], key[1])
+            for d in pruned.nodes
+            for x, key in _search(graph, SD, d, frozenset(excluded)).items()
+        }
+        assert oracle.compare_view(want, view) == []
         checked += 1
     _passed(7, f"{checked} NOT-constraint policies equal the node-deleted "
                f"oracle, zero tolerance")

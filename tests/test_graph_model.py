@@ -213,6 +213,23 @@ class TestFiles:
         assert loaded.links[1][2].capacity == 40
         assert loaded.links[1][2].utilization == 12.5
 
+    def test_topology_round_trip_keeps_real_utilizations(self, tmp_path):
+        free_bw = builtin("sd_free_bw")
+        topo = topology(
+            3,
+            [
+                (0, 1, props(capacity=7.5, utilization=100 / 7, delay=1 / 3)),
+                (1, 2, props(capacity=10.0, utilization=14.285714285714286)),
+            ],
+        )
+        path = tmp_path / "topo.txt"
+        gm.save_topology(topo, path)
+        loaded = gm.load_topology(path)
+        assert loaded.links == topo.links
+        assert gm.build_graph(loaded, free_bw.link_cost) == gm.build_graph(
+            topo, free_bw.link_cost
+        )
+
     def test_topology_comments_and_errors(self, tmp_path):
         path = tmp_path / "topo.txt"
         path.write_text("# header\nnode 0 switch\nnode 1 host\nfrob 1 2\n")
@@ -231,6 +248,39 @@ class TestFiles:
         ],
     )
     def test_event_line_round_trip(self, ev):
+        assert gm.parse_event(gm.format_event(ev)) == ev
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                gm.AddLink,
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.builds(
+                    gm.LinkProperties,
+                    capacity=st.floats(0.0, 1e12, exclude_min=True),
+                    utilization=st.floats(0.0, 100.0),
+                    delay=st.floats(0.0, 1e12),
+                ),
+            ),
+            st.builds(
+                gm.RemoveLink,
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.none() | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            st.builds(gm.AddNode, st.integers(0, 10**6), st.sampled_from(gm.NodeLabel)),
+            st.builds(gm.RemoveNode, st.integers(0, 10**6)),
+            st.builds(
+                gm.UpdateWeight,
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.floats(0.0, 100.0),
+            ),
+        )
+    )
+    def test_event_line_round_trip_is_lossless(self, ev):
         assert gm.parse_event(gm.format_event(ev)) == ev
 
     def test_parse_event_rejects_garbage(self):

@@ -9,7 +9,7 @@ from deltapath.errors import (
     UnknownNodeError,
     UnreachableError,
 )
-from deltapath.graph_model import RemoveLink, build_graph
+from deltapath.graph_model import RemoveLink, RemoveNode, build_graph
 from deltapath.path_retrieval import path_links, retrieve
 from deltapath.routing_core import initialize, step_epoch
 from deltapath.strategy import builtin
@@ -28,6 +28,19 @@ def engine_for(topo):
     g = build_graph(topo, SD.link_cost)
     rules = initialize(g, SD)
     return g, rules, pe.PolicyEngine(g, rules, SD)
+
+
+def without_nodes(g, nodes):
+    pruned = g.fork()
+    for n in sorted(nodes):
+        pruned.apply_deltas(pruned.ingest_event(RemoveNode(n), SD.link_cost))
+    return pruned
+
+
+def oracle_tree(want, dst):
+    """The oracle's rules toward `dst` in the search's key form (SD costs
+    are unsigned): node -> (cost, length, next)."""
+    return {s: want.triple(s, dst) for s in want.ids if want.reachable(s, dst)}
 
 
 class TestParse:
@@ -141,51 +154,38 @@ class TestNotConstraints:
         topo = utilization_topology(4, [(0, 1, 1), (1, 2, 1), (0, 3, 5), (3, 2, 5)])
         g, rules, engine = engine_for(topo)
         engine.add(pe.parse_policy(1, "0 : !3 : 2"))
-        step_epoch(rules, g, [pe.RemoveNode(3)])
-        engine.on_epoch([pe.RemoveNode(3)])
-        res = engine.evaluate(1)  # fork built after the node vanished
+        step_epoch(rules, g, [RemoveNode(3)])
+        res = engine.evaluate(1)
         assert res.paths[0].hops == (0, 1, 2)
 
-    def test_forks_are_shared_per_exclusion_set(self):
-        _g, _rules, engine = engine_for(triangle())
-        engine.add(pe.parse_policy(1, "0 : !1 : 2"))
-        engine.add(pe.parse_policy(2, "2 : !1 : 0"))
-        engine.evaluate(1)
-        engine.evaluate(2)
-        assert engine.fork_count() == 1
-        engine.remove(1)
-        assert engine.fork_count() == 1
-        engine.remove(2)
-        assert engine.fork_count() == 0
+    def test_excluding_both_ends_of_a_link(self):
+        topo = utilization_topology(
+            5, [(0, 1, 1), (1, 2, 1), (2, 4, 1), (0, 3, 5), (3, 4, 5)]
+        )
+        g, _rules, engine = engine_for(topo)
+        engine.add(pe.parse_policy(1, "0 : !1 !2 : 4"))
+        res = engine.evaluate(1)
+        assert res.paths[0].hops == (0, 3, 4)
+        pruned = without_nodes(g, {1, 2})
+        assert res.paths[0].cost == oracle.apsp_additive(pruned, SD).cost_of(0, 4)
 
-    def test_fork_tracks_epochs_and_suppresses_excluded_events(self):
+    def test_search_tree_tracks_epochs(self):
         rng = random.Random(12)
         topo = random_connected_topology(rng, 12)
-        g, rules, engine = engine_for(topo)
-        engine.add(pe.parse_policy(1, "0 : !5 : 9"))
-        engine.evaluate(1)
-        fork = engine._forks[frozenset({5})]
+        g, rules, _engine = engine_for(topo)
         for ev in random_events(rng, g, 15):
-            batch = step_epoch(rules, g, [ev])
-            engine.on_epoch([ev])
-            # fork view always equals a fresh solve of (graph minus node 5)
-            pruned = g.fork()
-            pruned.apply_deltas(
-                pruned.ingest_event(pe.RemoveNode(5), SD.link_cost)
-            )
-            want = oracle.apsp_additive(pruned, SD)
-            assert oracle.compare_view(want, fork.rules.established_rules()) == []
+            step_epoch(rules, g, [ev])
+            # the tree toward 9 equals a fresh solve of (graph minus node 5)
+            want = oracle.apsp_additive(without_nodes(g, {5}), SD)
+            assert pe._search(g, SD, 9, frozenset({5})) == oracle_tree(want, 9)
 
-    def test_event_inside_excluded_star_leaves_fork_untouched(self):
+    def test_link_inside_excluded_star_leaves_result_unchanged(self):
         topo = utilization_topology(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 2, 4)])
         g, rules, engine = engine_for(topo)
         engine.add(pe.parse_policy(1, "0 : !3 : 2"))
-        engine.evaluate(1)
-        fork = engine._forks[frozenset({3})]
-        before = dict(fork.rules._est)
+        before = engine.evaluate(1).paths
         step_epoch(rules, g, [RemoveLink(1, 3)])
-        engine.on_epoch([RemoveLink(1, 3)])
-        assert fork.rules._est == before
+        assert engine.evaluate(1).paths == before
 
 
 class TestBackup:
