@@ -222,10 +222,6 @@ class GraphStore:
                 props_old = self._props[(a, b, w_old)]
                 props_new = replace(props_old, utilization=u)
                 w_new = link_cost(props_new)
-                if w_new == w_old:
-                    # same key: the deltas cancel, so refresh props in place
-                    self._props[(a, b, w_old)] = props_new
-                    self._props[(b, a, w_old)] = props_new
                 return [
                     EdgeRecord(a, b, w_old, -1),
                     EdgeRecord(b, a, w_old, -1),
@@ -252,6 +248,8 @@ class GraphStore:
         """Fold edge deltas into the store and return the net non-zero
         change per (src, dst, w) key.
 
+        A stored key whose deltas cancel takes the properties they carry:
+        that is how `UpdateWeight` refreshes a link whose cost does not move.
         Atomic: raises NegativeMultiplicityError without mutating anything
         if some key would go below zero.
         """
@@ -271,9 +269,11 @@ class GraphStore:
 
         out = []
         for key, d in sorted(net.items()):
-            if d == 0:
-                continue
             src, dst, w = key
+            if d == 0:
+                if key in new_props and (dst, w) in self._adj.get(src, ()):
+                    self._props[key] = new_props[key]
+                continue
             row = self._adj.setdefault(src, {})
             m = row.get((dst, w), 0) + d
             if m:

@@ -1,30 +1,42 @@
 """Incremental maintenance of all-pairs forwarding rules.
 
-State is a delta multiset of candidate rules grouped by (src, dst), plus
-the "established" selection-best rule per group.  Each epoch's edge deltas
-join the established view on src; the resulting rule deltas fold into the
-candidates; changes of establishment join the full graph again, and so on
-to a fixpoint.  Only establishment changes re-enter the loop, which keeps
-the candidate space at one entry per (src, dst, next, p_cost, p_length)
-instead of one per path.
+State is one "established" rule per (src, dst) group, stored as its
+selection key (signed cost, p_length, next).  A group's candidates are
+not stored: they are the join of the established rules with the graph
+(for every edge x -> y, y's rule toward d extended by one hop) plus the
+tautology (d, d) while d is a node, cut at p_length >= horizon.  At a
+fixpoint every group holds the minimum of its candidates; `candidates`
+computes the join so that checks can state this equation.
 
-Two details make retraction cascades exact and finite:
+Every built-in strategy strictly worsens the key when it extends a path
+(cost never improves, length grows), so the fixpoint is unique (Sobrinho,
+IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
+does not depend on how the fixpoint was reached.
 
-* a rule delta retracting an establishment replays the very same join its
-  establishment performed, so candidate multiplicities cancel to zero and
-  are garbage-collected eagerly;
-* derivations stop at p_length >= horizon, where horizon is the largest
-  node count the store has ever seen.  Stale rules produced while a
-  retraction races around a cycle grow in length each round, so the cap
-  also bounds the rounds per epoch.  When the horizon grows (nodes were
-  added), the previously cut-off derivation fringe is replayed once so
-  that later retractions still cancel exactly.
+Each epoch folds changes in synchronous rounds.  A rule change at (y, d)
+offers its one-hop extension to the group (x, d) of every neighbour x and
+tells that group that y's previous rule is gone; an added edge offers its
+extensions and a retracted edge notifies the groups that routed over it.
+A group whose winner came through a notifying neighbour is reselected
+from its neighbours' current rules, deg(x) lookups, which is exact
+because those extensions are all its candidates.  Any other group keeps
+the better of its winner and the best offer: losing a candidate that
+does not win cannot change the minimum.
+
+Derivations stop at p_length >= horizon, where horizon is the largest
+node count the store has ever seen.  Stale rules produced while a
+retraction races around a cycle grow in length each round, so the cap
+also bounds the rounds per epoch.  At a fixpoint every established path
+is simple, hence shorter than the node count, so a derivation cut by an
+older, smaller horizon revisits a node and never wins: a growing horizon
+needs no replay.
 
 Work is partitioned by rule src across `workers` logical workers, with
-derived deltas routed to the owner of their new src and delivered in
-synchronous rounds.  Fold order within a round cannot influence the
-result (per-group folds commute), so output batches are identical for any
-worker count; a single worker is simply the one-partition case.
+derived offers and notices routed to the owner of their new src and
+delivered in synchronous rounds.  A reselect may read rules changed
+earlier in the same round, which only changes the path to the unique
+fixpoint, so output batches are identical for any worker count; a single
+worker is simply the one-partition case.
 """
 
 from __future__ import annotations
@@ -32,11 +44,7 @@ from __future__ import annotations
 import io
 from typing import Mapping, NamedTuple
 
-from .errors import (
-    DeltaPathError,
-    NegativeMultiplicityError,
-    NonConvergenceError,
-)
+from .errors import DeltaPathError, NonConvergenceError
 from .graph_model import (
     AddNode,
     EdgeRecord,
@@ -62,7 +70,7 @@ class ForwardingRule(NamedTuple):
 
 RuleDeltaBatch = list  # of ForwardingRule with delta in {-1, +1}
 
-# Internal candidate key: (signed_cost, p_length, next) so that plain tuple
+# Internal rule key: (signed_cost, p_length, next) so that plain tuple
 # order is exactly the strategy's selection order (cost negated for
 # maximizing strategies).
 
@@ -100,11 +108,11 @@ class EstablishedView(Mapping):
 
 
 class RuleStore:
-    """Delta-multiset of candidate rules plus the established best view."""
+    """The established best rule per (src, dst) group, indexed by src."""
 
     __slots__ = (
         "strategy", "workers", "horizon", "epoch",
-        "candidates", "_est", "_by_src", "_neg", "_fp_kind",
+        "_est", "_by_src", "_neg", "_fp_kind",
     )
 
     def __init__(self, strategy: Strategy, workers: int = 1, horizon: int = 0):
@@ -116,8 +124,7 @@ class RuleStore:
         self.epoch = -1
         self._neg = strategy.maximize
         self._fp_kind = path_cost_kind(strategy)
-        # (src, dst) -> {(signed_cost, length, next): multiplicity}
-        self.candidates: dict[tuple[NodeId, NodeId], dict[tuple, int]] = {}
+        # (src, dst) -> (signed_cost, length, next)
         self._est: dict[tuple[NodeId, NodeId], tuple] = {}
         self._by_src: dict[NodeId, dict[NodeId, tuple]] = {}
 
@@ -129,37 +136,41 @@ class RuleStore:
     def rule_count(self) -> int:
         return len(self._est)
 
-    def candidate_count(self) -> int:
-        return sum(len(c) for c in self.candidates.values())
-
     # --- maintenance
 
     def check_integrity(self, graph: GraphStore | None = None) -> None:
-        for group, cands in self.candidates.items():
-            assert cands, f"empty candidate group {group} not collected"
-            for key, mult in cands.items():
-                assert mult > 0, f"multiplicity {mult} for {group}/{key}"
-            assert self._est[group] == min(cands), f"stale selection for {group}"
+        """Check the src index and, given the graph, the fixpoint equation:
+        the established groups are exactly the groups of the candidate join,
+        each holding its group's minimum."""
         for group, key in self._est.items():
-            assert self.candidates[group], f"established {group} has no candidates"
             assert self._by_src[group[0]][group[1]] == key
         count = sum(len(d) for d in self._by_src.values())
         assert count == len(self._est), "by-src index out of sync"
         if graph is not None:
-            for n in graph.nodes:
-                taut = self._est.get((n, n))
-                assert taut is not None and taut[1] == 0, f"missing tautology for {n}"
-            for (s, d), key in self._est.items():
-                if s != d:
-                    nxt = key[2]
-                    assert any(
-                        dst == nxt for (dst, _w) in graph.out_edges(s)
-                    ), f"established ({s}, {d}) points at missing edge to {nxt}"
-                    suffix = self._est.get((nxt, d))
-                    assert suffix is not None and suffix[1] == key[1] - 1, (
-                        f"({s}, {d}) length {key[1]} inconsistent with its "
-                        f"suffix via {nxt}"
-                    )
+            join = candidates(self, graph)
+            for group in self._est:
+                assert group in join, f"established {group} has no candidates"
+            for group, cands in join.items():
+                key = self._est.get(group)
+                assert key is not None, f"{group} has candidates but no rule"
+                assert key == min(cands), f"stale selection for {group}"
+
+
+def candidates(store: RuleStore, graph: GraphStore) -> dict[tuple, dict[tuple, int]]:
+    """The candidate multiset of every group, derived rather than stored:
+    one tautology per node plus the join of the established rules with the
+    graph, cut at the horizon.  Maps (src, dst) to {key: multiplicity},
+    where parallel edges and equal derivations add up."""
+    strategy = store.strategy
+    out = {(n, n): {_tautology_key(strategy, n): 1} for n in graph.nodes}
+    for (s, d), rule in store.established_rules().items():
+        for (x, w), mult in graph.out_edges(s).items():
+            derived = derive(rule, EdgeRecord(s, x, w, 1), strategy, store.horizon)
+            if derived is not None:
+                group = out.setdefault((x, d), {})
+                key = strategy.sort_key(derived)
+                group[key] = group.get(key, 0) + mult
+    return out
 
 
 def derive(
@@ -202,10 +213,10 @@ def initialize(topology: GraphStore, strategy: Strategy, workers: int = 1) -> Ru
     for (_s, _d, w), _m in topology.edge_items():
         strategy.validate_weight(w)
     store = RuleStore(strategy, workers, horizon=len(topology.nodes))
-    pending: dict[tuple, dict] = {}
+    pending: list[dict] = [dict() for _ in range(workers)]
     for n in topology.nodes:
-        pending[(n, n)] = {_tautology_key(strategy, n): 1}
-    _fixpoint(store, topology, _route(store, pending), {})
+        pending[n % workers][(n, n)] = [_tautology_key(strategy, n), None]
+    _fixpoint(store, topology, pending, {})
     store.epoch = 0
     return store
 
@@ -218,7 +229,11 @@ def step_epoch(
 ) -> RuleDeltaBatch:
     """Process one epoch's event batch to fixpoint; returns the net change
     to the established view, sorted, with delta -1 for retired rules and
-    +1 for their replacements."""
+    +1 for their replacements.
+
+    If an event or the edge update fails, the graph and the store are left
+    as they were and the error propagates.
+    """
     if isinstance(events, Epoch):
         events = events.events
     strategy = strategy or store.strategy
@@ -226,45 +241,48 @@ def step_epoch(
         raise DeltaPathError("step_epoch called with a different strategy")
 
     raw: list[EdgeRecord] = []
-    taut_deltas: dict[tuple, dict] = {}
-    for ev in events:
-        raw.extend(graph.ingest_event(ev, strategy.link_cost))
-        if isinstance(ev, (AddNode, RemoveNode)):
-            key = _tautology_key(strategy, ev.id)
-            acc = taut_deltas.setdefault((ev.id, ev.id), {})
-            acc[key] = acc.get(key, 0) + (1 if isinstance(ev, AddNode) else -1)
+    touched: set[NodeId] = set()
+    nodes = dict(graph.nodes)
+    try:
+        for ev in events:
+            raw.extend(graph.ingest_event(ev, strategy.link_cost))
+            if isinstance(ev, (AddNode, RemoveNode)):
+                touched.add(ev.id)
+        delta_g = graph.apply_deltas(raw)
+    except BaseException:
+        # apply_deltas is atomic; only the node table needs restoring
+        graph.nodes.clear()
+        graph.nodes.update(nodes)
+        raise
+    store.horizon = max(store.horizon, len(graph.nodes))
 
+    workers = store.workers
+    pending: list[dict] = [dict() for _ in range(workers)]
     journal: dict[tuple, tuple | None] = {}
-    pending: list[dict[tuple, dict]] = [dict() for _ in range(store.workers)]
 
-    # Horizon can only grow; replay the previously suppressed derivation
-    # fringe against the pre-delta graph so later retractions cancel.
-    if len(graph.nodes) > store.horizon:
-        _grow_horizon(store, graph, len(graph.nodes), pending)
-
-    delta_g = graph.apply_deltas(raw)
-    for group, deltas in taut_deltas.items():
-        _queue(pending, store.workers, group, deltas)
+    # A node's tautology group is reselected; a live node offers it anew.
+    for n in touched:
+        offer = _tautology_key(strategy, n) if n in graph.nodes else None
+        pending[n % workers][(n, n)] = [offer, {n}]
 
     # Edge deltas join the established view as of the epoch start.
     fp = strategy.path_cost
     neg = store._neg
     h = store.horizon
+    by_src = store._by_src
     for rec in delta_g:
-        rules = store._by_src.get(rec.src)
-        if not rules:
+        inbox = pending[rec.dst % workers]
+        if rec.delta < 0:
+            for d, key in by_src.get(rec.dst, {}).items():
+                if key[2] == rec.src:
+                    _notify(inbox, (rec.dst, d), rec.src)
             continue
-        for d, key in rules.items():
+        for d, key in by_src.get(rec.src, {}).items():
             length = key[1] + 1
             if length >= h:
                 continue
             cost = fp(rec.w, -key[0] if neg else key[0])
-            _queue(
-                pending,
-                store.workers,
-                (rec.dst, d),
-                {((-cost if neg else cost), length, rec.src): rec.delta},
-            )
+            _offer(inbox, (rec.dst, d), ((-cost if neg else cost), length, rec.src))
 
     _fixpoint(store, graph, pending, journal)
     store.epoch += 1
@@ -289,53 +307,36 @@ def established_rules(store: RuleStore) -> EstablishedView:
 
 
 # --- fixpoint machinery ------------------------------------------------------
+#
+# A pending entry is [best offered key or None, set of neighbours whose
+# rule changed away or whose edge was retracted, or None].
 
 
-def _queue(pending, workers, group, deltas):
-    inbox = pending[group[0] % workers]
-    acc = inbox.get(group)
-    if acc is None:
-        inbox[group] = dict(deltas)
+def _offer(inbox, group, key):
+    entry = inbox.get(group)
+    if entry is None:
+        inbox[group] = [key, None]
+    elif entry[0] is None or key < entry[0]:
+        entry[0] = key
+
+
+def _notify(inbox, group, via):
+    entry = inbox.get(group)
+    if entry is None:
+        inbox[group] = [None, {via}]
+    elif entry[1] is None:
+        entry[1] = {via}
     else:
-        for key, dm in deltas.items():
-            acc[key] = acc.get(key, 0) + dm
-
-
-def _route(store: RuleStore, grouped: dict[tuple, dict]) -> list[dict]:
-    pending = [dict() for _ in range(store.workers)]
-    for group, deltas in grouped.items():
-        _queue(pending, store.workers, group, deltas)
-    return pending
-
-
-def _grow_horizon(store, graph, new_horizon, pending):
-    old = store.horizon
-    for s, rules in store._by_src.items():
-        edges = graph.out_edges(s)
-        if not edges:
-            continue
-        for d, key in rules.items():
-            length = key[1] + 1
-            if not (old <= length < new_horizon):
-                continue
-            cost = -key[0] if store._neg else key[0]
-            for (x, w), mult in edges.items():
-                c2 = store.strategy.path_cost(w, cost)
-                _queue(
-                    pending,
-                    store.workers,
-                    (x, d),
-                    {((-c2 if store._neg else c2), length, s): mult},
-                )
-    store.horizon = new_horizon
+        entry[1].add(via)
 
 
 def _fixpoint(store, graph, pending, journal):
     workers = store.workers
     rounds = 0
-    # Retraction cascades can count a pair's stale candidates up to the
-    # horizon before recovery propagates, so a legal epoch may need up to
-    # ~2x horizon rounds; a non-monotone strategy never quiesces at all.
+    # A stale rule racing a retraction around a cycle gains one hop per
+    # round until the horizon cuts it, and the replacements then spread in
+    # at most horizon more rounds; a strategy that can improve a path by
+    # extending it may never quiesce at all.
     bound = 2 * store.horizon + 4
     while any(pending):
         rounds += 1
@@ -348,59 +349,27 @@ def _fixpoint(store, graph, pending, journal):
         for w in range(workers):
             inbox = pending[w]
             if inbox:
-                changes = _fold(store, inbox, journal)
+                changes = _fold(store, graph, inbox, journal)
                 if changes:
                     _derive_changes(store, graph, changes, nxt)
         pending = nxt
 
 
-def _fold(store, inbox, journal):
-    """Apply accumulated rule deltas per group, garbage-collect zeros, and
-    reselect each touched group's establishment.
-
-    A full reselect only happens when the current winner was removed; an
-    insertion below the winner replaces it directly, and dominated churn
-    costs one comparison per delta.
-    """
-    candidates = store.candidates
+def _fold(store, graph, inbox, journal):
+    """Settle each touched group's establishment: reselect it when its
+    winner came through a notifying neighbour, else keep the better of the
+    winner and the best offer."""
     est = store._est
     by_src = store._by_src
     changes = []
-    for group, deltas in inbox.items():
-        cands = candidates.get(group)
-        if cands is None:
-            cands = {}
-            candidates[group] = cands
+    for group, (offer, gone) in inbox.items():
         old = est.get(group)
-        reselect = old is None
-        incoming = None
-        for key, dm in deltas.items():
-            if dm == 0:
-                continue
-            m = cands.get(key, 0) + dm
-            if m > 0:
-                cands[key] = m
-                if dm > 0 and not reselect and key < old and (
-                    incoming is None or key < incoming
-                ):
-                    incoming = key
-            elif m == 0:
-                del cands[key]
-                if key == old:
-                    reselect = True
-            else:
-                raise NegativeMultiplicityError(
-                    f"rule candidate {group}/{key} driven to {m}"
-                )
-        if not cands:
-            del candidates[group]
-            best = None
-        elif reselect:
-            best = min(cands)
-        elif incoming is not None:
-            best = incoming
+        if old is not None and gone is not None and old[2] in gone:
+            best = _reselect(store, graph, group)
+        elif offer is not None and (old is None or offer < old):
+            best = offer
         else:
-            continue  # winner untouched, nothing better arrived
+            continue
         if best == old:
             continue
         if group not in journal:
@@ -419,9 +388,31 @@ def _fold(store, inbox, journal):
     return changes
 
 
+def _reselect(store, graph, group):
+    """The minimum of one group's candidates: each neighbour's established
+    rule extended by one hop, cut at the horizon, plus the tautology."""
+    x, d = group
+    strategy = store.strategy
+    fp = strategy.path_cost
+    neg = store._neg
+    h = store.horizon
+    est = store._est
+    best = _tautology_key(strategy, x) if x == d and x in graph.nodes else None
+    for y, w in graph.out_edges(x):
+        key = est.get((y, d))
+        if key is None or key[1] + 1 >= h:
+            continue
+        cost = fp(w, -key[0] if neg else key[0])
+        cand = ((-cost if neg else cost), key[1] + 1, y)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 def _derive_changes(store, graph, changes, out):
-    """Join establishment changes against the full graph, routing derived
-    deltas to the owner of their new src."""
+    """Join establishment changes against the full graph: each neighbour's
+    group gets a notice that the old rule is gone and an offer of the new
+    one, routed to the owner of its src."""
     fp = store.strategy.path_cost
     kind = store._fp_kind
     neg = store._neg
@@ -433,29 +424,15 @@ def _derive_changes(store, graph, changes, out):
         edges = adj_get(s)
         if not edges:
             continue
-        old_len = old[1] + 1 if old is not None and old[1] + 1 < h else None
         new_len = new[1] + 1 if new is not None and new[1] + 1 < h else None
-        if old_len is None and new_len is None:
+        if old is None and new_len is None:
             continue
-        old_cost = (-old[0] if neg else old[0]) if old_len is not None else None
         new_cost = (-new[0] if neg else new[0]) if new_len is not None else None
-        for (x, w), mult in edges.items():
+        for x, w in edges:
             inbox = single if single is not None else out[x % workers]
             group = (x, d)
-            acc = inbox.get(group)
-            if acc is None:
-                acc = inbox[group] = {}
-            if old_len is not None:
-                if kind == "sum":
-                    c2 = w + old_cost
-                elif kind == "hop":
-                    c2 = 1 + old_cost
-                elif kind == "min":
-                    c2 = w if w < old_cost else old_cost
-                else:
-                    c2 = fp(w, old_cost)
-                key = ((-c2 if neg else c2), old_len, s)
-                acc[key] = acc.get(key, 0) - mult
+            if old is not None:
+                _notify(inbox, group, s)
             if new_len is not None:
                 if kind == "sum":
                     c2 = w + new_cost
@@ -465,8 +442,7 @@ def _derive_changes(store, graph, changes, out):
                     c2 = w if w < new_cost else new_cost
                 else:
                     c2 = fp(w, new_cost)
-                key = ((-c2 if neg else c2), new_len, s)
-                acc[key] = acc.get(key, 0) + mult
+                _offer(inbox, group, ((-c2 if neg else c2), new_len, s))
 
 
 # --- serialization -----------------------------------------------------------

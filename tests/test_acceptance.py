@@ -28,7 +28,12 @@ from deltapath.graph_model import (
 )
 from deltapath.path_retrieval import path_links, retrieve
 from deltapath.policy_engine import PolicyEngine, _search, parse_policy
-from deltapath.routing_core import ForwardingRule, initialize, step_epoch
+from deltapath.routing_core import (
+    ForwardingRule,
+    candidates,
+    initialize,
+    step_epoch,
+)
 from deltapath.strategy import builtin
 
 from conftest import props, random_connected_topology, random_events
@@ -154,7 +159,9 @@ def _reinit_one_graph(graph_index: int) -> dict:
         step_epoch(store, graph, random_events(rng, graph, 1))
         if epoch in reinit_at:
             fresh = initialize(graph, SD)
-            if store._est != fresh._est or store.candidates != fresh.candidates:
+            if store._est != fresh._est or (
+                candidates(store, graph) != candidates(fresh, graph)
+            ):
                 report["reinit_bad"].append(epoch)
     return report
 
@@ -480,7 +487,7 @@ def test_c10_delta_hygiene_and_reversibility(k8_hop, k8_uniform, k16_hop):
         store = initialize(graph, SD)
         graph0 = graph.fork()
         est0 = dict(store._est)
-        cands0 = {g: dict(c) for g, c in store.candidates.items()}
+        cands0 = candidates(store, graph)
 
         links = sorted({(min(a, b), max(a, b), w) for (a, b, w), _ in graph.edge_items()})
         removed = rng.sample(links, min(4, len(links) - 1))
@@ -494,6 +501,6 @@ def test_c10_delta_hygiene_and_reversibility(k8_hop, k8_uniform, k16_hop):
             store.check_integrity(graph)
         assert graph == graph0
         assert store._est == est0
-        assert store.candidates == cands0
+        assert candidates(store, graph) == cands0
     _passed(10, "no zero multiplicities anywhere; full reversals restore the "
                 "exact initial established view and candidate multisets")

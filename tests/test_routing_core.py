@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from deltapath import oracle
 from deltapath import routing_core as rc
-from deltapath.errors import DeltaPathError, NonConvergenceError
+from deltapath.errors import (
+    DeltaPathError,
+    NegativeMultiplicityError,
+    NonConvergenceError,
+    UnknownLinkError,
+)
 from deltapath.graph_model import (
     AddLink,
     AddNode,
@@ -20,7 +25,7 @@ from deltapath.graph_model import (
     build_graph,
 )
 from deltapath.strategy import Strategy, WeightDomain, builtin
-from deltapath.workloads import gen_fattree
+from deltapath.workloads import PlanKind, WeightPlan, gen_fattree
 
 from conftest import (
     props,
@@ -41,8 +46,8 @@ def sd_engine(n, weighted_links, workers=1):
     return g, rc.initialize(g, SD, workers)
 
 
-def view_snapshot(store):
-    return dict(store._est), {g: dict(c) for g, c in store.candidates.items()}
+def view_snapshot(store, graph):
+    return dict(store._est), rc.candidates(store, graph)
 
 
 class TestInitialize:
@@ -68,7 +73,7 @@ class TestInitialize:
         )
         assert rule.next == 1 and rule.p_cost == 2
         # 3 tautologies + 14 derivations; 3-hop derivations are length-capped
-        assert store.candidate_count() == 17
+        assert sum(len(c) for c in rc.candidates(store, g).values()) == 17
 
     def test_hop_count_prefers_direct_links(self):
         topo = random_connected_topology(random.Random(3), 15)
@@ -167,7 +172,7 @@ class TestStepEpoch:
         assert all(1 not in pair for pair in view)
         assert view[(0, 2)].p_cost == 10.0  # rerouted over the heavy edge
         store.check_integrity(g)
-        assert (1, 1) not in store.candidates
+        assert (1, 1) not in rc.candidates(store, g)
 
     def test_node_add_then_link(self):
         g, store = sd_engine(2, [(0, 1, 1)])
@@ -268,7 +273,7 @@ class TestEquivalence:
             rc.step_epoch(store, g, [ev])
             fresh = rc.initialize(g, SD)
             assert store._est == fresh._est
-            assert store.candidates == fresh.candidates
+            assert rc.candidates(store, g) == rc.candidates(fresh, g)
 
     def test_candidates_are_exactly_the_join_of_established_and_graph(self):
         rng = random.Random(9)
@@ -289,14 +294,14 @@ class TestEquivalence:
                 grp = expect.setdefault((derived.src, derived.dst), {})
                 key = (derived.p_cost, derived.p_length, derived.next)
                 grp[key] = grp.get(key, 0) + mult
-        assert store.candidates == expect
+        assert rc.candidates(store, g) == expect
 
     def test_full_reversal_restores_everything(self):
         rng = random.Random(17)
         topo = random_connected_topology(rng, 12)
         g = build_graph(topo, SD.link_cost)
         store = rc.initialize(g, SD)
-        est0, cand0 = view_snapshot(store)
+        est0, cand0 = view_snapshot(store, g)
         graph0 = g.fork()
         # scripted: remove three links, update one, then invert in reverse order
         links = sorted({(min(s, d), max(s, d), w) for (s, d, w), _ in g.edge_items()})
@@ -311,7 +316,7 @@ class TestEquivalence:
             rc.step_epoch(store, g, [ev])
         assert g == graph0
         assert store._est == est0
-        assert store.candidates == cand0
+        assert rc.candidates(store, g) == cand0
 
     def test_widest_matches_bruteforce(self):
         rng = random.Random(23)
@@ -397,6 +402,126 @@ class TestStress:
             )
             assert bad == [], (step, bad[:3])
             store.check_integrity(g)
+
+
+class TestIntegrity:
+    def engine(self):
+        topo = random_connected_topology(random.Random(41), 12)
+        g = build_graph(topo, SD.link_cost)
+        store = rc.initialize(g, SD)
+        store.check_integrity(g)
+        return g, store
+
+    def test_worse_established_key_is_caught(self):
+        g, store = self.engine()
+        group, cands = next(
+            (grp, c) for grp, c in sorted(rc.candidates(store, g).items()) if len(c) > 1
+        )
+        worse = sorted(cands)[1]
+        store._est[group] = worse
+        store._by_src[group[0]][group[1]] = worse
+        store.check_integrity()  # the src index alone is still in sync
+        with pytest.raises(AssertionError, match="stale selection"):
+            store.check_integrity(g)
+
+    def test_deleted_pair_is_caught(self):
+        g, store = self.engine()
+        # a pair no other rule routes through, so only its own group breaks
+        via = {(key[2], d) for (s, d), key in store._est.items() if s != d}
+        s, d = next(p for p in sorted(store._est) if p[0] != p[1] and p not in via)
+        del store._est[(s, d)]
+        del store._by_src[s][d]
+        store.check_integrity()
+        with pytest.raises(AssertionError, match="no rule"):
+            store.check_integrity(g)
+
+
+class TestAtomicEpochs:
+    @pytest.mark.parametrize("events,error", [
+        ([RemoveNode(3), RemoveLink(0, 99)], UnknownLinkError),
+        ([AddNode(100), RemoveLink(0, 8), RemoveLink(0, 8)], NegativeMultiplicityError),
+        ([UpdateWeight(0, 8, 50.0), RemoveLink(0, 99)], UnknownLinkError),
+    ], ids=["remove-node", "add-node", "refresh-props"])
+    def test_failed_epoch_changes_nothing(self, events, error):
+        g = build_graph(gen_fattree(4), HOP.link_cost)
+        store = rc.initialize(g, HOP)
+        graph0, est0, horizon0 = g.fork(), dict(store._est), store.horizon
+        with pytest.raises(error):
+            rc.step_epoch(store, g, events)
+        assert g == graph0
+        g.check_integrity()
+        assert store._est == est0
+        assert store.horizon == horizon0
+        assert store.epoch == 0
+
+
+@st.composite
+def failing_epochs(draw):
+    """A valid prefix of events on disjoint nodes of a fat-tree k=4, then
+    one event that fails while ingesting or applying the epoch."""
+    strategy = draw(st.sampled_from([HOP, SD]))
+    g = build_graph(gen_fattree(4, WeightPlan(PlanKind.UNIFORM, seed=4)), strategy.link_cost)
+    links = sorted({(min(a, b), max(a, b)) for (a, b, _w), _m in g.edge_items()})
+    nodes = sorted(g.nodes)
+    used: set = set()
+    prefix = []
+    for kind, pick, u in draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 999), st.integers(1, 99)),
+        max_size=6,
+    )):
+        free = [(a, b) for a, b in links if a not in used and b not in used]
+        if kind == 0 and free:
+            a, b = free[pick % len(free)]
+            prefix.append(RemoveLink(a, b))
+        elif kind == 1 and free:
+            a, b = free[pick % len(free)]
+            prefix.append(UpdateWeight(a, b, float(u)))
+        elif kind == 2:
+            spare = [
+                (a, b) for a in nodes for b in nodes
+                if a < b and (a, b) not in links and not {a, b} & used
+            ]
+            if not spare:
+                continue
+            a, b = spare[pick % len(spare)]
+            prefix.append(AddLink(a, b, props(utilization=float(u))))
+        elif kind == 3:
+            alive = [n for n in nodes if n not in used]
+            a = b = alive[pick % len(alive)]
+            prefix.append(RemoveNode(a))
+        else:
+            a = b = 100 + len(prefix)
+            prefix.append(AddNode(a))
+        used.update((a, b))
+    removed = [ev for ev in prefix if isinstance(ev, RemoveLink)]
+    bad = draw(st.sampled_from([
+        RemoveLink(0, 99),
+        UpdateWeight(0, 99, 5.0),
+        RemoveNode(99),
+        AddNode(next(n for n in nodes if n not in used)),
+        AddLink(1, 1, props()),
+        AddLink(1, 99, props()),
+    ] + removed))
+    return strategy, g, prefix, bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(failing_epochs())
+def test_failing_epoch_leaves_graph_and_rules_unchanged(case):
+    strategy, g, prefix, bad = case
+    store = rc.initialize(g, strategy)
+    graph0, est0, horizon0 = g.fork(), dict(store._est), store.horizon
+    with pytest.raises((DeltaPathError, ValueError)):
+        rc.step_epoch(store, g, prefix + [bad])
+    assert g == graph0
+    assert store._est == est0
+    assert store.horizon == horizon0
+    rc.step_epoch(store, g, prefix)
+    bad_pairs = oracle.compare_view(
+        oracle.apsp_additive(g, strategy), store.established_rules()
+    )
+    assert bad_pairs == [], bad_pairs[:3]
+    store.check_integrity(g)
 
 
 class TestDeterminism:
