@@ -2,17 +2,17 @@
 
 Waypoint policies decompose into segment retrievals over the base rules.
 NOT and backup policies route on the live graph with nodes (NOT) or the
-primary path's links (backup) masked, by one Dijkstra search from the
-destination.  The search uses the engine's selection key and cost order,
-so its tree equals the engine's fixpoint on the masked graph bit for bit:
-under the built-in strategies extending a path never improves its key
-(Sobrinho, "Algebra and algorithms for QoS path computation", IEEE/ACM
-ToN 2002).  No policy keeps state between epochs.
+primary path's links (backup) masked, by `routing_core.search`: the same
+per-destination Dijkstra search that builds the engine's first fixpoint.
+It uses the engine's selection key and cost order, so its tree equals the
+engine's fixpoint on the masked graph bit for bit: extending a path never
+improves its key (Sobrinho, "Algebra and algorithms for QoS path
+computation", IEEE/ACM ToN 2002), and the search refuses a custom
+strategy for which it does.  No policy keeps state between epochs.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graph_model import GraphStore, NodeId
 from .path_retrieval import Path, path_links, retrieve
-from .routing_core import RuleStore, _tautology_key
+from .routing_core import RuleStore, search
 from .strategy import Strategy
 
 
@@ -100,46 +100,6 @@ def parse_policy(policy_id: int, text: str) -> Policy:
     except ValueError:
         raise PolicySyntaxError(f"bad waypoint in {text!r}") from None
     return Policy(policy_id, src, dst, Waypoints(nodes))
-
-
-def _search(
-    graph: GraphStore,
-    strategy: Strategy,
-    dst: NodeId,
-    skip_nodes: frozenset[NodeId] = frozenset(),
-    skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
-) -> dict[NodeId, tuple]:
-    """Every node's rule toward `dst` on the graph without `skip_nodes` and
-    without the links `skip_links` (both directions, all parallel copies),
-    as the engine's key: node -> (signed cost, length, next)."""
-    if dst not in graph.nodes or dst in skip_nodes:
-        return {}
-    neg = strategy.maximize
-    fp = strategy.path_cost
-    start = _tautology_key(strategy, dst)
-    tree: dict[NodeId, tuple] = {}
-    best = {dst: start}
-    heap = [(start, dst)]
-    while heap:
-        key, u = heapq.heappop(heap)
-        if u in tree:
-            continue
-        tree[u] = key
-        cost = -key[0] if neg else key[0]
-        length = key[1] + 1
-        # edge (u, x, w) lets x route through u, as in the engine's join
-        for (x, w) in graph.out_edges(u):
-            if x in tree or x in skip_nodes:
-                continue
-            if (x, u) in skip_links or (u, x) in skip_links:
-                continue
-            c = fp(w, cost)
-            cand = (-c if neg else c, length, u)
-            old = best.get(x)
-            if old is None or cand < old:
-                best[x] = cand
-                heapq.heappush(heap, (cand, x))
-    return tree
 
 
 class PolicyEngine:
@@ -219,7 +179,7 @@ class PolicyEngine:
 
     def _masked_path(self, policy: Policy, **mask) -> Path:
         """Chase `next` from the policy's src through the masked search tree."""
-        tree = _search(self.graph, self.strategy, policy.dst, **mask)
+        tree = search(self.graph, self.strategy, policy.dst, **mask)
         first = tree.get(policy.src)
         if first is None:
             raise UnreachableError(f"no masked route for ({policy.src}, {policy.dst})")

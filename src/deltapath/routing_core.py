@@ -23,6 +23,15 @@ because those extensions are all its candidates.  Any other group keeps
 the better of its winner and the best offer: losing a candidate that
 does not win cannot change the minimum.
 
+The first fixpoint is built without rounds.  `initialize` runs one
+best-first search per destination (`search`), which pops nodes in key
+order and settles each group once, with the minimum of its neighbours'
+keys extended by one hop: the fixpoint equation.  The fixpoint is unique,
+so this is the one the rounds would reach, bit for bit, since both extend
+a neighbour's key by the same arithmetic.  Its paths are simple, hence
+shorter than the node count, so the horizon never cuts them.  The same
+search with nodes or links masked evaluates NOT and backup policies.
+
 Derivations stop at p_length >= horizon, where horizon is the largest
 node count the store has ever seen.  Stale rules produced while a
 retraction races around a cycle grow in length each round, so the cap
@@ -31,16 +40,17 @@ is simple, hence shorter than the node count, so a derivation cut by an
 older, smaller horizon revisits a node and never wins: a growing horizon
 needs no replay.
 
-Work is partitioned by rule src across `workers` logical workers, with
-derived offers and notices routed to the owner of their new src and
-delivered in synchronous rounds.  A reselect may read rules changed
-earlier in the same round, which only changes the path to the unique
-fixpoint, so output batches are identical for any worker count; a single
-worker is simply the one-partition case.
+An epoch's work is partitioned by rule src across `workers` logical
+workers, with derived offers and notices routed to the owner of their new
+src and delivered in synchronous rounds.  A reselect may read rules
+changed earlier in the same round, which only changes the path to the
+unique fixpoint, so output batches are identical for any worker count; a
+single worker is simply the one-partition case.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 from typing import Mapping, NamedTuple
 
@@ -207,18 +217,104 @@ def _tautology_key(strategy: Strategy, node: NodeId) -> tuple:
 
 
 def initialize(topology: GraphStore, strategy: Strategy, workers: int = 1) -> RuleStore:
-    """Seed tautologies over a topology snapshot and propagate to fixpoint."""
+    """Build the established rules of a topology snapshot with one `search`
+    per destination; the result equals the round-based fixpoint."""
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
     for (_s, _d, w), _m in topology.edge_items():
         strategy.validate_weight(w)
     store = RuleStore(strategy, workers, horizon=len(topology.nodes))
-    pending: list[dict] = [dict() for _ in range(workers)]
-    for n in topology.nodes:
-        pending[n % workers][(n, n)] = [_tautology_key(strategy, n), None]
-    _fixpoint(store, topology, pending, {})
+    est = store._est
+    rows = store._by_src
+    rows.update((n, {}) for n in topology.nodes)
+    for d in topology.nodes:
+        for x, key in search(topology, strategy, d).items():
+            est[(x, d)] = key
+            rows[x][d] = key
     store.epoch = 0
     return store
+
+
+def search(
+    graph: GraphStore,
+    strategy: Strategy,
+    dst: NodeId,
+    skip_nodes: frozenset[NodeId] = frozenset(),
+    skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
+) -> dict[NodeId, tuple]:
+    """Every node's rule toward `dst` on the graph without `skip_nodes` and
+    without the links `skip_links` (both directions, all parallel copies),
+    as the engine's key: node -> (signed cost, length, next).
+
+    One Dijkstra search from `dst` in key order.  The masks cost nothing
+    when empty: masked nodes start out settled and only a link mask filters
+    the adjacency.  A custom path cost that can improve a path by extending
+    it raises NonConvergenceError, since the tree would then not be the
+    engine's fixpoint.
+    """
+    if dst not in graph.nodes or dst in skip_nodes:
+        return {}
+    neg = strategy.maximize
+    fp = strategy.path_cost
+    kind = path_cost_kind(strategy)
+    adj = graph.out_edges
+    if skip_links:
+        cut = set(skip_links) | {(b, a) for a, b in skip_links}
+
+        def adj(u):
+            return [(x, w) for x, w in graph.out_edges(u) if (u, x) not in cut]
+
+    start = _tautology_key(strategy, dst)
+    # a masked node is a settled placeholder, so no edge ever reaches it
+    tree: dict[NodeId, tuple | None] = dict.fromkeys(skip_nodes)
+    best = {dst: start}
+    heap = [(start, dst)]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while heap:
+        key, u = heappop(heap)
+        if u in tree:
+            continue
+        tree[u] = key
+        cost = -key[0] if neg else key[0]
+        length = key[1] + 1
+        # edge (u, x, w) lets x route through u, as in the engine's join
+        for x, w in adj(u):
+            if x in tree:
+                continue
+            if kind == "sum":
+                c = w + cost
+            elif kind == "hop":
+                c = 1 + cost
+            elif kind == "min":
+                c = w if w < cost else cost
+            else:
+                c = fp(w, cost)
+            cand = (-c if neg else c, length, u)
+            old = best.get(x)
+            if old is None or cand < old:
+                best[x] = cand
+                heappush(heap, (cand, x))
+    for n in skip_nodes:
+        del tree[n]
+    if kind is None:
+        _check_monotone(tree, adj, fp, neg)
+    return tree
+
+
+def _check_monotone(tree, adj, fp, neg):
+    """Raise unless extending each settled key over each of its edges gives
+    a key no smaller than the one extended."""
+    for u, key in tree.items():
+        cost = -key[0] if neg else key[0]
+        for x, w in adj(u):
+            if x not in tree:
+                continue  # masked
+            c = fp(w, cost)
+            if (-c if neg else c) < key[0]:
+                raise NonConvergenceError(
+                    f"extending the rule of {u} over edge ({x}, {u}) improves "
+                    f"it; strategy is not convergent"
+                )
 
 
 def step_epoch(

@@ -22,6 +22,7 @@ from .graph_model import (
     Topology,
     UpdateWeight,
     build_graph,
+    format_event,
 )
 from .strategy import builtin
 
@@ -328,8 +329,8 @@ def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> list[str]:
         for a, b in batch:
             new_util = min(100.0, util[(a, b)] + 5.0)
             util[(a, b)] = new_util
-            lines.append(f"weight {a} {b} utilization={new_util:g}")
             events.append(UpdateWeight(a, b, new_util))
+        lines.extend(format_event(ev) for ev in events)
         for ev in events:
             graph.apply_deltas(graph.ingest_event(ev, strategy.link_cost))
     return lines

@@ -27,11 +27,12 @@ from deltapath.graph_model import (
     parse_event,
 )
 from deltapath.path_retrieval import path_links, retrieve
-from deltapath.policy_engine import PolicyEngine, _search, parse_policy
+from deltapath.policy_engine import PolicyEngine, parse_policy
 from deltapath.routing_core import (
     ForwardingRule,
     candidates,
     initialize,
+    search,
     step_epoch,
 )
 from deltapath.strategy import builtin
@@ -399,7 +400,7 @@ def test_c07_not_constraints_match_the_oracle(k8_uniform):
         view = {
             (x, d): ForwardingRule(x, d, key[2], key[0], key[1])
             for d in pruned.nodes
-            for x, key in _search(graph, SD, d, frozenset(excluded)).items()
+            for x, key in search(graph, SD, d, frozenset(excluded)).items()
         }
         assert oracle.compare_view(want, view) == []
         checked += 1

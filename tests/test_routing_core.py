@@ -24,8 +24,15 @@ from deltapath.graph_model import (
     UpdateWeight,
     build_graph,
 )
-from deltapath.strategy import Strategy, WeightDomain, builtin
-from deltapath.workloads import PlanKind, WeightPlan, gen_fattree
+from deltapath.policy_engine import PolicyEngine, parse_policy
+from deltapath.strategy import (
+    Strategy,
+    WeightDomain,
+    builtin,
+    builtin_names,
+    path_cost_kind,
+)
+from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
 from conftest import (
     props,
@@ -39,6 +46,7 @@ from conftest import (
 SD = builtin("sd_utilization")
 HOP = builtin("hop_count")
 WIDEST = builtin("shortest_widest")
+BUILTINS = [builtin(name) for name in builtin_names()]
 
 
 def sd_engine(n, weighted_links, workers=1):
@@ -613,19 +621,122 @@ def test_model_based_oracle_equivalence(script):
         store.check_integrity(g)
 
 
+# a shrinking "additive" cost violates monotonicity and cycles forever
+SHRINKING = Strategy(
+    name="shrinking",
+    link_cost=lambda p: 1.0,
+    path_cost=lambda w, c: c - w,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=WeightDomain(0.0, math.inf, lo_open=True),
+)
+
+
 def test_nonconvergent_strategy_is_caught():
-    # a shrinking "additive" cost violates monotonicity and cycles forever
-    broken = Strategy(
-        name="shrinking",
-        link_cost=lambda p: 1.0,
-        path_cost=lambda w, c: c - w,
-        tautology_cost=0.0,
-        maximize=False,
-        weight_domain=WeightDomain(0.0, math.inf, lo_open=True),
-    )
-    g = build_graph(topology(3, [(0, 1), (1, 2), (2, 0)]), broken.link_cost)
+    g = build_graph(topology(3, [(0, 1), (1, 2), (2, 0)]), SHRINKING.link_cost)
     with pytest.raises(NonConvergenceError):
-        rc.initialize(g, broken)
+        rc.initialize(g, SHRINKING)
+
+
+def rounds_fixpoint(topo, strategy):
+    """The first fixpoint as the synchronous rounds reach it: one epoch that
+    adds every node and link to an empty graph and an empty store."""
+    g = GraphStore()
+    store = rc.RuleStore(strategy, horizon=0)
+    events = [AddNode(n.id, n.label) for n in topo.nodes]
+    events += [AddLink(a, b, p) for a, b, p in topo.links]
+    rc.step_epoch(store, g, events)
+    return g, store
+
+
+def assert_search_matches_rounds(topo, strategy):
+    g, rounds = rounds_fixpoint(topo, strategy)
+    store = rc.initialize(g, strategy)
+    assert store._est == rounds._est
+    assert store._by_src == rounds._by_src
+    store.check_integrity(g)
+
+
+class TestSearchMatchesRounds:
+    """`initialize` builds the first fixpoint by search; the rounds that
+    `step_epoch` runs stay the reference for it."""
+
+    @pytest.mark.parametrize("name", ["fattree4", "jellyfish20"])
+    @pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+    def test_builtin_strategies(self, strategy, name):
+        plan = WeightPlan(PlanKind.UNIFORM, seed=7)
+        if name == "fattree4":
+            topo = gen_fattree(4, plan)
+        else:
+            topo = gen_jellyfish(20, 4, plan, seed=7)
+        assert_search_matches_rounds(topo, strategy)
+
+
+@st.composite
+def loose_topologies(draw):
+    """Small graphs with parallel links (equal or different weights),
+    isolated nodes and any number of components."""
+    n = draw(st.integers(1, 8))
+    links = []
+    if n > 1:
+        for a, b, u in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5)),
+            max_size=12,
+        )):
+            if a != b:
+                links.append((a, b, props(utilization=float(u))))
+    return topology(n, links)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loose_topologies(), st.sampled_from(BUILTINS))
+def test_search_matches_rounds_on_loose_graphs(topo, strategy):
+    assert_search_matches_rounds(topo, strategy)
+
+
+# sd_utilization's path cost as a function path_cost_kind does not know,
+# so the search calls it and checks it
+CUSTOM_SUM = Strategy(
+    name="custom_sum",
+    link_cost=SD.link_cost,
+    path_cost=lambda w, c: w + c,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
+class TestCustomStrategy:
+    def jellyfish(self):
+        topo = gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM, seed=7), seed=7)
+        return build_graph(topo, SD.link_cost)
+
+    def test_initialize_equals_the_builtin(self):
+        assert path_cost_kind(CUSTOM_SUM) is None
+        g = self.jellyfish()
+        store = rc.initialize(g, CUSTOM_SUM)
+        assert store._est == rc.initialize(g, SD)._est
+        store.check_integrity(g)
+
+    def test_not_search_tree_equals_node_deleted_oracle(self):
+        g = self.jellyfish()
+        excluded = frozenset({3, 11, 12})
+        pruned = g.fork()
+        for n in sorted(excluded):
+            pruned.apply_deltas(pruned.ingest_event(RemoveNode(n), SD.link_cost))
+        want = oracle.apsp_additive(pruned, SD)
+        for d in pruned.nodes:
+            tree = rc.search(g, CUSTOM_SUM, d, excluded)
+            assert tree == {
+                s: want.triple(s, d) for s in want.ids if want.reachable(s, d)
+            }
+
+    def test_not_evaluation_of_a_shrinking_strategy_raises(self):
+        g = build_graph(topology(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+                        SHRINKING.link_cost)
+        engine = PolicyEngine(g, rc.RuleStore(SHRINKING), SHRINKING)
+        with pytest.raises(NonConvergenceError):
+            engine.eval_not(parse_policy(1, "0 : !1 : 3"))
 
 
 def test_step_accepts_an_epoch_batch(triangle_graph):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from deltapath import workloads as wl
 from deltapath.errors import InfeasibleError, OddArityError
-from deltapath.graph_model import RemoveNode, build_graph, parse_event
+from deltapath.graph_model import RemoveNode, Topology, build_graph, parse_event
 from deltapath.strategy import builtin
 
 HOP = builtin("hop_count")
@@ -161,6 +163,21 @@ class TestScenarios:
                 assert ev.utilization == min(100.0, prev + 5.0)
             assert 1.0 <= ev.utilization <= 100.0
             utils[key] = ev.utilization
+
+    def test_weight_batch_lines_keep_the_applied_utilization(self):
+        topo = wl.gen_fattree(4, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=11))
+        links = [(a, b, replace(p, utilization=p.utilization - 0.6543211))
+                 for a, b, p in topo.links]
+        topo = Topology(topo.nodes, links)
+        util = {(min(a, b), max(a, b)): p.utilization for a, b, p in links}
+        sc = wl.Scenario(wl.ScenarioKind.WEIGHT_UPDATE_BATCHES, trials=30, batch_size=4, seed=3)
+        updates = [l for l in wl.gen_weight_update_batches(topo, sc) if l.startswith("weight")]
+        assert len(updates) == 30 * 4
+        for line in updates:
+            ev = parse_event(line)
+            key = (min(ev.a, ev.b), max(ev.a, ev.b))
+            util[key] = min(100.0, util[key] + 5.0)
+            assert ev.utilization == util[key], line
 
     def test_weight_batch_size_is_respected_per_epoch(self):
         topo = wl.gen_fattree(4, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=1))
