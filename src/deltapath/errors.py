@@ -34,7 +34,8 @@ class UnknownStrategyError(DeltaPathError):
 
 
 class NonConvergenceError(DeltaPathError):
-    """The per-epoch fixpoint exceeded its round bound (broken strategy)."""
+    """The strategy's path cost can improve a path by extending it, so the
+    rules have no fixpoint (broken strategy)."""
 
 
 class UnreachableError(DeltaPathError):

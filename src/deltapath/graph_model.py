@@ -290,6 +290,28 @@ class GraphStore:
             out.append(EdgeRecord(src, dst, w, d, new_props.get(key)))
         return out
 
+    def undo_deltas(
+        self,
+        applied: list[EdgeRecord],
+        props: dict[tuple[NodeId, NodeId, float], LinkProperties | None],
+    ) -> None:
+        """Undo one `apply_deltas` call, given what it returned and the
+        properties each key it was passed had before it (None for none)."""
+        for src, dst, w, d, _p in applied:
+            row = self._adj.setdefault(src, {})
+            m = row.get((dst, w), 0) - d
+            if m:
+                row[(dst, w)] = m
+            else:
+                del row[(dst, w)]
+                if not row:
+                    del self._adj[src]
+        for key, p in props.items():
+            if p is None:
+                self._props.pop(key, None)
+            else:
+                self._props[key] = p
+
     def fork(self) -> GraphStore:
         """Independent copy sharing no mutable state with the original."""
         other = GraphStore()

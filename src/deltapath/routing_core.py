@@ -13,45 +13,43 @@ Every built-in strategy strictly worsens the key when it extends a path
 IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
 does not depend on how the fixpoint was reached.
 
-Each epoch folds changes in synchronous rounds.  A rule change at (y, d)
-offers its one-hop extension to the group (x, d) of every neighbour x and
-tells that group that y's previous rule is gone; an added edge offers its
-extensions and a retracted edge notifies the groups that routed over it.
-A group whose winner came through a notifying neighbour is reselected
-from its neighbours' current rules, deg(x) lookups, which is exact
-because those extensions are all its candidates.  Any other group keeps
-the better of its winner and the best offer: losing a candidate that
-does not win cannot change the minimum.
+The first fixpoint comes from one best-first search per destination
+(`search`), which pops nodes in key order and settles each group once,
+with the minimum of its neighbours' keys extended by one hop: the
+fixpoint equation.  The same search with nodes or links masked evaluates
+NOT and backup policies.
 
-The first fixpoint is built without rounds.  `initialize` runs one
-best-first search per destination (`search`), which pops nodes in key
-order and settles each group once, with the minimum of its neighbours'
-keys extended by one hop: the fixpoint equation.  The fixpoint is unique,
-so this is the one the rounds would reach, bit for bit, since both extend
-a neighbour's key by the same arithmetic.  Its paths are simple, hence
-shorter than the node count, so the horizon never cuts them.  The same
-search with nodes or links masked evaluates NOT and backup policies.
+Rules toward different destinations never interact, and a destination's
+rules form a tree over the next pointers, so an epoch repairs each
+affected tree in two phases (Ramalingam and Reps, J. Algorithms 1996;
+Frigioni, Marchetti-Spaccamela and Nanni, J. Algorithms 2000).  Phase 1
+retires the groups of removed nodes and finds the rules that lost their
+cost and length: a rule over a retracted edge is a suspect, and so is
+every rule routing through a dropped one.  A suspect with another
+neighbour that extends to the same cost and length only moves its next;
+the others are dropped.  Phase 2 seeds one heap per destination with
+each dropped node's best surviving neighbour, each added edge's offer and
+each added node's tautology, and settles nodes in key order as the search
+does.  Under shortest_widest a node that improves can make a child worse,
+so a settled node's child whose rule gets worse is dropped with its
+subtree and reseeded, and a heap entry whose neighbour key has changed
+since it was pushed is skipped.  A custom path cost that can improve a
+path by extending it raises NonConvergenceError, and the epoch is rolled
+back.
 
-Derivations stop at p_length >= horizon, where horizon is the largest
-node count the store has ever seen.  Stale rules produced while a
-retraction races around a cycle grow in length each round, so the cap
-also bounds the rounds per epoch.  At a fixpoint every established path
-is simple, hence shorter than the node count, so a derivation cut by an
-older, smaller horizon revisits a node and never wins: a growing horizon
-needs no replay.
-
-An epoch's work is partitioned by rule src across `workers` logical
-workers, with derived offers and notices routed to the owner of their new
-src and delivered in synchronous rounds.  A reselect may read rules
-changed earlier in the same round, which only changes the path to the
-unique fixpoint, so output batches are identical for any worker count; a
-single worker is simply the one-partition case.
+The repaired paths are simple, hence shorter than the node count.  The
+horizon, the largest node count the store has ever seen, still cuts the
+derived `candidates` that check the fixpoint equation and bounds
+`max_chain`.  `workers` splits the destinations into shards repaired in
+turn, in (d % workers, d) order; the batch does not depend on the order.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
+from dataclasses import dataclass
+from time import perf_counter_ns
 from typing import Mapping, NamedTuple
 
 from .errors import DeltaPathError, NonConvergenceError
@@ -117,11 +115,29 @@ class EstablishedView(Mapping):
         return self._store.horizon
 
 
+@dataclass
+class EpochStats:
+    """What one `step_epoch` did: destinations whose repair had work,
+    rules dropped for recomputation, heap entries popped and those skipped
+    as stale, groups whose rule changed, and the `perf_counter_ns` spent
+    ingesting events, invalidating, recomputing and diffing."""
+
+    destinations_repaired: int = 0
+    groups_invalidated: int = 0
+    heap_pops: int = 0
+    stale_pops: int = 0
+    groups_changed: int = 0
+    ingest_ns: int = 0
+    invalidate_ns: int = 0
+    recompute_ns: int = 0
+    diff_ns: int = 0
+
+
 class RuleStore:
     """The established best rule per (src, dst) group, indexed by src."""
 
     __slots__ = (
-        "strategy", "workers", "horizon", "epoch",
+        "strategy", "workers", "horizon", "epoch", "last_stats",
         "_est", "_by_src", "_neg", "_fp_kind",
     )
 
@@ -132,6 +148,7 @@ class RuleStore:
         self.workers = workers
         self.horizon = horizon
         self.epoch = -1
+        self.last_stats: EpochStats | None = None
         self._neg = strategy.maximize
         self._fp_kind = path_cost_kind(strategy)
         # (src, dst) -> (signed_cost, length, next)
@@ -218,7 +235,7 @@ def _tautology_key(strategy: Strategy, node: NodeId) -> tuple:
 
 def initialize(topology: GraphStore, strategy: Strategy, workers: int = 1) -> RuleStore:
     """Build the established rules of a topology snapshot with one `search`
-    per destination; the result equals the round-based fixpoint."""
+    per destination: the fixpoint that `step_epoch` then maintains."""
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
     for (_s, _d, w), _m in topology.edge_items():
@@ -325,10 +342,11 @@ def step_epoch(
 ) -> RuleDeltaBatch:
     """Process one epoch's event batch to fixpoint; returns the net change
     to the established view, sorted, with delta -1 for retired rules and
-    +1 for their replacements.
+    +1 for their replacements.  What the epoch did is left in
+    `store.last_stats`.
 
-    If an event or the edge update fails, the graph and the store are left
-    as they were and the error propagates.
+    If an event, the edge update or the repair fails, the graph and the
+    store are left as they were and the error propagates.
     """
     if isinstance(events, Epoch):
         events = events.events
@@ -336,58 +354,52 @@ def step_epoch(
     if strategy is not store.strategy:
         raise DeltaPathError("step_epoch called with a different strategy")
 
-    raw: list[EdgeRecord] = []
-    touched: set[NodeId] = set()
+    stats = EpochStats()
+    t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
+    horizon = store.horizon
+    journal: dict[tuple[NodeId, NodeId], tuple | None] = {}
+    delta_g = None
     try:
+        raw: list[EdgeRecord] = []
+        touched: set[NodeId] = set()
         for ev in events:
             raw.extend(graph.ingest_event(ev, strategy.link_cost))
             if isinstance(ev, (AddNode, RemoveNode)):
                 touched.add(ev.id)
+        props = {(r.src, r.dst, r.w): graph.link_props(r.src, r.dst, r.w) for r in raw}
         delta_g = graph.apply_deltas(raw)
+        store.horizon = max(store.horizon, len(graph.nodes))
+        t1 = perf_counter_ns()
+        dropped = _invalidate(store, graph, delta_g, touched, journal)
+        t2 = perf_counter_ns()
+        born = {n for n in touched if n in graph.nodes}
+        added = [(r.src, r.dst, r.w) for r in delta_g if r.delta > 0]
+        # an added edge can improve a route toward any destination
+        dests = graph.nodes if added else {d for d, xs in dropped.items() if xs} | born
+        workers = store.workers
+        for d in sorted(dests, key=lambda d: (d % workers, d)):
+            _repair(store, graph, d, dropped.get(d, ()), d in born, added,
+                    journal, stats)
+        t3 = perf_counter_ns()
     except BaseException:
-        # apply_deltas is atomic; only the node table needs restoring
+        _restore(store, journal)
+        if delta_g is not None:
+            graph.undo_deltas(delta_g, props)
         graph.nodes.clear()
         graph.nodes.update(nodes)
+        store.horizon = horizon
         raise
-    store.horizon = max(store.horizon, len(graph.nodes))
-
-    workers = store.workers
-    pending: list[dict] = [dict() for _ in range(workers)]
-    journal: dict[tuple, tuple | None] = {}
-
-    # A node's tautology group is reselected; a live node offers it anew.
-    for n in touched:
-        offer = _tautology_key(strategy, n) if n in graph.nodes else None
-        pending[n % workers][(n, n)] = [offer, {n}]
-
-    # Edge deltas join the established view as of the epoch start.
-    fp = strategy.path_cost
-    neg = store._neg
-    h = store.horizon
-    by_src = store._by_src
-    for rec in delta_g:
-        inbox = pending[rec.dst % workers]
-        if rec.delta < 0:
-            for d, key in by_src.get(rec.dst, {}).items():
-                if key[2] == rec.src:
-                    _notify(inbox, (rec.dst, d), rec.src)
-            continue
-        for d, key in by_src.get(rec.src, {}).items():
-            length = key[1] + 1
-            if length >= h:
-                continue
-            cost = fp(rec.w, -key[0] if neg else key[0])
-            _offer(inbox, (rec.dst, d), ((-cost if neg else cost), length, rec.src))
-
-    _fixpoint(store, graph, pending, journal)
     store.epoch += 1
 
+    neg = store._neg
     batch: RuleDeltaBatch = []
+    changed = 0
     for (s, d), old in journal.items():
         new = store._est.get((s, d))
         if old == new:
             continue
+        changed += 1
         if old is not None:
             cost = -old[0] if neg else old[0]
             batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
@@ -395,6 +407,14 @@ def step_epoch(
             cost = -new[0] if neg else new[0]
             batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
     batch.sort()
+    t4 = perf_counter_ns()
+    stats.groups_changed = changed
+    stats.groups_invalidated += sum(len(xs) for xs in dropped.values())
+    stats.ingest_ns = t1 - t0
+    stats.invalidate_ns = t2 - t1
+    stats.recompute_ns = t3 - t2
+    stats.diff_ns = t4 - t3
+    store.last_stats = stats
     return batch
 
 
@@ -402,143 +422,228 @@ def established_rules(store: RuleStore) -> EstablishedView:
     return store.established_rules()
 
 
-# --- fixpoint machinery ------------------------------------------------------
-#
-# A pending entry is [best offered key or None, set of neighbours whose
-# rule changed away or whose edge was retracted, or None].
+# --- repair ------------------------------------------------------------------
 
 
-def _offer(inbox, group, key):
-    entry = inbox.get(group)
-    if entry is None:
-        inbox[group] = [key, None]
-    elif entry[0] is None or key < entry[0]:
-        entry[0] = key
-
-
-def _notify(inbox, group, via):
-    entry = inbox.get(group)
-    if entry is None:
-        inbox[group] = [None, {via}]
-    elif entry[1] is None:
-        entry[1] = {via}
-    else:
-        entry[1].add(via)
-
-
-def _fixpoint(store, graph, pending, journal):
-    workers = store.workers
-    rounds = 0
-    # A stale rule racing a retraction around a cycle gains one hop per
-    # round until the horizon cuts it, and the replacements then spread in
-    # at most horizon more rounds; a strategy that can improve a path by
-    # extending it may never quiesce at all.
-    bound = 2 * store.horizon + 4
-    while any(pending):
-        rounds += 1
-        if rounds > bound:
-            raise NonConvergenceError(
-                f"no fixpoint after {rounds - 1} rounds "
-                f"(horizon {store.horizon}); strategy is not convergent"
-            )
-        nxt: list[dict] = [dict() for _ in range(workers)]
-        for w in range(workers):
-            inbox = pending[w]
-            if inbox:
-                changes = _fold(store, graph, inbox, journal)
-                if changes:
-                    _derive_changes(store, graph, changes, nxt)
-        pending = nxt
-
-
-def _fold(store, graph, inbox, journal):
-    """Settle each touched group's establishment: reselect it when its
-    winner came through a notifying neighbour, else keep the better of the
-    winner and the best offer."""
-    est = store._est
-    by_src = store._by_src
-    changes = []
-    for group, (offer, gone) in inbox.items():
-        old = est.get(group)
-        if old is not None and gone is not None and old[2] in gone:
-            best = _reselect(store, graph, group)
-        elif offer is not None and (old is None or offer < old):
-            best = offer
-        else:
-            continue
-        if best == old:
-            continue
-        if group not in journal:
-            journal[group] = old
-        s, d = group
-        if best is None:
-            del est[group]
-            row = by_src[s]
+def _set(store, group, key, journal) -> None:
+    """Write one group's rule (None retires it), journaling its first old
+    value this epoch."""
+    est, rows = store._est, store._by_src
+    x, d = group
+    old = est.pop(group, None)
+    if group not in journal:
+        journal[group] = old
+    row = rows.get(x)
+    if key is None:
+        if old is not None:
             del row[d]
             if not row:
-                del by_src[s]
-        else:
-            est[group] = best
-            by_src.setdefault(s, {})[d] = best
-        changes.append((group, old, best))
-    return changes
+                del rows[x]
+        return
+    est[group] = key
+    if row is None:
+        row = rows[x] = {}
+    row[d] = key
 
 
-def _reselect(store, graph, group):
-    """The minimum of one group's candidates: each neighbour's established
-    rule extended by one hop, cut at the horizon, plus the tautology."""
-    x, d = group
-    strategy = store.strategy
-    fp = strategy.path_cost
-    neg = store._neg
-    h = store.horizon
+def _restore(store, journal) -> None:
+    """Put back every journaled group's old rule."""
+    done: dict = {}
+    for group, old in journal.items():
+        _set(store, group, old, done)
+
+
+def _drop_subtree(store, graph, d, stack, journal, settled):
+    """Drop the rules toward d of the nodes on `stack` and of every node
+    routing through them (z is a child of x when z's next is x), skipping
+    settled nodes; returns the nodes dropped."""
     est = store._est
-    best = _tautology_key(strategy, x) if x == d and x in graph.nodes else None
-    for y, w in graph.out_edges(x):
-        key = est.get((y, d))
-        if key is None or key[1] + 1 >= h:
+    adj = graph.out_edges
+    out = []
+    while stack:
+        x = stack.pop()
+        if (x, d) not in est:
+            continue  # reached twice
+        _set(store, (x, d), None, journal)
+        out.append(x)
+        for z, _w in adj(x):
+            kz = est.get((z, d))
+            if kz is not None and kz[2] == x and z not in settled:
+                stack.append(z)
+    return out
+
+
+def _invalidate(store, graph, delta_g, touched, journal) -> dict[NodeId, list]:
+    """Phase 1: retire the groups of removed nodes and of the nodes toward
+    them, then, per destination, drop the rules that lost their cost over
+    a retracted edge.  Returns destination -> nodes dropped."""
+    rows = store._by_src
+    for n in touched:
+        if n in graph.nodes:
             continue
-        cost = fp(w, -key[0] if neg else key[0])
-        cand = ((-cost if neg else cost), key[1] + 1, y)
-        if best is None or cand < best:
-            best = cand
-    return best
+        for d in list(rows.get(n, ())):
+            _set(store, (n, d), None, journal)
+        for x, row in list(rows.items()):
+            if n in row:
+                _set(store, (x, n), None, journal)
+    roots: dict[NodeId, list] = {}
+    for y, x, _w, delta, _p in delta_g:
+        if delta < 0:
+            for d, key in rows.get(x, {}).items():
+                if key[2] == y:
+                    roots.setdefault(d, []).append((key, x))
+    return {d: _drop_affected(store, graph, d, heap, journal) for d, heap in roots.items()}
 
 
-def _derive_changes(store, graph, changes, out):
-    """Join establishment changes against the full graph: each neighbour's
-    group gets a notice that the old rule is gone and an offer of the new
-    one, routed to the owner of its src."""
-    fp = store.strategy.path_cost
-    kind = store._fp_kind
+def _drop_affected(store, graph, d, suspects, journal) -> list[NodeId]:
+    """Decide, in key order, which suspect nodes lose their (cost, length)
+    toward d.  A node keeps them while some neighbour that keeps its rule
+    extends to the same cost and length (a tight neighbour): then only its
+    next moves, to the smallest such neighbour, and no rule routing through
+    it changes.  A node without one is dropped and its children (z is a
+    child of x when z's next is x) become suspects.  Keys grow along every
+    path, so a node's tight neighbours are decided before it (Ramalingam
+    and Reps, J. Algorithms 1996)."""
+    est = store._est
+    strategy = store.strategy
     neg = store._neg
-    h = store.horizon
-    workers = store.workers
-    single = out[0] if workers == 1 else None
-    adj_get = graph.out_edges
-    for (s, d), old, new in changes:
-        edges = adj_get(s)
-        if not edges:
+    fp = strategy.path_cost
+    adj = graph.out_edges
+    heapq.heapify(suspects)
+    decided: set[NodeId] = set()
+    dropped: list[NodeId] = []
+    while suspects:
+        key, x = heapq.heappop(suspects)
+        if x in decided:
             continue
-        new_len = new[1] + 1 if new is not None and new[1] + 1 < h else None
-        if old is None and new_len is None:
+        decided.add(x)
+        length = key[1] - 1
+        nxt = x if x == d and _tautology_key(strategy, x)[:2] == key[:2] else None
+        for y, w in adj(x):
+            ky = est.get((y, d))
+            if ky is None or ky[1] != length or (nxt is not None and y >= nxt):
+                continue
+            c = fp(w, -ky[0] if neg else ky[0])
+            if (-c if neg else c) == key[0]:
+                nxt = y
+        if nxt is not None:
+            if nxt != key[2]:
+                _set(store, (x, d), (key[0], key[1], nxt), journal)
             continue
-        new_cost = (-new[0] if neg else new[0]) if new_len is not None else None
-        for x, w in edges:
-            inbox = single if single is not None else out[x % workers]
-            group = (x, d)
-            if old is not None:
-                _notify(inbox, group, s)
-            if new_len is not None:
-                if kind == "sum":
-                    c2 = w + new_cost
-                elif kind == "hop":
-                    c2 = 1 + new_cost
-                elif kind == "min":
-                    c2 = w if w < new_cost else new_cost
-                else:
-                    c2 = fp(w, new_cost)
-                _offer(inbox, group, ((-c2 if neg else c2), new_len, s))
+        _set(store, (x, d), None, journal)
+        dropped.append(x)
+        for z, _w in adj(x):
+            kz = est.get((z, d))
+            if kz is not None and kz[2] == x:
+                heapq.heappush(suspects, (kz, z))
+    return dropped
+
+
+def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
+    """Phase 2 for one destination: seed a heap with the dropped nodes'
+    best surviving neighbours, the offers of added edges and a new node's
+    tautology, then settle nodes in key order as `search` does.
+
+    A heap entry remembers the key of the neighbour it extends and is
+    skipped (and its node reseeded) when that key has changed since.  A
+    node that kept its rule and settles with a new key offers it to its
+    neighbours; a child whose rule now extends to a worse key is dropped
+    with its subtree and reseeded.
+    """
+    est = store._est
+    strategy = store.strategy
+    neg = store._neg
+    kind = store._fp_kind
+    fp = strategy.path_cost
+    adj = graph.out_edges
+    heap: list[tuple] = []
+    best: dict[NodeId, tuple] = {}  # smallest key pending per node
+    settled: set[NodeId] = set()
+    heappop, heappush = heapq.heappop, heapq.heappush
+
+    def offer(x, cand, via, vkey):
+        b = best.get(x)
+        if b is None or cand < b:
+            best[x] = cand
+            heappush(heap, (cand, x, via, vkey))
+
+    def seed(x):
+        top = _tautology_key(strategy, x) if x == d else None
+        via = vkey = None
+        for y, w in adj(x):
+            ky = est.get((y, d))
+            if ky is None:
+                continue
+            c = fp(w, -ky[0] if neg else ky[0])
+            cand = (-c if neg else c, ky[1] + 1, y)
+            if top is None or cand < top:
+                top, via, vkey = cand, y, ky
+        own = est.get((x, d))
+        if top is not None and (own is None or top < own):
+            offer(x, top, via, vkey)
+
+    if born:
+        seed(d)
+    for x in dropped:
+        seed(x)
+    for y, x, w in added:
+        ky = est.get((y, d))
+        if ky is not None:
+            c = fp(w, -ky[0] if neg else ky[0])
+            cand = (-c if neg else c, ky[1] + 1, y)
+            kx = est.get((x, d))
+            if kx is None or cand < kx:
+                offer(x, cand, y, ky)
+    if not heap:
+        return
+    stats.destinations_repaired += 1
+    pops = stale = 0
+    while heap:
+        key, x, via, vkey = heappop(heap)
+        pops += 1
+        if x in settled:
+            continue
+        if best.get(x) == key:
+            del best[x]
+        if via is not None and est.get((via, d)) != vkey:
+            stale += 1
+            seed(x)
+            continue
+        old = est.get((x, d))
+        if old is not None and old <= key:
+            continue
+        settled.add(x)
+        _set(store, (x, d), key, journal)
+        cost = -key[0] if neg else key[0]
+        length = key[1] + 1
+        for z, w in adj(x):
+            if z in settled:
+                continue
+            if kind == "sum":
+                c = w + cost
+            elif kind == "hop":
+                c = 1 + cost
+            elif kind == "min":
+                c = w if w < cost else cost
+            else:
+                c = fp(w, cost)
+            cand = (-c if neg else c, length, x)
+            kz = est.get((z, d))
+            if kz is None or cand < kz:
+                b = best.get(z)
+                if b is None or cand < b:
+                    best[z] = cand
+                    heappush(heap, (cand, z, x, key))
+            elif kz[2] == x and cand != kz:
+                # z's rule extended x's old key, which is gone
+                redo = _drop_subtree(store, graph, d, [z], journal, settled)
+                stats.groups_invalidated += len(redo)
+                for u in redo:
+                    seed(u)
+    stats.heap_pops += pops
+    stats.stale_pops += stale
+    if kind is None:
+        _check_monotone({u: est[(u, d)] for u in settled}, adj, fp, neg)
 
 
 # --- serialization -----------------------------------------------------------

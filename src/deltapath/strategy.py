@@ -5,7 +5,8 @@ cost grows when extended by one edge, and which candidate rule wins for a
 (src, dst) pair.  Selection is a strict total order: the strategy's
 primary key (min path cost, or max for widest-path routing), then fewer
 hops, then the smallest next-hop id.  The deterministic tail keeps results
-identical across worker counts and input orderings.
+identical whatever order the destinations are repaired in and the events
+are listed in.
 """
 
 from __future__ import annotations

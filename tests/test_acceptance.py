@@ -424,6 +424,8 @@ def test_c07_backup_pairs_are_link_disjoint(k8_uniform):
 
 
 def test_c08_worker_counts_emit_identical_batches():
+    # workers sets the order in which destination shards are repaired;
+    # the batches must not depend on it
     topo = wl.gen_fattree(8, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=88))
     engines = []
     for workers in (1, 2, 4):
@@ -434,7 +436,7 @@ def test_c08_worker_counts_emit_identical_batches():
     for i, ev in enumerate(events):
         batches = [step_epoch(store, graph, [ev]) for graph, store in engines]
         assert batches[0] == batches[1] == batches[2], f"epoch {i + 1} diverged"
-    _passed(8, "workers {1,2,4}: 100 epochs of identical change batches")
+    _passed(8, "repair orders of workers {1,2,4}: 100 epochs of identical change batches")
 
 
 def test_c09_weight_update_batches(k8_uniform):

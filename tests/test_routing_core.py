@@ -34,6 +34,8 @@ from deltapath.strategy import (
 )
 from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
+from rounds_reference import step_rounds
+
 from conftest import (
     props,
     random_connected_topology,
@@ -347,6 +349,55 @@ class TestEquivalence:
             store.check_integrity(g)
 
 
+class TestWidestRepair:
+    def test_entry_from_a_changed_neighbour_is_skipped(self):
+        """Linking 0-3 widens 4's route toward 0 but makes it longer, so
+        the rule 4's child 2 had through 4 gets worse.  2 is reseeded from
+        its neighbour 1 before 1 settles with a new key; that entry extends
+        1's old key and must be skipped."""
+        links = [(0, 4, 1.0), (1, 2, 1.0), (1, 4, 3.0), (2, 4, 1.0), (3, 4, 2.0)]
+        g = build_graph(
+            topology(5, [(a, b, props(capacity=c)) for a, b, c in links]),
+            WIDEST.link_cost,
+        )
+        store = rc.initialize(g, WIDEST)
+        assert store._est[(2, 0)] == (-1.0, 2, 4)
+        assert store._est[(1, 0)] == (-1.0, 2, 4)
+        rc.step_epoch(store, g, [AddLink(3, 0, props(capacity=3.0))])
+        assert store._est[(4, 0)] == (-2.0, 2, 3)
+        assert store._est[(1, 0)] == (-2.0, 3, 4)
+        assert store._est[(2, 0)] == (-1.0, 3, 4)  # not (-1.0, 3, 1)
+        assert store.last_stats.stale_pops >= 1
+        assert store._est == rc.initialize(g, WIDEST)._est
+        want = oracle.widest_paths_bruteforce(g, WIDEST)
+        assert oracle.compare_view(want, store.established_rules()) == []
+
+
+class TestEpochStats:
+    def test_switch_failures_do_not_count_to_the_horizon(self):
+        g = build_graph(gen_fattree(8), HOP.link_cost)
+        store = rc.initialize(g, HOP)
+        for node in sorted(g.nodes):
+            restore = [AddNode(node, g.nodes[node].label)]
+            for (x, w), mult in g.out_edges(node).items():
+                restore += [AddLink(node, x, g.link_props(node, x, w))] * mult
+            batch = rc.step_epoch(store, g, [RemoveNode(node)])
+            stats = store.last_stats
+            assert stats.heap_pops <= 2 * stats.groups_invalidated, (node, stats)
+            assert stats.groups_changed == len({(r.src, r.dst) for r in batch})
+            assert min(stats.ingest_ns, stats.invalidate_ns,
+                       stats.recompute_ns, stats.diff_ns) > 0
+            rc.step_epoch(store, g, restore)
+
+    def test_empty_epoch_does_no_work(self, triangle_graph):
+        store = rc.initialize(triangle_graph, SD)
+        assert store.last_stats is None
+        rc.step_epoch(store, triangle_graph, [])
+        stats = store.last_stats
+        assert (stats.destinations_repaired, stats.groups_invalidated,
+                stats.heap_pops, stats.groups_changed) == (0, 0, 0, 0)
+
+
 class TestStress:
     def test_parallel_links_against_the_oracle(self):
         rng = random.Random(61)
@@ -462,6 +513,38 @@ class TestAtomicEpochs:
         assert store.horizon == horizon0
         assert store.epoch == 0
 
+    def test_failed_repair_changes_nothing(self):
+        # the last update gives an edge of weight 1, over which DIPPING
+        # makes a path cheaper: the repair raises after changing rules
+        g = build_graph(
+            utilization_topology(6, [(0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 4, 5),
+                                     (4, 5, 5), (5, 0, 5), (0, 3, 7)]),
+            DIPPING.link_cost,
+        )
+        store = rc.initialize(g, DIPPING)
+        graph0, est0 = g.fork(), dict(store._est)
+        rows0 = {x: dict(row) for x, row in store._by_src.items()}
+        valid = [UpdateWeight(0, 1, 9.0), RemoveLink(0, 3)]
+        with pytest.raises(NonConvergenceError):
+            rc.step_epoch(store, g, valid + [UpdateWeight(2, 3, 1.0)])
+        assert g == graph0
+        g.check_integrity()
+        assert store._est == est0
+        assert store._by_src == rows0
+        assert (store.horizon, store.epoch) == (6, 0)
+        rc.step_epoch(store, g, valid)
+        store.check_integrity(g)
+
+    def test_failed_first_epoch_leaves_the_store_empty(self):
+        g, store = GraphStore(), rc.RuleStore(SHRINKING)
+        events = [AddNode(0), AddNode(1), AddNode(2)]
+        events += [AddLink(a, b, props()) for a, b in [(0, 1), (1, 2), (2, 0)]]
+        with pytest.raises(NonConvergenceError):
+            rc.step_epoch(store, g, events)
+        assert g == GraphStore()
+        assert store._est == {} and store._by_src == {}
+        assert (store.horizon, store.epoch) == (0, -1)
+
 
 @st.composite
 def failing_epochs(draw):
@@ -535,6 +618,7 @@ def test_failing_epoch_leaves_graph_and_rules_unchanged(case):
 class TestDeterminism:
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_worker_counts_do_not_change_outputs(self, workers):
+        """workers only reorders the destinations an epoch repairs."""
         rng = random.Random(31)
         topo = random_connected_topology(rng, 14)
         g1 = build_graph(topo, SD.link_cost)
@@ -632,6 +716,17 @@ SHRINKING = Strategy(
 )
 
 
+# extending a path over an edge of weight w < 2 makes it cheaper
+DIPPING = Strategy(
+    name="dipping",
+    link_cost=SD.link_cost,
+    path_cost=lambda w, c: c + w - 2.0,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
 def test_nonconvergent_strategy_is_caught():
     g = build_graph(topology(3, [(0, 1), (1, 2), (2, 0)]), SHRINKING.link_cost)
     with pytest.raises(NonConvergenceError):
@@ -645,7 +740,7 @@ def rounds_fixpoint(topo, strategy):
     store = rc.RuleStore(strategy, horizon=0)
     events = [AddNode(n.id, n.label) for n in topo.nodes]
     events += [AddLink(a, b, p) for a, b, p in topo.links]
-    rc.step_epoch(store, g, events)
+    step_rounds(store, g, events)
     return g, store
 
 
@@ -658,8 +753,8 @@ def assert_search_matches_rounds(topo, strategy):
 
 
 class TestSearchMatchesRounds:
-    """`initialize` builds the first fixpoint by search; the rounds that
-    `step_epoch` runs stay the reference for it."""
+    """`initialize` builds the first fixpoint by search; the synchronous
+    rounds of `rounds_reference` are the reference for it."""
 
     @pytest.mark.parametrize("name", ["fattree4", "jellyfish20"])
     @pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
@@ -704,6 +799,82 @@ CUSTOM_SUM = Strategy(
     maximize=False,
     weight_domain=SD.weight_domain,
 )
+
+
+def one_epoch(ops, graph, spare):
+    """Abstract ops as one epoch of events valid against `graph`: added,
+    removed and re-weighted links, nodes added (new ids, or ids
+    removed in an earlier epoch) and removed, and both ends of a link
+    removed together.  A link changes at most once per epoch; a node is
+    removed only if the epoch has not touched it yet, and is left alone
+    after that.  `spare` collects removed ids."""
+    live = sorted(graph.nodes)
+    links = sorted({(a, b, w) for (a, b, w), _m in graph.edge_items() if a < b})
+    touched, gone, used, events = set(), set(), set(), []
+    fresh = max(live + spare, default=-1) + 1
+    for kind, pick, u in ops:
+        alive = [n for n in live if n not in gone]
+        free = [l for l in links if l not in used and not {l[0], l[1]} & gone]
+        if kind == "+link" and len(alive) > 1:
+            a, b = alive[pick % len(alive)], alive[(pick // 7) % len(alive)]
+            if a != b:
+                events.append(AddLink(a, b, props(utilization=float(u))))
+                touched.update((a, b))
+        elif kind in ("-link", "weight") and free:
+            a, b, w = free[pick % len(free)]
+            used.add((a, b, w))
+            if kind == "-link":
+                events.append(RemoveLink(a, b, w))
+            elif len(graph.weights_between(a, b)) == 1:
+                events.append(UpdateWeight(a, b, float(u)))
+            touched.update((a, b))
+        elif kind == "+node":
+            n = spare.pop(pick % len(spare)) if spare and pick % 2 else fresh
+            fresh = max(fresh, n + 1)
+            events.append(AddNode(n))
+            live.append(n)
+            touched.add(n)
+            for m in alive[:pick % 3]:
+                events.append(AddLink(m, n, props(utilization=float(u))))
+                touched.add(m)
+        elif kind in ("-node", "-ends"):
+            ends = [(n,) for n in alive if n not in touched]
+            if kind == "-ends":
+                ends = [(a, b) for a, b, _w in links if not {a, b} & touched]
+            if ends:
+                for n in ends[pick % len(ends)]:
+                    events.append(RemoveNode(n))
+                    gone.add(n)
+                    touched.add(n)
+    spare.extend(sorted(gone))
+    return events
+
+
+@st.composite
+def epoch_scripts(draw):
+    kinds = st.sampled_from(["+link", "-link", "weight", "+node", "-node", "-ends"])
+    ops = st.tuples(kinds, st.integers(0, 999), st.integers(1, 5))
+    epochs = st.lists(st.lists(ops, min_size=1, max_size=4), min_size=1, max_size=8)
+    return draw(loose_topologies()), draw(epochs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(epoch_scripts(), st.sampled_from(BUILTINS + [CUSTOM_SUM]))
+def test_repair_emits_the_rounds_batches(script, strategy):
+    """Random epochs replayed through `step_epoch` and through the
+    reference rounds give the same batch for batch."""
+    topo, epochs = script
+    g1 = build_graph(topo, strategy.link_cost)
+    g2 = build_graph(topo, strategy.link_cost)
+    s1, s2 = rc.initialize(g1, strategy), rc.initialize(g2, strategy)
+    spare: list = []
+    for ops in epochs:
+        events = one_epoch(ops, g1, spare)
+        assert rc.step_epoch(s1, g1, events) == step_rounds(s2, g2, events), events
+        assert s1._est == s2._est
+        assert s1._by_src == s2._by_src
+    g1.check_integrity()
+    s1.check_integrity(g1)
 
 
 class TestCustomStrategy:
