@@ -107,7 +107,10 @@ def parse_event_file(path) -> list[EpochBlock]:
             elif fields[0] == "-policy":
                 if current is None:
                     raise EventParseError("-policy outside an epoch", line_no)
-                current.policy_removes.append(int(fields[1]))
+                try:
+                    current.policy_removes.append(int(fields[1]))
+                except (IndexError, ValueError):
+                    raise EventParseError("-policy needs an id", line_no) from None
             else:
                 if current is None:
                     raise EventParseError(f"{fields[0]!r} outside an epoch", line_no)
@@ -189,16 +192,15 @@ class _Replay:
     """Replay context: engine, policies, and the pristine topology for
     `reset` directives."""
 
-    def __init__(self, topo: Topology, strategy: Strategy, workers: int):
+    def __init__(self, topo: Topology, strategy: Strategy):
         self.topo = topo
         self.strategy = strategy
-        self.workers = workers
         self.reset()
 
     def reset(self) -> None:
         self.graph = build_graph(self.topo, self.strategy.link_cost)
         t0 = time.perf_counter()
-        self.store = initialize(self.graph, self.strategy, self.workers)
+        self.store = initialize(self.graph, self.strategy)
         self.init_us = int((time.perf_counter() - t0) * 1e6)
         self.policies = PolicyEngine(self.graph, self.store, self.strategy)
 
@@ -255,7 +257,7 @@ def cmd_run(args) -> int:
     strategy = builtin(args.strategy)
     topo = load_topology(args.topology)
     blocks = parse_event_file(args.events) if args.events else []
-    replay = _Replay(topo, strategy, args.workers)
+    replay = _Replay(topo, strategy)
     writer = _RowWriter(args.out, args.format)
     epochs = 0
     try:
@@ -280,7 +282,7 @@ def cmd_run(args) -> int:
 def cmd_query(args) -> int:
     strategy = builtin(args.strategy)
     topo = load_topology(args.topology)
-    replay = _Replay(topo, strategy, args.workers)
+    replay = _Replay(topo, strategy)
     for block in parse_event_file(args.events) if args.events else []:
         if block.reset:
             replay.reset()
@@ -298,7 +300,7 @@ def _bench_failures(args, topo, strategy) -> list[dict]:
 
     rng = random.Random(args.seed)
     kind = workloads.ScenarioKind(args.kind)
-    replay = _Replay(topo, strategy, args.workers)
+    replay = _Replay(topo, strategy)
     graph, store = replay.graph, replay.store
     before = dict(store._est)
     rows = []
@@ -346,7 +348,7 @@ def _bench_weight_batches(args, topo, strategy) -> list[dict]:
             trials=args.trials, batch_size=size, seed=args.seed,
         )
         lines = workloads.gen_weight_update_batches(topo, scenario)
-        replay = _Replay(topo, strategy, args.workers)
+        replay = _Replay(topo, strategy)
         latencies = []
         events: list[TopologyEvent] = []
         for line in lines[1:]:
@@ -380,7 +382,7 @@ def _bench_path_requests(args, topo, strategy) -> list[dict]:
 
     rng = random.Random(args.seed)
     sizes = [s for s in workloads.PATH_REQUEST_SIZES if s <= args.batch_size]
-    replay = _Replay(topo, strategy, args.workers)
+    replay = _Replay(topo, strategy)
     view = replay.store.established_rules()
     nodes = [n.id for n in topo.nodes]
     rows = []
@@ -450,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, events=True):
         p.add_argument("--topology", required=True, help="topology file")
         p.add_argument("--strategy", default="hopcount", choices=STRATEGY_CHOICES)
-        p.add_argument("--workers", type=int, default=1)
         if events:
             p.add_argument("--events", help="event file to replay")
         p.add_argument("--out", default="-", help="output path (default stdout)")

@@ -119,9 +119,9 @@ TopologyEvent = Union[AddLink, RemoveLink, AddNode, RemoveNode, UpdateWeight]
 class Epoch:
     """A logical timestamp batching input events.
 
-    Events inside one epoch are an unordered batch; conflicting events
-    (e.g. removing a node and adding a link to it) are processed in file
-    order and are the caller's responsibility.
+    Events inside one epoch apply in file order, each against the graph
+    as the earlier ones left it; the rules change once, by their net
+    effect.
     """
 
     id: int
@@ -187,7 +187,8 @@ class GraphStore:
 
         Node additions/removals mutate the node table here; the returned
         deltas still have to go through `apply_deltas` to take effect on
-        the edge store.
+        the edge store.  The event is resolved against the edge store as
+        it is, so apply each event's deltas before ingesting the next.
         """
         match ev:
             case AddNode(id=n, label=label):
@@ -199,8 +200,6 @@ class GraphStore:
                 del self.nodes[n]
                 out = []
                 for (dst, w), mult in self._adj.get(n, {}).items():
-                    if dst not in self.nodes:
-                        continue  # far end removed earlier this epoch, link retracted then
                     for _ in range(mult):
                         out.append(EdgeRecord(n, dst, w, -1))
                         out.append(EdgeRecord(dst, n, w, -1))

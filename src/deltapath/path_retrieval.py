@@ -36,15 +36,15 @@ def retrieve(view, s: NodeId, d: NodeId) -> Path:
     """Chase next pointers from (s, d) through the established view.
 
     Raises UnreachableError when some (x, d) lookup misses, and
-    CycleDetectedError when the walk exceeds the step bound (which means
-    the view is corrupted; a converged view cannot cycle).
+    CycleDetectedError when the walk does not reach d in the first rule's
+    p_length hops, as a correct view does (so the view is corrupted).
     """
     first = view.get((s, d))
     if first is None:
         raise UnreachableError(f"no rule for ({s}, {d})")
     if s == d:
         return Path((s,), first.p_cost, 0)
-    limit = getattr(view, "max_chain", None) or len(view) + 1
+    limit = first.p_length
     hops = [s]
     node = s
     rule = first

@@ -4,9 +4,10 @@ State is one "established" rule per (src, dst) group, stored as its
 selection key (signed cost, p_length, next).  A group's candidates are
 not stored: they are the join of the established rules with the graph
 (for every edge x -> y, y's rule toward d extended by one hop) plus the
-tautology (d, d) while d is a node, cut at p_length >= horizon.  At a
-fixpoint every group holds the minimum of its candidates; `candidates`
-computes the join so that checks can state this equation.
+tautology (d, d) while d is a node, cut at p_length >= the node count:
+best paths are simple, so the cut loses none of them.  At a fixpoint
+every group holds the minimum of its candidates; `candidates` computes
+the join so that checks can state this equation.
 
 Every built-in strategy strictly worsens the key when it extends a path
 (cost never improves, length grows), so the fixpoint is unique (Sobrinho,
@@ -37,11 +38,9 @@ since it was pushed is skipped.  A custom path cost that can improve a
 path by extending it raises NonConvergenceError, and the epoch is rolled
 back.
 
-The repaired paths are simple, hence shorter than the node count.  The
-horizon, the largest node count the store has ever seen, still cuts the
-derived `candidates` that check the fixpoint equation and bounds
-`max_chain`.  `workers` splits the destinations into shards repaired in
-turn, in (d % workers, d) order; the batch does not depend on the order.
+An epoch applies its events to the graph one at a time, each against the
+graph as the earlier ones left it, and then repairs the rules once, for
+the net edge change.
 """
 
 from __future__ import annotations
@@ -109,11 +108,6 @@ class EstablishedView(Mapping):
     def __len__(self) -> int:
         return len(self._store._est)
 
-    @property
-    def max_chain(self) -> int:
-        """Upper bound on pointer-chase length (node-count horizon)."""
-        return self._store.horizon
-
 
 @dataclass
 class EpochStats:
@@ -134,26 +128,18 @@ class EpochStats:
 
 
 class RuleStore:
-    """The established best rule per (src, dst) group, indexed by src."""
+    """The established best rule per (src, dst) group."""
 
-    __slots__ = (
-        "strategy", "workers", "horizon", "epoch", "last_stats",
-        "_est", "_by_src", "_neg", "_fp_kind",
-    )
+    __slots__ = ("strategy", "epoch", "last_stats", "_est", "_neg", "_fp_kind")
 
-    def __init__(self, strategy: Strategy, workers: int = 1, horizon: int = 0):
-        if workers < 1:
-            raise ValueError("worker count must be >= 1")
+    def __init__(self, strategy: Strategy):
         self.strategy = strategy
-        self.workers = workers
-        self.horizon = horizon
         self.epoch = -1
         self.last_stats: EpochStats | None = None
         self._neg = strategy.maximize
         self._fp_kind = path_cost_kind(strategy)
         # (src, dst) -> (signed_cost, length, next)
         self._est: dict[tuple[NodeId, NodeId], tuple] = {}
-        self._by_src: dict[NodeId, dict[NodeId, tuple]] = {}
 
     # --- views
 
@@ -165,34 +151,31 @@ class RuleStore:
 
     # --- maintenance
 
-    def check_integrity(self, graph: GraphStore | None = None) -> None:
-        """Check the src index and, given the graph, the fixpoint equation:
-        the established groups are exactly the groups of the candidate join,
-        each holding its group's minimum."""
-        for group, key in self._est.items():
-            assert self._by_src[group[0]][group[1]] == key
-        count = sum(len(d) for d in self._by_src.values())
-        assert count == len(self._est), "by-src index out of sync"
-        if graph is not None:
-            join = candidates(self, graph)
-            for group in self._est:
-                assert group in join, f"established {group} has no candidates"
-            for group, cands in join.items():
-                key = self._est.get(group)
-                assert key is not None, f"{group} has candidates but no rule"
-                assert key == min(cands), f"stale selection for {group}"
+    def check_integrity(self, graph: GraphStore) -> None:
+        """Check the fixpoint equation on the graph: every group joins two
+        nodes, and the established groups are exactly the groups of the
+        candidate join, each holding its group's minimum."""
+        join = candidates(self, graph)
+        for s, d in self._est:
+            assert s in graph.nodes and d in graph.nodes, f"({s}, {d}) names a removed node"
+            assert (s, d) in join, f"established {(s, d)} has no candidates"
+        for group, cands in join.items():
+            key = self._est.get(group)
+            assert key is not None, f"{group} has candidates but no rule"
+            assert key == min(cands), f"stale selection for {group}"
 
 
 def candidates(store: RuleStore, graph: GraphStore) -> dict[tuple, dict[tuple, int]]:
     """The candidate multiset of every group, derived rather than stored:
     one tautology per node plus the join of the established rules with the
-    graph, cut at the horizon.  Maps (src, dst) to {key: multiplicity},
+    graph, cut at the node count.  Maps (src, dst) to {key: multiplicity},
     where parallel edges and equal derivations add up."""
     strategy = store.strategy
+    horizon = len(graph.nodes)
     out = {(n, n): {_tautology_key(strategy, n): 1} for n in graph.nodes}
     for (s, d), rule in store.established_rules().items():
         for (x, w), mult in graph.out_edges(s).items():
-            derived = derive(rule, EdgeRecord(s, x, w, 1), strategy, store.horizon)
+            derived = derive(rule, EdgeRecord(s, x, w, 1), strategy, horizon)
             if derived is not None:
                 group = out.setdefault((x, d), {})
                 key = strategy.sort_key(derived)
@@ -233,21 +216,18 @@ def _tautology_key(strategy: Strategy, node: NodeId) -> tuple:
     return (-cost if strategy.maximize else cost, 0, node)
 
 
-def initialize(topology: GraphStore, strategy: Strategy, workers: int = 1) -> RuleStore:
+def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     """Build the established rules of a topology snapshot with one `search`
     per destination: the fixpoint that `step_epoch` then maintains."""
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
     for (_s, _d, w), _m in topology.edge_items():
         strategy.validate_weight(w)
-    store = RuleStore(strategy, workers, horizon=len(topology.nodes))
+    store = RuleStore(strategy)
     est = store._est
-    rows = store._by_src
-    rows.update((n, {}) for n in topology.nodes)
     for d in topology.nodes:
         for x, key in search(topology, strategy, d).items():
             est[(x, d)] = key
-            rows[x][d] = key
     store.epoch = 0
     return store
 
@@ -357,38 +337,39 @@ def step_epoch(
     stats = EpochStats()
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
-    horizon = store.horizon
     journal: dict[tuple[NodeId, NodeId], tuple | None] = {}
-    delta_g = None
+    applied: list[tuple[list[EdgeRecord], dict]] = []
     try:
-        raw: list[EdgeRecord] = []
         touched: set[NodeId] = set()
+        net: dict[tuple[NodeId, NodeId, float], int] = {}
+        # each event resolves against the graph as the earlier ones left it
         for ev in events:
-            raw.extend(graph.ingest_event(ev, strategy.link_cost))
+            raw = graph.ingest_event(ev, strategy.link_cost)
+            props = {(r.src, r.dst, r.w): graph.link_props(r.src, r.dst, r.w) for r in raw}
+            done = graph.apply_deltas(raw)
+            applied.append((done, props))
+            for src, dst, w, delta, _p in done:
+                net[(src, dst, w)] = net.get((src, dst, w), 0) + delta
             if isinstance(ev, (AddNode, RemoveNode)):
                 touched.add(ev.id)
-        props = {(r.src, r.dst, r.w): graph.link_props(r.src, r.dst, r.w) for r in raw}
-        delta_g = graph.apply_deltas(raw)
-        store.horizon = max(store.horizon, len(graph.nodes))
+        delta_g = sorted(item for item in net.items() if item[1])
         t1 = perf_counter_ns()
-        dropped = _invalidate(store, graph, delta_g, touched, journal)
+        dropped = _invalidate(store, graph, nodes, delta_g, touched, journal)
         t2 = perf_counter_ns()
         born = {n for n in touched if n in graph.nodes}
-        added = [(r.src, r.dst, r.w) for r in delta_g if r.delta > 0]
+        added = [edge for edge, delta in delta_g if delta > 0]
         # an added edge can improve a route toward any destination
         dests = graph.nodes if added else {d for d, xs in dropped.items() if xs} | born
-        workers = store.workers
-        for d in sorted(dests, key=lambda d: (d % workers, d)):
+        for d in dests:
             _repair(store, graph, d, dropped.get(d, ()), d in born, added,
                     journal, stats)
         t3 = perf_counter_ns()
     except BaseException:
         _restore(store, journal)
-        if delta_g is not None:
-            graph.undo_deltas(delta_g, props)
+        for done, props in reversed(applied):
+            graph.undo_deltas(done, props)
         graph.nodes.clear()
         graph.nodes.update(nodes)
-        store.horizon = horizon
         raise
     store.epoch += 1
 
@@ -428,22 +409,13 @@ def established_rules(store: RuleStore) -> EstablishedView:
 def _set(store, group, key, journal) -> None:
     """Write one group's rule (None retires it), journaling its first old
     value this epoch."""
-    est, rows = store._est, store._by_src
-    x, d = group
-    old = est.pop(group, None)
+    est = store._est
     if group not in journal:
-        journal[group] = old
-    row = rows.get(x)
+        journal[group] = est.get(group)
     if key is None:
-        if old is not None:
-            del row[d]
-            if not row:
-                del rows[x]
-        return
-    est[group] = key
-    if row is None:
-        row = rows[x] = {}
-    row[d] = key
+        est.pop(group, None)
+    else:
+        est[group] = key
 
 
 def _restore(store, journal) -> None:
@@ -473,24 +445,27 @@ def _drop_subtree(store, graph, d, stack, journal, settled):
     return out
 
 
-def _invalidate(store, graph, delta_g, touched, journal) -> dict[NodeId, list]:
+def _invalidate(store, graph, before, delta_g, touched, journal) -> dict[NodeId, list]:
     """Phase 1: retire the groups of removed nodes and of the nodes toward
-    them, then, per destination, drop the rules that lost their cost over
-    a retracted edge.  Returns destination -> nodes dropped."""
-    rows = store._by_src
+    them (every group joins two nodes of `before`, the node table from
+    before the epoch), then, per destination, drop the rules that lost
+    their cost over a retracted edge.  Returns destination -> nodes
+    dropped."""
+    est = store._est
     for n in touched:
-        if n in graph.nodes:
+        if n in graph.nodes or n not in before:
             continue
-        for d in list(rows.get(n, ())):
-            _set(store, (n, d), None, journal)
-        for x, row in list(rows.items()):
-            if n in row:
+        for x in before:
+            if (n, x) in est:
+                _set(store, (n, x), None, journal)
+            if (x, n) in est:
                 _set(store, (x, n), None, journal)
     roots: dict[NodeId, list] = {}
-    for y, x, _w, delta, _p in delta_g:
-        if delta < 0:
-            for d, key in rows.get(x, {}).items():
-                if key[2] == y:
+    for (y, x, _w), delta in delta_g:
+        if delta < 0 and x in graph.nodes:
+            for d in graph.nodes:
+                key = est.get((x, d))
+                if key is not None and key[2] == y:
                     roots.setdefault(d, []).append((key, x))
     return {d: _drop_affected(store, graph, d, heap, journal) for d, heap in roots.items()}
 

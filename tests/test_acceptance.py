@@ -12,6 +12,7 @@ import multiprocessing
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -389,10 +390,8 @@ def test_c07_not_constraints_match_the_oracle(k8_uniform):
         path = result.paths[0]
         assert not excluded & set(path.hops)
         pruned = graph.fork()
-        deltas = []
         for x in excluded:
-            deltas.extend(pruned.ingest_event(RemoveNode(x), SD.link_cost))
-        pruned.apply_deltas(deltas)
+            pruned.apply_deltas(pruned.ingest_event(RemoveNode(x), SD.link_cost))
         want = oracle.apsp_additive(pruned, SD)
         assert path.cost == want.cost_of(s, t)
         # every destination's search tree, not just this pair, matches the
@@ -423,20 +422,39 @@ def test_c07_backup_pairs_are_link_disjoint(k8_uniform):
     _passed(7, "200 backup pairs on k=8 are link-disjoint, zero violations")
 
 
-def test_c08_worker_counts_emit_identical_batches():
-    # workers sets the order in which destination shards are repaired;
-    # the batches must not depend on it
+def test_c08_event_orderings_emit_identical_batches():
+    # events on distinct links commute, so an epoch's batch must not depend
+    # on the order its events are listed in
     topo = wl.gen_fattree(8, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=88))
     engines = []
-    for workers in (1, 2, 4):
+    for _ in range(3):
         graph = build_graph(topo, SD.link_cost)
-        engines.append((graph, initialize(graph, SD, workers=workers)))
+        engines.append((graph, initialize(graph, SD)))
     rng = random.Random(8)
-    events = random_events(rng, engines[0][0], 100)
-    for i, ev in enumerate(events):
-        batches = [step_epoch(store, graph, [ev]) for graph, store in engines]
-        assert batches[0] == batches[1] == batches[2], f"epoch {i + 1} diverged"
-    _passed(8, "repair orders of workers {1,2,4}: 100 epochs of identical change batches")
+    up = {(a, b): p for a, b, p in topo.links}
+    down: dict = {}
+    for epoch in range(1, 101):
+        events = []
+        for a, b in rng.sample(sorted(up) + sorted(down), 4):
+            if (a, b) in down:
+                up[(a, b)] = down.pop((a, b))
+                events.append(AddLink(a, b, up[(a, b)]))
+            elif rng.random() < 0.5:
+                down[(a, b)] = up.pop((a, b))
+                events.append(RemoveLink(a, b))
+            else:
+                u = float(rng.randint(1, 99))
+                up[(a, b)] = replace(up[(a, b)], utilization=u)
+                events.append(UpdateWeight(a, b, u))
+        orders = [events, events[::-1], rng.sample(events, len(events))]
+        batches = [
+            step_epoch(store, graph, order)
+            for (graph, store), order in zip(engines, orders)
+        ]
+        assert batches[0] == batches[1] == batches[2], f"epoch {epoch} diverged"
+    assert engines[0][0] == engines[1][0] == engines[2][0]
+    _passed(8, "100 epochs of 4 events on distinct links, listed in three "
+               "orders: identical change batches")
 
 
 def test_c09_weight_update_batches(k8_uniform):

@@ -60,6 +60,16 @@ class TestRun:
         assert rc == 1
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["-policy", "-policy x"])
+    def test_policy_removal_without_an_id(self, tmp_path, triangle_file, capsys, line):
+        events = tmp_path / "events.txt"
+        events.write_text(f"epoch 1\n{line}\n")
+        rc = main([
+            "run", "--topology", str(triangle_file), "--events", str(events),
+        ])
+        assert rc == 1
+        assert "line 2: -policy needs an id" in capsys.readouterr().err
+
     def test_jsonl_format(self, tmp_path, triangle_file):
         out = tmp_path / "m.jsonl"
         assert main([
@@ -99,20 +109,6 @@ class TestRun:
         rows = read_csv(out)
         # both epochs see the same change count because of the reset
         assert rows[1]["rules_changed"] == rows[2]["rules_changed"]
-
-    def test_worker_flag_does_not_change_results(self, tmp_path, triangle_file):
-        events = tmp_path / "ev.txt"
-        events.write_text("epoch 1\n-link 0 1\nepoch 2\nweight 1 2 utilization=9\n")
-        counts = []
-        for workers in ("1", "3"):
-            out = tmp_path / f"m{workers}.csv"
-            assert main([
-                "run", "--topology", str(triangle_file), "--strategy", "sd-util",
-                "--workers", workers, "--events", str(events), "--out", str(out),
-                "--verify",
-            ]) == 0
-            counts.append([r["rules_changed"] for r in read_csv(out)])
-        assert counts[0] == counts[1]
 
     def test_widest_verify_beyond_bruteforce_size(self, tmp_path):
         from deltapath.graph_model import load_topology
