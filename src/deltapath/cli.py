@@ -1,8 +1,11 @@
 """Command-line front end: generators, event replay, benchmarks, queries.
 
-`DELTAPATH_LOG` (debug/info/warning) controls log verbosity.  Exit code is
-zero iff the command completed without error and, under --verify, without
-any divergence from the oracle.
+`DELTAPATH_LOG` (debug/info/warning) controls log verbosity; at debug,
+`run` logs each epoch's rule changes and `EpochStats`.  `DELTAPATH_CHECK=1`
+makes `run` check the graph's and the rule store's integrity after the
+set-up, after every epoch and after every reset.  Exit code is zero iff
+the command completed without error and, under --verify, without any
+divergence from the oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import oracle, workloads
 from .errors import DeltaPathError, EventParseError, VerifyMismatchError
@@ -31,7 +34,7 @@ from .graph_model import (
 )
 from .path_retrieval import PathRequest, retrieve
 from .policy_engine import PolicyEngine, parse_policy
-from .routing_core import RuleStore, initialize, rules_to_csv, step_epoch
+from .routing_core import EpochStats, RuleStore, initialize, rules_to_csv, step_epoch
 from .strategy import Strategy, builtin
 
 log = logging.getLogger("deltapath")
@@ -188,6 +191,28 @@ def _verify_epoch(graph: GraphStore, store: RuleStore, strategy: Strategy) -> No
         )
 
 
+def _check_integrity(graph: GraphStore, store: RuleStore, epoch: str) -> None:
+    """`check_integrity` of the graph and the store, its failed assertion
+    reported as a VerifyMismatchError naming the epoch."""
+    try:
+        graph.check_integrity()
+        store.check_integrity(graph)
+    except AssertionError as exc:
+        raise VerifyMismatchError(f"epoch {epoch}: integrity check failed: {exc}") from None
+
+
+def _format_stats(stats: EpochStats) -> str:
+    """`name=value` for every EpochStats field, the ns timings in ms."""
+    parts = []
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if f.name.endswith("_ns"):
+            parts.append(f"{f.name[:-3]}_ms={value / 1e6:.3f}")
+        else:
+            parts.append(f"{f.name}={value}")
+    return " ".join(parts)
+
+
 class _Replay:
     """Replay context: engine, policies, and the pristine topology for
     `reset` directives."""
@@ -219,8 +244,11 @@ class _Replay:
         t0 = time.perf_counter()
         batch = step_epoch(self.store, self.graph, block.events)
         fixpoint_us = int((time.perf_counter() - t0) * 1e6)
-        if batch and log.isEnabledFor(logging.DEBUG):
-            log.debug("rule changes:\n%s", rules_to_csv(block.epoch_id, batch))
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("epoch %d stats: %s", block.epoch_id,
+                      _format_stats(self.store.last_stats))
+            if batch:
+                log.debug("rule changes:\n%s", rules_to_csv(block.epoch_id, batch))
 
         retrieval_us = 0
         if block.requests:
@@ -257,20 +285,28 @@ def cmd_run(args) -> int:
     strategy = builtin(args.strategy)
     topo = load_topology(args.topology)
     blocks = parse_event_file(args.events) if args.events else []
+    check = os.environ.get("DELTAPATH_CHECK") == "1"
     replay = _Replay(topo, strategy)
     writer = _RowWriter(args.out, args.format)
     epochs = 0
     try:
         writer.write(asdict(MetricRecord(0, 0, replay.store.rule_count(),
                                          replay.init_us)))
+        if check:
+            _check_integrity(replay.graph, replay.store, "0")
         if args.verify:
             _verify_epoch(replay.graph, replay.store, strategy)
         for block in blocks:
             if block.reset:
                 replay.reset()
+                if check:
+                    _check_integrity(replay.graph, replay.store,
+                                     f"{block.epoch_id} (reset)")
                 continue
             writer.write(asdict(replay.step(block)))
             epochs += 1
+            if check:
+                _check_integrity(replay.graph, replay.store, str(block.epoch_id))
             if args.verify:
                 _verify_epoch(replay.graph, replay.store, strategy)
     finally:

@@ -15,10 +15,12 @@ IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
 does not depend on how the fixpoint was reached.
 
 The first fixpoint comes from one best-first search per destination
-(`search`), which pops nodes in key order and settles each group once,
-with the minimum of its neighbours' keys extended by one hop: the
-fixpoint equation.  The same search with nodes or links masked evaluates
-NOT and backup policies.
+(`search`), which settles nodes in key order, each group once, with the
+minimum of its neighbours' keys extended by one hop: the fixpoint
+equation.  Under hop_count every key on one BFS level sorts below every
+key on the next, so the search settles a level at a time; the other
+strategies pop nodes from a heap.  The same search with nodes or links
+masked evaluates NOT and backup policies.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -243,11 +245,13 @@ def search(
     without the links `skip_links` (both directions, all parallel copies),
     as the engine's key: node -> (signed cost, length, next).
 
-    One Dijkstra search from `dst` in key order.  The masks cost nothing
-    when empty: masked nodes start out settled and only a link mask filters
-    the adjacency.  A custom path cost that can improve a path by extending
-    it raises NonConvergenceError, since the tree would then not be the
-    engine's fixpoint.
+    One search from `dst` that settles nodes in key order: by BFS level
+    under hop_count, where every edge extends a path by exactly one, and
+    from a binary heap (Dijkstra) under every other path cost.  The masks
+    cost nothing when empty: masked nodes start out settled and only a
+    link mask filters the adjacency.  A custom path cost that can improve
+    a path by extending it raises NonConvergenceError, since the tree
+    would then not be the engine's fixpoint.
     """
     if dst not in graph.nodes or dst in skip_nodes:
         return {}
@@ -264,6 +268,41 @@ def search(
     start = _tautology_key(strategy, dst)
     # a masked node is a settled placeholder, so no edge ever reaches it
     tree: dict[NodeId, tuple | None] = dict.fromkeys(skip_nodes)
+    if kind == "hop":
+        _settle_levels(tree, adj, start, dst)
+    else:
+        _settle_heap(tree, adj, start, dst, kind, fp, neg)
+    for n in skip_nodes:
+        del tree[n]
+    if kind is None:
+        _check_monotone(tree, adj, fp, neg)
+    return tree
+
+
+def _settle_levels(tree, adj, start, dst):
+    """Settle hop-count keys one BFS level at a time.  Every key on level L
+    is (start cost + L, L, next) and sorts below every key on level L + 1,
+    and walking a level in ascending id gives each newly reached node its
+    smallest next: the keys the heap would settle, without the heap."""
+    tree[dst] = start
+    frontier = [dst]
+    level = 0
+    while frontier:
+        level += 1
+        cost = start[0] + level
+        reached = []
+        for u in frontier:
+            key = (cost, level, u)
+            for x, _w in adj(u):
+                if x not in tree:
+                    tree[x] = key
+                    reached.append(x)
+        reached.sort()
+        frontier = reached
+
+
+def _settle_heap(tree, adj, start, dst, kind, fp, neg):
+    """Settle keys in key order from a binary heap (Dijkstra)."""
     best = {dst: start}
     heap = [(start, dst)]
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -280,8 +319,6 @@ def search(
                 continue
             if kind == "sum":
                 c = w + cost
-            elif kind == "hop":
-                c = 1 + cost
             elif kind == "min":
                 c = w if w < cost else cost
             else:
@@ -291,11 +328,6 @@ def search(
             if old is None or cand < old:
                 best[x] = cand
                 heappush(heap, (cand, x))
-    for n in skip_nodes:
-        del tree[n]
-    if kind is None:
-        _check_monotone(tree, adj, fp, neg)
-    return tree
 
 
 def _check_monotone(tree, adj, fp, neg):

@@ -1,11 +1,14 @@
 import csv
 import json
+import logging
+from dataclasses import fields
 
 import pytest
 
 from deltapath.cli import main, parse_event_file
 from deltapath.errors import EventParseError
 from deltapath.graph_model import save_topology
+from deltapath.routing_core import EpochStats, RuleStore, step_epoch
 
 from conftest import triangle, utilization_topology
 
@@ -252,6 +255,63 @@ class TestGen:
     def test_gen_odd_arity_fails(self, tmp_path, capsys):
         assert main(["gen", "fattree", "--k", "3", "-o", str(tmp_path / "x")]) == 1
         assert "even" in capsys.readouterr().err
+
+
+class TestCheckAndStats:
+    EVENTS = "epoch 1\n-link 0 1\nreset\nepoch 2\nweight 0 2 utilization=50\n"
+
+    def run(self, tmp_path, triangle_file):
+        events = tmp_path / "events.txt"
+        events.write_text(self.EVENTS)
+        return main([
+            "run", "--topology", str(triangle_file), "--strategy", "sd-util",
+            "--events", str(events), "--out", str(tmp_path / "m.csv"),
+        ])
+
+    def test_clean_replay_passes_the_check(self, tmp_path, triangle_file, monkeypatch):
+        calls = []
+        real = RuleStore.check_integrity
+        monkeypatch.setattr(
+            RuleStore, "check_integrity",
+            lambda store, graph: calls.append(store.epoch) or real(store, graph),
+        )
+        monkeypatch.setenv("DELTAPATH_CHECK", "1")
+        assert self.run(tmp_path, triangle_file) == 0
+        # set-up, epoch 1, the reset, epoch 2
+        assert calls == [0, 1, 0, 1]
+
+    def test_corrupt_store_fails_the_check(
+        self, tmp_path, triangle_file, monkeypatch, capsys
+    ):
+        def corrupting_step(store, graph, events):
+            batch = step_epoch(store, graph, events)
+            store._est[(0, 2)] = (99.0, 1, 2)
+            return batch
+
+        monkeypatch.setattr("deltapath.cli.step_epoch", corrupting_step)
+        assert self.run(tmp_path, triangle_file) == 0
+        monkeypatch.setenv("DELTAPATH_CHECK", "1")
+        assert self.run(tmp_path, triangle_file) == 1
+        err = capsys.readouterr().err
+        assert "error: epoch 1: integrity check failed: stale selection" in err
+        assert "Traceback" not in err
+
+    def test_debug_log_has_the_epoch_stats(
+        self, tmp_path, triangle_file, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("DELTAPATH_LOG", "debug")
+        caplog.set_level(logging.DEBUG, logger="deltapath")
+        assert self.run(tmp_path, triangle_file) == 0
+        lines = [r.getMessage() for r in caplog.records if " stats: " in r.getMessage()]
+        assert [line.split(" stats: ")[0] for line in lines] == ["epoch 1", "epoch 2"]
+        names = [
+            f.name[:-3] + "_ms" if f.name.endswith("_ns") else f.name
+            for f in fields(EpochStats)
+        ]
+        assert len(names) == 9
+        for line in lines:
+            assert [kv.split("=")[0] for kv in line.split(" stats: ")[1].split()] == names
+        assert "groups_changed=4" in lines[0]
 
 
 def test_broken_pipe_exits_quietly(tmp_path, triangle_file, monkeypatch):

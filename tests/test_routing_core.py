@@ -799,6 +799,49 @@ CUSTOM_SUM = Strategy(
 )
 
 
+# hop_count's path cost as a function path_cost_kind does not know, so the
+# search settles it from the heap rather than by BFS level
+CUSTOM_HOP = Strategy(
+    name="custom_hop",
+    link_cost=HOP.link_cost,
+    path_cost=lambda w, c: 1 + c,
+    tautology_cost=0,
+    maximize=False,
+    weight_domain=HOP.weight_domain,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loose_topologies(), st.data())
+def test_level_search_equals_the_heap_search(topo, data):
+    """hop_count settles by BFS level, CUSTOM_HOP from the heap: under any
+    node and link mask, the masked destination included, the trees agree
+    key for key."""
+    assert path_cost_kind(CUSTOM_HOP) is None
+    g = build_graph(topo, HOP.link_cost)
+    ids = sorted(g.nodes)
+    skip_nodes = frozenset(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
+    pairs = sorted({(a, b) for a, b, _p in topo.links})
+    skip_links = frozenset(
+        data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else ()
+    )
+    for d in ids:
+        assert rc.search(g, HOP, d, skip_nodes, skip_links) == rc.search(
+            g, CUSTOM_HOP, d, skip_nodes, skip_links
+        )
+
+
+def test_level_search_takes_the_smaller_parent():
+    """Node 6 has two parents on level 2, 4 and 5, reached from level 1 in
+    the order 5, 4; the smaller must win, as it does in the heap."""
+    links = [(0, 1), (0, 2), (1, 5), (2, 4), (4, 6), (5, 6)]
+    g = build_graph(topology(7, links), HOP.link_cost)
+    tree = rc.search(g, HOP, 0)
+    assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
+    assert tree[6] == (3, 3, 4)
+    assert tree == rc.search(g, CUSTOM_HOP, 0)
+
+
 def one_epoch(ops, graph, spare):
     """Abstract ops as one epoch of events valid against `graph` in order:
     added, removed and re-weighted links, nodes added (new ids, or ids
