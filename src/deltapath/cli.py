@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from . import oracle, workloads
-from .errors import DeltaPathError, EventParseError, VerifyMismatchError
+from .errors import DeltaPathError, EventParseError, IntegrityError, VerifyMismatchError
 from .graph_model import (
     AddLink,
     AddNode,
@@ -192,12 +192,12 @@ def _verify_epoch(graph: GraphStore, store: RuleStore, strategy: Strategy) -> No
 
 
 def _check_integrity(graph: GraphStore, store: RuleStore, epoch: str) -> None:
-    """`check_integrity` of the graph and the store, its failed assertion
+    """`check_integrity` of the graph and the store, its IntegrityError
     reported as a VerifyMismatchError naming the epoch."""
     try:
         graph.check_integrity()
         store.check_integrity(graph)
-    except AssertionError as exc:
+    except IntegrityError as exc:
         raise VerifyMismatchError(f"epoch {epoch}: integrity check failed: {exc}") from None
 
 

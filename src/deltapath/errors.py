@@ -78,3 +78,9 @@ class EventParseError(DeltaPathError):
 
 class VerifyMismatchError(DeltaPathError):
     """The engine's established view diverged from the oracle."""
+
+
+class IntegrityError(DeltaPathError, AssertionError):
+    """A `check_integrity` invariant does not hold.  It is raised rather
+    than asserted, so the checks also run under `python -O`; it stays an
+    AssertionError for callers that catch one."""

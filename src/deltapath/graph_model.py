@@ -17,6 +17,7 @@ from .errors import (
     AmbiguousLinkError,
     DuplicateNodeError,
     EventParseError,
+    IntegrityError,
     NegativeMultiplicityError,
     UnknownLinkError,
     UnknownNodeError,
@@ -323,15 +324,18 @@ class GraphStore:
         return other
 
     def check_integrity(self) -> None:
+        """Raise IntegrityError unless every stored edge has a nonzero
+        multiplicity, the same multiplicity backwards, and two nodes."""
         for (src, dst, w), mult in self.edge_items():
-            assert mult != 0, f"zero multiplicity stored for ({src}, {dst}, {w})"
+            if mult == 0:
+                raise IntegrityError(f"zero multiplicity stored for ({src}, {dst}, {w})")
             back = self.multiplicity(dst, src, w)
-            assert back == mult, (
-                f"asymmetric multiplicities for ({src}, {dst}, {w}): {mult} vs {back}"
-            )
-            assert src in self.nodes and dst in self.nodes, (
-                f"edge ({src}, {dst}, {w}) references a missing node"
-            )
+            if back != mult:
+                raise IntegrityError(
+                    f"asymmetric multiplicities for ({src}, {dst}, {w}): {mult} vs {back}"
+                )
+            if src not in self.nodes or dst not in self.nodes:
+                raise IntegrityError(f"edge ({src}, {dst}, {w}) references a missing node")
 
 
 # --- topology container and file formats -----------------------------------

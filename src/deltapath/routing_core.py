@@ -14,13 +14,24 @@ Every built-in strategy strictly worsens the key when it extends a path
 IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
 does not depend on how the fixpoint was reached.
 
-The first fixpoint comes from one best-first search per destination
+Under an additive path cost with finite weights, the first fixpoint is
+solved for every destination at once (`_sum_fixpoint`): scipy's Dijkstra
+gives each group's cost, a BFS over the edges that are tight for it, run
+for a block of destinations together, gives its length, and its next is
+the smallest tight neighbour one hop closer.  Every other strategy gets
+the first fixpoint from one best-first search per destination
 (`search`), which settles nodes in key order, each group once, with the
 minimum of its neighbours' keys extended by one hop: the fixpoint
 equation.  Under hop_count every key on one BFS level sorts below every
 key on the next, so the search settles a level at a time; the other
 strategies pop nodes from a heap.  The same search with nodes or links
-masked evaluates NOT and backup policies.
+masked evaluates NOT and backup policies, for every strategy.
+
+At set-up, the engine's additive costs and the oracle's both come from
+scipy's Dijkstra, so the oracle alone does not check them there.  The
+independent references are the rounds reference, the heap search of a
+custom path cost that `path_cost_kind` does not know, the golden digests,
+and every repaired epoch after set-up.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -53,7 +64,9 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Mapping, NamedTuple
 
-from .errors import DeltaPathError, NonConvergenceError
+import numpy as np
+
+from .errors import DeltaPathError, IntegrityError, NonConvergenceError
 from .graph_model import (
     AddNode,
     EdgeRecord,
@@ -156,15 +169,20 @@ class RuleStore:
     def check_integrity(self, graph: GraphStore) -> None:
         """Check the fixpoint equation on the graph: every group joins two
         nodes, and the established groups are exactly the groups of the
-        candidate join, each holding its group's minimum."""
+        candidate join, each holding its group's minimum.  Raises
+        IntegrityError naming the first group that breaks it."""
         join = candidates(self, graph)
         for s, d in self._est:
-            assert s in graph.nodes and d in graph.nodes, f"({s}, {d}) names a removed node"
-            assert (s, d) in join, f"established {(s, d)} has no candidates"
+            if s not in graph.nodes or d not in graph.nodes:
+                raise IntegrityError(f"({s}, {d}) names a removed node")
+            if (s, d) not in join:
+                raise IntegrityError(f"established {(s, d)} has no candidates")
         for group, cands in join.items():
             key = self._est.get(group)
-            assert key is not None, f"{group} has candidates but no rule"
-            assert key == min(cands), f"stale selection for {group}"
+            if key is None:
+                raise IntegrityError(f"{group} has candidates but no rule")
+            if key != min(cands):
+                raise IntegrityError(f"stale selection for {group}")
 
 
 def candidates(store: RuleStore, graph: GraphStore) -> dict[tuple, dict[tuple, int]]:
@@ -219,19 +237,125 @@ def _tautology_key(strategy: Strategy, node: NodeId) -> tuple:
 
 
 def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
-    """Build the established rules of a topology snapshot with one `search`
-    per destination: the fixpoint that `step_epoch` then maintains."""
+    """Build the established rules of a topology snapshot: the fixpoint
+    that `step_epoch` then maintains.
+
+    Under an additive path cost with finite weights and a zero tautology
+    cost, `_sum_fixpoint` solves every destination at once; everything
+    else runs one `search` per destination.  Both give the same keys,
+    float for float.
+    """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
     for (_s, _d, w), _m in topology.edge_items():
         strategy.validate_weight(w)
     store = RuleStore(strategy)
-    est = store._est
-    for d in topology.nodes:
-        for x, key in search(topology, strategy, d).items():
-            est[(x, d)] = key
+    est = _sum_fixpoint(topology, strategy) if store._fp_kind == "sum" else None
+    if est is None:
+        est = {}
+        for d in topology.nodes:
+            for x, key in search(topology, strategy, d).items():
+                est[(x, d)] = key
+    store._est = est
     store.epoch = 0
     return store
+
+
+# destinations solved together, so that the (edges x destinations)
+# arrays stay near this many elements whatever the graph's size
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _sum_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
+    """Every rule of an additive strategy, for all destinations at once, or
+    None where `search` must decide: a tautology cost other than float
+    zero, or weights whose total is not finite (an infinite weight, or
+    path costs that could overflow).
+
+    An edge (u, x, w) lets x route through u.  scipy's Dijkstra from each
+    destination d computes C[x, d] as the least w + C[u, d], the addition
+    `search` makes, so the costs are the same floats.  The tight edges
+    (w + C[u, d] == C[x, d]) carry every best path; a BFS over them gives
+    the fewest hops L, and x's next is the smallest u over a tight edge
+    with L[u, d] + 1 == L[x, d]: the key the heap would settle.
+    """
+    taut = strategy.tautology_cost
+    if type(taut) is not float or taut != 0.0:
+        return None
+    # scipy loads on first use, so that `import deltapath` does not load it
+    # for strategies that never come here
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    ids = sorted(topology.nodes)
+    index = {v: i for i, v in enumerate(ids)}
+    wmin: dict[tuple[int, int], float] = {}
+    for (u, x, w), _m in topology.edge_items():
+        pair = (index[x], index[u])
+        old = wmin.get(pair)
+        if old is None or w < old:
+            wmin[pair] = w
+    n, m = len(ids), len(wmin)
+    weights = np.fromiter(wmin.values(), float, m)
+    if not np.isfinite(weights.sum() * 2):
+        return None
+    est = {(d, d): _tautology_key(strategy, d) for d in ids}
+    if not m:
+        return est
+    # edges sorted by x: each x's edges are one run
+    pairs = np.fromiter((i for pair in wmin for i in pair), np.intp, 2 * m).reshape(m, 2)
+    order = np.argsort(pairs[:, 0], kind="stable")
+    xs, us, weights = pairs[order, 0], pairs[order, 1], weights[order]
+    graph = csr_matrix((weights, (us, xs)), shape=(n, n))
+    blocks = -(-n * m // _BLOCK_ELEMENTS)
+    size = -(-n // blocks)
+    for lo in range(0, n, size):
+        dests = np.arange(lo, min(lo + size, n))
+        cost = dijkstra(graph, directed=True, indices=dests)
+        length, nxt = _tight_bfs(cost.T, dests, us, xs, weights)
+        for r, i in enumerate(dests.tolist()):
+            d = ids[i]
+            for x, c, ln, j in zip(ids, cost[r].tolist(), length[:, r].tolist(),
+                                   nxt[:, r].tolist()):
+                if ln > 0:
+                    est[(x, d)] = (c, ln, ids[j])
+    return est
+
+
+def _tight_bfs(cost, dests, us, xs, weights):
+    """For (nodes x destinations) costs: each node's fewest hops over the
+    tight edges (-1 if unreached) and, where that is positive, its smallest
+    next with one hop fewer, as (nodes x destinations) arrays.  The edges
+    (u, x) are sorted by x; a level ORs the frontier over each x's run."""
+    n, k = cost.shape
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    heads = xs[starts]
+    cost = np.ascontiguousarray(cost)
+    tight = cost[us] + weights[:, None] == cost[xs]
+    length = np.full((n, k), -1, dtype=np.int32)
+    length[dests, np.arange(k)] = 0
+    frontier = length == 0
+    unseen = length[heads] < 0
+    level = 0
+    while True:
+        level += 1
+        hit = frontier[us]
+        hit &= tight
+        reached = np.logical_or.reduceat(hit, starts, axis=0)
+        reached &= unseen
+        if not reached.any():
+            break
+        unseen &= ~reached
+        frontier[:] = False
+        frontier[heads] = reached
+        length[frontier] = level
+    tight &= length[us] + 1 == length[xs]
+    first = np.minimum.reduceat(
+        np.where(tight, us.astype(np.int32)[:, None], n), starts, axis=0
+    )
+    nxt = np.zeros((n, k), dtype=np.int32)
+    nxt[heads] = first
+    return length, nxt
 
 
 def search(

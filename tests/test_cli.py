@@ -1,10 +1,16 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import deltapath
 from deltapath.cli import main, parse_event_file
 from deltapath.errors import EventParseError
 from deltapath.graph_model import save_topology
@@ -295,6 +301,35 @@ class TestCheckAndStats:
         err = capsys.readouterr().err
         assert "error: epoch 1: integrity check failed: stale selection" in err
         assert "Traceback" not in err
+
+    def test_corrupt_store_fails_the_check_under_python_O(self, tmp_path, triangle_file):
+        """The checks raise instead of asserting, so `python -O`, which
+        strips assert statements, still catches the corrupted store."""
+        events = tmp_path / "events.txt"
+        events.write_text(self.EVENTS)
+        script = textwrap.dedent("""
+            import sys
+            import deltapath.cli as cli
+
+            def corrupting_step(store, graph, events):
+                batch = step(store, graph, events)
+                store._est[(0, 2)] = (99.0, 1, 2)
+                return batch
+
+            step, cli.step_epoch = cli.step_epoch, corrupting_step
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        env = dict(os.environ, DELTAPATH_CHECK="1",
+                   PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "run",
+             "--topology", str(triangle_file), "--strategy", "sd-util",
+             "--events", str(events), "--out", str(tmp_path / "m.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "error: epoch 1: integrity check failed: stale selection" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_debug_log_has_the_epoch_stats(
         self, tmp_path, triangle_file, monkeypatch, caplog

@@ -20,6 +20,7 @@ from deltapath.graph_model import (
     NodeRecord,
     RemoveLink,
     RemoveNode,
+    Topology,
     UpdateWeight,
     build_graph,
 )
@@ -45,6 +46,7 @@ from conftest import (
 )
 
 SD = builtin("sd_utilization")
+FREE_BW = builtin("sd_free_bw")
 HOP = builtin("hop_count")
 WIDEST = builtin("shortest_widest")
 BUILTINS = [builtin(name) for name in builtin_names()]
@@ -799,6 +801,17 @@ CUSTOM_SUM = Strategy(
 )
 
 
+# sd_free_bw's path cost as a function path_cost_kind does not know
+CUSTOM_FREE_BW = Strategy(
+    name="custom_free_bw",
+    link_cost=FREE_BW.link_cost,
+    path_cost=lambda w, c: w + c,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=FREE_BW.weight_domain,
+)
+
+
 # hop_count's path cost as a function path_cost_kind does not know, so the
 # search settles it from the heap rather than by BFS level
 CUSTOM_HOP = Strategy(
@@ -840,6 +853,87 @@ def test_level_search_takes_the_smaller_parent():
     assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
     assert tree[6] == (3, 3, 4)
     assert tree == rc.search(g, CUSTOM_HOP, 0)
+
+
+def assert_same_rules(got, want):
+    """Equal rule tables, down to the type of every value in every key."""
+    assert got == want
+    for pair, key in got.items():
+        assert [type(v) for v in key] == [type(v) for v in want[pair]], pair
+
+
+@st.composite
+def real_weight_topologies(draw):
+    """Like `loose_topologies` (parallel links, isolated nodes, any number
+    of components), with real and absorbing weights (1e-17 beside 1.0 or
+    1/3, 1e9 for a saturated link) and node ids that are negative or not
+    contiguous."""
+    ids = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=8, unique=True))
+    utilization = st.sampled_from([1e-17, 0.1, 1 / 3, 1.0, 2.0, 100.0])
+    capacity = st.sampled_from([1 / 3, 10.0, 1e17])
+    links = []
+    if len(ids) > 1:
+        ends = st.sampled_from(ids)
+        for a, b, u, c in draw(st.lists(
+            st.tuples(ends, ends, utilization, capacity), max_size=16,
+        )):
+            if a != b:
+                links.append((a, b, props(capacity=c, utilization=u)))
+    return Topology(nodes=[NodeRecord(i) for i in ids], links=links)
+
+
+@pytest.mark.parametrize("builtin_strategy,clone", [
+    (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW),
+], ids=["sd_utilization", "sd_free_bw"])
+@settings(max_examples=150, deadline=None)
+@given(topo=real_weight_topologies())
+def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, topo):
+    """An additive built-in is solved for every destination at once, its
+    clone by one heap search per destination: the rules agree key for key
+    and type for type."""
+    assert path_cost_kind(builtin_strategy) == "sum"
+    assert path_cost_kind(clone) is None
+    g = build_graph(topo, builtin_strategy.link_cost)
+    assert_same_rules(rc.initialize(g, builtin_strategy)._est, rc.initialize(g, clone)._est)
+
+
+# the built-in additive path cost over a link cost that can be infinite
+INF_SUM = Strategy(
+    name="inf_sum",
+    link_cost=lambda p: math.inf if p.utilization > 50 else p.utilization,
+    path_cost=SD.path_cost,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
+# the built-in additive path cost from a tautology cost other than zero
+ONE_SUM = Strategy(
+    name="one_sum",
+    link_cost=SD.link_cost,
+    path_cost=SD.path_cost,
+    tautology_cost=1.0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
+@pytest.mark.parametrize("strategy,rule_0_3", [
+    (INF_SUM, (math.inf, 3, 1)), (ONE_SUM, (94.0, 3, 1)),
+], ids=["inf_weight", "tautology_one"])
+def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rule_0_3):
+    """Behind an inf link, search gives a rule of cost inf, which Dijkstra
+    would call unreachable; a path that starts from cost 1.0 rounds
+    differently from one that starts from 0.  `initialize` must search."""
+    g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
+                    strategy.link_cost)
+    assert path_cost_kind(strategy) == "sum"
+    assert rc._sum_fixpoint(g, strategy) is None
+    store = rc.initialize(g, strategy)
+    want = {(x, d): key for d in g.nodes for x, key in rc.search(g, strategy, d).items()}
+    assert_same_rules(store._est, want)
+    assert store._est[(0, 3)] == rule_0_3
 
 
 def one_epoch(ops, graph, spare):
