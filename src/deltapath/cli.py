@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 
-from . import oracle, workloads
+from . import workloads
 from .errors import DeltaPathError, EventParseError, IntegrityError, VerifyMismatchError
 from .graph_model import (
     AddLink,
@@ -166,6 +166,9 @@ def _format_path(path, suffix="") -> str:
 
 
 def _verify_epoch(graph: GraphStore, store: RuleStore, strategy: Strategy) -> None:
+    # scipy loads with the oracle, so only `run --verify` pays for it
+    from . import oracle
+
     view = store.established_rules()
     if strategy.maximize:
         if len(graph.nodes) <= 14:
@@ -485,14 +488,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, events=True):
+    def common(p, events=True, out=True):
         p.add_argument("--topology", required=True, help="topology file")
         p.add_argument("--strategy", default="hopcount", choices=STRATEGY_CHOICES)
         if events:
             p.add_argument("--events", help="event file to replay")
-        p.add_argument("--out", default="-", help="output path (default stdout)")
-        p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
-        p.add_argument("--seed", type=int, default=0)
+        if out:
+            p.add_argument("--out", default="-", help="output path (default stdout)")
+            p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
 
     gen = sub.add_parser("gen", help="generate topologies and event scripts")
     gen_sub = gen.add_subparsers(dest="what", required=True)
@@ -526,10 +529,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[k.value for k in workloads.ScenarioKind])
     bench.add_argument("--trials", type=int, default=20)
     bench.add_argument("--batch-size", type=int, default=1024)
+    bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=cmd_bench)
 
     query = sub.add_parser("query", help="retrieve one path")
-    common(query)
+    common(query, out=False)
     query.add_argument("src", type=int)
     query.add_argument("dst", type=int)
     query.set_defaults(func=cmd_query)

@@ -6,8 +6,9 @@ not stored: they are the join of the established rules with the graph
 (for every edge x -> y, y's rule toward d extended by one hop) plus the
 tautology (d, d) while d is a node, cut at p_length >= the node count:
 best paths are simple, so the cut loses none of them.  At a fixpoint
-every group holds the minimum of its candidates; `candidates` computes
-the join so that checks can state this equation.
+every group holds the minimum of its candidates.  `_best_offer` computes
+that minimum for one group, for the repair and the integrity check;
+`candidates` builds the whole join, as a reference for tests.
 
 Every built-in strategy strictly worsens the key when it extends a path
 (cost never improves, length grows), so the fixpoint is unique (Sobrinho,
@@ -45,11 +46,10 @@ the others are dropped.  Phase 2 seeds one heap per destination with
 each dropped node's best surviving neighbour, each added edge's offer and
 each added node's tautology, and settles nodes in key order as the search
 does.  Under shortest_widest a node that improves can make a child worse,
-so a settled node's child whose rule gets worse is dropped with its
-subtree and reseeded, and a heap entry whose neighbour key has changed
-since it was pushed is skipped.  A custom path cost that can improve a
-path by extending it raises NonConvergenceError, and the epoch is rolled
-back.
+so a settled node's child whose rule gets worse goes through phase 1's
+decision, and a heap entry whose neighbour key has changed since it was
+pushed is skipped.  A custom path cost that can improve a path by
+extending it raises NonConvergenceError, and the epoch is rolled back.
 
 An epoch applies its events to the graph one at a time, each against the
 graph as the earlier ones left it, and then repairs the rules once, for
@@ -168,21 +168,23 @@ class RuleStore:
 
     def check_integrity(self, graph: GraphStore) -> None:
         """Check the fixpoint equation on the graph: every group joins two
-        nodes, and the established groups are exactly the groups of the
-        candidate join, each holding its group's minimum.  Raises
+        nodes, and every ordered pair of nodes holds a rule exactly when it
+        has an offer (`_best_offer`), the smallest one.  Raises
         IntegrityError naming the first group that breaks it."""
-        join = candidates(self, graph)
         for s, d in self._est:
             if s not in graph.nodes or d not in graph.nodes:
                 raise IntegrityError(f"({s}, {d}) names a removed node")
-            if (s, d) not in join:
-                raise IntegrityError(f"established {(s, d)} has no candidates")
-        for group, cands in join.items():
-            key = self._est.get(group)
-            if key is None:
-                raise IntegrityError(f"{group} has candidates but no rule")
-            if key != min(cands):
-                raise IntegrityError(f"stale selection for {group}")
+        for d in graph.nodes:
+            for x in graph.nodes:
+                top = _best_offer(self, graph, x, d)[0]
+                key = self._est.get((x, d))
+                if key == top:
+                    continue
+                if top is None:
+                    raise IntegrityError(f"established {(x, d)} has no candidates")
+                if key is None:
+                    raise IntegrityError(f"{(x, d)} has candidates but no rule")
+                raise IntegrityError(f"stale selection for {(x, d)}")
 
 
 def candidates(store: RuleStore, graph: GraphStore) -> dict[tuple, dict[tuple, int]]:
@@ -505,6 +507,8 @@ def step_epoch(
             done = graph.apply_deltas(raw)
             applied.append((done, props))
             for src, dst, w, delta, _p in done:
+                if delta > 0:
+                    strategy.validate_weight(w)
                 net[(src, dst, w)] = net.get((src, dst, w), 0) + delta
             if isinstance(ev, (AddNode, RemoveNode)):
                 touched.add(ev.id)
@@ -581,26 +585,6 @@ def _restore(store, journal) -> None:
         _set(store, group, old, done)
 
 
-def _drop_subtree(store, graph, d, stack, journal, settled):
-    """Drop the rules toward d of the nodes on `stack` and of every node
-    routing through them (z is a child of x when z's next is x), skipping
-    settled nodes; returns the nodes dropped."""
-    est = store._est
-    adj = graph.out_edges
-    out = []
-    while stack:
-        x = stack.pop()
-        if (x, d) not in est:
-            continue  # reached twice
-        _set(store, (x, d), None, journal)
-        out.append(x)
-        for z, _w in adj(x):
-            kz = est.get((z, d))
-            if kz is not None and kz[2] == x and z not in settled:
-                stack.append(z)
-    return out
-
-
 def _invalidate(store, graph, before, delta_g, touched, journal) -> dict[NodeId, list]:
     """Phase 1: retire the groups of removed nodes and of the nodes toward
     them (every group joins two nodes of `before`, the node table from
@@ -670,22 +654,43 @@ def _drop_affected(store, graph, d, suspects, journal) -> list[NodeId]:
     return dropped
 
 
+def _best_offer(store, graph, x, d) -> tuple:
+    """The smallest key x can take toward d from the rules as they stand:
+    the tautology when x is d, or a neighbour's rule extended by one hop.
+    Returns (key, neighbour, neighbour's key); the neighbour is None for
+    the tautology, and all three are None when x has no offer."""
+    est = store._est
+    neg = store._neg
+    fp = store.strategy.path_cost
+    top = _tautology_key(store.strategy, x) if x == d else None
+    via = vkey = None
+    for y, w in graph.out_edges(x):
+        ky = est.get((y, d))
+        if ky is None:
+            continue
+        c = fp(w, -ky[0] if neg else ky[0])
+        cand = (-c if neg else c, ky[1] + 1, y)
+        if top is None or cand < top:
+            top, via, vkey = cand, y, ky
+    return top, via, vkey
+
+
 def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
     """Phase 2 for one destination: seed a heap with the dropped nodes'
-    best surviving neighbours, the offers of added edges and a new node's
-    tautology, then settle nodes in key order as `search` does.
+    and a new node's best offers (`_best_offer`) and the offers of added
+    edges, then settle nodes in key order as `search` does.
 
     A heap entry remembers the key of the neighbour it extends and is
     skipped (and its node reseeded) when that key has changed since.  A
     node that kept its rule and settles with a new key offers it to its
-    neighbours; a child whose rule now extends to a worse key is dropped
-    with its subtree and reseeded.
+    neighbours; a child whose rule now extends to a worse key goes through
+    phase 1's decision (`_drop_affected`), and every node dropped there is
+    reseeded.
     """
     est = store._est
-    strategy = store.strategy
     neg = store._neg
     kind = store._fp_kind
-    fp = strategy.path_cost
+    fp = store.strategy.path_cost
     adj = graph.out_edges
     heap: list[tuple] = []
     best: dict[NodeId, tuple] = {}  # smallest key pending per node
@@ -699,16 +704,7 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
             heappush(heap, (cand, x, via, vkey))
 
     def seed(x):
-        top = _tautology_key(strategy, x) if x == d else None
-        via = vkey = None
-        for y, w in adj(x):
-            ky = est.get((y, d))
-            if ky is None:
-                continue
-            c = fp(w, -ky[0] if neg else ky[0])
-            cand = (-c if neg else c, ky[1] + 1, y)
-            if top is None or cand < top:
-                top, via, vkey = cand, y, ky
+        top, via, vkey = _best_offer(store, graph, x, d)
         own = est.get((x, d))
         if top is not None and (own is None or top < own):
             offer(x, top, via, vkey)
@@ -767,7 +763,7 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
                     heappush(heap, (cand, z, x, key))
             elif kz[2] == x and cand != kz:
                 # z's rule extended x's old key, which is gone
-                redo = _drop_subtree(store, graph, d, [z], journal, settled)
+                redo = _drop_affected(store, graph, d, [(kz, z)], journal)
                 stats.groups_invalidated += len(redo)
                 for u in redo:
                     seed(u)

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from . import oracle
 from .errors import InfeasibleError, OddArityError
 from .graph_model import (
     LinkProperties,
@@ -293,6 +292,9 @@ def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> list[str]:
     """
     if scenario.kind is not ScenarioKind.WEIGHT_UPDATE_BATCHES:
         raise ValueError(f"wrong scenario kind {scenario.kind}")
+    # scipy loads with the oracle, so only the scenario that needs it pays
+    from . import oracle
+
     if any(p.utilization <= 0 for _a, _b, p in topo.links):
         raise InfeasibleError("weight-update batches need the uniform plan")
     strategy = builtin("sd_utilization")

@@ -361,6 +361,28 @@ def test_broken_pipe_exits_quietly(tmp_path, triangle_file, monkeypatch):
     assert main(["run", "--topology", str(triangle_file), "--out", "-"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "1"],
+    ["query", "--seed", "1", "0", "2"],
+    ["query", "--out", "q.jsonl", "0", "2"],
+    ["query", "--format", "jsonl", "0", "2"],
+], ids=["run-seed", "query-seed", "query-out", "query-format"])
+def test_options_a_command_does_not_read_are_rejected(triangle_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--topology", str(triangle_file)] + argv[1:])
+    assert exc.value.code == 2
+
+
+def test_importing_the_cli_does_not_load_the_oracle():
+    script = ("import sys, deltapath.cli; "
+              "print([m for m in ('scipy', 'deltapath.oracle') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestEventFileParsing:
     def test_epoch_ids_must_increase(self, tmp_path):
         path = tmp_path / "ev.txt"

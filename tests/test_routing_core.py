@@ -9,6 +9,7 @@ from deltapath import oracle
 from deltapath import routing_core as rc
 from deltapath.errors import (
     DeltaPathError,
+    InvalidWeightError,
     NonConvergenceError,
     UnknownLinkError,
 )
@@ -370,6 +371,22 @@ class TestWidestRepair:
         want = oracle.widest_paths_bruteforce(g, WIDEST)
         assert oracle.compare_view(want, store.established_rules()) == []
 
+    def test_worse_child_with_a_tight_neighbour_only_moves_its_next(self):
+        """A child that a settled node makes worse goes through phase 1's
+        decision: one with another neighbour that extends to its cost and
+        length keeps them, and nothing is dropped."""
+        capacity = {(0, 1): 1, (0, 3): 1, (1, 2): 3, (1, 4): 3, (1, 5): 1,
+                    (1, 6): 3, (2, 3): 3, (2, 4): 2, (2, 5): 1, (3, 6): 1,
+                    (4, 5): 1}
+        g = build_graph(
+            topology(7, [(a, b, props(capacity=float(c))) for (a, b), c in capacity.items()]),
+            WIDEST.link_cost,
+        )
+        store = rc.initialize(g, WIDEST)
+        rc.step_epoch(store, g, [AddLink(0, 4, props(capacity=3.0))])
+        assert store.last_stats.groups_invalidated == 0
+        assert store._est == rc.initialize(g, WIDEST)._est
+
 
 class TestEpochStats:
     def test_switch_failures_do_not_count_to_the_horizon(self):
@@ -469,6 +486,16 @@ class TestIntegrity:
         store.check_integrity(g)
         return g, store
 
+    def test_check_does_not_build_the_candidate_join(self, monkeypatch):
+        g = build_graph(gen_fattree(4), HOP.link_cost)
+        store = rc.initialize(g, HOP)
+
+        def refuse(*_args):
+            raise AssertionError("check_integrity built the candidate join")
+
+        monkeypatch.setattr(rc, "candidates", refuse)
+        store.check_integrity(g)
+
     def test_worse_established_key_is_caught(self):
         g, store = self.engine()
         group, cands = next(
@@ -508,6 +535,22 @@ class TestAtomicEpochs:
         graph0, est0 = g.fork(), dict(store._est)
         with pytest.raises(error):
             rc.step_epoch(store, g, events)
+        assert g == graph0
+        g.check_integrity()
+        assert store._est == est0
+        assert store.epoch == 0
+
+    @pytest.mark.parametrize("event", [
+        AddLink(0, 2, props(utilization=0.0)),
+        UpdateWeight(0, 1, 0.0),
+    ], ids=["add-link", "update-weight"])
+    def test_weight_outside_the_domain_changes_nothing(self, event):
+        # initialize rejects a 0.0 sd_utilization weight; an epoch must too
+        g = build_graph(utilization_topology(3, [(0, 1, 5), (1, 2, 5)]), SD.link_cost)
+        store = rc.initialize(g, SD)
+        graph0, est0 = g.fork(), dict(store._est)
+        with pytest.raises(InvalidWeightError, match="outside domain"):
+            rc.step_epoch(store, g, [event])
         assert g == graph0
         g.check_integrity()
         assert store._est == est0
