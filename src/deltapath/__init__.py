@@ -5,7 +5,6 @@ from .graph_model import (
     AddLink,
     AddNode,
     EdgeRecord,
-    Epoch,
     GraphStore,
     LinkProperties,
     NodeLabel,
@@ -23,7 +22,6 @@ from .policy_engine import Policy, PolicyEngine, parse_policy
 from .routing_core import (
     ForwardingRule,
     RuleStore,
-    established_rules,
     initialize,
     step_epoch,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "AddNode",
     "DeltaPathError",
     "EdgeRecord",
-    "Epoch",
     "ForwardingRule",
     "GraphStore",
     "LinkProperties",
@@ -55,7 +52,6 @@ __all__ = [
     "build_graph",
     "builtin",
     "builtin_names",
-    "established_rules",
     "initialize",
     "load_topology",
     "parse_policy",

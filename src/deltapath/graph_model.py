@@ -35,13 +35,12 @@ class NodeLabel(str, Enum):
     HOST = "host"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeRecord:
-    """A network node: unique id, type label, free-form routing properties."""
+    """A network node: unique id and type label."""
 
     id: NodeId
     label: NodeLabel = NodeLabel.SWITCH
-    properties: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,14 @@ class LinkProperties:
     def __post_init__(self):
         if self.capacity <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if not 0.0 <= self.utilization <= 100.0:
-            raise ValueError(f"utilization must be in [0, 100], got {self.utilization}")
+        self.check_utilization(self.utilization)
         if self.delay < 0:
             raise ValueError(f"delay must be non-negative, got {self.delay}")
+
+    @staticmethod
+    def check_utilization(utilization: float) -> None:
+        if not 0.0 <= utilization <= 100.0:
+            raise ValueError(f"utilization must be in [0, 100], got {utilization}")
 
     def free_bandwidth(self) -> float:
         return self.capacity * (1.0 - self.utilization / 100.0)
@@ -116,23 +119,12 @@ class UpdateWeight:
 TopologyEvent = Union[AddLink, RemoveLink, AddNode, RemoveNode, UpdateWeight]
 
 
-@dataclass
-class Epoch:
-    """A logical timestamp batching input events.
-
-    Events inside one epoch apply in file order, each against the graph
-    as the earlier ones left it; the rules change once, by their net
-    effect.
-    """
-
-    id: int
-    events: list = field(default_factory=list)
-
-
 class GraphStore:
     """Delta-multiset edge store plus the node table.
 
-    Single-writer; `fork` yields an independently writable copy.
+    Single-writer.  `fork` yields an independently writable copy; it serves
+    the tests and the benchmark's NOT check, which prunes a copy for the
+    oracle.
     """
 
     __slots__ = ("nodes", "_adj", "_props")
@@ -150,10 +142,6 @@ class GraphStore:
         for src, out in self._adj.items():
             for (dst, w), mult in out.items():
                 yield (src, dst, w), mult
-
-    def edge_count(self) -> int:
-        """Directed keys currently stored (parallel links count once)."""
-        return sum(len(out) for out in self._adj.values())
 
     def multiplicity(self, src: NodeId, dst: NodeId, w: float) -> int:
         return self._adj.get(src, {}).get((dst, w), 0)
@@ -315,10 +303,7 @@ class GraphStore:
     def fork(self) -> GraphStore:
         """Independent copy sharing no mutable state with the original."""
         other = GraphStore()
-        other.nodes = {
-            n: NodeRecord(r.id, r.label, dict(r.properties))
-            for n, r in self.nodes.items()
-        }
+        other.nodes = dict(self.nodes)  # the records are immutable
         other._adj = {src: dict(out) for src, out in self._adj.items()}
         other._props = dict(self._props)
         return other
@@ -357,7 +342,7 @@ def build_graph(topo: Topology, link_cost: LinkCostFn) -> GraphStore:
     store = GraphStore()
     deltas = []
     for rec in topo.nodes:
-        store.add_node(NodeRecord(rec.id, rec.label, dict(rec.properties)))
+        store.add_node(rec)
     for a, b, props in topo.links:
         deltas.extend(store.ingest_event(AddLink(a, b, props), link_cost))
     store.apply_deltas(deltas)
@@ -388,6 +373,14 @@ def _props_from_kv(kv: dict[str, float], line_no: int | None) -> LinkProperties:
         raise EventParseError(str(exc), line_no) from None
 
 
+def _link_line(fields: list[str], line_no: int | None):
+    """The ends and properties of a `link` or `+link` line."""
+    a, b = int(fields[1]), int(fields[2])
+    if a == b:
+        raise EventParseError(f"self-link on node {a}", line_no)
+    return a, b, _props_from_kv(_parse_kv(fields[3:], line_no), line_no)
+
+
 def load_topology(path) -> Topology:
     """Read the line-oriented topology format.
 
@@ -407,9 +400,7 @@ def load_topology(path) -> Topology:
                     label = NodeLabel(fields[2]) if len(fields) > 2 else NodeLabel.SWITCH
                     topo.nodes.append(NodeRecord(int(fields[1]), label))
                 elif kind == "link":
-                    a, b = int(fields[1]), int(fields[2])
-                    props = _props_from_kv(_parse_kv(fields[3:], line_no), line_no)
-                    topo.links.append((a, b, props))
+                    topo.links.append(_link_line(fields, line_no))
                 else:
                     raise EventParseError(f"unknown directive {kind!r}", line_no)
             except (ValueError, IndexError) as exc:
@@ -455,8 +446,7 @@ def parse_event(line: str, line_no: int | None = None) -> TopologyEvent:
     kind = fields[0]
     try:
         if kind == "+link":
-            a, b = int(fields[1]), int(fields[2])
-            return AddLink(a, b, _props_from_kv(_parse_kv(fields[3:], line_no), line_no))
+            return AddLink(*_link_line(fields, line_no))
         if kind == "-link":
             a, b = int(fields[1]), int(fields[2])
             kv = _parse_kv(fields[3:], line_no)
@@ -471,6 +461,7 @@ def parse_event(line: str, line_no: int | None = None) -> TopologyEvent:
             kv = _parse_kv(fields[3:], line_no)
             if "utilization" not in kv:
                 raise EventParseError("weight line needs utilization=<f>", line_no)
+            LinkProperties.check_utilization(kv["utilization"])
             return UpdateWeight(a, b, kv["utilization"])
     except EventParseError:
         raise

@@ -5,8 +5,9 @@ get a fresh Dijkstra per source (scipy), widest-path strategies get a
 synchronous value iteration plus, under the brute-force entry point, an
 exhaustive simple-path enumeration cross-checking the widths.  The only
 deliberately shared piece of semantics is the selection tie-break, which
-replicates `strategy` module ordering: primary key per the strategy, then
-fewer hops, then smallest next-hop id.
+replicates the engine's key tuple (signed cost, p_length, next), whose
+plain order is the selection order (see `strategy`): primary key per the
+strategy, then fewer hops, then smallest next-hop id.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _lengths_additive_scan(D, wmin, n, rtol):
 
 def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> OracleResult:
     """All-pairs optima for an additive strategy: per-source Dijkstra with
-    the module-`strategy` tie-break applied.
+    the engine's key-tuple tie-break applied.
 
     Integer-valued weights are solved exactly through a composite weight
     encoding (cost, hop count); real weights fall back to a relative

@@ -7,8 +7,7 @@ not stored: they are the join of the established rules with the graph
 tautology (d, d) while d is a node, cut at p_length >= the node count:
 best paths are simple, so the cut loses none of them.  At a fixpoint
 every group holds the minimum of its candidates.  `_best_offer` computes
-that minimum for one group, for the repair and the integrity check;
-`candidates` builds the whole join, as a reference for tests.
+that minimum for one group, for the repair and the integrity check.
 
 Every built-in strategy strictly worsens the key when it extends a path
 (cost never improves, length grows), so the fixpoint is unique (Sobrinho,
@@ -70,7 +69,6 @@ from .errors import DeltaPathError, IntegrityError, NonConvergenceError
 from .graph_model import (
     AddNode,
     EdgeRecord,
-    Epoch,
     GraphStore,
     NodeId,
     RemoveNode,
@@ -185,52 +183,6 @@ class RuleStore:
                 if key is None:
                     raise IntegrityError(f"{(x, d)} has candidates but no rule")
                 raise IntegrityError(f"stale selection for {(x, d)}")
-
-
-def candidates(store: RuleStore, graph: GraphStore) -> dict[tuple, dict[tuple, int]]:
-    """The candidate multiset of every group, derived rather than stored:
-    one tautology per node plus the join of the established rules with the
-    graph, cut at the node count.  Maps (src, dst) to {key: multiplicity},
-    where parallel edges and equal derivations add up."""
-    strategy = store.strategy
-    horizon = len(graph.nodes)
-    out = {(n, n): {_tautology_key(strategy, n): 1} for n in graph.nodes}
-    for (s, d), rule in store.established_rules().items():
-        for (x, w), mult in graph.out_edges(s).items():
-            derived = derive(rule, EdgeRecord(s, x, w, 1), strategy, horizon)
-            if derived is not None:
-                group = out.setdefault((x, d), {})
-                key = strategy.sort_key(derived)
-                group[key] = group.get(key, 0) + mult
-    return out
-
-
-def derive(
-    rule: ForwardingRule,
-    edge: EdgeRecord,
-    strategy: Strategy,
-    horizon: int | None = None,
-) -> ForwardingRule | None:
-    """Join one rule with one edge sharing its src: the edge's far end
-    learns a route to the rule's destination through the shared node.
-
-    Returns None when the derivation is suppressed by the length horizon.
-    """
-    if rule.src != edge.src:
-        raise DeltaPathError(
-            f"join requires rule.src == edge.src, got {rule.src} vs {edge.src}"
-        )
-    length = rule.p_length + 1
-    if horizon is not None and length >= horizon:
-        return None
-    return ForwardingRule(
-        edge.dst,
-        rule.dst,
-        rule.src,
-        strategy.path_cost(edge.w, rule.p_cost),
-        length,
-        edge.delta * rule.delta,
-    )
 
 
 def _tautology_key(strategy: Strategy, node: NodeId) -> tuple:
@@ -473,10 +425,7 @@ def _check_monotone(tree, adj, fp, neg):
 
 
 def step_epoch(
-    store: RuleStore,
-    graph: GraphStore,
-    events: list[TopologyEvent] | Epoch,
-    strategy: Strategy | None = None,
+    store: RuleStore, graph: GraphStore, events: list[TopologyEvent]
 ) -> RuleDeltaBatch:
     """Process one epoch's event batch to fixpoint; returns the net change
     to the established view, sorted, with delta -1 for retired rules and
@@ -486,12 +435,7 @@ def step_epoch(
     If an event, the edge update or the repair fails, the graph and the
     store are left as they were and the error propagates.
     """
-    if isinstance(events, Epoch):
-        events = events.events
-    strategy = strategy or store.strategy
-    if strategy is not store.strategy:
-        raise DeltaPathError("step_epoch called with a different strategy")
-
+    strategy = store.strategy
     stats = EpochStats()
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
@@ -557,10 +501,6 @@ def step_epoch(
     stats.diff_ns = t4 - t3
     store.last_stats = stats
     return batch
-
-
-def established_rules(store: RuleStore) -> EstablishedView:
-    return store.established_rules()
 
 
 # --- repair ------------------------------------------------------------------

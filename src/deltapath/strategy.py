@@ -4,9 +4,11 @@ A strategy fixes how link attributes become edge weights, how a path's
 cost grows when extended by one edge, and which candidate rule wins for a
 (src, dst) pair.  Selection is a strict total order: the strategy's
 primary key (min path cost, or max for widest-path routing), then fewer
-hops, then the smallest next-hop id.  The deterministic tail keeps results
-identical whatever order the destinations are repaired in and the events
-are listed in.
+hops, then the smallest next-hop id.  The engine stores each rule as the
+key tuple (signed cost, p_length, next), with the cost negated under
+`maximize`, so plain tuple order is the selection order and the smaller
+key wins.  The deterministic tail keeps results identical whatever order
+the destinations are repaired in and the events are listed in.
 """
 
 from __future__ import annotations
@@ -55,24 +57,6 @@ class Strategy:
                 f"weight {w} outside domain of strategy {self.name!r}"
             )
         return w
-
-    def sort_key(self, rule) -> tuple:
-        """Selection key for a rule or (next, p_cost, p_length) candidate;
-        smaller keys win."""
-        if hasattr(rule, "p_cost"):
-            nxt, cost, length = rule.next, rule.p_cost, rule.p_length
-        else:
-            nxt, cost, length = rule
-        return (-cost if self.maximize else cost, length, nxt)
-
-
-def compare(strategy: Strategy, rule_a, rule_b) -> int:
-    """Total order over candidate rules of one (src, dst) group: negative
-    when rule_a wins, positive when rule_b wins, zero only for identical
-    (next, p_cost, p_length)."""
-    ka = strategy.sort_key(rule_a)
-    kb = strategy.sort_key(rule_b)
-    return (ka > kb) - (ka < kb)
 
 
 def _hop_link_cost(props: LinkProperties) -> float:

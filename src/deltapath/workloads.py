@@ -84,10 +84,9 @@ def _assign_plan(topo: Topology, plan: WeightPlan) -> Topology:
 
 def gen_fattree(k: int, plan: WeightPlan = WeightPlan(), hosts: bool = False) -> Topology:
     """A k-ary fat-tree at switch granularity: k pods of k/2 edge and k/2
-    aggregation switches plus (k/2)^2 cores, 5k^2/4 switches total.
-
-    Hosts are modeled as a per-edge-switch count in the node properties
-    unless `hosts` asks for them as real nodes.
+    aggregation switches plus (k/2)^2 cores, 5k^2/4 switches total.  Edge
+    switches take ids 0 .. k^2/2 - 1, aggregation switches the next k^2/2
+    ids and cores the rest.  `hosts` adds k/2 host nodes per edge switch.
     """
     if k < 2 or k % 2:
         raise OddArityError(f"fat-tree arity must be even and >= 2, got {k}")
@@ -102,25 +101,11 @@ def gen_fattree(k: int, plan: WeightPlan = WeightPlan(), hosts: bool = False) ->
 
     for pod in range(k):
         for i in range(half):
-            topo.nodes.append(
-                NodeRecord(
-                    edge_id(pod, i),
-                    NodeLabel.SWITCH,
-                    {"tier": "edge", "pod": pod, "hosts": half},
-                )
-            )
+            topo.nodes.append(NodeRecord(edge_id(pod, i), NodeLabel.SWITCH))
         for j in range(half):
-            topo.nodes.append(
-                NodeRecord(
-                    agg_base + pod * half + j,
-                    NodeLabel.SWITCH,
-                    {"tier": "aggregation", "pod": pod},
-                )
-            )
+            topo.nodes.append(NodeRecord(agg_base + pod * half + j, NodeLabel.SWITCH))
     for c in range(half * half):
-        topo.nodes.append(
-            NodeRecord(core_base + c, NodeLabel.SWITCH, {"tier": "core"})
-        )
+        topo.nodes.append(NodeRecord(core_base + c, NodeLabel.SWITCH))
 
     placeholder = LinkProperties(DEFAULT_CAPACITY)
     for pod in range(k):

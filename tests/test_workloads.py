@@ -4,7 +4,7 @@ import pytest
 
 from deltapath import workloads as wl
 from deltapath.errors import InfeasibleError, OddArityError
-from deltapath.graph_model import RemoveNode, Topology, build_graph, parse_event
+from deltapath.graph_model import NodeLabel, RemoveNode, Topology, build_graph, parse_event
 from deltapath.strategy import builtin
 
 HOP = builtin("hop_count")
@@ -34,7 +34,7 @@ class TestFattree:
     def test_every_edge_switch_reaches_every_other(self):
         topo = wl.gen_fattree(4)
         g = build_graph(topo, HOP.link_cost)
-        edges = [n.id for n in topo.nodes if n.properties.get("tier") == "edge"]
+        edges = range(4 * 4 // 2)  # edge switches take ids 0 .. k*k/2 - 1
         # BFS from one edge switch covers the whole switch fabric within 4 hops
         dist = {edges[0]: 0}
         frontier = [edges[0]]
@@ -51,10 +51,15 @@ class TestFattree:
 
     def test_hosts_as_metadata_by_default(self):
         topo = wl.gen_fattree(4)
-        edge = [n for n in topo.nodes if n.properties.get("tier") == "edge"][0]
-        assert edge.properties["hosts"] == 2
+        assert {n.label for n in topo.nodes} == {NodeLabel.SWITCH}
         with_hosts = wl.gen_fattree(4, hosts=True)
         assert len(with_hosts.nodes) == 20 + 16
+        hosts = [n.id for n in with_hosts.nodes if n.label is NodeLabel.HOST]
+        assert len(hosts) == 16
+        # two hosts hang off each of the eight edge switches
+        assert sorted(a for a, b, _p in with_hosts.links if b in hosts) == [
+            e for e in range(8) for _ in range(2)
+        ]
 
     def test_uniform_plan_draws_integers_in_range(self):
         topo = wl.gen_fattree(4, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=3))
