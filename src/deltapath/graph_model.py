@@ -53,10 +53,11 @@ class LinkProperties:
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.capacity <= 0:
+        # written so that NaN, for which every comparison is false, fails
+        if not self.capacity > 0:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
         self.check_utilization(self.utilization)
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError(f"delay must be non-negative, got {self.delay}")
 
     @staticmethod
@@ -386,8 +387,11 @@ def load_topology(path) -> Topology:
 
     `node <id> <label>` and
     `link <id1> <id2> capacity=<f> utilization=<f> delay=<f>`; `#` comments.
+    A link line may come before the node lines of its ends.
     """
     topo = Topology()
+    node_lines: dict[NodeId, int] = {}
+    link_lines: list[int] = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -398,13 +402,24 @@ def load_topology(path) -> Topology:
             try:
                 if kind == "node":
                     label = NodeLabel(fields[2]) if len(fields) > 2 else NodeLabel.SWITCH
-                    topo.nodes.append(NodeRecord(int(fields[1]), label))
+                    n = int(fields[1])
+                    if n in node_lines:
+                        raise EventParseError(
+                            f"node {n} already declared on line {node_lines[n]}", line_no
+                        )
+                    node_lines[n] = line_no
+                    topo.nodes.append(NodeRecord(n, label))
                 elif kind == "link":
                     topo.links.append(_link_line(fields, line_no))
+                    link_lines.append(line_no)
                 else:
                     raise EventParseError(f"unknown directive {kind!r}", line_no)
             except (ValueError, IndexError) as exc:
                 raise EventParseError(f"malformed {kind!r} line: {exc}", line_no) from None
+    for (a, b, _p), line_no in zip(topo.links, link_lines):
+        for n in (a, b):
+            if n not in node_lines:
+                raise EventParseError(f"node {n} does not exist", line_no)
     return topo
 
 

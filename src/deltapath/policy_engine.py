@@ -3,10 +3,9 @@
 Waypoint policies decompose into segment retrievals over the base rules.
 NOT and backup policies route on the live graph with nodes (NOT) or the
 primary path's links (backup) masked, by `routing_core.search`: the
-per-destination search (by BFS level under hop_count, from a heap under
-the other strategies) that builds the engine's first fixpoint except
-under the additive strategies, which solve every destination at once to
-the same keys.
+per-destination heap search that builds the engine's first fixpoint
+except under the additive strategies (hop_count among them), which solve
+every destination at once to the same keys.
 It uses the engine's selection key and cost order, so its tree equals the
 engine's fixpoint on the masked graph bit for bit: extending a path never
 improves its key (Sobrinho, "Algebra and algorithms for QoS path

@@ -14,18 +14,17 @@ Every built-in strategy strictly worsens the key when it extends a path
 IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
 does not depend on how the fixpoint was reached.
 
-Under an additive path cost with finite weights, the first fixpoint is
-solved for every destination at once (`_sum_fixpoint`): scipy's Dijkstra
-gives each group's cost, a BFS over the edges that are tight for it, run
-for a block of destinations together, gives its length, and its next is
-the smallest tight neighbour one hop closer.  Every other strategy gets
-the first fixpoint from one best-first search per destination
-(`search`), which settles nodes in key order, each group once, with the
-minimum of its neighbours' keys extended by one hop: the fixpoint
-equation.  Under hop_count every key on one BFS level sorts below every
-key on the next, so the search settles a level at a time; the other
-strategies pop nodes from a heap.  The same search with nodes or links
-masked evaluates NOT and backup policies, for every strategy.
+Under an additive path cost with finite weights (hop_count is one, with
+every weight 1), the first fixpoint is solved for every destination at
+once (`_sum_fixpoint`): scipy's Dijkstra gives each group's cost, a BFS
+over the edges that are tight for it, run for a block of destinations
+together, gives its length, and its next is the smallest tight neighbour
+one hop closer.  Every other strategy gets the first fixpoint from one
+best-first search per destination (`search`), which pops nodes from a
+heap in key order, each group once, with the minimum of its neighbours'
+keys extended by one hop: the fixpoint equation.  The same search with
+nodes or links masked evaluates NOT and backup policies, for every
+strategy.
 
 At set-up, the engine's additive costs and the oracle's both come from
 scipy's Dijkstra, so the oracle alone does not check them there.  The
@@ -197,7 +196,7 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     Under an additive path cost with finite weights and a zero tautology
     cost, `_sum_fixpoint` solves every destination at once; everything
     else runs one `search` per destination.  Both give the same keys,
-    float for float.
+    float for float and int for int.
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
@@ -222,19 +221,23 @@ _BLOCK_ELEMENTS = 1 << 18
 
 def _sum_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     """Every rule of an additive strategy, for all destinations at once, or
-    None where `search` must decide: a tautology cost other than float
-    zero, or weights whose total is not finite (an infinite weight, or
-    path costs that could overflow).
+    None where `search` must decide: a nonzero tautology cost, weights whose
+    total is not finite (an infinite weight, or path costs that could
+    overflow), or an int tautology cost over weights that are not all int
+    or that total 2**53 or more.
 
     An edge (u, x, w) lets x route through u.  scipy's Dijkstra from each
     destination d computes C[x, d] as the least w + C[u, d], the addition
-    `search` makes, so the costs are the same floats.  The tight edges
+    `search` makes, so the costs are the same floats; int costs below
+    2**53 are exact in float, and come back as int.  The tight edges
     (w + C[u, d] == C[x, d]) carry every best path; a BFS over them gives
     the fewest hops L, and x's next is the smallest u over a tight edge
-    with L[u, d] + 1 == L[x, d]: the key the heap would settle.
+    with L[u, d] + 1 == L[x, d]: the key the heap would settle.  Int keys
+    repeat along a destination's tree, so equal ones are stored once.
     """
     taut = strategy.tautology_cost
-    if type(taut) is not float or taut != 0.0:
+    integral = type(taut) is int
+    if not (integral or type(taut) is float) or taut != 0:
         return None
     # scipy loads on first use, so that `import deltapath` does not load it
     # for strategies that never come here
@@ -249,6 +252,10 @@ def _sum_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         old = wmin.get(pair)
         if old is None or w < old:
             wmin[pair] = w
+    if integral and not (
+        all(type(w) is int for w in wmin.values()) and sum(wmin.values()) < 2**53
+    ):
+        return None
     n, m = len(ids), len(wmin)
     weights = np.fromiter(wmin.values(), float, m)
     if not np.isfinite(weights.sum() * 2):
@@ -267,12 +274,22 @@ def _sum_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         dests = np.arange(lo, min(lo + size, n))
         cost = dijkstra(graph, directed=True, indices=dests)
         length, nxt = _tight_bfs(cost.T, dests, us, xs, weights)
+        if integral:
+            cost[np.isinf(cost)] = 0
+            cost = cost.astype(np.int64)
         for r, i in enumerate(dests.tolist()):
             d = ids[i]
-            for x, c, ln, j in zip(ids, cost[r].tolist(), length[:, r].tolist(),
-                                   nxt[:, r].tolist()):
-                if ln > 0:
-                    est[(x, d)] = (c, ln, ids[j])
+            rows = zip(ids, cost[r].tolist(), length[:, r].tolist(), nxt[:, r].tolist())
+            if integral:
+                shared: dict[tuple, tuple] = {}
+                for x, c, ln, j in rows:
+                    if ln > 0:
+                        key = (c, ln, ids[j])
+                        est[(x, d)] = shared.setdefault(key, key)
+            else:
+                for x, c, ln, j in rows:
+                    if ln > 0:
+                        est[(x, d)] = (c, ln, ids[j])
     return est
 
 
@@ -323,9 +340,8 @@ def search(
     without the links `skip_links` (both directions, all parallel copies),
     as the engine's key: node -> (signed cost, length, next).
 
-    One search from `dst` that settles nodes in key order: by BFS level
-    under hop_count, where every edge extends a path by exactly one, and
-    from a binary heap (Dijkstra) under every other path cost.  The masks
+    One search from `dst` that settles nodes in key order from a binary
+    heap (Dijkstra), with the built-in path costs inlined.  The masks
     cost nothing when empty: masked nodes start out settled and only a
     link mask filters the adjacency.  A custom path cost that can improve
     a path by extending it raises NonConvergenceError, since the tree
@@ -346,41 +362,6 @@ def search(
     start = _tautology_key(strategy, dst)
     # a masked node is a settled placeholder, so no edge ever reaches it
     tree: dict[NodeId, tuple | None] = dict.fromkeys(skip_nodes)
-    if kind == "hop":
-        _settle_levels(tree, adj, start, dst)
-    else:
-        _settle_heap(tree, adj, start, dst, kind, fp, neg)
-    for n in skip_nodes:
-        del tree[n]
-    if kind is None:
-        _check_monotone(tree, adj, fp, neg)
-    return tree
-
-
-def _settle_levels(tree, adj, start, dst):
-    """Settle hop-count keys one BFS level at a time.  Every key on level L
-    is (start cost + L, L, next) and sorts below every key on level L + 1,
-    and walking a level in ascending id gives each newly reached node its
-    smallest next: the keys the heap would settle, without the heap."""
-    tree[dst] = start
-    frontier = [dst]
-    level = 0
-    while frontier:
-        level += 1
-        cost = start[0] + level
-        reached = []
-        for u in frontier:
-            key = (cost, level, u)
-            for x, _w in adj(u):
-                if x not in tree:
-                    tree[x] = key
-                    reached.append(x)
-        reached.sort()
-        frontier = reached
-
-
-def _settle_heap(tree, adj, start, dst, kind, fp, neg):
-    """Settle keys in key order from a binary heap (Dijkstra)."""
     best = {dst: start}
     heap = [(start, dst)]
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -406,6 +387,11 @@ def _settle_heap(tree, adj, start, dst, kind, fp, neg):
             if old is None or cand < old:
                 best[x] = cand
                 heappush(heap, (cand, x))
+    for n in skip_nodes:
+        del tree[n]
+    if kind is None:
+        _check_monotone(tree, adj, fp, neg)
+    return tree
 
 
 def _check_monotone(tree, adj, fp, neg):
@@ -688,8 +674,6 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
                 continue
             if kind == "sum":
                 c = w + cost
-            elif kind == "hop":
-                c = 1 + cost
             elif kind == "min":
                 c = w if w < cost else cost
             else:

@@ -9,6 +9,10 @@ key tuple (signed cost, p_length, next), with the cost negated under
 `maximize`, so plain tuple order is the selection order and the smaller
 key wins.  The deterministic tail keeps results identical whatever order
 the destinations are repaired in and the events are listed in.
+
+hop_count is the additive path cost over int weights of 1, so its costs
+are ints; the engine treats it as it treats the other additive
+strategies.
 """
 
 from __future__ import annotations
@@ -59,11 +63,8 @@ class Strategy:
         return w
 
 
-def _hop_link_cost(props: LinkProperties) -> float:
+def _hop_link_cost(props: LinkProperties) -> int:
     return 1
-
-def _hop_path_cost(w, p_cost):
-    return 1 + p_cost
 
 def _free_bw_link_cost(props: LinkProperties) -> float:
     free = props.free_bandwidth()
@@ -86,7 +87,7 @@ _ADDITIVE_DOMAIN = WeightDomain(0.0, math.inf, lo_open=True)
 
 _BUILTINS = {
     "hop_count": lambda: Strategy(
-        "hop_count", _hop_link_cost, _hop_path_cost, 0, False, _ADDITIVE_DOMAIN
+        "hop_count", _hop_link_cost, _additive_path_cost, 0, False, _ADDITIVE_DOMAIN
     ),
     "sd_free_bw": lambda: Strategy(
         "sd_free_bw", _free_bw_link_cost, _additive_path_cost, 0.0, False,
@@ -116,8 +117,6 @@ def path_cost_kind(strategy: Strategy) -> str | None:
     None means the strategy carries a custom f_p that must be called."""
     if strategy.path_cost is _additive_path_cost:
         return "sum"
-    if strategy.path_cost is _hop_path_cost:
-        return "hop"
     if strategy.path_cost is _width_path_cost:
         return "min"
     return None

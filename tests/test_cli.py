@@ -160,8 +160,9 @@ class TestRun:
 
 
 class TestBadLinkLines:
-    """A self-link or an out-of-range utilization is an input error: the
-    CLI names its line and exits 1, without a traceback."""
+    """A self-link, an out-of-range utilization, a NaN capacity or delay, a
+    second line for one node or a link to an undeclared node is an input
+    error: the CLI names its line and exits 1, without a traceback."""
 
     def run_cli(self, topology, events=None):
         argv = ["run", "--topology", str(topology), "--strategy", "sd-util"]
@@ -175,6 +176,7 @@ class TestBadLinkLines:
 
     @pytest.mark.parametrize("line", [
         "+link 2 2 capacity=10.0", "weight 0 1 utilization=150",
+        "+link 0 1 capacity=nan", "+link 0 1 delay=nan",
     ])
     def test_event_line(self, tmp_path, triangle_file, line):
         events = tmp_path / "events.txt"
@@ -184,12 +186,19 @@ class TestBadLinkLines:
         assert "error: line 3: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_topology_line(self, tmp_path, triangle_file):
+    @pytest.mark.parametrize("line,message", [
+        ("link 0 0", "self-link on node 0"),
+        ("link 0 1 capacity=nan", "capacity must be positive, got nan"),
+        ("link 0 1 delay=nan", "delay must be non-negative, got nan"),
+        ("node 1 switch", "node 1 already declared on line 2"),
+        ("link 0 9", "node 9 does not exist"),
+    ])
+    def test_topology_line(self, tmp_path, triangle_file, line, message):
         topo = tmp_path / "topo.txt"
-        topo.write_text(triangle_file.read_text() + "link 0 0\n")
+        topo.write_text(triangle_file.read_text() + line + "\n")
         proc = self.run_cli(topo)
         assert proc.returncode == 1
-        assert "error: line 7: self-link on node 0" in proc.stderr
+        assert f"error: line 7: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

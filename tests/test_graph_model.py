@@ -236,6 +236,13 @@ class TestFiles:
         with pytest.raises(EventParseError, match="line 4"):
             gm.load_topology(path)
 
+    def test_topology_link_before_its_nodes(self, tmp_path):
+        path = tmp_path / "topo.txt"
+        path.write_text("link 0 1 capacity=10.0\nnode 0 switch\nnode 1 host\n")
+        loaded = gm.load_topology(path)
+        assert [n.id for n in loaded.nodes] == [0, 1]
+        assert [(a, b) for a, b, _p in loaded.links] == [(0, 1)]
+
     @pytest.mark.parametrize(
         "ev",
         [

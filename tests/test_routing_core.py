@@ -786,7 +786,7 @@ CUSTOM_FREE_BW = Strategy(
 
 
 # hop_count's path cost as a function path_cost_kind does not know, so the
-# search settles it from the heap rather than by BFS level
+# search calls it rather than inlining the sum
 CUSTOM_HOP = Strategy(
     name="custom_hop",
     link_cost=HOP.link_cost,
@@ -799,10 +799,11 @@ CUSTOM_HOP = Strategy(
 
 @settings(max_examples=100, deadline=None)
 @given(loose_topologies(), st.data())
-def test_level_search_equals_the_heap_search(topo, data):
-    """hop_count settles by BFS level, CUSTOM_HOP from the heap: under any
-    node and link mask, the masked destination included, the trees agree
-    key for key."""
+def test_hop_count_search_equals_the_custom_search(topo, data):
+    """hop_count's search inlines the sum, CUSTOM_HOP's calls its path
+    cost: under any node and link mask, the masked destination included,
+    the trees agree key for key and type for type."""
+    assert path_cost_kind(HOP) == "sum"
     assert path_cost_kind(CUSTOM_HOP) is None
     g = build_graph(topo, HOP.link_cost)
     ids = sorted(g.nodes)
@@ -812,20 +813,24 @@ def test_level_search_equals_the_heap_search(topo, data):
         data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else ()
     )
     for d in ids:
-        assert rc.search(g, HOP, d, skip_nodes, skip_links) == rc.search(
-            g, CUSTOM_HOP, d, skip_nodes, skip_links
+        assert_same_rules(
+            rc.search(g, HOP, d, skip_nodes, skip_links),
+            rc.search(g, CUSTOM_HOP, d, skip_nodes, skip_links),
         )
 
 
-def test_level_search_takes_the_smaller_parent():
-    """Node 6 has two parents on level 2, 4 and 5, reached from level 1 in
-    the order 5, 4; the smaller must win, as it does in the heap."""
+def test_hop_count_search_takes_the_smaller_parent():
+    """Node 6 is three hops from 0 through 4 or through 5.  5 settles
+    first (its next, 1, is smaller than 4's, 2), so 6 is offered 5 before
+    4; the smaller next, 4, must win in hop_count's inlined sum, in
+    CUSTOM_HOP's call and in the all-destination solve."""
     links = [(0, 1), (0, 2), (1, 5), (2, 4), (4, 6), (5, 6)]
     g = build_graph(topology(7, links), HOP.link_cost)
     tree = rc.search(g, HOP, 0)
     assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
     assert tree[6] == (3, 3, 4)
-    assert tree == rc.search(g, CUSTOM_HOP, 0)
+    assert_same_rules(tree, rc.search(g, CUSTOM_HOP, 0))
+    assert rc._sum_fixpoint(g, HOP)[(6, 0)] == (3, 3, 4)
 
 
 def assert_same_rules(got, want):
@@ -856,8 +861,8 @@ def real_weight_topologies(draw):
 
 
 @pytest.mark.parametrize("builtin_strategy,clone", [
-    (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW),
-], ids=["sd_utilization", "sd_free_bw"])
+    (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW), (HOP, CUSTOM_HOP),
+], ids=["sd_utilization", "sd_free_bw", "hop_count"])
 @settings(max_examples=150, deadline=None)
 @given(topo=real_weight_topologies())
 def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, topo):
@@ -892,13 +897,40 @@ ONE_SUM = Strategy(
 )
 
 
+# the built-in additive path cost over int weights beyond 2**53, where
+# float addition is no longer exact
+BIG_INT_SUM = Strategy(
+    name="big_int_sum",
+    link_cost=lambda p: 2**53 + int(p.utilization),
+    path_cost=SD.path_cost,
+    tautology_cost=0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
+# the built-in additive path cost from an int tautology over int and
+# float weights
+MIXED_SUM = Strategy(
+    name="mixed_sum",
+    link_cost=lambda p: p.utilization if p.utilization > 50 else int(p.utilization),
+    path_cost=SD.path_cost,
+    tautology_cost=0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
 @pytest.mark.parametrize("strategy,rule_0_3", [
     (INF_SUM, (math.inf, 3, 1)), (ONE_SUM, (94.0, 3, 1)),
-], ids=["inf_weight", "tautology_one"])
+    (BIG_INT_SUM, (3 * 2**53 + 93, 3, 1)), (MIXED_SUM, (93.0, 3, 1)),
+], ids=["inf_weight", "tautology_one", "int_beyond_2_53", "int_and_float"])
 def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rule_0_3):
     """Behind an inf link, search gives a rule of cost inf, which Dijkstra
     would call unreachable; a path that starts from cost 1.0 rounds
-    differently from one that starts from 0.  `initialize` must search."""
+    differently from one that starts from 0; int costs of 2**53 or more
+    are not exact in float; and under an int tautology a path's cost is
+    int or float depending on its weights.  `initialize` must search."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "sum"
@@ -907,6 +939,7 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     want = {(x, d): key for d in g.nodes for x, key in rc.search(g, strategy, d).items()}
     assert_same_rules(store._est, want)
     assert store._est[(0, 3)] == rule_0_3
+    assert type(store._est[(0, 3)][0]) is type(rule_0_3[0])
 
 
 def one_epoch(ops, graph, spare):
