@@ -9,6 +9,7 @@ garbage-collected, so parallel links are just multiplicities above one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Union
@@ -45,8 +46,8 @@ class NodeRecord:
 
 @dataclass(frozen=True)
 class LinkProperties:
-    """Per-link attributes: capacity (Gbit/s), utilization (% of capacity,
-    0..100), average delay (ms)."""
+    """Per-link attributes: capacity (Gbit/s, positive and finite),
+    utilization (% of capacity, 0..100), average delay (ms)."""
 
     capacity: float
     utilization: float = 0.0
@@ -56,6 +57,9 @@ class LinkProperties:
         # written so that NaN, for which every comparison is false, fails
         if not self.capacity > 0:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
+        # an infinite capacity makes free_bandwidth() inf, or nan when full
+        if self.capacity == math.inf:
+            raise ValueError(f"capacity must be finite, got {self.capacity}")
         self.check_utilization(self.utilization)
         if not self.delay >= 0:
             raise ValueError(f"delay must be non-negative, got {self.delay}")

@@ -4,10 +4,11 @@ Waypoint policies decompose into segment retrievals over the base rules.
 NOT and backup policies route on the live graph with nodes (NOT) or the
 primary path's links (backup) masked, by `routing_core.search`: the
 per-destination heap search that builds the engine's first fixpoint
-except under the additive strategies (hop_count among them), which solve
-every destination at once to the same keys.
-It uses the engine's selection key and cost order, so its tree equals the
-engine's fixpoint on the masked graph bit for bit: extending a path never
+under a custom path cost.  The built-in strategies solve every
+destination at once to the same keys; a masked graph is searched one
+destination at a time under every strategy.  The search uses the
+engine's selection key and cost order, so its tree equals the engine's
+fixpoint on the masked graph bit for bit: extending a path never
 improves its key (Sobrinho, "Algebra and algorithms for QoS path
 computation", IEEE/ACM ToN 2002), and the search refuses a custom
 strategy for which it does.  No policy keeps state between epochs.

@@ -14,20 +14,25 @@ Every built-in strategy strictly worsens the key when it extends a path
 IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
 does not depend on how the fixpoint was reached.
 
-Under an additive path cost with finite weights (hop_count is one, with
-every weight 1), the first fixpoint is solved for every destination at
-once (`_sum_fixpoint`): scipy's Dijkstra gives each group's cost, a BFS
-over the edges that are tight for it, run for a block of destinations
-together, gives its length, and its next is the smallest tight neighbour
-one hop closer.  Every other strategy gets the first fixpoint from one
-best-first search per destination (`search`), which pops nodes from a
-heap in key order, each group once, with the minimum of its neighbours'
-keys extended by one hop: the fixpoint equation.  The same search with
-nodes or links masked evaluates NOT and backup policies, for every
-strategy.
+Under every built-in path cost the first fixpoint is solved for every
+destination at once (`_all_fixpoint`).  One step depends on the strategy:
+the matrix of every group's cost, with the test for an edge to be tight
+for it (to carry a best path).  The additive costs (hop_count is one,
+with every weight 1) take the matrix from scipy's Dijkstra, and
+shortest_widest takes its widths from Kruskal's maximum spanning forest
+(Hu, Operations Research 1961).  Then a BFS over the tight edges, run for
+a block of destinations together, gives each group's length, and its
+next is the smallest tight neighbour one hop closer.  A custom path cost,
+and the few inputs that solve would key differently, get the first
+fixpoint from one best-first search per destination (`search`), which
+pops nodes from a heap in key order, each group once, with the minimum of
+its neighbours' keys extended by one hop: the fixpoint equation.  The
+same search with nodes or links masked evaluates NOT and backup policies,
+for every strategy.
 
 At set-up, the engine's additive costs and the oracle's both come from
-scipy's Dijkstra, so the oracle alone does not check them there.  The
+scipy's Dijkstra, so the oracle alone does not check them there; the
+oracle's widths come from value iteration, independent of Kruskal.  The
 independent references are the rounds reference, the heap search of a
 custom path cost that `path_cost_kind` does not know, the golden digests,
 and every repaired epoch after set-up.
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import math
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Mapping, NamedTuple
@@ -193,17 +199,17 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     """Build the established rules of a topology snapshot: the fixpoint
     that `step_epoch` then maintains.
 
-    Under an additive path cost with finite weights and a zero tautology
-    cost, `_sum_fixpoint` solves every destination at once; everything
-    else runs one `search` per destination.  Both give the same keys,
-    float for float and int for int.
+    The built-in path costs are solved for every destination at once
+    (`_all_fixpoint`); a custom path cost, and the few inputs that solve
+    would not key as `search` does, run one `search` per destination.
+    Both give the same keys, float for float and int for int.
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
     for (_s, _d, w), _m in topology.edge_items():
         strategy.validate_weight(w)
     store = RuleStore(strategy)
-    est = _sum_fixpoint(topology, strategy) if store._fp_kind == "sum" else None
+    est = _all_fixpoint(topology, strategy)
     if est is None:
         est = {}
         for d in topology.nodes:
@@ -219,67 +225,108 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def _sum_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
-    """Every rule of an additive strategy, for all destinations at once, or
-    None where `search` must decide: a nonzero tautology cost, weights whose
-    total is not finite (an infinite weight, or path costs that could
-    overflow), or an int tautology cost over weights that are not all int
-    or that total 2**53 or more.
+def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
+    """Every rule of a built-in path cost, for all destinations at once, or
+    None where `search` must decide.
 
-    An edge (u, x, w) lets x route through u.  scipy's Dijkstra from each
-    destination d computes C[x, d] as the least w + C[u, d], the addition
-    `search` makes, so the costs are the same floats; int costs below
-    2**53 are exact in float, and come back as int.  The tight edges
-    (w + C[u, d] == C[x, d]) carry every best path; a BFS over them gives
-    the fewest hops L, and x's next is the smallest u over a tight edge
-    with L[u, d] + 1 == L[x, d]: the key the heap would settle.  Int keys
-    repeat along a destination's tree, so equal ones are stored once.
+    An edge (u, x, w) lets x route through u; of parallel edges the one
+    that counts is the lightest under "sum" and the widest under "min".
+    Per strategy there is one step: a matrix C of each node's best cost
+    toward each destination, and the test for an edge to be tight, that is
+    to carry a best path (C[x, d] is what u's cost extended by w gives).
+
+    - "sum": scipy's Dijkstra from each destination computes the least
+      w + C[u, d], the addition `search` makes, so the costs are the same
+      floats; int costs below 2**53 are exact in float, and come back as
+      int.  Tight: w + C[u, d] == C[x, d].
+    - "min": the widest width between two nodes is the smallest weight on
+      their path in a maximum spanning tree (Hu, "The maximum capacity
+      route problem", Operations Research 1961), so Kruskal over the edges
+      in descending width fills C (`_widest_widths`).  Tight:
+      min(w, C[u, d]) == C[x, d].  Keys hold -C, and a width of 0 is keyed
+      -0.0, as `search` keys it.
+
+    A BFS over the tight edges gives the fewest hops L, and x's next is
+    the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the key
+    the heap would settle.  Int keys repeat along a destination's tree, so
+    equal ones are stored once.
+
+    None, so that `initialize` searches: a custom path cost; under "sum" a
+    nonzero tautology cost, weights whose total is not finite (an infinite
+    weight, or path costs that could overflow), or an int tautology cost
+    over weights that are not all int or that total 2**53 or more; under
+    "min" a tautology cost other than the float inf, a weight that is not
+    a float (`search` keeps an int width int) or has its sign bit set, or
+    an edge without a reverse edge of the same width (Kruskal needs
+    undirected widths, and `apply_deltas` can store one direction alone).
     """
+    kind = path_cost_kind(strategy)
+    widest = kind == "min"
     taut = strategy.tautology_cost
-    integral = type(taut) is int
-    if not (integral or type(taut) is float) or taut != 0:
+    integral = type(taut) is int and not widest
+    if kind is None or not (integral or type(taut) is float):
         return None
-    # scipy loads on first use, so that `import deltapath` does not load it
-    # for strategies that never come here
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
+    if taut != (math.inf if widest else 0):
+        return None
     ids = sorted(topology.nodes)
     index = {v: i for i, v in enumerate(ids)}
-    wmin: dict[tuple[int, int], float] = {}
+    best: dict[tuple[int, int], float] = {}  # (x, u) -> the weight that counts
     for (u, x, w), _m in topology.edge_items():
         pair = (index[x], index[u])
-        old = wmin.get(pair)
-        if old is None or w < old:
-            wmin[pair] = w
-    if integral and not (
-        all(type(w) is int for w in wmin.values()) and sum(wmin.values()) < 2**53
-    ):
-        return None
-    n, m = len(ids), len(wmin)
-    weights = np.fromiter(wmin.values(), float, m)
-    if not np.isfinite(weights.sum() * 2):
+        old = best.get(pair)
+        if old is None or (w > old if widest else w < old):
+            best[pair] = w
+    n, m = len(ids), len(best)
+    weights = np.fromiter(best.values(), float, m)
+    if widest:
+        refused = (
+            not all(type(w) is float for w in best.values())
+            or np.signbit(weights).any()
+            or any(best.get((u, x)) != w for (x, u), w in best.items())
+        )
+    else:
+        refused = not np.isfinite(weights.sum() * 2) or integral and not (
+            all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
+        )
+    if refused:
         return None
     est = {(d, d): _tautology_key(strategy, d) for d in ids}
     if not m:
         return est
     # edges sorted by x: each x's edges are one run
-    pairs = np.fromiter((i for pair in wmin for i in pair), np.intp, 2 * m).reshape(m, 2)
+    pairs = np.fromiter((i for pair in best for i in pair), np.intp, 2 * m).reshape(m, 2)
     order = np.argsort(pairs[:, 0], kind="stable")
     xs, us, weights = pairs[order, 0], pairs[order, 1], weights[order]
-    graph = csr_matrix((weights, (us, xs)), shape=(n, n))
+    if widest:
+        width = _widest_widths(n, us, xs, weights)
+    else:
+        # scipy loads on first use, so that `import deltapath` and a
+        # widest-only process do not load it
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        graph = csr_matrix((weights, (us, xs)), shape=(n, n))
     blocks = -(-n * m // _BLOCK_ELEMENTS)
     size = -(-n // blocks)
     for lo in range(0, n, size):
-        dests = np.arange(lo, min(lo + size, n))
-        cost = dijkstra(graph, directed=True, indices=dests)
-        length, nxt = _tight_bfs(cost.T, dests, us, xs, weights)
-        if integral:
+        hi = min(lo + size, n)
+        dests = np.arange(lo, hi)
+        # (nodes x destinations); the width matrix is symmetric
+        if widest:
+            cost = width[:, lo:hi]
+            tight = np.minimum(weights[:, None], cost[us]) == cost[xs]
+        else:
+            cost = np.ascontiguousarray(dijkstra(graph, directed=True, indices=dests).T)
+            tight = cost[us] + weights[:, None] == cost[xs]
+        length, nxt = _tight_bfs(tight, n, dests, us, xs)
+        if widest:
+            cost = -cost
+        elif integral:
             cost[np.isinf(cost)] = 0
             cost = cost.astype(np.int64)
         for r, i in enumerate(dests.tolist()):
             d = ids[i]
-            rows = zip(ids, cost[r].tolist(), length[:, r].tolist(), nxt[:, r].tolist())
+            rows = zip(ids, cost[:, r].tolist(), length[:, r].tolist(), nxt[:, r].tolist())
             if integral:
                 shared: dict[tuple, tuple] = {}
                 for x, c, ln, j in rows:
@@ -293,16 +340,42 @@ def _sum_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     return est
 
 
-def _tight_bfs(cost, dests, us, xs, weights):
-    """For (nodes x destinations) costs: each node's fewest hops over the
-    tight edges (-1 if unreached) and, where that is positive, its smallest
-    next with one hop fewer, as (nodes x destinations) arrays.  The edges
-    (u, x) are sorted by x; a level ORs the frontier over each x's run."""
-    n, k = cost.shape
+def _widest_widths(n, us, xs, weights):
+    """The (n x n) widest widths of undirected edges (u, x): +inf on the
+    diagonal, -inf between components.  Kruskal takes the edges in
+    descending width; an edge that merges two components is the narrowest
+    link of every widest path across them, so it sets their whole block."""
+    width = np.full((n, n), -np.inf)
+    np.fill_diagonal(width, np.inf)
+    root = list(range(n))
+    members: list[list[int]] = [[i] for i in range(n)]
+    order = np.argsort(-weights).tolist()
+    us, xs, ws = us.tolist(), xs.tolist(), weights.tolist()
+    for e in order:
+        a, b = root[us[e]], root[xs[e]]
+        if a == b:
+            continue
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        big, small = members[a], members[b]
+        rows, cols = np.array(big), np.array(small)
+        width[rows[:, None], cols] = ws[e]
+        width[cols[:, None], rows] = ws[e]
+        for v in small:
+            root[v] = a
+        big += small
+        members[b] = []
+    return width
+
+
+def _tight_bfs(tight, n, dests, us, xs):
+    """Over the tight edges of (edges x destinations): each node's fewest
+    hops (-1 if unreached) and, where that is positive, its smallest next
+    with one hop fewer, as (nodes x destinations) arrays.  The edges (u, x)
+    are sorted by x; a level ORs the frontier over each x's run."""
+    k = len(dests)
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     heads = xs[starts]
-    cost = np.ascontiguousarray(cost)
-    tight = cost[us] + weights[:, None] == cost[xs]
     length = np.full((n, k), -1, dtype=np.int32)
     length[dests, np.arange(k)] = 0
     frontier = length == 0

@@ -113,11 +113,16 @@ _ALIASES = {
 
 
 def path_cost_kind(strategy: Strategy) -> str | None:
-    """Identify a built-in path cost function so hot loops can inline it;
-    None means the strategy carries a custom f_p that must be called."""
-    if strategy.path_cost is _additive_path_cost:
+    """Identify a built-in path cost in the direction that makes it
+    convergent, so hot loops can inline it: "sum" for the additive cost
+    when minimizing, "min" for the bottleneck width when maximizing.
+    None means the path cost must be called, and the engine checks after
+    each search or repair that extending a path never improved it; that
+    includes a built-in path cost selected in the other direction (a
+    longest path, or a narrowest one), which does not converge."""
+    if strategy.path_cost is _additive_path_cost and not strategy.maximize:
         return "sum"
-    if strategy.path_cost is _width_path_cost:
+    if strategy.path_cost is _width_path_cost and strategy.maximize:
         return "min"
     return None
 

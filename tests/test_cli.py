@@ -160,9 +160,10 @@ class TestRun:
 
 
 class TestBadLinkLines:
-    """A self-link, an out-of-range utilization, a NaN capacity or delay, a
-    second line for one node or a link to an undeclared node is an input
-    error: the CLI names its line and exits 1, without a traceback."""
+    """A self-link, an out-of-range utilization, a NaN or infinite capacity,
+    a NaN delay, a second line for one node or a link to an undeclared node
+    is an input error: the CLI names its line and exits 1, without a
+    traceback."""
 
     def run_cli(self, topology, events=None):
         argv = ["run", "--topology", str(topology), "--strategy", "sd-util"]
@@ -177,6 +178,7 @@ class TestBadLinkLines:
     @pytest.mark.parametrize("line", [
         "+link 2 2 capacity=10.0", "weight 0 1 utilization=150",
         "+link 0 1 capacity=nan", "+link 0 1 delay=nan",
+        "+link 0 1 capacity=inf utilization=100", "+link 0 1 capacity=inf utilization=10",
     ])
     def test_event_line(self, tmp_path, triangle_file, line):
         events = tmp_path / "events.txt"
@@ -190,6 +192,7 @@ class TestBadLinkLines:
         ("link 0 0", "self-link on node 0"),
         ("link 0 1 capacity=nan", "capacity must be positive, got nan"),
         ("link 0 1 delay=nan", "delay must be non-negative, got nan"),
+        ("link 0 1 capacity=inf utilization=100", "capacity must be finite, got inf"),
         ("node 1 switch", "node 1 already declared on line 2"),
         ("link 0 9", "node 9 does not exist"),
     ])

@@ -308,6 +308,8 @@ class TestFiles:
 def test_link_properties_validation():
     with pytest.raises(ValueError):
         gm.LinkProperties(capacity=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        gm.LinkProperties(capacity=float("inf"))
     with pytest.raises(ValueError):
         gm.LinkProperties(capacity=1.0, utilization=101.0)
     with pytest.raises(ValueError):

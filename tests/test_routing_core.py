@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from deltapath.errors import (
 from deltapath.graph_model import (
     AddLink,
     AddNode,
+    EdgeRecord,
     GraphStore,
     NodeRecord,
     RemoveLink,
@@ -830,22 +832,25 @@ def test_hop_count_search_takes_the_smaller_parent():
     assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
     assert tree[6] == (3, 3, 4)
     assert_same_rules(tree, rc.search(g, CUSTOM_HOP, 0))
-    assert rc._sum_fixpoint(g, HOP)[(6, 0)] == (3, 3, 4)
+    assert rc._all_fixpoint(g, HOP)[(6, 0)] == (3, 3, 4)
 
 
 def assert_same_rules(got, want):
-    """Equal rule tables, down to the type of every value in every key."""
+    """Equal rule tables, down to the type of every value in every key and
+    the sign of a zero cost."""
     assert got == want
     for pair, key in got.items():
         assert [type(v) for v in key] == [type(v) for v in want[pair]], pair
+        assert repr(key) == repr(want[pair]), pair
 
 
 @st.composite
 def real_weight_topologies(draw):
     """Like `loose_topologies` (parallel links, isolated nodes, any number
     of components), with real and absorbing weights (1e-17 beside 1.0 or
-    1/3, 1e9 for a saturated link) and node ids that are negative or not
-    contiguous."""
+    1/3, 1e9 for a saturated link), widths that tie (a repeated capacity
+    and utilization) or are 0 (a saturated link), and node ids that are
+    negative or not contiguous."""
     ids = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=8, unique=True))
     utilization = st.sampled_from([1e-17, 0.1, 1 / 3, 1.0, 2.0, 100.0])
     capacity = st.sampled_from([1 / 3, 10.0, 1e17])
@@ -860,18 +865,31 @@ def real_weight_topologies(draw):
     return Topology(nodes=[NodeRecord(i) for i in ids], links=links)
 
 
+# shortest_widest's path cost as a function path_cost_kind does not know
+CUSTOM_WIDEST = Strategy(
+    name="custom_widest",
+    link_cost=WIDEST.link_cost,
+    path_cost=lambda w, c: w if w < c else c,
+    tautology_cost=math.inf,
+    maximize=True,
+    weight_domain=WIDEST.weight_domain,
+)
+
+
 @pytest.mark.parametrize("builtin_strategy,clone", [
     (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW), (HOP, CUSTOM_HOP),
-], ids=["sd_utilization", "sd_free_bw", "hop_count"])
+    (WIDEST, CUSTOM_WIDEST),
+], ids=["sd_utilization", "sd_free_bw", "hop_count", "shortest_widest"])
 @settings(max_examples=150, deadline=None)
 @given(topo=real_weight_topologies())
 def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, topo):
-    """An additive built-in is solved for every destination at once, its
-    clone by one heap search per destination: the rules agree key for key
-    and type for type."""
-    assert path_cost_kind(builtin_strategy) == "sum"
+    """A built-in is solved for every destination at once, its clone by
+    one heap search per destination: the rules agree key for key, type for
+    type and, for a width of 0, sign for sign."""
+    assert path_cost_kind(builtin_strategy) is not None
     assert path_cost_kind(clone) is None
     g = build_graph(topo, builtin_strategy.link_cost)
+    assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
     assert_same_rules(rc.initialize(g, builtin_strategy)._est, rc.initialize(g, clone)._est)
 
 
@@ -934,12 +952,80 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "sum"
-    assert rc._sum_fixpoint(g, strategy) is None
+    assert rc._all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
     want = {(x, d): key for d in g.nodes for x, key in rc.search(g, strategy, d).items()}
     assert_same_rules(store._est, want)
     assert store._est[(0, 3)] == rule_0_3
     assert type(store._est[(0, 3)][0]) is type(rule_0_3[0])
+
+
+# the built-in width path cost from a tautology width other than inf
+FIVE_WIDEST = Strategy(
+    name="five_widest",
+    link_cost=WIDEST.link_cost,
+    path_cost=WIDEST.path_cost,
+    tautology_cost=5.0,
+    maximize=True,
+    weight_domain=WIDEST.weight_domain,
+)
+
+
+# the built-in width path cost over int widths
+INT_WIDEST = Strategy(
+    name="int_widest",
+    link_cost=lambda p: int(p.free_bandwidth()),
+    path_cost=WIDEST.path_cost,
+    tautology_cost=math.inf,
+    maximize=True,
+    weight_domain=WIDEST.weight_domain,
+)
+
+
+@pytest.mark.parametrize("strategy,one_way,pair,rule", [
+    (WIDEST, True, (3, 0), (-7.0, 1, 0)),
+    (FIVE_WIDEST, False, (0, 1), (-5.0, 1, 1)),
+    (INT_WIDEST, False, (0, 3), (0, 3, 1)),
+], ids=["one_way_edge", "tautology_five", "int_widths"])
+def test_widest_strategy_outside_the_solver_falls_back_to_search(
+    strategy, one_way, pair, rule
+):
+    """Kruskal needs one width per link, the same both ways, but
+    `apply_deltas` can store one direction of a link alone; a tautology
+    width of 5.0 caps every route at 5.0; and the search keeps an int
+    width int.  `initialize` must search."""
+    g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
+                    strategy.link_cost)
+    if one_way:
+        # lets 3 route through 0, and not 0 through 3
+        g.apply_deltas([EdgeRecord(0, 3, 7.0, 1)])
+    assert path_cost_kind(strategy) == "min"
+    assert rc._all_fixpoint(g, strategy) is None
+    store = rc.initialize(g, strategy)
+    want = {(x, d): key for d in g.nodes for x, key in rc.search(g, strategy, d).items()}
+    assert_same_rules(store._est, want)
+    assert store._est[pair] == rule
+    assert type(store._est[pair][0]) is type(rule[0])
+
+
+# the built-in path costs selected in the direction that does not converge:
+# the longest additive path and the narrowest bottleneck
+MAX_SUM = replace(SD, name="max_sum", maximize=True)
+MIN_WIDTH = replace(WIDEST, name="min_width", maximize=False)
+
+
+@pytest.mark.parametrize("strategy", [
+    MAX_SUM, replace(MAX_SUM, path_cost=CUSTOM_SUM.path_cost),
+    MIN_WIDTH, replace(MIN_WIDTH, path_cost=CUSTOM_WIDEST.path_cost),
+], ids=["max_sum", "max_sum_clone", "min_width", "min_width_clone"])
+def test_builtin_path_cost_in_the_other_direction_does_not_converge(strategy):
+    """`path_cost_kind` knows a built-in path cost only in its own
+    direction, so the search calls the other one and checks it, as it
+    checks a lambda clone."""
+    assert path_cost_kind(strategy) is None
+    g = build_graph(triangle(), strategy.link_cost)
+    with pytest.raises(NonConvergenceError):
+        rc.initialize(g, strategy)
 
 
 def one_epoch(ops, graph, spare):
