@@ -1,5 +1,8 @@
 """Command-line front end: generators, event replay, benchmarks, queries.
 
+`bench` replays the scenario `gen scenario` writes for the same kind,
+trials, batch size and seed, through `run`'s parser and `_Replay.step`.
+
 `DELTAPATH_LOG` (debug/info/warning) controls log verbosity; at debug,
 `run` logs each epoch's rule changes and `EpochStats`.  `DELTAPATH_CHECK=1`
 makes `run` check the graph's and the rule store's integrity after the
@@ -17,6 +20,7 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 from . import workloads
@@ -25,6 +29,7 @@ from .graph_model import (
     AddLink,
     AddNode,
     GraphStore,
+    RemoveLink,
     Topology,
     TopologyEvent,
     build_graph,
@@ -32,7 +37,7 @@ from .graph_model import (
     parse_event,
     save_topology,
 )
-from .path_retrieval import PathRequest, retrieve
+from .path_retrieval import PathRequest, retrieve, retrieve_batch
 from .policy_engine import PolicyEngine, parse_policy
 from .routing_core import EpochStats, RuleStore, initialize, rules_to_csv, step_epoch
 from .strategy import Strategy, builtin
@@ -63,62 +68,69 @@ class EpochBlock:
 
 
 def parse_event_file(path) -> list[EpochBlock]:
-    """Split an event file into per-epoch blocks; `reset` becomes its own
-    block instructing the replay to restore the initial state."""
-    blocks: list[EpochBlock] = []
+    """The blocks of an event file, as `parse_blocks` splits them."""
+    with open(path) as fh:
+        return list(parse_blocks(fh))
+
+
+def parse_blocks(lines) -> Iterator[EpochBlock]:
+    """Split event-file lines into per-epoch blocks, each yielded once it is
+    complete so that a replay holds one at a time.  `reset` becomes its own
+    block telling the replay to restore the initial state."""
     current: EpochBlock | None = None
     last_epoch = 0
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if fields[0] == "epoch":
-                try:
-                    epoch_id = int(fields[1])
-                except (IndexError, ValueError):
-                    raise EventParseError("epoch needs an integer id", line_no) from None
-                if epoch_id <= last_epoch:
-                    raise EventParseError(
-                        f"epoch ids must increase, got {epoch_id} after {last_epoch}",
-                        line_no,
-                    )
-                last_epoch = epoch_id
-                current = EpochBlock(epoch_id)
-                blocks.append(current)
-            elif fields[0] == "reset":
-                blocks.append(EpochBlock(last_epoch, reset=True))
-                current = None
-            elif fields[0] == "req":
-                if current is None:
-                    raise EventParseError("req outside an epoch", line_no)
-                try:
-                    current.requests.append(
-                        PathRequest(int(fields[1]), int(fields[2]), int(fields[3]))
-                    )
-                except (IndexError, ValueError):
-                    raise EventParseError("req needs flow, src, dst", line_no) from None
-            elif fields[0] == "+policy":
-                if current is None:
-                    raise EventParseError("+policy outside an epoch", line_no)
-                try:
-                    pid = int(fields[1])
-                except (IndexError, ValueError):
-                    raise EventParseError("+policy needs an id", line_no) from None
-                current.policy_adds.append((pid, " ".join(fields[2:]), line_no))
-            elif fields[0] == "-policy":
-                if current is None:
-                    raise EventParseError("-policy outside an epoch", line_no)
-                try:
-                    current.policy_removes.append(int(fields[1]))
-                except (IndexError, ValueError):
-                    raise EventParseError("-policy needs an id", line_no) from None
-            else:
-                if current is None:
-                    raise EventParseError(f"{fields[0]!r} outside an epoch", line_no)
-                current.events.append(parse_event(line, line_no))
-    return blocks
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] in ("epoch", "reset") and current is not None:
+            yield current
+            current = None
+        if fields[0] == "epoch":
+            try:
+                epoch_id = int(fields[1])
+            except (IndexError, ValueError):
+                raise EventParseError("epoch needs an integer id", line_no) from None
+            if epoch_id <= last_epoch:
+                raise EventParseError(
+                    f"epoch ids must increase, got {epoch_id} after {last_epoch}",
+                    line_no,
+                )
+            last_epoch = epoch_id
+            current = EpochBlock(epoch_id)
+        elif fields[0] == "reset":
+            yield EpochBlock(last_epoch, reset=True)
+        elif fields[0] == "req":
+            if current is None:
+                raise EventParseError("req outside an epoch", line_no)
+            try:
+                current.requests.append(
+                    PathRequest(int(fields[1]), int(fields[2]), int(fields[3]))
+                )
+            except (IndexError, ValueError):
+                raise EventParseError("req needs flow, src, dst", line_no) from None
+        elif fields[0] == "+policy":
+            if current is None:
+                raise EventParseError("+policy outside an epoch", line_no)
+            try:
+                pid = int(fields[1])
+            except (IndexError, ValueError):
+                raise EventParseError("+policy needs an id", line_no) from None
+            current.policy_adds.append((pid, " ".join(fields[2:]), line_no))
+        elif fields[0] == "-policy":
+            if current is None:
+                raise EventParseError("-policy outside an epoch", line_no)
+            try:
+                current.policy_removes.append(int(fields[1]))
+            except (IndexError, ValueError):
+                raise EventParseError("-policy needs an id", line_no) from None
+        else:
+            if current is None:
+                raise EventParseError(f"{fields[0]!r} outside an epoch", line_no)
+            current.events.append(parse_event(line, line_no))
+    if current is not None:
+        yield current
 
 
 def _open_out(path):
@@ -149,15 +161,6 @@ class _RowWriter:
     def close(self) -> None:
         if self._close:
             self.stream.close()
-
-
-def _emit_rows(rows: list[dict], path, fmt: str) -> None:
-    writer = _RowWriter(path, fmt)
-    try:
-        for row in rows:
-            writer.write(row)
-    finally:
-        writer.close()
 
 
 def _format_path(path, suffix="") -> str:
@@ -257,8 +260,7 @@ class _Replay:
         if block.requests:
             view = self.store.established_rules()
             t0 = time.perf_counter()
-            for req in block.requests:
-                retrieve(view, req.src, req.dst)
+            retrieve_batch(view, block.requests)
             retrieval_us = int((time.perf_counter() - t0) * 1e6)
 
         for pid, text, line_no in block.policy_adds:
@@ -332,131 +334,87 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _bench_failures(args, topo, strategy) -> list[dict]:
-    """Time single failures on one initialized engine; each failure is
-    undone outside the timed region and must restore the rules exactly."""
-    import random
+def _undo(graph: GraphStore, failure: TopologyEvent) -> list[TopologyEvent]:
+    """Events that put back what `failure` is about to remove from `graph`:
+    the link with its stored props, or the node with all its links."""
+    if isinstance(failure, RemoveLink):
+        w = graph.weights_between(failure.a, failure.b)[0]
+        return [AddLink(failure.a, failure.b, graph.link_props(failure.a, failure.b, w))]
+    node = failure.id
+    undo: list[TopologyEvent] = [AddNode(node, graph.nodes[node].label)]
+    for (x, w), mult in graph.out_edges(node).items():
+        undo += [AddLink(node, x, graph.link_props(node, x, w))] * mult
+    return undo
 
-    rng = random.Random(args.seed)
-    kind = workloads.ScenarioKind(args.kind)
+
+def _scenario_lines(topo: Topology, args, batch_size: int) -> list[str]:
+    """The lines `gen scenario` writes for `args`, at `batch_size`."""
+    return workloads.generate(topo, workloads.Scenario(
+        workloads.ScenarioKind(args.kind), args.trials, batch_size, args.seed))
+
+
+def _bench_failures(args, topo: Topology, strategy: Strategy, writer: _RowWriter) -> None:
+    """Time each trial's failure on one initialized engine; each failure is
+    undone outside the timed region and must restore the rules exactly."""
     replay = _Replay(topo, strategy)
     graph, store = replay.graph, replay.store
     before = dict(store._est)
-    rows = []
     latencies = []
-    for trial in range(1, args.trials + 1):
-        if kind is workloads.ScenarioKind.LINK_FAILURE:
-            a, b, p = topo.links[rng.randrange(len(topo.links))]
-            events: list[TopologyEvent] = [parse_event(f"-link {a} {b}")]
-            restore = [AddLink(a, b, graph.link_props(a, b, strategy.link_cost(p)))]
-            target = f"{a}-{b}"
-        else:
-            node = topo.nodes[rng.randrange(len(topo.nodes))]
-            events = [parse_event(f"-node {node.id}")]
-            restore = [AddNode(node.id, graph.nodes[node.id].label)]
-            for (x, w), mult in graph.out_edges(node.id).items():
-                restore += [AddLink(node.id, x, graph.link_props(node.id, x, w))] * mult
-            target = str(node.id)
-        t0 = time.perf_counter()
-        batch = step_epoch(store, graph, events)
-        us = int((time.perf_counter() - t0) * 1e6)
-        step_epoch(store, graph, restore)
+    for block in parse_blocks(_scenario_lines(topo, args, args.batch_size)):
+        if block.reset:
+            continue
+        (failure,) = block.events
+        undo = _undo(graph, failure)
+        target = (f"{failure.a}-{failure.b}" if isinstance(failure, RemoveLink)
+                  else str(failure.id))
+        record = replay.step(block)
+        step_epoch(store, graph, undo)
         if store._est != before:
             raise VerifyMismatchError(
-                f"trial {trial}: restoring {target} did not restore the rules"
+                f"trial {block.epoch_id}: restoring {target} did not restore the rules"
             )
-        latencies.append(us)
-        rows.append(
-            {"trial": trial, "target": target, "rules_changed": len(batch),
-             "fixpoint_us": us}
-        )
+        latencies.append(record.fixpoint_us)
+        writer.write({"trial": block.epoch_id, "target": target,
+                      "rules_changed": record.rules_changed,
+                      "fixpoint_us": record.fixpoint_us})
     print(
         f"# {args.kind}: median={statistics.median(latencies) / 1000:.2f}ms "
         f"worst={max(latencies) / 1000:.2f}ms over {args.trials} trials",
         file=sys.stderr,
     )
-    return rows
 
 
-def _bench_weight_batches(args, topo, strategy) -> list[dict]:
-    sizes = [s for s in workloads.WEIGHT_BATCH_SIZES if s <= args.batch_size]
-    rows = []
-    for size in sizes:
-        scenario = workloads.Scenario(
-            workloads.ScenarioKind.WEIGHT_UPDATE_BATCHES,
-            trials=args.trials, batch_size=size, seed=args.seed,
-        )
-        lines = workloads.gen_weight_update_batches(topo, scenario)
+def _bench_sweep(args, topo: Topology, strategy: Strategy, writer: _RowWriter) -> None:
+    """One row per batch size up to --batch-size: that size's scenario
+    replayed on a fresh engine, its epochs' update or retrieval times
+    summarized."""
+    weights = args.kind == workloads.ScenarioKind.WEIGHT_UPDATE_BATCHES
+    sizes = workloads.WEIGHT_BATCH_SIZES if weights else workloads.PATH_REQUEST_SIZES
+    for size in [s for s in sizes if s <= args.batch_size]:
         replay = _Replay(topo, strategy)
-        latencies = []
-        events: list[TopologyEvent] = []
-        for line in lines[1:]:
-            if line.startswith("epoch"):
-                if events:
-                    t0 = time.perf_counter()
-                    step_epoch(replay.store, replay.graph, events)
-                    latencies.append((time.perf_counter() - t0) * 1e6)
-                    events = []
-            else:
-                events.append(parse_event(line))
-        if events:
-            t0 = time.perf_counter()
-            step_epoch(replay.store, replay.graph, events)
-            latencies.append((time.perf_counter() - t0) * 1e6)
+        records = [replay.step(b) for b in parse_blocks(_scenario_lines(topo, args, size))]
+        latencies = [r.fixpoint_us if weights else r.retrieval_us for r in records]
         med = statistics.median(latencies)
-        rows.append(
-            {
-                "batch_size": size,
-                "batches": len(latencies),
-                "median_us": int(med),
-                "worst_us": int(max(latencies)),
-                "updates_per_s": int(size * 1e6 / med) if med else 0,
-            }
-        )
-    return rows
-
-
-def _bench_path_requests(args, topo, strategy) -> list[dict]:
-    import random
-
-    rng = random.Random(args.seed)
-    sizes = [s for s in workloads.PATH_REQUEST_SIZES if s <= args.batch_size]
-    replay = _Replay(topo, strategy)
-    view = replay.store.established_rules()
-    nodes = [n.id for n in topo.nodes]
-    rows = []
-    for size in sizes:
-        latencies = []
-        for _ in range(args.trials):
-            reqs = [tuple(rng.sample(nodes, 2)) for _ in range(size)]
-            t0 = time.perf_counter()
-            for s, t in reqs:
-                retrieve(view, s, t)
-            latencies.append((time.perf_counter() - t0) * 1e6)
-        med = statistics.median(latencies)
-        rows.append(
-            {
-                "batch_size": size,
-                "batches": args.trials,
-                "median_us": int(med),
-                "worst_us": int(max(latencies)),
-                "requests_per_s": int(size * 1e6 / med) if med else 0,
-            }
-        )
-    return rows
+        writer.write({
+            "batch_size": size,
+            "batches": len(latencies),
+            "median_us": int(med),
+            "worst_us": int(max(latencies)),
+            "updates_per_s" if weights else "requests_per_s":
+                int(size * 1e6 / med) if med else 0,
+        })
 
 
 def cmd_bench(args) -> int:
     strategy = builtin(args.strategy)
     topo = load_topology(args.topology)
-    kind = workloads.ScenarioKind(args.kind)
-    if kind in (workloads.ScenarioKind.LINK_FAILURE, workloads.ScenarioKind.SWITCH_FAILURE):
-        rows = _bench_failures(args, topo, strategy)
-    elif kind is workloads.ScenarioKind.WEIGHT_UPDATE_BATCHES:
-        rows = _bench_weight_batches(args, topo, strategy)
-    else:
-        rows = _bench_path_requests(args, topo, strategy)
-    _emit_rows(rows, args.out, args.format)
+    failures = (workloads.ScenarioKind.LINK_FAILURE, workloads.ScenarioKind.SWITCH_FAILURE)
+    bench = _bench_failures if args.kind in failures else _bench_sweep
+    writer = _RowWriter(args.out, args.format)
+    try:
+        bench(args, topo, strategy, writer)
+    finally:
+        writer.close()
     return 0
 
 
@@ -470,15 +428,16 @@ def cmd_gen(args) -> int:
         save_topology(topo, args.out)
     else:  # scenario
         topo = load_topology(args.topology)
-        scenario = workloads.Scenario(
-            workloads.ScenarioKind(args.kind),
-            trials=args.trials,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-        workloads.write_lines(workloads.generate(topo, scenario), args.out)
+        workloads.write_lines(_scenario_lines(topo, args, args.batch_size), args.out)
     log.info("wrote %s", args.out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,8 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scen.add_argument("--kind", required=True,
                       choices=[k.value for k in workloads.ScenarioKind])
     scen.add_argument("--topology", required=True)
-    scen.add_argument("--trials", type=int, default=500)
-    scen.add_argument("--batch-size", type=int, default=1)
+    scen.add_argument("--trials", type=_positive_int, default=500)
+    scen.add_argument("--batch-size", type=_positive_int, default=1)
     for p in (fat, jelly, scen):
         p.add_argument("--plan", default="hopcount",
                        choices=[k.value for k in workloads.PlanKind])
@@ -527,8 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(bench, events=False)
     bench.add_argument("--kind", required=True,
                        choices=[k.value for k in workloads.ScenarioKind])
-    bench.add_argument("--trials", type=int, default=20)
-    bench.add_argument("--batch-size", type=int, default=1024)
+    bench.add_argument("--trials", type=_positive_int, default=20)
+    bench.add_argument("--batch-size", type=_positive_int, default=1024)
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=cmd_bench)
 

@@ -253,6 +253,11 @@ def gen_failure_events(topo: Topology, scenario: Scenario) -> list[str]:
     attached links), each trial starting from the same state."""
     if scenario.kind not in (ScenarioKind.LINK_FAILURE, ScenarioKind.SWITCH_FAILURE):
         raise ValueError(f"wrong scenario kind {scenario.kind}")
+    if scenario.kind is ScenarioKind.LINK_FAILURE:
+        if not topo.links:
+            raise InfeasibleError("link failures need a topology with at least one link")
+    elif not topo.nodes:
+        raise InfeasibleError("switch failures need a topology with at least one node")
     rng = random.Random(scenario.seed)
     lines = [f"# {scenario.kind.value} x{scenario.trials} seed={scenario.seed}"]
     for trial in range(1, scenario.trials + 1):
@@ -280,6 +285,8 @@ def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> list[str]:
     # scipy loads with the oracle, so only the scenario that needs it pays
     from . import oracle
 
+    if len(topo.nodes) < 2:
+        raise InfeasibleError("weight-update batches need a topology with at least two nodes")
     if any(p.utilization <= 0 for _a, _b, p in topo.links):
         raise InfeasibleError("weight-update batches need the uniform plan")
     strategy = builtin("sd_utilization")
@@ -327,6 +334,8 @@ def gen_request_batches(topo: Topology, scenario: Scenario) -> list[str]:
     """Batches of random path requests, one epoch per batch."""
     if scenario.kind is not ScenarioKind.PATH_REQUEST_BATCHES:
         raise ValueError(f"wrong scenario kind {scenario.kind}")
+    if len(topo.nodes) < 2:
+        raise InfeasibleError("path requests need a topology with at least two nodes")
     rng = random.Random(scenario.seed)
     nodes = [n.id for n in topo.nodes]
     lines = [f"# path-requests x{scenario.trials} size={scenario.batch_size}"]

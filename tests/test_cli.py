@@ -14,7 +14,7 @@ import deltapath
 from deltapath import workloads as wl
 from deltapath.cli import main, parse_event_file
 from deltapath.errors import EventParseError
-from deltapath.graph_model import load_topology, save_topology
+from deltapath.graph_model import AddLink, load_topology, save_topology
 from deltapath.routing_core import EpochStats, RuleStore, step_epoch
 
 from conftest import triangle, utilization_topology
@@ -280,6 +280,51 @@ class TestBench:
         rows = read_csv(out)
         assert [int(r["batch_size"]) for r in rows] == [1, 2]
 
+    @pytest.mark.parametrize("kind,prefix", [
+        ("link-failure", "-link "), ("switch-failure", "-node "),
+    ])
+    def test_targets_are_the_scenario_lines(self, tmp_path, kind, prefix):
+        topo_path = tmp_path / "topo.txt"
+        save_topology(wl.gen_fattree(4), topo_path)
+        args = ["--kind", kind, "--topology", str(topo_path), "--trials", "12",
+                "--seed", "3"]
+        assert main(["gen", "scenario", *args, "-o", str(tmp_path / "sc.txt")]) == 0
+        assert main(["bench", *args, "--out", str(tmp_path / "bench.csv")]) == 0
+        lines = (tmp_path / "sc.txt").read_text().splitlines()
+        want = [l[len(prefix):].replace(" ", "-") for l in lines if l.startswith(prefix)]
+        assert [r["target"] for r in read_csv(tmp_path / "bench.csv")] == want
+
+    def test_undo_that_leaves_a_rule_changed_fails(
+        self, tmp_path, triangle_file, monkeypatch, capsys
+    ):
+        def leaky_step(store, graph, events):
+            batch = step_epoch(store, graph, events)
+            if isinstance(events[0], AddLink):
+                store._est[(0, 2)] = (99.0, 1, 2)
+            return batch
+
+        monkeypatch.setattr("deltapath.cli.step_epoch", leaky_step)
+        assert main([
+            "bench", "--kind", "link-failure", "--topology", str(triangle_file),
+            "--trials", "2", "--out", str(tmp_path / "bench.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "did not restore the rules" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "scenario", "--kind", "link-failure", "-o", "{out}"],
+        ["bench", "--kind", "link-failure", "--out", "{out}"],
+    ], ids=["gen-scenario", "bench"])
+    def test_topology_without_links_is_an_error(self, tmp_path, capsys, argv):
+        topo_path = tmp_path / "topo.txt"
+        topo_path.write_text("node 0 switch\nnode 1 switch\n")
+        argv = [a.format(out=tmp_path / "out.txt") for a in argv]
+        assert main([*argv, "--topology", str(topo_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: link failures need a topology with at least one link" in err
+        assert "Traceback" not in err
+
 
 class TestGen:
     def test_gen_fattree_round_trip(self, tmp_path):
@@ -433,6 +478,18 @@ def test_options_a_command_does_not_read_are_rejected(triangle_file, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--topology", str(triangle_file)] + argv[1:])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "scenario", "--kind", "path-requests", "-o", "x.txt"],
+    ["bench", "--kind", "path-requests"],
+], ids=["gen-scenario", "bench"])
+@pytest.mark.parametrize("option", ["--trials", "--batch-size"])
+def test_counts_below_one_are_usage_errors(triangle_file, capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--topology", str(triangle_file), option, "0"])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_importing_the_cli_does_not_load_the_oracle():

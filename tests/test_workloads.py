@@ -4,7 +4,9 @@ import pytest
 
 from deltapath import workloads as wl
 from deltapath.errors import InfeasibleError, OddArityError
-from deltapath.graph_model import NodeLabel, RemoveNode, Topology, build_graph, parse_event
+from deltapath.graph_model import (
+    NodeLabel, NodeRecord, RemoveNode, Topology, build_graph, parse_event,
+)
 from deltapath.strategy import builtin
 
 HOP = builtin("hop_count")
@@ -226,6 +228,34 @@ class TestScenarios:
             wl.gen_weight_update_batches(
                 topo, wl.Scenario(wl.ScenarioKind.WEIGHT_UPDATE_BATCHES, trials=1)
             )
+
+    @pytest.mark.parametrize("kind,nodes,missing", [
+        (wl.ScenarioKind.LINK_FAILURE, 3, "at least one link"),
+        (wl.ScenarioKind.SWITCH_FAILURE, 0, "at least one node"),
+        (wl.ScenarioKind.PATH_REQUEST_BATCHES, 1, "at least two nodes"),
+        (wl.ScenarioKind.WEIGHT_UPDATE_BATCHES, 1, "at least two nodes"),
+    ])
+    def test_degenerate_topologies_are_infeasible(self, kind, nodes, missing):
+        topo = Topology([NodeRecord(i) for i in range(nodes)], [])
+        with pytest.raises(InfeasibleError, match=missing):
+            wl.generate(topo, wl.Scenario(kind, trials=2, seed=1))
+
+    @pytest.mark.parametrize("kind,trials,batch_size,want", [
+        ("link-failure", 3, 1, ["-link 4 12", "-link 13 18", "-link 0 9"]),
+        ("switch-failure", 3, 1, ["-node 19", "-node 4", "-node 13"]),
+        ("path-requests", 2, 2, ["req 1 19 4", "req 2 13 16", "req 3 0 14", "req 4 11 1"]),
+        ("weight-batches", 2, 2, [
+            "weight 13 19 utilization=82.0", "weight 4 13 utilization=24.0",
+            "weight 4 13 utilization=29.0", "weight 4 12 utilization=44.0",
+        ]),
+    ])
+    def test_seeded_lines_are_pinned(self, kind, trials, batch_size, want):
+        """Benchmarks built on these generators (perfbench's churn batches
+        among them) depend on a seed giving the same lines."""
+        topo = wl.gen_fattree(4, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=11))
+        sc = wl.Scenario(wl.ScenarioKind(kind), trials=trials, batch_size=batch_size, seed=5)
+        lines = wl.generate(topo, sc)
+        assert [l for l in lines if l.split()[0] not in ("#", "epoch", "reset")] == want
 
     def test_write_lines(self, tmp_path):
         path = tmp_path / "events.txt"
