@@ -84,9 +84,12 @@ def parse_blocks(lines) -> Iterator[EpochBlock]:
         if not line:
             continue
         fields = line.split()
-        if fields[0] in ("epoch", "reset") and current is not None:
-            yield current
-            current = None
+        if fields[0] in ("epoch", "reset"):
+            if current is not None:
+                yield current
+                current = None
+        elif current is None:
+            raise EventParseError(f"{fields[0]!r} outside an epoch", line_no)
         if fields[0] == "epoch":
             try:
                 epoch_id = int(fields[1])
@@ -102,8 +105,6 @@ def parse_blocks(lines) -> Iterator[EpochBlock]:
         elif fields[0] == "reset":
             yield EpochBlock(last_epoch, reset=True)
         elif fields[0] == "req":
-            if current is None:
-                raise EventParseError("req outside an epoch", line_no)
             try:
                 current.requests.append(
                     PathRequest(int(fields[1]), int(fields[2]), int(fields[3]))
@@ -111,23 +112,17 @@ def parse_blocks(lines) -> Iterator[EpochBlock]:
             except (IndexError, ValueError):
                 raise EventParseError("req needs flow, src, dst", line_no) from None
         elif fields[0] == "+policy":
-            if current is None:
-                raise EventParseError("+policy outside an epoch", line_no)
             try:
                 pid = int(fields[1])
             except (IndexError, ValueError):
                 raise EventParseError("+policy needs an id", line_no) from None
             current.policy_adds.append((pid, " ".join(fields[2:]), line_no))
         elif fields[0] == "-policy":
-            if current is None:
-                raise EventParseError("-policy outside an epoch", line_no)
             try:
                 current.policy_removes.append(int(fields[1]))
             except (IndexError, ValueError):
                 raise EventParseError("-policy needs an id", line_no) from None
         else:
-            if current is None:
-                raise EventParseError(f"{fields[0]!r} outside an epoch", line_no)
             current.events.append(parse_event(line, line_no))
     if current is not None:
         yield current
@@ -347,7 +342,7 @@ def _undo(graph: GraphStore, failure: TopologyEvent) -> list[TopologyEvent]:
     return undo
 
 
-def _scenario_lines(topo: Topology, args, batch_size: int) -> list[str]:
+def _scenario_lines(topo: Topology, args, batch_size: int) -> Iterator[str]:
     """The lines `gen scenario` writes for `args`, at `batch_size`."""
     return workloads.generate(topo, workloads.Scenario(
         workloads.ScenarioKind(args.kind), args.trials, batch_size, args.seed))

@@ -3,15 +3,14 @@
 Waypoint policies decompose into segment retrievals over the base rules.
 NOT and backup policies route on the live graph with nodes (NOT) or the
 primary path's links (backup) masked, by `routing_core.search`: the
-per-destination heap search that builds the engine's first fixpoint
-under a custom path cost.  The built-in strategies solve every
-destination at once to the same keys; a masked graph is searched one
-destination at a time under every strategy.  The search uses the
-engine's selection key and cost order, so its tree equals the engine's
-fixpoint on the masked graph bit for bit: extending a path never
-improves its key (Sobrinho, "Algebra and algorithms for QoS path
-computation", IEEE/ACM ToN 2002), and the search refuses a custom
-strategy for which it does.  No policy keeps state between epochs.
+engine's own repair run from an empty tree toward the policy's
+destination, stopped once the policy's source settles.  It uses the
+engine's selection key and cost order, so the source's path equals the
+engine's fixpoint on the masked graph bit for bit: extending a path
+never improves its key (Sobrinho, "Algebra and algorithms for QoS path
+computation", IEEE/ACM ToN 2002), and the repair refuses a custom
+strategy for which it does, after settling the whole tree.  No policy
+keeps state between epochs.
 """
 
 from __future__ import annotations
@@ -181,8 +180,9 @@ class PolicyEngine:
         return PolicyResult(policy, (primary, backup), kind)
 
     def _masked_path(self, policy: Policy, **mask) -> Path:
-        """Chase `next` from the policy's src through the masked search tree."""
-        tree = search(self.graph, self.strategy, policy.dst, **mask)
+        """Chase `next` from the policy's src through the masked search
+        tree; a search stopped at the src holds every rule on its path."""
+        tree = search(self.graph, self.strategy, policy.dst, until=policy.src, **mask)
         first = tree.get(policy.src)
         if first is None:
             raise UnreachableError(f"no masked route for ({policy.src}, {policy.dst})")

@@ -23,19 +23,19 @@ shortest_widest takes its widths from Kruskal's maximum spanning forest
 (Hu, Operations Research 1961).  Then a BFS over the tight edges, run for
 a block of destinations together, gives each group's length, and its
 next is the smallest tight neighbour one hop closer.  A custom path cost,
-and the few inputs that solve would key differently, get the first
-fixpoint from one best-first search per destination (`search`), which
-pops nodes from a heap in key order, each group once, with the minimum of
-its neighbours' keys extended by one hop: the fixpoint equation.  The
-same search with nodes or links masked evaluates NOT and backup policies,
-for every strategy.
+and the few inputs that solve would key differently, repair each
+destination's tree from empty (phase 2 below): a best-first search that
+pops nodes from a heap in key order, each group once, with the minimum
+of its neighbours' keys extended by one hop, the fixpoint equation.
+`search` runs that repair over a masked adjacency for NOT and backup
+policies, and stops once the policy's source settles.
 
 At set-up, the engine's additive costs and the oracle's both come from
 scipy's Dijkstra, so the oracle alone does not check them there; the
 oracle's widths come from value iteration, independent of Kruskal.  The
-independent references are the rounds reference, the heap search of a
-custom path cost that `path_cost_kind` does not know, the golden digests,
-and every repaired epoch after set-up.
+independent references are the rounds reference, the repair from empty
+of a custom path cost that `path_cost_kind` does not know, the golden
+digests, and every repaired epoch after set-up.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -47,8 +47,8 @@ every rule routing through a dropped one.  A suspect with another
 neighbour that extends to the same cost and length only moves its next;
 the others are dropped.  Phase 2 seeds one heap per destination with
 each dropped node's best surviving neighbour, each added edge's offer and
-each added node's tautology, and settles nodes in key order as the search
-does.  Under shortest_widest a node that improves can make a child worse,
+each added node's tautology, and settles nodes in key order.  Under
+shortest_widest a node that improves can make a child worse,
 so a settled node's child whose rule gets worse goes through phase 1's
 decision, and a heap entry whose neighbour key has changed since it was
 pushed is skipped.  A custom path cost that can improve a path by
@@ -179,7 +179,7 @@ class RuleStore:
                 raise IntegrityError(f"({s}, {d}) names a removed node")
         for d in graph.nodes:
             for x in graph.nodes:
-                top = _best_offer(self, graph, x, d)[0]
+                top = _best_offer(self, graph.out_edges, x, d)[0]
                 key = self._est.get((x, d))
                 if key == top:
                     continue
@@ -201,7 +201,7 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
 
     The built-in path costs are solved for every destination at once
     (`_all_fixpoint`); a custom path cost, and the few inputs that solve
-    would not key as `search` does, run one `search` per destination.
+    would key differently, repair each destination's tree from empty.
     Both give the same keys, float for float and int for int.
     """
     if not topology.nodes:
@@ -211,11 +211,11 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     store = RuleStore(strategy)
     est = _all_fixpoint(topology, strategy)
     if est is None:
-        est = {}
+        stats = EpochStats()
         for d in topology.nodes:
-            for x, key in search(topology, strategy, d).items():
-                est[(x, d)] = key
-    store._est = est
+            _repair(store, topology.out_edges, d, (), True, (), {}, stats)
+    else:
+        store._est = est
     store.epoch = 0
     return store
 
@@ -227,7 +227,7 @@ _BLOCK_ELEMENTS = 1 << 18
 
 def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     """Every rule of a built-in path cost, for all destinations at once, or
-    None where `search` must decide.
+    None where the repair from empty must decide.
 
     An edge (u, x, w) lets x route through u; of parallel edges the one
     that counts is the lightest under "sum" and the widest under "min".
@@ -236,7 +236,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     to carry a best path (C[x, d] is what u's cost extended by w gives).
 
     - "sum": scipy's Dijkstra from each destination computes the least
-      w + C[u, d], the addition `search` makes, so the costs are the same
+      w + C[u, d], the addition the repair makes, so the costs are the same
       floats; int costs below 2**53 are exact in float, and come back as
       int.  Tight: w + C[u, d] == C[x, d].
     - "min": the widest width between two nodes is the smallest weight on
@@ -244,21 +244,22 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
       route problem", Operations Research 1961), so Kruskal over the edges
       in descending width fills C (`_widest_widths`).  Tight:
       min(w, C[u, d]) == C[x, d].  Keys hold -C, and a width of 0 is keyed
-      -0.0, as `search` keys it.
+      -0.0, as the repair keys it.
 
     A BFS over the tight edges gives the fewest hops L, and x's next is
     the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the key
     the heap would settle.  Int keys repeat along a destination's tree, so
     equal ones are stored once.
 
-    None, so that `initialize` searches: a custom path cost; under "sum" a
-    nonzero tautology cost, weights whose total is not finite (an infinite
-    weight, or path costs that could overflow), or an int tautology cost
-    over weights that are not all int or that total 2**53 or more; under
-    "min" a tautology cost other than the float inf, a weight that is not
-    a float (`search` keeps an int width int) or has its sign bit set, or
-    an edge without a reverse edge of the same width (Kruskal needs
-    undirected widths, and `apply_deltas` can store one direction alone).
+    None, so that `initialize` repairs from empty: a custom path cost;
+    under "sum" a nonzero tautology cost, weights whose total is not
+    finite (an infinite weight, or path costs that could overflow), or an
+    int tautology cost over weights that are not all int or that total
+    2**53 or more; under "min" a tautology cost other than the float inf,
+    a weight that is not a float (the repair keeps an int width int) or
+    has its sign bit set, or an edge without a reverse edge of the same
+    width (Kruskal needs undirected widths, and `apply_deltas` can store
+    one direction alone).
     """
     kind = path_cost_kind(strategy)
     widest = kind == "min"
@@ -408,63 +409,41 @@ def search(
     dst: NodeId,
     skip_nodes: frozenset[NodeId] = frozenset(),
     skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
+    until: NodeId | None = None,
 ) -> dict[NodeId, tuple]:
     """Every node's rule toward `dst` on the graph without `skip_nodes` and
     without the links `skip_links` (both directions, all parallel copies),
     as the engine's key: node -> (signed cost, length, next).
 
-    One search from `dst` that settles nodes in key order from a binary
-    heap (Dijkstra), with the built-in path costs inlined.  The masks
-    cost nothing when empty: masked nodes start out settled and only a
-    link mask filters the adjacency.  A custom path cost that can improve
-    a path by extending it raises NonConvergenceError, since the tree
-    would then not be the engine's fixpoint.
+    `_repair` of an empty tree into a scratch store, over an adjacency
+    filtered only next to a masked node and at the ends of a masked link.
+    Under a built-in path cost it stops once `until` settles, whose rule
+    and path are then in the tree.  A custom path cost that can improve a
+    path by extending it raises NonConvergenceError.
     """
     if dst not in graph.nodes or dst in skip_nodes:
         return {}
-    neg = strategy.maximize
-    fp = strategy.path_cost
-    kind = path_cost_kind(strategy)
     adj = graph.out_edges
-    if skip_links:
+    if skip_nodes or skip_links:
         cut = set(skip_links) | {(b, a) for a, b in skip_links}
+        near = {a for a, _b in cut}
+        for n in skip_nodes:
+            near.update(x for x, _w in graph.out_edges(n))
+        # a masked node routes no one, even where a one-way edge reaches it
+        masked = {
+            u: [] if u in skip_nodes else [
+                (x, w) for x, w in graph.out_edges(u)
+                if x not in skip_nodes and (u, x) not in cut]
+            for u in near | skip_nodes
+        }
 
         def adj(u):
-            return [(x, w) for x, w in graph.out_edges(u) if (u, x) not in cut]
+            edges = masked.get(u)
+            return graph.out_edges(u) if edges is None else edges
 
-    start = _tautology_key(strategy, dst)
-    # a masked node is a settled placeholder, so no edge ever reaches it
-    tree: dict[NodeId, tuple | None] = dict.fromkeys(skip_nodes)
-    best = {dst: start}
-    heap = [(start, dst)]
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        key, u = heappop(heap)
-        if u in tree:
-            continue
-        tree[u] = key
-        cost = -key[0] if neg else key[0]
-        length = key[1] + 1
-        # edge (u, x, w) lets x route through u, as in the engine's join
-        for x, w in adj(u):
-            if x in tree:
-                continue
-            if kind == "sum":
-                c = w + cost
-            elif kind == "min":
-                c = w if w < cost else cost
-            else:
-                c = fp(w, cost)
-            cand = (-c if neg else c, length, u)
-            old = best.get(x)
-            if old is None or cand < old:
-                best[x] = cand
-                heappush(heap, (cand, x))
-    for n in skip_nodes:
-        del tree[n]
-    if kind is None:
-        _check_monotone(tree, adj, fp, neg)
-    return tree
+    store = RuleStore(strategy)
+    _repair(store, adj, dst, (), True, (), {}, EpochStats(), until)
+    return {x: key for (x, _d), key in store._est.items() if x not in skip_nodes}
 
 
 def _check_monotone(tree, adj, fp, neg):
@@ -474,7 +453,7 @@ def _check_monotone(tree, adj, fp, neg):
         cost = -key[0] if neg else key[0]
         for x, w in adj(u):
             if x not in tree:
-                continue  # masked
+                continue  # not settled by this repair
             c = fp(w, cost)
             if (-c if neg else c) < key[0]:
                 raise NonConvergenceError(
@@ -524,8 +503,8 @@ def step_epoch(
         # an added edge can improve a route toward any destination
         dests = graph.nodes if added else {d for d, xs in dropped.items() if xs} | born
         for d in dests:
-            _repair(store, graph, d, dropped.get(d, ()), d in born, added,
-                    journal, stats)
+            _repair(store, graph.out_edges, d, dropped.get(d, ()), d in born,
+                    added, journal, stats)
         t3 = perf_counter_ns()
     except BaseException:
         _restore(store, journal)
@@ -606,10 +585,11 @@ def _invalidate(store, graph, before, delta_g, touched, journal) -> dict[NodeId,
                 key = est.get((x, d))
                 if key is not None and key[2] == y:
                     roots.setdefault(d, []).append((key, x))
-    return {d: _drop_affected(store, graph, d, heap, journal) for d, heap in roots.items()}
+    adj = graph.out_edges
+    return {d: _drop_affected(store, adj, d, heap, journal) for d, heap in roots.items()}
 
 
-def _drop_affected(store, graph, d, suspects, journal) -> list[NodeId]:
+def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
     """Decide, in key order, which suspect nodes lose their (cost, length)
     toward d.  A node keeps them while some neighbour that keeps its rule
     extends to the same cost and length (a tight neighbour): then only its
@@ -622,7 +602,6 @@ def _drop_affected(store, graph, d, suspects, journal) -> list[NodeId]:
     strategy = store.strategy
     neg = store._neg
     fp = strategy.path_cost
-    adj = graph.out_edges
     heapq.heapify(suspects)
     decided: set[NodeId] = set()
     dropped: list[NodeId] = []
@@ -653,7 +632,7 @@ def _drop_affected(store, graph, d, suspects, journal) -> list[NodeId]:
     return dropped
 
 
-def _best_offer(store, graph, x, d) -> tuple:
+def _best_offer(store, adj, x, d) -> tuple:
     """The smallest key x can take toward d from the rules as they stand:
     the tautology when x is d, or a neighbour's rule extended by one hop.
     Returns (key, neighbour, neighbour's key); the neighbour is None for
@@ -663,7 +642,7 @@ def _best_offer(store, graph, x, d) -> tuple:
     fp = store.strategy.path_cost
     top = _tautology_key(store.strategy, x) if x == d else None
     via = vkey = None
-    for y, w in graph.out_edges(x):
+    for y, w in adj(x):
         ky = est.get((y, d))
         if ky is None:
             continue
@@ -674,10 +653,12 @@ def _best_offer(store, graph, x, d) -> tuple:
     return top, via, vkey
 
 
-def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
-    """Phase 2 for one destination: seed a heap with the dropped nodes'
-    and a new node's best offers (`_best_offer`) and the offers of added
-    edges, then settle nodes in key order as `search` does.
+def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> None:
+    """Phase 2 for one destination over the adjacency `adj`: seed a heap
+    with the dropped nodes' and a new node's best offers (`_best_offer`)
+    and the offers of added edges, then settle nodes in key order.  From
+    an empty tree a settled rule is final, and so is its path, which
+    settled before it; a built-in path cost stops once `until` settles.
 
     A heap entry remembers the key of the neighbour it extends and is
     skipped (and its node reseeded) when that key has changed since.  A
@@ -690,7 +671,8 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
     neg = store._neg
     kind = store._fp_kind
     fp = store.strategy.path_cost
-    adj = graph.out_edges
+    if kind is None:
+        until = None  # `_check_monotone` must see every settled edge
     heap: list[tuple] = []
     best: dict[NodeId, tuple] = {}  # smallest key pending per node
     settled: set[NodeId] = set()
@@ -703,7 +685,7 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
             heappush(heap, (cand, x, via, vkey))
 
     def seed(x):
-        top, via, vkey = _best_offer(store, graph, x, d)
+        top, via, vkey = _best_offer(store, adj, x, d)
         own = est.get((x, d))
         if top is not None and (own is None or top < own):
             offer(x, top, via, vkey)
@@ -735,11 +717,16 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
             stale += 1
             seed(x)
             continue
-        old = est.get((x, d))
+        group = (x, d)
+        old = est.get(group)
         if old is not None and old <= key:
             continue
         settled.add(x)
-        _set(store, (x, d), key, journal)
+        if group not in journal:  # `_set`, inlined
+            journal[group] = old
+        est[group] = key
+        if x == until:
+            break
         cost = -key[0] if neg else key[0]
         length = key[1] + 1
         for z, w in adj(x):
@@ -760,7 +747,7 @@ def _repair(store, graph, d, dropped, born, added, journal, stats) -> None:
                     heappush(heap, (cand, z, x, key))
             elif kz[2] == x and cand != kz:
                 # z's rule extended x's old key, which is gone
-                redo = _drop_affected(store, graph, d, [(kz, z)], journal)
+                redo = _drop_affected(store, adj, d, [(kz, z)], journal)
                 stats.groups_invalidated += len(redo)
                 for u in redo:
                     seed(u)

@@ -117,7 +117,7 @@ def path_cost_kind(strategy: Strategy) -> str | None:
     convergent, so hot loops can inline it: "sum" for the additive cost
     when minimizing, "min" for the bottleneck width when maximizing.
     None means the path cost must be called, and the engine checks after
-    each search or repair that extending a path never improved it; that
+    each repair that extending a path never improved it; that
     includes a built-in path cost selected in the other direction (a
     longest path, or a narrowest one), which does not converge."""
     if strategy.path_cost is _additive_path_cost and not strategy.maximize:

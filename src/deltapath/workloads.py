@@ -1,7 +1,8 @@
 """Topology generators, weight plans, and benchmark event scripts.
 
 Everything here is a pure function of its parameters and seed.  Scenario
-generators emit the line-oriented event-file format (with a `reset`
+generators check their input when called and then yield the
+line-oriented event-file format as it is consumed (with a `reset`
 directive between failure trials telling the replay harness to restore
 the initial state).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -248,7 +250,7 @@ def _finish_jellyfish(pairs, n, plan):
 # --- event scripts -----------------------------------------------------------
 
 
-def gen_failure_events(topo: Topology, scenario: Scenario) -> list[str]:
+def gen_failure_events(topo: Topology, scenario: Scenario) -> Iterator[str]:
     """One epoch per trial removing a random link (or switch with all its
     attached links), each trial starting from the same state."""
     if scenario.kind not in (ScenarioKind.LINK_FAILURE, ScenarioKind.SWITCH_FAILURE):
@@ -258,21 +260,24 @@ def gen_failure_events(topo: Topology, scenario: Scenario) -> list[str]:
             raise InfeasibleError("link failures need a topology with at least one link")
     elif not topo.nodes:
         raise InfeasibleError("switch failures need a topology with at least one node")
-    rng = random.Random(scenario.seed)
-    lines = [f"# {scenario.kind.value} x{scenario.trials} seed={scenario.seed}"]
-    for trial in range(1, scenario.trials + 1):
-        lines.append(f"epoch {trial}")
-        if scenario.kind is ScenarioKind.LINK_FAILURE:
-            a, b, _p = topo.links[rng.randrange(len(topo.links))]
-            lines.append(f"-link {a} {b}")
-        else:
-            node = topo.nodes[rng.randrange(len(topo.nodes))]
-            lines.append(f"-node {node.id}")
-        lines.append("reset")
-    return lines
+
+    def lines():
+        rng = random.Random(scenario.seed)
+        yield f"# {scenario.kind.value} x{scenario.trials} seed={scenario.seed}"
+        for trial in range(1, scenario.trials + 1):
+            yield f"epoch {trial}"
+            if scenario.kind is ScenarioKind.LINK_FAILURE:
+                a, b, _p = topo.links[rng.randrange(len(topo.links))]
+                yield f"-link {a} {b}"
+            else:
+                node = topo.nodes[rng.randrange(len(topo.nodes))]
+                yield f"-node {node.id}"
+            yield "reset"
+
+    return lines()
 
 
-def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> list[str]:
+def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> Iterator[str]:
     """Batches of utilization bumps along randomly selected paths.
 
     Each batch gathers the links of random shortest paths (under the
@@ -282,74 +287,80 @@ def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> list[str]:
     """
     if scenario.kind is not ScenarioKind.WEIGHT_UPDATE_BATCHES:
         raise ValueError(f"wrong scenario kind {scenario.kind}")
-    # scipy loads with the oracle, so only the scenario that needs it pays
-    from . import oracle
-
     if len(topo.nodes) < 2:
         raise InfeasibleError("weight-update batches need a topology with at least two nodes")
     if any(p.utilization <= 0 for _a, _b, p in topo.links):
         raise InfeasibleError("weight-update batches need the uniform plan")
-    strategy = builtin("sd_utilization")
-    rng = random.Random(scenario.seed)
-    graph = build_graph(topo, strategy.link_cost)
-    util = {}
-    for a, b, props in topo.links:
-        util[(min(a, b), max(a, b))] = props.utilization
-    nodes = [n.id for n in topo.nodes]
-    lines = [f"# weight-batches x{scenario.trials} size={scenario.batch_size}"]
 
-    for trial in range(1, scenario.trials + 1):
-        result = oracle.apsp_additive(graph, strategy)
-        batch: list[tuple[int, int]] = []
-        chosen = set()
-        for _ in range(50 * scenario.batch_size):
-            if len(batch) >= scenario.batch_size:
-                break
-            s, t = rng.sample(nodes, 2)
-            if not result.reachable(s, t):
-                continue
-            node = s
-            while node != t:
-                nxt = result.next_of(node, t)
-                key = (min(node, nxt), max(node, nxt))
-                if key not in chosen:
-                    chosen.add(key)
-                    batch.append(key)
-                    if len(batch) >= scenario.batch_size:
-                        break
-                node = nxt
-        lines.append(f"epoch {trial}")
-        events = []
-        for a, b in batch:
-            new_util = min(100.0, util[(a, b)] + 5.0)
-            util[(a, b)] = new_util
-            events.append(UpdateWeight(a, b, new_util))
-        lines.extend(format_event(ev) for ev in events)
-        for ev in events:
-            graph.apply_deltas(graph.ingest_event(ev, strategy.link_cost))
-    return lines
+    def lines():
+        # scipy loads with the oracle, so only the scenario that needs it pays
+        from . import oracle
+
+        strategy = builtin("sd_utilization")
+        rng = random.Random(scenario.seed)
+        graph = build_graph(topo, strategy.link_cost)
+        util = {}
+        for a, b, props in topo.links:
+            util[(min(a, b), max(a, b))] = props.utilization
+        nodes = [n.id for n in topo.nodes]
+        yield f"# weight-batches x{scenario.trials} size={scenario.batch_size}"
+        for trial in range(1, scenario.trials + 1):
+            result = oracle.apsp_additive(graph, strategy)
+            batch: list[tuple[int, int]] = []
+            chosen = set()
+            for _ in range(50 * scenario.batch_size):
+                if len(batch) >= scenario.batch_size:
+                    break
+                s, t = rng.sample(nodes, 2)
+                if not result.reachable(s, t):
+                    continue
+                node = s
+                while node != t:
+                    nxt = result.next_of(node, t)
+                    key = (min(node, nxt), max(node, nxt))
+                    if key not in chosen:
+                        chosen.add(key)
+                        batch.append(key)
+                        if len(batch) >= scenario.batch_size:
+                            break
+                    node = nxt
+            yield f"epoch {trial}"
+            events = []
+            for a, b in batch:
+                new_util = min(100.0, util[(a, b)] + 5.0)
+                util[(a, b)] = new_util
+                events.append(UpdateWeight(a, b, new_util))
+            for ev in events:
+                yield format_event(ev)
+            for ev in events:
+                graph.apply_deltas(graph.ingest_event(ev, strategy.link_cost))
+
+    return lines()
 
 
-def gen_request_batches(topo: Topology, scenario: Scenario) -> list[str]:
+def gen_request_batches(topo: Topology, scenario: Scenario) -> Iterator[str]:
     """Batches of random path requests, one epoch per batch."""
     if scenario.kind is not ScenarioKind.PATH_REQUEST_BATCHES:
         raise ValueError(f"wrong scenario kind {scenario.kind}")
     if len(topo.nodes) < 2:
         raise InfeasibleError("path requests need a topology with at least two nodes")
-    rng = random.Random(scenario.seed)
-    nodes = [n.id for n in topo.nodes]
-    lines = [f"# path-requests x{scenario.trials} size={scenario.batch_size}"]
-    flow = 0
-    for trial in range(1, scenario.trials + 1):
-        lines.append(f"epoch {trial}")
-        for _ in range(scenario.batch_size):
-            s, t = rng.sample(nodes, 2)
-            flow += 1
-            lines.append(f"req {flow} {s} {t}")
-    return lines
+
+    def lines():
+        rng = random.Random(scenario.seed)
+        nodes = [n.id for n in topo.nodes]
+        yield f"# path-requests x{scenario.trials} size={scenario.batch_size}"
+        flow = 0
+        for trial in range(1, scenario.trials + 1):
+            yield f"epoch {trial}"
+            for _ in range(scenario.batch_size):
+                s, t = rng.sample(nodes, 2)
+                flow += 1
+                yield f"req {flow} {s} {t}"
+
+    return lines()
 
 
-def generate(topo: Topology, scenario: Scenario) -> list[str]:
+def generate(topo: Topology, scenario: Scenario) -> Iterator[str]:
     """Dispatch on the scenario kind."""
     if scenario.kind in (ScenarioKind.LINK_FAILURE, ScenarioKind.SWITCH_FAILURE):
         return gen_failure_events(topo, scenario)
@@ -358,6 +369,6 @@ def generate(topo: Topology, scenario: Scenario) -> list[str]:
     return gen_request_batches(topo, scenario)
 
 
-def write_lines(lines: list[str], path) -> None:
+def write_lines(lines: Iterable[str], path) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)

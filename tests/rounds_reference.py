@@ -11,7 +11,8 @@ node count (the horizon), which also bounds the rounds.
 
 It works on the same `RuleStore` and `GraphStore` as the engine, without
 the engine's inlined arithmetic, so tests can compare the two batch for
-batch.  Like the engine, it applies each event to the graph before
+batch.  `solve_rounds` runs the same rounds from an empty store over any
+graph.  Like the engine, it applies each event to the graph before
 ingesting the next.  It is not atomic: a failing event leaves the state
 half-changed.  `candidates` builds the whole join that the rounds fold,
 for tests that count or inspect a group's candidates.
@@ -53,6 +54,38 @@ def step_rounds(store, graph, events):
             for d, key in rows.get(y, {}).items():
                 _offer(pending, (x, d), _extend(store, horizon, key, y, w))
 
+    journal = _settle(store, graph, pending)
+    store.epoch += 1
+
+    neg = strategy.maximize
+    batch = []
+    for (s, d), old in journal.items():
+        new = store._est.get((s, d))
+        for key, delta in ((old, -1), (new, 1)):
+            if key is not None and old != new:
+                cost = -key[0] if neg else key[0]
+                batch.append(rc.ForwardingRule(s, d, key[2], cost, key[1], delta))
+    batch.sort()
+    return batch
+
+
+def solve_rounds(graph, strategy):
+    """The fixpoint of `graph` as the rounds reach it from an empty store,
+    every node's tautology offered in the first round.  Unlike an epoch of
+    `AddNode` and `AddLink` events, this takes any graph, one-way edges
+    included."""
+    store = rc.RuleStore(strategy)
+    pending = {
+        (n, n): [rc._tautology_key(strategy, n), set()] for n in graph.nodes
+    }
+    _settle(store, graph, pending)
+    return store
+
+
+def _settle(store, graph, pending):
+    """Fold rounds from `pending` until nothing moves; returns the journal
+    of each changed group's first old rule."""
+    horizon = len(graph.nodes)
     journal: dict = {}
     rounds = 0
     while pending:
@@ -67,18 +100,7 @@ def step_rounds(store, graph, events):
                     _notify(pending, (x, d), s)
                 if new is not None:
                     _offer(pending, (x, d), _extend(store, horizon, new, s, w))
-    store.epoch += 1
-
-    neg = strategy.maximize
-    batch = []
-    for (s, d), old in journal.items():
-        new = store._est.get((s, d))
-        for key, delta in ((old, -1), (new, 1)):
-            if key is not None and old != new:
-                cost = -key[0] if neg else key[0]
-                batch.append(rc.ForwardingRule(s, d, key[2], cost, key[1], delta))
-    batch.sort()
-    return batch
+    return journal
 
 
 def candidates(store, graph):

@@ -459,7 +459,7 @@ def test_c09_weight_update_batches(k8_uniform):
     for size in [1, 2, 4, 8, 16, 32, 64]:
         scenario = wl.Scenario(wl.ScenarioKind.WEIGHT_UPDATE_BATCHES,
                                trials=50, batch_size=size, seed=size)
-        lines = wl.gen_weight_update_batches(topo, scenario)
+        lines = list(wl.gen_weight_update_batches(topo, scenario))
         graph = build_graph(topo, SD.link_cost)
         store = initialize(graph, SD)
         latencies = []

@@ -12,7 +12,7 @@ import pytest
 
 import deltapath
 from deltapath import workloads as wl
-from deltapath.cli import main, parse_event_file
+from deltapath.cli import main, parse_blocks, parse_event_file
 from deltapath.errors import EventParseError
 from deltapath.graph_model import AddLink, load_topology, save_topology
 from deltapath.routing_core import EpochStats, RuleStore, step_epoch
@@ -514,6 +514,18 @@ class TestEventFileParsing:
         path.write_text("-link 0 1\n")
         with pytest.raises(EventParseError, match="outside"):
             parse_event_file(path)
+
+    @pytest.mark.parametrize("line", [
+        "req 1 0 2", "+policy 3 0 : 1 : 2", "-policy 3", "-link 0 1", "+node 9 switch",
+    ])
+    @pytest.mark.parametrize("before", ["", "epoch 1\nreset\n"])
+    def test_every_directive_outside_an_epoch_is_named(self, line, before):
+        """Before the first epoch and after a reset, which closes its epoch."""
+        lines = (before + line).splitlines()
+        with pytest.raises(EventParseError) as err:
+            list(parse_blocks(lines))
+        assert err.value.line_no == len(lines)
+        assert f"{line.split()[0]!r} outside an epoch" in str(err.value)
 
     def test_blocks_carry_everything(self, tmp_path):
         path = tmp_path / "ev.txt"

@@ -36,7 +36,7 @@ from deltapath.strategy import (
 )
 from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
-from rounds_reference import candidates, step_rounds
+from rounds_reference import candidates, solve_rounds, step_rounds
 
 from conftest import (
     props,
@@ -835,6 +835,69 @@ def test_hop_count_search_takes_the_smaller_parent():
     assert rc._all_fixpoint(g, HOP)[(6, 0)] == (3, 3, 4)
 
 
+def pruned_topology(topo, skip_nodes, skip_links):
+    """`topo` without the nodes and links `search` masks."""
+    cut = set(skip_links) | {(b, a) for a, b in skip_links}
+    nodes = [n for n in topo.nodes if n.id not in skip_nodes]
+    links = [(a, b, p) for a, b, p in topo.links
+             if a not in skip_nodes and b not in skip_nodes and (a, b) not in cut]
+    return Topology(nodes, links)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loose_topologies(), st.sampled_from(BUILTINS), st.data())
+def test_search_stopped_at_the_source_agrees_with_the_full_search(topo, strategy, data):
+    """Under any node and link mask, the full search toward d equals the
+    rounds on the pruned graph; the search stopped once s settles holds
+    s's rule and every rule on s's path, each equal to the full search's
+    (and whatever else it settled is final too)."""
+    g = build_graph(topo, strategy.link_cost)
+    ids = sorted(g.nodes)
+    skip_nodes = frozenset(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
+    pairs = sorted({(a, b) for a, b, _p in topo.links})
+    skip_links = frozenset(
+        data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else ()
+    )
+    _g, rounds = rounds_fixpoint(pruned_topology(topo, skip_nodes, skip_links), strategy)
+    for d in ids:
+        full = rc.search(g, strategy, d, skip_nodes, skip_links)
+        assert_same_rules(full, {x: key for (x, y), key in rounds._est.items() if y == d})
+        for s in ids:
+            part = rc.search(g, strategy, d, skip_nodes, skip_links, until=s)
+            assert_same_rules(part, {x: full[x] for x in part})
+            if s not in full:
+                assert part == full
+                continue
+            x = s
+            while x != d:
+                assert x in part, (s, d, x)
+                x = full[x][2]
+
+
+# sd_utilization's sum, except that a link of weight 9 takes 1 off a path
+DISCOUNT_SUM = Strategy(
+    name="discount_sum",
+    link_cost=SD.link_cost,
+    path_cost=lambda w, c: c - 1 if w == 9 else w + c,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
+def test_custom_path_cost_settles_past_the_source():
+    """On the path 0-1-2-3 toward 0, only the link (2, 3), beyond the
+    source 1, improves a path by extending it.  A built-in stops once 1
+    settles; a custom path cost settles the whole tree, so the check sees
+    (2, 3) and refuses it."""
+    assert path_cost_kind(DISCOUNT_SUM) is None
+    g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 1), (2, 3, 9)]),
+                    SD.link_cost)
+    assert rc.search(g, SD, 0, until=1) == {0: (0.0, 0, 0), 1: (1.0, 1, 0)}
+    with pytest.raises(NonConvergenceError):
+        rc.search(g, DISCOUNT_SUM, 0, until=1)
+
+
 def assert_same_rules(got, want):
     """Equal rule tables, down to the type of every value in every key and
     the sign of a zero cost."""
@@ -948,14 +1011,14 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     would call unreachable; a path that starts from cost 1.0 rounds
     differently from one that starts from 0; int costs of 2**53 or more
     are not exact in float; and under an int tautology a path's cost is
-    int or float depending on its weights.  `initialize` must search."""
+    int or float depending on its weights.  `initialize` must repair from
+    an empty tree, and the rounds from an empty store agree with it."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "sum"
     assert rc._all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
-    want = {(x, d): key for d in g.nodes for x, key in rc.search(g, strategy, d).items()}
-    assert_same_rules(store._est, want)
+    assert_same_rules(store._est, solve_rounds(g, strategy)._est)
     assert store._est[(0, 3)] == rule_0_3
     assert type(store._est[(0, 3)][0]) is type(rule_0_3[0])
 
@@ -993,7 +1056,8 @@ def test_widest_strategy_outside_the_solver_falls_back_to_search(
     """Kruskal needs one width per link, the same both ways, but
     `apply_deltas` can store one direction of a link alone; a tautology
     width of 5.0 caps every route at 5.0; and the search keeps an int
-    width int.  `initialize` must search."""
+    width int.  `initialize` must repair from an empty tree, and the
+    rounds from an empty store agree with it."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     if one_way:
@@ -1002,8 +1066,7 @@ def test_widest_strategy_outside_the_solver_falls_back_to_search(
     assert path_cost_kind(strategy) == "min"
     assert rc._all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
-    want = {(x, d): key for d in g.nodes for x, key in rc.search(g, strategy, d).items()}
-    assert_same_rules(store._est, want)
+    assert_same_rules(store._est, solve_rounds(g, strategy)._est)
     assert store._est[pair] == rule
     assert type(store._est[pair][0]) is type(rule[0])
 

@@ -127,9 +127,9 @@ class TestJellyfish:
 class TestScenarios:
     def test_link_failures_are_one_removal_per_epoch(self):
         topo = wl.gen_fattree(4)
-        lines = wl.gen_failure_events(
+        lines = list(wl.gen_failure_events(
             topo, wl.Scenario(wl.ScenarioKind.LINK_FAILURE, trials=20, seed=9)
-        )
+        ))
         epochs = [l for l in lines if l.startswith("epoch")]
         removals = [l for l in lines if l.startswith("-link")]
         resets = [l for l in lines if l == "reset"]
@@ -152,7 +152,7 @@ class TestScenarios:
     def test_fixed_seed_reproduces_the_file(self):
         topo = wl.gen_fattree(4)
         sc = wl.Scenario(wl.ScenarioKind.LINK_FAILURE, trials=10, seed=4)
-        assert wl.gen_failure_events(topo, sc) == wl.gen_failure_events(topo, sc)
+        assert list(wl.gen_failure_events(topo, sc)) == list(wl.gen_failure_events(topo, sc))
 
     def test_weight_batches_follow_paths_and_clamp(self):
         topo = wl.gen_fattree(4, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=11))
@@ -189,7 +189,7 @@ class TestScenarios:
     def test_weight_batch_size_is_respected_per_epoch(self):
         topo = wl.gen_fattree(4, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=1))
         sc = wl.Scenario(wl.ScenarioKind.WEIGHT_UPDATE_BATCHES, trials=6, batch_size=8, seed=5)
-        lines = wl.gen_weight_update_batches(topo, sc)
+        lines = list(wl.gen_weight_update_batches(topo, sc))
         count = 0
         sizes = []
         for line in lines[1:]:
@@ -219,7 +219,7 @@ class TestScenarios:
     def test_generate_dispatch(self):
         topo = wl.gen_fattree(2, wl.WeightPlan(wl.PlanKind.UNIFORM, seed=2))
         for kind in wl.ScenarioKind:
-            lines = wl.generate(topo, wl.Scenario(kind, trials=2, seed=1))
+            lines = list(wl.generate(topo, wl.Scenario(kind, trials=2, seed=1)))
             assert lines[0].startswith("#")
 
     def test_weight_batches_demand_the_uniform_plan(self):
