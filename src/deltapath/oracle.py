@@ -8,12 +8,20 @@ deliberately shared piece of semantics is the selection tie-break, which
 replicates the engine's key tuple (signed cost, p_length, next), whose
 plain order is the selection order (see `strategy`): primary key per the
 strategy, then fewer hops, then smallest next-hop id.
+
+Memory: a solve holds a few (N, N) matrices, and every kernel past the
+Dijkstra works on (directed edges x targets) arrays over one block of
+targets at a time, each near `_BLOCK_ELEMENTS` elements, so its working
+memory is O(N^2 + _BLOCK_ELEMENTS) whatever the weights.  `compare_view`
+adds O(N^2) bits and a few words per view entry.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -23,9 +31,10 @@ from .errors import InvalidWeightError, TooLargeError
 from .graph_model import GraphStore, NodeId
 from .strategy import Strategy
 
-# Above this size the O(N^3) tie-break arrays get replaced by a per-target
-# scan; only reachable through non-integer weights on big graphs.
-_DENSE_LIMIT = 180
+# targets solved together, so that each (edges x targets) array stays near
+# this many elements (512 KiB of float64) whatever the graph's size; larger
+# blocks were no faster on fat-tree k=16 and raised the peak
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class OracleResult:
@@ -123,9 +132,21 @@ class OracleResult:
         return frozenset(self.ids[x] for x in xs[mask])
 
 
+class _Edges(NamedTuple):
+    """One directed edge per ordered pair, sorted by (source, target): each
+    source's edges are one run, the run of `heads[k]` starting at
+    `starts[k]`, so a ufunc's `reduceat` over `starts` reduces per source."""
+
+    srcs: np.ndarray
+    dsts: np.ndarray
+    ws: np.ndarray
+    heads: np.ndarray
+    starts: np.ndarray
+
+
 def _collect_edges(graph: GraphStore, widest: bool):
-    """Sorted node ids plus the per-pair reduced weight (min for additive
-    routing, max for widest) and per-source neighbor array views."""
+    """Sorted node ids, the edges with each pair's reduced weight (min for
+    additive routing, max for widest), and per-source neighbor array views."""
     ids = sorted(graph.nodes)
     n = len(ids)
     index = {node: i for i, node in enumerate(ids)}
@@ -136,84 +157,82 @@ def _collect_edges(graph: GraphStore, widest: bool):
         if cur is None or (w > cur if widest else w < cur):
             wmin[key] = float(w)
     m = len(wmin)
-    srcs = np.empty(m, dtype=np.int64)
-    dsts = np.empty(m, dtype=np.int64)
-    ws = np.empty(m, dtype=np.float64)
-    for k, ((i, j), w) in enumerate(wmin.items()):
-        srcs[k] = i
-        dsts[k] = j
-        ws[k] = w
+    srcs = np.fromiter((i for i, _j in wmin), np.int64, m)
+    dsts = np.fromiter((j for _i, j in wmin), np.int64, m)
+    ws = np.fromiter(wmin.values(), np.float64, m)
     order = np.lexsort((dsts, srcs))
     srcs, dsts, ws = srcs[order], dsts[order], ws[order]
+    heads, starts = np.unique(srcs, return_index=True)
     indptr = np.searchsorted(srcs, np.arange(n + 1))
     nbr_idx = [dsts[indptr[s]:indptr[s + 1]] for s in range(n)]
     nbr_w = [ws[indptr[s]:indptr[s + 1]] for s in range(n)]
-    return ids, wmin, (srcs, dsts, ws), nbr_idx, nbr_w
+    return ids, _Edges(srcs, dsts, ws, heads, starts), nbr_idx, nbr_w
 
 
-def _next_hops(D, LEN, flats, maximize, rtol):
+def _blocks(n: int, m: int):
+    """Target columns [lo, hi) in blocks of about `_BLOCK_ELEMENTS // m`."""
+    size = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    for lo in range(0, n, size):
+        yield lo, min(lo + size, n)
+
+
+def _via(D, edges: _Edges, maximize: bool, lo: int, hi: int):
+    """(edges, targets lo:hi): each edge's source's cost toward each target
+    through that edge."""
+    w = edges.ws[:, None]
+    return np.minimum(w, D[edges.dsts, lo:hi]) if maximize else w + D[edges.dsts, lo:hi]
+
+
+def _ties(via, base, rtol: float):
+    """Where `via` equals `base`: exactly, or with `rtol` within a relative
+    tolerance plus 1e-12."""
+    if not rtol:
+        return via == base
+    with np.errstate(invalid="ignore"):
+        return np.abs(via - base) <= rtol * np.abs(base) + 1e-12
+
+
+def _next_hops(D, LEN, edges: _Edges, maximize, rtol):
+    """Tie-broken next hops: the smallest x over an edge s->x that carries
+    an optimal path (`_ties`) one hop longer than x's."""
     n = D.shape[0]
-    nxt = np.full((n, n), n, dtype=np.int64)
-    srcs, dsts, ws = flats
-    if srcs.size:
-        via = np.minimum(ws[:, None], D[dsts, :]) if maximize else ws[:, None] + D[dsts, :]
-        base = D[srcs, :]
-        if rtol:
-            with np.errstate(invalid="ignore"):
-                opt = np.abs(via - base) <= rtol * np.abs(base) + 1e-12
-        else:
-            opt = via == base
+    nxt = np.full((n, n), -1, dtype=np.int64)
+    srcs, dsts, _ws, heads, starts = edges
+    for lo, hi in _blocks(n, srcs.size):
+        base = D[srcs, lo:hi]
+        opt = _ties(_via(D, edges, maximize, lo, hi), base, rtol)
         opt &= base > -math.inf if maximize else base < math.inf
-        opt &= LEN[dsts, :] + 1 == LEN[srcs, :]
-        cand = np.where(opt, dsts[:, None], n)
-        np.minimum.at(nxt, srcs, cand)
-    nxt[nxt == n] = -1
+        del base
+        opt &= LEN[dsts, lo:hi] + 1 == LEN[srcs, lo:hi]
+        best = np.minimum.reduceat(np.where(opt, dsts[:, None], n), starts, axis=0)
+        best[best == n] = -1
+        nxt[heads, lo:hi] = best
     np.fill_diagonal(nxt, np.arange(n))
     return nxt
 
 
-def _lengths_additive(D, wmin, n, rtol):
-    """Fewest hops along cost-optimal paths, via relaxation over the
-    shortest-path DAG (edge s->x is in the DAG iff w(s,x)+D(x,t)=D(s,t))."""
-    if n > _DENSE_LIMIT:
-        return _lengths_additive_scan(D, wmin, n, rtol)
-    Wd = np.full((n, n), np.inf)
-    for (i, j), w in wmin.items():
-        Wd[i, j] = w
-    via = Wd[:, :, None] + D[None, :, :]
-    tol = rtol * np.abs(D) + 1e-12 if rtol else 0.0
-    with np.errstate(invalid="ignore"):
-        cond = np.abs(via - D[:, None, :]) <= (tol[:, None, :] if rtol else 0.0)
-    cond &= np.isfinite(via)
+def _fewest_hops(D, edges: _Edges, maximize: bool, rtol: float):
+    """Fewest hops along optimal paths: toward each target t, the hop
+    distance to t over the edges s->x whose cost through x `_ties` D[s, t]
+    (and is finite, for additive routing; whose width is, for widest), by
+    synchronous relaxation from LEN[t, t] = 0."""
+    n = D.shape[0]
     LEN = np.full((n, n), np.inf)
     np.fill_diagonal(LEN, 0.0)
-    for _ in range(n):
-        cand = np.where(cond, LEN[None, :, :], np.inf).min(axis=1) + 1.0
-        new = np.minimum(LEN, cand)
-        np.fill_diagonal(new, 0.0)
-        if np.array_equal(new, LEN):
-            break
-        LEN = new
-    return LEN
-
-
-def _lengths_additive_scan(D, wmin, n, rtol):
-    out_edges: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), w in wmin.items():
-        out_edges.setdefault(i, []).append((j, w))
-    LEN = np.full((n, n), np.inf)
-    for t in range(n):
-        col = D[:, t]
-        LEN[t, t] = 0.0
-        for s in np.argsort(col):
-            if s == t or not np.isfinite(col[s]):
-                continue
-            tol = rtol * abs(col[s]) + 1e-12 if rtol else 0.0
-            best = math.inf
-            for x, w in out_edges.get(s, ()):
-                if abs(w + col[x] - col[s]) <= tol and LEN[x, t] + 1 < best:
-                    best = LEN[x, t] + 1
-            LEN[s, t] = best
+    srcs, dsts, ws, heads, starts = edges
+    for lo, hi in _blocks(n, srcs.size):
+        via = _via(D, edges, maximize, lo, hi)
+        tight = _ties(via, D[srcs, lo:hi], rtol)
+        tight &= np.isfinite(ws)[:, None] if maximize else np.isfinite(via)
+        del via
+        block = LEN[:, lo:hi]
+        for _ in range(n + 1 if maximize else n):
+            hops = np.where(tight, block[dsts], np.inf)
+            cand = np.minimum.reduceat(hops, starts, axis=0) + 1.0
+            new = np.minimum(block[heads], cand)
+            if np.array_equal(new, block[heads]):
+                break
+            block[heads] = new
     return LEN
 
 
@@ -227,9 +246,9 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
     """
     if strategy.maximize:
         raise InvalidWeightError("apsp_additive requires an additive strategy")
-    ids, wmin, flats, nbr_idx, nbr_w = _collect_edges(graph, widest=False)
+    ids, edges, nbr_idx, nbr_w = _collect_edges(graph, widest=False)
     n = len(ids)
-    rows, cols, data = flats
+    rows, cols, data = edges.srcs, edges.dsts, edges.ws
     if data.size and data.min() <= 0:
         raise InvalidWeightError(f"non-positive weight {data.min()}")
     if n == 0:
@@ -245,76 +264,59 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
         Dc = _dijkstra(comp, directed=True)
         finite = np.isfinite(Dc)
         with np.errstate(invalid="ignore"):
-            LEN = np.where(finite, np.mod(Dc, m), np.inf)
-        D = np.where(finite, (Dc - np.where(finite, LEN, 0.0)) / m, np.inf)
+            LEN = np.mod(Dc, m)
+        LEN[~finite] = np.inf
+        # in place: D = (Dc - LEN) / m where finite, inf elsewhere
+        D = Dc
+        np.subtract(D, LEN, out=D, where=finite)
+        D /= m
         used_rtol = 0.0
     else:
         mat = csr_matrix((data, (rows, cols)), shape=(n, n))
         D = _dijkstra(mat, directed=True)
-        LEN = _lengths_additive(D, wmin, n, rtol)
+        LEN = _fewest_hops(D, edges, False, rtol)
         used_rtol = rtol
-    nxt = _next_hops(D, LEN, flats, False, used_rtol)
+    nxt = _next_hops(D, LEN, edges, False, used_rtol)
     return OracleResult(ids, D, LEN, nxt, nbr_idx, nbr_w, False, used_rtol)
 
 
-def _widest_value_iteration(wmin, n, chunk: int = 64):
-    """Max-min widths by synchronous Bellman iteration, then fewest hops by
-    relaxation over the width-optimal support graph."""
-    Wd = np.full((n, n), -np.inf)
-    for (i, j), w in wmin.items():
-        Wd[i, j] = w
+def _widths(edges: _Edges, n: int):
+    """Max-min widths toward every target, by synchronous Bellman iteration
+    over the edges."""
     W = np.full((n, n), -np.inf)
     np.fill_diagonal(W, np.inf)
-    for _ in range(n + 1):
-        changed = False
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            cand = np.minimum(Wd[:, :, None], W[None, :, lo:hi]).max(axis=1)
-            new = np.maximum(W[:, lo:hi], cand)
-            if not np.array_equal(new, W[:, lo:hi]):
-                W[:, lo:hi] = new
-                changed = True
-        np.fill_diagonal(W, np.inf)
-        if not changed:
-            break
-    LEN = np.full((n, n), np.inf)
-    np.fill_diagonal(LEN, 0.0)
-    for _ in range(n + 1):
-        changed = False
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            support = np.minimum(Wd[:, :, None], W[None, :, lo:hi]) == W[:, None, lo:hi]
-            support &= np.isfinite(Wd)[:, :, None]
-            cand = np.where(support, LEN[None, :, lo:hi], np.inf).min(axis=1) + 1.0
-            new = np.minimum(LEN[:, lo:hi], cand)
-            if not np.array_equal(new, LEN[:, lo:hi]):
-                LEN[:, lo:hi] = new
-                changed = True
-        np.fill_diagonal(LEN, 0.0)
-        if not changed:
-            break
-    return W, LEN
+    _srcs, dsts, ws, heads, starts = edges
+    for lo, hi in _blocks(n, dsts.size):
+        block = W[:, lo:hi]
+        for _ in range(n + 1):
+            via = np.minimum(ws[:, None], block[dsts])
+            new = np.maximum(block[heads], np.maximum.reduceat(via, starts, axis=0))
+            if np.array_equal(new, block[heads]):
+                break
+            block[heads] = new
+    return W
 
 
 def widest_reference(graph: GraphStore, strategy: Strategy) -> OracleResult:
     """Value-iteration reference for widest-path strategies (no size cap)."""
     if not strategy.maximize:
         raise InvalidWeightError("widest_reference requires a widest strategy")
-    ids, wmin, flats, nbr_idx, nbr_w = _collect_edges(graph, widest=True)
+    ids, edges, nbr_idx, nbr_w = _collect_edges(graph, widest=True)
     n = len(ids)
     if n == 0:
         empty = np.zeros((0, 0))
         return OracleResult(ids, empty, empty, empty.astype(np.int64),
                             nbr_idx, nbr_w, True, 0.0)
-    W, LEN = _widest_value_iteration(wmin, n)
-    nxt = _next_hops(W, LEN, flats, True, 0.0)
+    W = _widths(edges, n)
+    LEN = _fewest_hops(W, edges, True, 0.0)
+    nxt = _next_hops(W, LEN, edges, True, 0.0)
     return OracleResult(ids, W, LEN, nxt, nbr_idx, nbr_w, True, 0.0)
 
 
-def _enumerate_widths(wmin, n):
+def _enumerate_widths(edges: _Edges, n):
     """Max over all simple paths of the min edge width, per ordered pair."""
     out_edges: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), w in wmin.items():
+    for i, j, w in zip(edges.srcs.tolist(), edges.dsts.tolist(), edges.ws.tolist()):
         out_edges.setdefault(i, []).append((j, w))
     best = np.full((n, n), -np.inf)
     np.fill_diagonal(best, np.inf)
@@ -343,8 +345,8 @@ def widest_paths_bruteforce(graph: GraphStore, strategy: Strategy) -> OracleResu
         raise TooLargeError(f"{len(graph.nodes)} nodes; brute force capped at 14")
     result = widest_reference(graph, strategy)
     n = len(result.ids)
-    _, wmin, _flats, _ni, _nw = _collect_edges(graph, widest=True)
-    enum = _enumerate_widths(wmin, n)
+    _ids, edges, _ni, _nw = _collect_edges(graph, widest=True)
+    enum = _enumerate_widths(edges, n)
     if not np.array_equal(enum, result._cost):
         raise AssertionError("width enumeration disagrees with value iteration")
     return result
@@ -357,34 +359,69 @@ def solve(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> OracleRe
     return apsp_additive(graph, strategy, rtol)
 
 
-def affected_pairs(
-    graph_before: GraphStore, graph_after: GraphStore, strategy: Strategy
-) -> set[tuple[NodeId, NodeId]]:
-    """Ordered pairs whose established rule differs between the two graphs.
+def _mismatch(result: OracleResult, s, t, rule, rtol, check_length, witness_next):
+    """Why the view's rule for (s, t) fails against the oracle, or None."""
+    tri = result.triple(s, t)
+    if tri is None:
+        return "engine reaches an oracle-unreachable pair"
+    cost, length, nxt = tri
+    if rtol:
+        scale = abs(cost) if cost not in (math.inf, -math.inf) else 1.0
+        if not (rule.p_cost == cost or abs(rule.p_cost - cost) <= rtol * scale):
+            return f"cost {rule.p_cost} vs oracle {cost}"
+    elif rule.p_cost != cost:
+        return f"cost {rule.p_cost} vs oracle {cost}"
+    if check_length and rule.p_length != length:
+        return f"length {rule.p_length} vs oracle {length}"
+    if witness_next:
+        if rule.next not in result.witnesses(s, t, tie_break=False):
+            return f"next {rule.next} not an oracle witness"
+    elif rule.next != nxt:
+        return f"next {rule.next} vs oracle {nxt}"
+    return None
 
-    A pair counts as affected when its reachability, optimal cost,
-    tie-broken length, or tie-broken next hop changes.  Length is part of
-    the comparison because it is part of a rule's identity: a changed
-    suffix can shift a pair's hop count without moving its cost or next.
-    """
-    before = solve(graph_before, strategy)
-    after = solve(graph_after, strategy)
-    if before.ids == after.ids:
-        same = (
-            (before._cost == after._cost)
-            & (before._length == after._length)
-            & (before._next == after._next)
-        )
-        # inf == inf holds, so unreachable-on-both compares equal
-        return {
-            (before.ids[i], before.ids[j]) for i, j in zip(*np.nonzero(~same))
-        }
-    changed = set()
-    for s in set(before.ids) | set(after.ids):
-        for t in set(before.ids) | set(after.ids):
-            if before.triple(s, t) != after.triple(s, t):
-                changed.add((s, t))
-    return changed
+
+def _screen(result: OracleResult, view, keys, rows, cols, rtol, check_length):
+    """Which view entries certainly pass `_mismatch`, decided for all of
+    them at once.
+
+    The rules' (next, p_cost, p_length) become object columns, so that each
+    value compares with the oracle's matrices at (rows, cols) as Python
+    compares it (an int cost of 2**53 or more included).  The next must be
+    the oracle's tie-broken next, also under `witness_next`: that next
+    passed the test `witnesses` makes, under the result's own tolerance,
+    so it is always a witness.  An entry not passed here may still pass
+    `_mismatch`."""
+    count = len(keys)
+    passed = np.zeros(count, dtype=bool)
+    known = np.flatnonzero((rows >= 0) & (cols >= 0))
+    cost = result._cost[rows[known], cols[known]]
+    reach = cost > -math.inf if result.maximize else cost < math.inf
+    at, cost = known[reach], cost[reach]
+    if not at.size:
+        return passed
+    rules = map(view.__getitem__, map(keys.__getitem__, at))
+    attrs = chain.from_iterable(map(attrgetter("next", "p_cost", "p_length"), rules))
+    values = np.fromiter(attrs, object, 3 * at.size).reshape(at.size, 3)
+    i, j = rows[at], cols[at]
+    if rtol:
+        scale = np.where(np.isinf(cost), 1.0, np.abs(cost))
+        # Python's float arithmetic raises the FPU's invalid flag on inf - inf
+        with np.errstate(invalid="ignore"):
+            ok = (values[:, 1] == cost) | (np.abs(values[:, 1] - cost) <= rtol * scale)
+    else:
+        ok = ~(values[:, 1] != cost)
+    # `triple` takes int() of the length, which fails on inf
+    length = result._length[i, j]
+    finite = np.isfinite(length)
+    ok &= finite
+    if check_length:
+        ok &= ~(values[:, 2] != np.where(finite, length, 0).astype(np.int64))
+    nxt = result._next[i, j]
+    ok &= nxt >= 0
+    ok &= ~(values[:, 0] != np.array(result.ids, dtype=object)[nxt])
+    passed[at] = ok
+    return passed
 
 
 def compare_view(
@@ -399,34 +436,35 @@ def compare_view(
     Returns a list of (s, t, reason) tuples; empty means equivalence.  With
     `rtol`, costs compare within relative tolerance and, combined with
     `witness_next`, the next hop only has to lie in the cost-level witness
-    set (used for real-valued weights where exact ties differ).
+    set (used for real-valued weights where exact ties differ).  The view's
+    mismatches come first, in view order, then the oracle-reachable pairs
+    the view lacks, in `ids` order.
+
+    `_screen` passes most entries at once; the rest go through
+    `_mismatch`, which builds the reasons.
     """
+    index = result.index
+    keys = list(view)
+    count = len(keys)
+    rows = np.fromiter(map(index.get, map(itemgetter(0), keys), repeat(-1)), np.intp, count)
+    cols = np.fromiter(map(index.get, map(itemgetter(1), keys), repeat(-1)), np.intp, count)
+    try:
+        passed = _screen(result, view, keys, rows, cols, rtol, check_length)
+    except (ArithmeticError, AttributeError, TypeError, ValueError):
+        # what the screen cannot compare, `_mismatch` decides (or raises on)
+        passed = np.zeros(count, dtype=bool)
     bad = []
-    seen = set()
-    for (s, t), rule in view.items():
-        seen.add((s, t))
-        tri = result.triple(s, t)
-        if tri is None:
-            bad.append((s, t, "engine reaches an oracle-unreachable pair"))
-            continue
-        cost, length, nxt = tri
-        if rtol:
-            scale = abs(cost) if cost not in (math.inf, -math.inf) else 1.0
-            if not (rule.p_cost == cost or abs(rule.p_cost - cost) <= rtol * scale):
-                bad.append((s, t, f"cost {rule.p_cost} vs oracle {cost}"))
-                continue
-        elif rule.p_cost != cost:
-            bad.append((s, t, f"cost {rule.p_cost} vs oracle {cost}"))
-            continue
-        if check_length and rule.p_length != length:
-            bad.append((s, t, f"length {rule.p_length} vs oracle {length}"))
-            continue
-        if witness_next:
-            if rule.next not in result.witnesses(s, t, tie_break=False):
-                bad.append((s, t, f"next {rule.next} not an oracle witness"))
-        elif rule.next != nxt:
-            bad.append((s, t, f"next {rule.next} vs oracle {nxt}"))
-    for s, t, *_ in result.pairs():
-        if (s, t) not in seen:
-            bad.append((s, t, "oracle-reachable pair missing from engine"))
+    for k in np.flatnonzero(~passed).tolist():
+        s, t = key = keys[k]
+        reason = _mismatch(result, s, t, view[key], rtol, check_length, witness_next)
+        if reason is not None:
+            bad.append((s, t, reason))
+    missing = (
+        result._cost > -math.inf if result.maximize else result._cost < math.inf
+    )
+    known = (rows >= 0) & (cols >= 0)
+    missing[rows[known], cols[known]] = False
+    ids = result.ids
+    for i, j in zip(*(a.tolist() for a in np.nonzero(missing))):
+        bad.append((ids[i], ids[j], "oracle-reachable pair missing from engine"))
     return bad

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from deltapath import oracle
 from deltapath.graph_model import (
     AddLink,
     GraphStore,
     LinkProperties,
+    NodeId,
     NodeRecord,
     RemoveLink,
     Topology,
     UpdateWeight,
     build_graph,
 )
-from deltapath.strategy import builtin
+from deltapath.strategy import Strategy, builtin
 
 
 def props(capacity=10.0, utilization=0.0, delay=1.0) -> LinkProperties:
@@ -74,6 +78,43 @@ def random_connected_topology(rng: random.Random, n: int, avg_degree: float = No
     return topo
 
 
+@st.composite
+def loose_topologies(draw):
+    """Small graphs with parallel links (equal or different weights),
+    isolated nodes and any number of components."""
+    n = draw(st.integers(1, 8))
+    links = []
+    if n > 1:
+        for a, b, u in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5)),
+            max_size=12,
+        )):
+            if a != b:
+                links.append((a, b, props(utilization=float(u))))
+    return topology(n, links)
+
+
+@st.composite
+def real_weight_topologies(draw):
+    """Like `loose_topologies` (parallel links, isolated nodes, any number
+    of components), with real and absorbing weights (1e-17 beside 1.0 or
+    1/3, 1e9 for a saturated link), widths that tie (a repeated capacity
+    and utilization) or are 0 (a saturated link), and node ids that are
+    negative or not contiguous."""
+    ids = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=8, unique=True))
+    utilization = st.sampled_from([1e-17, 0.1, 1 / 3, 1.0, 2.0, 100.0])
+    capacity = st.sampled_from([1 / 3, 10.0, 1e17])
+    links = []
+    if len(ids) > 1:
+        ends = st.sampled_from(ids)
+        for a, b, u, c in draw(st.lists(
+            st.tuples(ends, ends, utilization, capacity), max_size=16,
+        )):
+            if a != b:
+                links.append((a, b, props(capacity=c, utilization=u)))
+    return Topology(nodes=[NodeRecord(i) for i in ids], links=links)
+
+
 def random_events(rng: random.Random, graph: GraphStore, count: int) -> list:
     """A stream of add/remove/update link events valid against the evolving
     graph (the caller applies each event before the next is drawn)."""
@@ -105,6 +146,36 @@ def random_events(rng: random.Random, graph: GraphStore, count: int) -> list:
             live[(ev.a, ev.b)] = None
             events.append(ev)
     return events
+
+
+def affected_pairs(
+    graph_before: GraphStore, graph_after: GraphStore, strategy: Strategy
+) -> set[tuple[NodeId, NodeId]]:
+    """Ordered pairs whose established rule differs between the two graphs.
+
+    A pair counts as affected when its reachability, optimal cost,
+    tie-broken length, or tie-broken next hop changes.  Length is part of
+    the comparison because it is part of a rule's identity: a changed
+    suffix can shift a pair's hop count without moving its cost or next.
+    """
+    before = oracle.solve(graph_before, strategy)
+    after = oracle.solve(graph_after, strategy)
+    if before.ids == after.ids:
+        same = (
+            (before.cost_matrix == after.cost_matrix)
+            & (before.length_matrix == after.length_matrix)
+            & (before.next_matrix == after.next_matrix)
+        )
+        # inf == inf holds, so unreachable-on-both compares equal
+        return {
+            (before.ids[i], before.ids[j]) for i, j in zip(*np.nonzero(~same))
+        }
+    changed = set()
+    for s in set(before.ids) | set(after.ids):
+        for t in set(before.ids) | set(after.ids):
+            if before.triple(s, t) != after.triple(s, t):
+                changed.add((s, t))
+    return changed
 
 
 @pytest.fixture

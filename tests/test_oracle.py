@@ -1,23 +1,36 @@
 import math
 import random
+import tracemalloc
+from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltapath import oracle
 from deltapath.errors import InvalidWeightError, TooLargeError
 from deltapath.graph_model import RemoveLink, build_graph
-from deltapath.strategy import builtin
+from deltapath.routing_core import ForwardingRule
+from deltapath.strategy import Strategy, builtin, builtin_names
+from deltapath.workloads import gen_fattree
 
 from conftest import (
+    affected_pairs,
+    loose_topologies,
     props,
     random_connected_topology,
+    real_weight_topologies,
     topology,
     triangle,
     utilization_topology,
 )
 
 SD = builtin("sd_utilization")
+HOP = builtin("hop_count")
 WIDEST = builtin("shortest_widest")
+BUILTINS = [builtin(name) for name in builtin_names()]
 
 
 def sd_graph(n, weighted_links):
@@ -218,25 +231,23 @@ class TestWidest:
 
 class TestAffectedPairs:
     def test_identical_graphs(self, triangle_graph):
-        assert oracle.affected_pairs(triangle_graph, triangle_graph, SD) == set()
+        assert affected_pairs(triangle_graph, triangle_graph, SD) == set()
 
     def test_leaf_unlink_touches_all_its_pairs(self):
         g = sd_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         after = g.fork()
         after.apply_deltas(after.ingest_event(RemoveLink(2, 3), SD.link_cost))
-        changed = oracle.affected_pairs(g, after, SD)
+        changed = affected_pairs(g, after, SD)
         assert changed == {(0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2)}
 
     def test_triangle_minus_one_edge(self, triangle_graph):
         after = triangle_graph.fork()
         after.apply_deltas(after.ingest_event(RemoveLink(0, 1), SD.link_cost))
-        changed = oracle.affected_pairs(triangle_graph, after, SD)
+        changed = affected_pairs(triangle_graph, after, SD)
         assert changed == {(0, 1), (1, 0), (0, 2), (2, 0)}
 
 
 def test_compare_view_reports_divergence(triangle_graph):
-    from deltapath.routing_core import ForwardingRule
-
     r = oracle.apsp_additive(triangle_graph, SD)
     good = {
         (s, t): ForwardingRule(s, t, nxt, cost, length, 1)
@@ -248,3 +259,223 @@ def test_compare_view_reports_divergence(triangle_graph):
     assert oracle.compare_view(r, bad) == [(0, 2, "cost 99.0 vs oracle 2.0")]
     del bad[(0, 2)]
     assert oracle.compare_view(r, bad) == [(0, 2, "oracle-reachable pair missing from engine")]
+
+
+# --- properties of a solve that take nothing from its kernels on trust:
+# --- `witnesses` re-derives the optimal next hops from the cost matrix,
+# --- one source at a time
+
+
+def assert_witness_properties(result):
+    """Every reachable pair's next is its smallest tie-broken witness, and
+    its length is one more than the fewest hops of its cost-level
+    witnesses."""
+    length = result.length_matrix
+    for s in result.ids:
+        for t in result.ids:
+            if not result.reachable(s, t):
+                assert result.next_of(s, t) is None, (s, t)
+                continue
+            assert result.next_of(s, t) == min(result.witnesses(s, t)), (s, t)
+            if s == t:
+                assert result.length_of(s, t) == 0
+                continue
+            j = result.index[t]
+            hops = min(length[result.index[x], j] for x in result.witnesses(s, t, tie_break=False))
+            assert length[result.index[s], j] == 1 + hops, (s, t)
+
+
+@pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+@settings(max_examples=60, deadline=None)
+@given(topo=st.one_of(loose_topologies(), real_weight_topologies()))
+def test_next_and_length_follow_from_the_witnesses(strategy, topo):
+    assert_witness_properties(oracle.solve(build_graph(topo, strategy.link_cost), strategy))
+
+
+def real_weight_fattree(k):
+    """A fat-tree whose utilizations are drawn reals, so sd_utilization
+    weights are not integral (seeded by k)."""
+    topo = gen_fattree(k)
+    rng = random.Random(k)
+    topo.links = [
+        (a, b, replace(p, utilization=rng.uniform(1.0, 100.0))) for a, b, p in topo.links
+    ]
+    return topo
+
+
+def test_witness_properties_on_a_real_weight_fattree():
+    """n = 320: fewest hops over real weights at the size that used to go
+    through a per-target scan."""
+    g = build_graph(real_weight_fattree(16), SD.link_cost)
+    result = oracle.solve(g, SD)
+    assert len(result.ids) == 320 and result._rtol > 0
+    assert_witness_properties(result)
+
+
+@pytest.mark.parametrize("strategy,topo", [
+    (HOP, lambda: gen_fattree(16)),
+    (SD, lambda: real_weight_fattree(12)),
+], ids=["hop_count-fattree16", "sd_utilization-real-fattree12"])
+def test_solve_memory_is_bounded(strategy, topo):
+    """The traced peak of one solve (numpy buffers included) stays under
+    8 MiB: a few (N, N) matrices plus blocks of (edges x targets).  An
+    (edges x N) or N^3 temporary is 10.5 MiB or 44 MiB here."""
+    g = build_graph(topo(), strategy.link_cost)
+    oracle.solve(g, strategy)  # scipy's first call allocates for good
+    tracemalloc.start()
+    try:
+        oracle.solve(g, strategy)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+# --- compare_view: its reasons, their order, and the options
+
+
+def rules_of(result):
+    """The oracle's own answer as a view."""
+    return {
+        (s, t): ForwardingRule(s, t, nxt, cost, length, 1)
+        for s, t, cost, length, nxt in result.pairs()
+    }
+
+
+def test_compare_view_reasons_in_view_order_then_missing_row_major():
+    # a triangle (0-2 direct costs 3, through 1 costs 2) and a separate link 3-4
+    g = sd_graph(5, [(0, 1, 1), (1, 2, 1), (0, 2, 3), (3, 4, 1)])
+    r = oracle.apsp_additive(g, SD)
+    good = rules_of(r)
+    assert oracle.compare_view(r, good) == []
+    view = {
+        (2, 1): good[(2, 1)]._replace(p_length=2),
+        (0, 3): ForwardingRule(0, 3, 1, 5.0, 2, 1),
+        (1, 0): good[(1, 0)]._replace(p_cost=7.0),
+        (0, 2): good[(0, 2)]._replace(next=2),
+        (0, 9): ForwardingRule(0, 9, 1, 1.0, 1, 1),
+    }
+    for pair, rule in good.items():
+        if pair not in view and pair not in {(4, 3), (2, 0), (0, 1)}:
+            view[pair] = rule
+    assert oracle.compare_view(r, view) == [
+        (2, 1, "length 2 vs oracle 1"),
+        (0, 3, "engine reaches an oracle-unreachable pair"),
+        (1, 0, "cost 7.0 vs oracle 1.0"),
+        (0, 2, "next 2 vs oracle 1"),
+        (0, 9, "engine reaches an oracle-unreachable pair"),
+        (0, 1, "oracle-reachable pair missing from engine"),
+        (2, 0, "oracle-reachable pair missing from engine"),
+        (4, 3, "oracle-reachable pair missing from engine"),
+    ]
+    # one reason per pair, the first that applies: cost, then length, then next
+    view[(1, 0)] = good[(1, 0)]._replace(p_cost=7.0, p_length=5, next=2)
+    view[(2, 1)] = good[(2, 1)]._replace(p_length=2, next=0)
+    assert oracle.compare_view(r, view)[:3] == [
+        (2, 1, "length 2 vs oracle 1"),
+        (0, 3, "engine reaches an oracle-unreachable pair"),
+        (1, 0, "cost 7.0 vs oracle 1.0"),
+    ]
+
+
+def test_compare_view_names_nodes_the_oracle_lacks():
+    g = sd_graph(3, [(0, 1, 1), (1, 2, 1)])
+    r = oracle.apsp_additive(g, SD)
+    view = {(9, 9): ForwardingRule(9, 9, 9, 0.0, 0, 1), **rules_of(r)}
+    view[(7, 0)] = ForwardingRule(7, 0, 0, 1.0, 1, 1)
+    assert oracle.compare_view(r, view) == [
+        (9, 9, "engine reaches an oracle-unreachable pair"),
+        (7, 0, "engine reaches an oracle-unreachable pair"),
+    ]
+
+
+def test_witness_next_accepts_any_cost_level_witness():
+    """0 reaches 3 directly (real weight 2.5) or through 1 (1.25 + 1.25):
+    the same cost, so 1 is a witness although the tie-break picks 3; 2 is
+    no neighbor of 0 and so no witness."""
+    g = sd_graph(4, [(0, 3, 2.5), (0, 1, 1.25), (1, 3, 1.25), (2, 3, 1.0)])
+    r = oracle.apsp_additive(g, SD)
+    assert r.next_of(0, 3) == 3 and r.witnesses(0, 3, tie_break=False) == {1, 3}
+    good = rules_of(r)
+    view = dict(good)
+    view[(0, 3)] = good[(0, 3)]._replace(next=1)
+    assert oracle.compare_view(r, view) == [(0, 3, "next 1 vs oracle 3")]
+    assert oracle.compare_view(r, view, rtol=1e-9, witness_next=True) == []
+    view[(0, 3)] = good[(0, 3)]._replace(next=2)
+    assert oracle.compare_view(r, view, rtol=1e-9, witness_next=True) == [
+        (0, 3, "next 2 not an oracle witness"),
+    ]
+
+
+def test_check_length_false_ignores_the_length_only():
+    g = sd_graph(3, [(0, 1, 1), (1, 2, 1)])
+    r = oracle.apsp_additive(g, SD)
+    view = rules_of(r)
+    view[(0, 2)] = view[(0, 2)]._replace(p_length=5)
+    assert oracle.compare_view(r, view) == [(0, 2, "length 5 vs oracle 2")]
+    assert oracle.compare_view(r, view, check_length=False) == []
+    view[(0, 2)] = view[(0, 2)]._replace(next=0)
+    assert oracle.compare_view(r, view, check_length=False) == [(0, 2, "next 0 vs oracle 1")]
+
+
+def test_rtol_bounds_the_cost_difference():
+    g = sd_graph(2, [(0, 1, 1 / 3)])
+    r = oracle.apsp_additive(g, SD)
+    view = rules_of(r)
+    view[(0, 1)] = view[(0, 1)]._replace(p_cost=1 / 3 * (1 + 1e-12))
+    assert oracle.compare_view(r, view, rtol=1e-9) == []
+    assert oracle.compare_view(r, view) == [
+        (0, 1, f"cost {1 / 3 * (1 + 1e-12)} vs oracle {1 / 3}"),
+    ]
+    view[(0, 1)] = view[(0, 1)]._replace(p_cost=1 / 3 * (1 + 1e-8))
+    assert oracle.compare_view(r, view, rtol=1e-9) == [
+        (0, 1, f"cost {1 / 3 * (1 + 1e-8)} vs oracle {1 / 3}"),
+    ]
+
+
+# sd_utilization's sum over a link cost of 2**53 for every link
+HUGE = Strategy(
+    name="huge",
+    link_cost=lambda p: float(2**53),
+    path_cost=SD.path_cost,
+    tautology_cost=0.0,
+    maximize=False,
+    weight_domain=SD.weight_domain._replace(hi=math.inf),
+)
+
+
+def test_costs_compare_as_python_compares_them():
+    """An int cost of 2**53 + 1 rounds to the oracle's float 2**53, but
+    is not equal to it; a Fraction of 1/3 is not the float 1/3; a Decimal
+    equal to the cost passes under `rtol` without being subtracted from
+    it, which would raise."""
+    g = build_graph(topology(2, [(0, 1)]), HUGE.link_cost)
+    r = oracle.apsp_additive(g, HUGE)
+    assert r.cost_of(0, 1) == 2.0**53
+    view = rules_of(r)
+    view[(0, 1)] = view[(0, 1)]._replace(p_cost=2**53)
+    assert oracle.compare_view(r, view) == []
+    view[(0, 1)] = view[(0, 1)]._replace(p_cost=Decimal(2**53))
+    assert oracle.compare_view(r, view, rtol=1e-9) == []
+    view[(0, 1)] = view[(0, 1)]._replace(p_cost=2**53 + 1)
+    assert oracle.compare_view(r, view) == [
+        (0, 1, "cost 9007199254740993 vs oracle 9007199254740992.0"),
+    ]
+    third = oracle.apsp_additive(sd_graph(2, [(0, 1, 1 / 3)]), SD)
+    view = rules_of(third)
+    view[(0, 1)] = view[(0, 1)]._replace(p_cost=Fraction(1, 3))
+    assert oracle.compare_view(third, view) == [
+        (0, 1, "cost 1/3 vs oracle 0.3333333333333333"),
+    ]
+    assert oracle.compare_view(third, view, rtol=1e-9) == []
+
+
+def test_compare_view_of_views_without_rules():
+    """Values that are not rules at all: the pairs the oracle cannot reach
+    are named without reading them, the others raise as they always did."""
+    r = oracle.apsp_additive(sd_graph(2, [(0, 1, 1)]), SD)
+    view = {**rules_of(r), (5, 6): None}
+    assert oracle.compare_view(r, view) == [(5, 6, "engine reaches an oracle-unreachable pair")]
+    view[(0, 1)] = None
+    with pytest.raises(AttributeError):
+        oracle.compare_view(r, view)

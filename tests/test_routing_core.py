@@ -39,9 +39,12 @@ from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 from rounds_reference import candidates, solve_rounds, step_rounds
 
 from conftest import (
+    affected_pairs,
+    loose_topologies,
     props,
     random_connected_topology,
     random_events,
+    real_weight_topologies,
     topology,
     triangle,
     utilization_topology,
@@ -128,7 +131,7 @@ class TestStepEpoch:
         rule = store.established_rules()[(0, 2)]
         assert (rule.next, rule.p_cost, rule.p_length) == (2, 3.0, 1)
         changed_pairs = {(r.src, r.dst) for r in batch}
-        assert changed_pairs == oracle.affected_pairs(before, triangle_graph, SD)
+        assert changed_pairs == affected_pairs(before, triangle_graph, SD)
 
     def test_output_applies_as_edits(self):
         rng = random.Random(5)
@@ -742,22 +745,6 @@ class TestSearchMatchesRounds:
         assert_search_matches_rounds(topo, strategy)
 
 
-@st.composite
-def loose_topologies(draw):
-    """Small graphs with parallel links (equal or different weights),
-    isolated nodes and any number of components."""
-    n = draw(st.integers(1, 8))
-    links = []
-    if n > 1:
-        for a, b, u in draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5)),
-            max_size=12,
-        )):
-            if a != b:
-                links.append((a, b, props(utilization=float(u))))
-    return topology(n, links)
-
-
 @settings(max_examples=60, deadline=None)
 @given(loose_topologies(), st.sampled_from(BUILTINS))
 def test_search_matches_rounds_on_loose_graphs(topo, strategy):
@@ -905,27 +892,6 @@ def assert_same_rules(got, want):
     for pair, key in got.items():
         assert [type(v) for v in key] == [type(v) for v in want[pair]], pair
         assert repr(key) == repr(want[pair]), pair
-
-
-@st.composite
-def real_weight_topologies(draw):
-    """Like `loose_topologies` (parallel links, isolated nodes, any number
-    of components), with real and absorbing weights (1e-17 beside 1.0 or
-    1/3, 1e9 for a saturated link), widths that tie (a repeated capacity
-    and utilization) or are 0 (a saturated link), and node ids that are
-    negative or not contiguous."""
-    ids = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=8, unique=True))
-    utilization = st.sampled_from([1e-17, 0.1, 1 / 3, 1.0, 2.0, 100.0])
-    capacity = st.sampled_from([1 / 3, 10.0, 1e17])
-    links = []
-    if len(ids) > 1:
-        ends = st.sampled_from(ids)
-        for a, b, u, c in draw(st.lists(
-            st.tuples(ends, ends, utilization, capacity), max_size=16,
-        )):
-            if a != b:
-                links.append((a, b, props(capacity=c, utilization=u)))
-    return Topology(nodes=[NodeRecord(i) for i in ids], links=links)
 
 
 # shortest_widest's path cost as a function path_cost_kind does not know
