@@ -1,10 +1,12 @@
 """Delta-encoded property graph and topology event ingestion.
 
-The network is an undirected property graph stored as two directed edge
-records per link.  Edge identity for delta aggregation is (src, dst, w):
-link properties ride along but do not participate in aggregation.  Stored
-multiplicities are signed counts; a key whose count reaches zero is
-garbage-collected, so parallel links are just multiplicities above one.
+The network is an undirected property graph.  A link's identity for delta
+aggregation is (src, dst, w) with src < dst: its properties ride along but
+do not participate in aggregation.  The store keeps each link's
+multiplicity under both directions, for the routing engine's adjacency,
+and its properties once.  Multiplicities are signed counts; a link whose
+count reaches zero is garbage-collected, so parallel links are just
+multiplicities above one.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ class LinkProperties:
 
 
 class EdgeRecord(NamedTuple):
-    """A directed weighted edge delta; the unit of topology change."""
+    """The delta of one undirected link, ends `src < dst`; the unit of
+    topology change.  `props` are the properties the link takes, or, in
+    what `apply_deltas` returns, those it held before (None for none)."""
 
     src: NodeId
     dst: NodeId
@@ -136,9 +140,9 @@ class GraphStore:
 
     def __init__(self):
         self.nodes: dict[NodeId, NodeRecord] = {}
-        # src -> (dst, w) -> signed multiplicity (never zero)
+        # src -> (dst, w) -> signed multiplicity (never zero), both directions
         self._adj: dict[NodeId, dict[tuple[NodeId, float], int]] = {}
-        # (src, dst, w) -> properties, kept for both directions
+        # (src, dst, w) with src < dst -> the link's properties
         self._props: dict[tuple[NodeId, NodeId, float], LinkProperties] = {}
 
     # --- inspection
@@ -158,7 +162,7 @@ class GraphStore:
         return sorted(w for (dst, w) in self._adj.get(a, {}) if dst == b)
 
     def link_props(self, a: NodeId, b: NodeId, w: float) -> LinkProperties | None:
-        return self._props.get((a, b, w))
+        return self._props.get(_link(a, b, w))
 
     def __eq__(self, other):
         if not isinstance(other, GraphStore):
@@ -177,7 +181,7 @@ class GraphStore:
         self.nodes[record.id] = record
 
     def ingest_event(self, ev: TopologyEvent, link_cost: LinkCostFn) -> list[EdgeRecord]:
-        """Translate one topology event into edge deltas.
+        """Translate one topology event into link deltas.
 
         Node additions/removals mutate the node table here; the returned
         deltas still have to go through `apply_deltas` to take effect on
@@ -192,12 +196,10 @@ class GraphStore:
                 if n not in self.nodes:
                     raise UnknownNodeError(f"node {n} does not exist")
                 del self.nodes[n]
-                out = []
-                for (dst, w), mult in self._adj.get(n, {}).items():
-                    for _ in range(mult):
-                        out.append(EdgeRecord(n, dst, w, -1))
-                        out.append(EdgeRecord(dst, n, w, -1))
-                return out
+                return [
+                    EdgeRecord(*_link(n, x, w), -mult)
+                    for (x, w), mult in self._adj.get(n, {}).items()
+                ]
             case AddLink(a=a, b=b, props=props):
                 if a not in self.nodes:
                     raise UnknownNodeError(f"node {a} does not exist")
@@ -205,21 +207,15 @@ class GraphStore:
                     raise UnknownNodeError(f"node {b} does not exist")
                 if a == b:
                     raise ValueError(f"self-link on node {a}")
-                w = link_cost(props)
-                return [EdgeRecord(a, b, w, 1, props), EdgeRecord(b, a, w, 1, props)]
+                return [EdgeRecord(*_link(a, b, link_cost(props)), 1, props)]
             case RemoveLink(a=a, b=b, w=w):
-                w = self._resolve_weight(a, b, w)
-                return [EdgeRecord(a, b, w, -1), EdgeRecord(b, a, w, -1)]
+                return [EdgeRecord(*_link(a, b, self._resolve_weight(a, b, w)), -1)]
             case UpdateWeight(a=a, b=b, utilization=u):
                 w_old = self._resolve_weight(a, b, None)
-                props_old = self._props[(a, b, w_old)]
-                props_new = replace(props_old, utilization=u)
-                w_new = link_cost(props_new)
+                props_new = replace(self.link_props(a, b, w_old), utilization=u)
                 return [
-                    EdgeRecord(a, b, w_old, -1),
-                    EdgeRecord(b, a, w_old, -1),
-                    EdgeRecord(a, b, w_new, 1, props_new),
-                    EdgeRecord(b, a, w_new, 1, props_new),
+                    EdgeRecord(*_link(a, b, w_old), -1),
+                    EdgeRecord(*_link(a, b, link_cost(props_new)), 1, props_new),
                 ]
         raise TypeError(f"unknown event type: {ev!r}")
 
@@ -238,72 +234,63 @@ class GraphStore:
         return stored[0]
 
     def apply_deltas(self, deltas: list[EdgeRecord]) -> list[EdgeRecord]:
-        """Fold edge deltas into the store and return the net non-zero
-        change per (src, dst, w) key.
+        """Fold link deltas into the store and return, sorted, the net
+        change per (src, dst, w) link, each with the properties the link
+        held before.  A record with `src > dst` names the same link.
 
-        A stored key whose deltas cancel takes the properties they carry:
-        that is how `UpdateWeight` refreshes a link whose cost does not move.
-        Atomic: raises NegativeMultiplicityError without mutating anything
-        if some key would go below zero.
+        A stored link whose deltas cancel takes the properties they carry,
+        returned as a zero-count record: that is how `UpdateWeight`
+        refreshes a link whose cost does not move.  Atomic: raises
+        NegativeMultiplicityError without mutating anything if some link
+        would go below zero.
         """
         net: dict[tuple[NodeId, NodeId, float], int] = {}
         new_props: dict[tuple[NodeId, NodeId, float], LinkProperties] = {}
-        for rec in deltas:
-            key = (rec.src, rec.dst, rec.w)
-            net[key] = net.get(key, 0) + rec.delta
-            if rec.props is not None:
-                new_props[key] = rec.props
+        for src, dst, w, delta, props in deltas:
+            key = _link(src, dst, w)
+            net[key] = net.get(key, 0) + delta
+            if props is not None:
+                new_props[key] = props
 
         for (src, dst, w), d in net.items():
-            if d and self._adj.get(src, {}).get((dst, w), 0) + d < 0:
+            if d and self.multiplicity(src, dst, w) + d < 0:
                 raise NegativeMultiplicityError(
                     f"retraction of ({src}, {dst}, {w}) below zero"
                 )
 
         out = []
         for key, d in sorted(net.items()):
-            src, dst, w = key
-            if d == 0:
-                if key in new_props and (dst, w) in self._adj.get(src, ()):
-                    self._props[key] = new_props[key]
-                continue
-            row = self._adj.setdefault(src, {})
-            m = row.get((dst, w), 0) + d
-            if m:
-                row[(dst, w)] = m
-                if key in new_props:
-                    self._props[key] = new_props[key]
-                elif key not in self._props and (dst, src, w) in self._props:
-                    self._props[key] = self._props[(dst, src, w)]
-            else:
-                del row[(dst, w)]
-                if not row:
-                    del self._adj[src]
-                self._props.pop(key, None)
-            out.append(EdgeRecord(src, dst, w, d, new_props.get(key)))
+            m = self.multiplicity(*key) + d
+            if not d and not (m and key in new_props):
+                continue  # neither a count change nor a refresh
+            old = self._props.get(key)
+            out.append(EdgeRecord(*key, d, old))
+            self._store_link(key, m, new_props.get(key, old))
         return out
 
-    def undo_deltas(
-        self,
-        applied: list[EdgeRecord],
-        props: dict[tuple[NodeId, NodeId, float], LinkProperties | None],
+    def undo_deltas(self, applied: list[EdgeRecord]) -> None:
+        """Undo one `apply_deltas` call, given what it returned."""
+        for src, dst, w, d, props in applied:
+            self._store_link((src, dst, w), self.multiplicity(src, dst, w) - d, props)
+
+    def _store_link(
+        self, key: tuple[NodeId, NodeId, float], mult: int, props: LinkProperties | None
     ) -> None:
-        """Undo one `apply_deltas` call, given what it returned and the
-        properties each key it was passed had before it (None for none)."""
-        for src, dst, w, d, _p in applied:
+        """Store `mult` copies of the link `key` under both directions, with
+        `props`; a count of zero removes the link."""
+        a, b, w = key
+        for src, dst in ((a, b), (b, a)):
             row = self._adj.setdefault(src, {})
-            m = row.get((dst, w), 0) - d
-            if m:
-                row[(dst, w)] = m
+            if mult:
+                row[(dst, w)] = mult
             else:
                 del row[(dst, w)]
                 if not row:
                     del self._adj[src]
-        for key, p in props.items():
-            if p is None:
-                self._props.pop(key, None)
-            else:
-                self._props[key] = p
+        if mult and props is not None:
+            self._props[key] = props
+        else:
+            self._props.pop(key, None)
 
     def fork(self) -> GraphStore:
         """Independent copy sharing no mutable state with the original."""
@@ -315,7 +302,8 @@ class GraphStore:
 
     def check_integrity(self) -> None:
         """Raise IntegrityError unless every stored edge has a nonzero
-        multiplicity, the same multiplicity backwards, and two nodes."""
+        multiplicity, the same multiplicity backwards, and two nodes, and
+        every link, keyed `src < dst`, has one entry of properties."""
         for (src, dst, w), mult in self.edge_items():
             if mult == 0:
                 raise IntegrityError(f"zero multiplicity stored for ({src}, {dst}, {w})")
@@ -326,6 +314,16 @@ class GraphStore:
                 )
             if src not in self.nodes or dst not in self.nodes:
                 raise IntegrityError(f"edge ({src}, {dst}, {w}) references a missing node")
+            if src < dst and (src, dst, w) not in self._props:
+                raise IntegrityError(f"link ({src}, {dst}, {w}) has no properties")
+        for src, dst, w in self._props:
+            if not (src < dst and self.multiplicity(src, dst, w)):
+                raise IntegrityError(f"properties stored for ({src}, {dst}, {w}), no link")
+
+
+def _link(a: NodeId, b: NodeId, w: float) -> tuple[NodeId, NodeId, float]:
+    """The key of a link between a and b: its ends in order."""
+    return (a, b, w) if a < b else (b, a, w)
 
 
 # --- topology container and file formats -----------------------------------

@@ -257,9 +257,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     int tautology cost over weights that are not all int or that total
     2**53 or more; under "min" a tautology cost other than the float inf,
     a weight that is not a float (the repair keeps an int width int) or
-    has its sign bit set, or an edge without a reverse edge of the same
-    width (Kruskal needs undirected widths, and `apply_deltas` can store
-    one direction alone).
+    has its sign bit set.
     """
     kind = path_cost_kind(strategy)
     widest = kind == "min"
@@ -280,11 +278,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     n, m = len(ids), len(best)
     weights = np.fromiter(best.values(), float, m)
     if widest:
-        refused = (
-            not all(type(w) is float for w in best.values())
-            or np.signbit(weights).any()
-            or any(best.get((u, x)) != w for (x, u), w in best.items())
-        )
+        refused = not all(type(w) is float for w in best.values()) or np.signbit(weights).any()
     else:
         refused = not np.isfinite(weights.sum() * 2) or integral and not (
             all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
@@ -429,12 +423,10 @@ def search(
         near = {a for a, _b in cut}
         for n in skip_nodes:
             near.update(x for x, _w in graph.out_edges(n))
-        # a masked node routes no one, even where a one-way edge reaches it
         masked = {
-            u: [] if u in skip_nodes else [
-                (x, w) for x, w in graph.out_edges(u)
+            u: [(x, w) for x, w in graph.out_edges(u)
                 if x not in skip_nodes and (u, x) not in cut]
-            for u in near | skip_nodes
+            for u in near
         }
 
         def adj(u):
@@ -443,7 +435,7 @@ def search(
 
     store = RuleStore(strategy)
     _repair(store, adj, dst, (), True, (), {}, EpochStats(), until)
-    return {x: key for (x, _d), key in store._est.items() if x not in skip_nodes}
+    return {x: key for (x, _d), key in store._est.items()}
 
 
 def _check_monotone(tree, adj, fp, neg):
@@ -478,23 +470,24 @@ def step_epoch(
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
     journal: dict[tuple[NodeId, NodeId], tuple | None] = {}
-    applied: list[tuple[list[EdgeRecord], dict]] = []
+    applied: list[list[EdgeRecord]] = []
     try:
         touched: set[NodeId] = set()
         net: dict[tuple[NodeId, NodeId, float], int] = {}
         # each event resolves against the graph as the earlier ones left it
         for ev in events:
-            raw = graph.ingest_event(ev, strategy.link_cost)
-            props = {(r.src, r.dst, r.w): graph.link_props(r.src, r.dst, r.w) for r in raw}
-            done = graph.apply_deltas(raw)
-            applied.append((done, props))
-            for src, dst, w, delta, _p in done:
+            done = graph.apply_deltas(graph.ingest_event(ev, strategy.link_cost))
+            applied.append(done)
+            for a, b, w, delta, _p in done:
                 if delta > 0:
                     strategy.validate_weight(w)
-                net[(src, dst, w)] = net.get((src, dst, w), 0) + delta
+                net[(a, b, w)] = net.get((a, b, w), 0) + delta
             if isinstance(ev, (AddNode, RemoveNode)):
                 touched.add(ev.id)
-        delta_g = sorted(item for item in net.items() if item[1])
+        # a link's change is the same change to its edge each way
+        delta_g = sorted(
+            (edge, d) for (a, b, w), d in net.items() if d for edge in ((a, b, w), (b, a, w))
+        )
         t1 = perf_counter_ns()
         dropped = _invalidate(store, graph, nodes, delta_g, touched, journal)
         t2 = perf_counter_ns()
@@ -508,8 +501,8 @@ def step_epoch(
         t3 = perf_counter_ns()
     except BaseException:
         _restore(store, journal)
-        for done, props in reversed(applied):
-            graph.undo_deltas(done, props)
+        for done in reversed(applied):
+            graph.undo_deltas(done)
         graph.nodes.clear()
         graph.nodes.update(nodes)
         raise

@@ -30,9 +30,10 @@ def step_rounds(store, graph, events):
     strategy = store.strategy
     net, touched = {}, set()
     for ev in events:
-        for rec in graph.apply_deltas(graph.ingest_event(ev, strategy.link_cost)):
-            key = (rec.src, rec.dst, rec.w)
-            net[key] = net.get(key, 0) + rec.delta
+        for a, b, w, delta, _p in graph.apply_deltas(graph.ingest_event(ev, strategy.link_cost)):
+            # a link delta is a delta to its edge each way
+            for edge in ((a, b, w), (b, a, w)):
+                net[edge] = net.get(edge, 0) + delta
         if isinstance(ev, (AddNode, RemoveNode)):
             touched.add(ev.id)
     horizon = len(graph.nodes)
@@ -71,9 +72,7 @@ def step_rounds(store, graph, events):
 
 def solve_rounds(graph, strategy):
     """The fixpoint of `graph` as the rounds reach it from an empty store,
-    every node's tautology offered in the first round.  Unlike an epoch of
-    `AddNode` and `AddLink` events, this takes any graph, one-way edges
-    included."""
+    every node's tautology offered in the first round."""
     store = rc.RuleStore(strategy)
     pending = {
         (n, n): [rc._tautology_key(strategy, n), set()] for n in graph.nodes

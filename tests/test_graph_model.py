@@ -9,6 +9,7 @@ from deltapath.errors import (
     AmbiguousLinkError,
     DuplicateNodeError,
     EventParseError,
+    IntegrityError,
     NegativeMultiplicityError,
     UnknownLinkError,
     UnknownNodeError,
@@ -25,14 +26,13 @@ def sd_graph(n, weighted_links):
 
 
 class TestIngest:
-    def test_remove_link_emits_two_negative_records(self):
-        # removal of a stored (1, 3, 5) link names the stored weight
+    def test_remove_link_emits_one_negative_record(self):
+        # removal of a stored (1, 3, 5) link names the stored weight, and
+        # the record names the link with its ends in order
         g = sd_graph(4, [(1, 3, 5)])
-        recs = g.ingest_event(gm.RemoveLink(1, 3), SD.link_cost)
-        assert sorted(recs) == [
-            gm.EdgeRecord(1, 3, 5.0, -1),
-            gm.EdgeRecord(3, 1, 5.0, -1),
-        ]
+        for a, b in [(1, 3), (3, 1)]:
+            recs = g.ingest_event(gm.RemoveLink(a, b), SD.link_cost)
+            assert recs == [gm.EdgeRecord(1, 3, 5.0, -1)]
 
     def test_add_node_emits_no_edge_records(self):
         g = gm.GraphStore()
@@ -41,21 +41,16 @@ class TestIngest:
 
     def test_update_weight_is_remove_then_add(self):
         g = sd_graph(4, [(1, 3, 5)])
-        recs = g.ingest_event(gm.UpdateWeight(1, 3, 3.0), SD.link_cost)
+        recs = g.ingest_event(gm.UpdateWeight(3, 1, 3.0), SD.link_cost)
         keyed = {(r.src, r.dst, r.w): r.delta for r in recs}
-        assert keyed == {
-            (1, 3, 5.0): -1,
-            (3, 1, 5.0): -1,
-            (1, 3, 3.0): 1,
-            (3, 1, 3.0): 1,
-        }
+        assert keyed == {(1, 3, 5.0): -1, (1, 3, 3.0): 1}
 
     def test_remove_node_retracts_all_incident_edges(self):
-        g = sd_graph(4, [(0, 1, 2), (1, 2, 4)])
+        # one record per neighbour and weight, retracting every parallel copy
+        g = sd_graph(4, [(0, 1, 2), (1, 2, 4), (2, 1, 4)])
         recs = g.ingest_event(gm.RemoveNode(1), SD.link_cost)
         assert 1 not in g.nodes
-        assert sorted((r.src, r.dst) for r in recs) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-        assert all(r.delta == -1 for r in recs)
+        assert sorted((r.src, r.dst, r.delta) for r in recs) == [(0, 1, -1), (1, 2, -2)]
 
     def test_unknown_node_and_link_errors(self):
         g = sd_graph(2, [(0, 1, 1)])
@@ -96,17 +91,27 @@ class TestApplyDeltas:
         assert g.multiplicity(0, 1, 1.0) == 2
         assert g.multiplicity(1, 0, 1.0) == 2
 
-    def test_update_weight_nets_to_four_records(self):
+    def test_update_weight_nets_to_two_records(self):
         # the recurring update scenario: (1,3,5) replaced by (1,3,3)
         g = sd_graph(4, [(1, 3, 5)])
         net = g.apply_deltas(g.ingest_event(gm.UpdateWeight(1, 3, 3.0), SD.link_cost))
-        assert {(r.src, r.dst, r.w, r.delta) for r in net} == {
-            (1, 3, 5.0, -1),
-            (3, 1, 5.0, -1),
-            (1, 3, 3.0, 1),
-            (3, 1, 3.0, 1),
+        # each record carries the properties its link held before
+        assert set(net) == {
+            gm.EdgeRecord(1, 3, 3.0, 1, None),
+            gm.EdgeRecord(1, 3, 5.0, -1, props(utilization=5.0)),
         }
         assert g.weights_between(1, 3) == [3.0]
+        assert g.weights_between(3, 1) == [3.0]
+
+    def test_a_link_record_stores_both_directions(self):
+        g = sd_graph(4, [])
+        g.apply_deltas([gm.EdgeRecord(0, 3, 7.0, 1)])
+        assert g.multiplicity(0, 3, 7.0) == g.multiplicity(3, 0, 7.0) == 1
+        # (3, 0) names the same link
+        g.apply_deltas([gm.EdgeRecord(3, 0, 7.0, 1, props())])
+        assert g.multiplicity(3, 0, 7.0) == 2
+        assert g.link_props(3, 0, 7.0) == g.link_props(0, 3, 7.0) == props()
+        assert list(g._props) == [(0, 3, 7.0)]
 
     def test_negative_multiplicity_is_rejected_atomically(self):
         g = sd_graph(2, [(0, 1, 1)])
@@ -115,6 +120,26 @@ class TestApplyDeltas:
                 [gm.EdgeRecord(0, 1, 9.0, -1), gm.EdgeRecord(1, 0, 9.0, -1)]
             )
         assert g.multiplicity(0, 1, 1.0) == 1  # untouched
+
+
+class TestGraphIntegrity:
+    """Each store is corrupted by a direct write that no event can make."""
+
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda g: g._adj[0].update({(1, 2.0): 0}), "zero multiplicity"),
+        (lambda g: g._adj[0].update({(1, 2.0): 2}), "asymmetric multiplicities"),
+        (lambda g: g.nodes.pop(2), "missing node"),
+        (lambda g: g._props.pop((0, 1, 2.0)), "no properties"),
+        (lambda g: g._props.update({(0, 2, 4.0): props()}), "no link"),
+        (lambda g: g._props.update({(2, 1, 4.0): props()}), "no link"),
+    ], ids=["zero-multiplicity", "asymmetric", "missing-node", "missing-props",
+            "props-without-link", "props-keyed-backwards"])
+    def test_corruption_is_reported(self, corrupt, match):
+        g = sd_graph(3, [(0, 1, 2), (1, 2, 4)])
+        g.check_integrity()
+        corrupt(g)
+        with pytest.raises(IntegrityError, match=match):
+            g.check_integrity()
 
 
 class TestFork:

@@ -17,7 +17,6 @@ from deltapath.errors import (
 from deltapath.graph_model import (
     AddLink,
     AddNode,
-    EdgeRecord,
     GraphStore,
     NodeRecord,
     RemoveLink,
@@ -463,7 +462,8 @@ class TestAtomicEpochs:
         ([RemoveNode(3), RemoveLink(0, 99)], UnknownLinkError),
         ([AddNode(100), RemoveLink(0, 8), RemoveLink(0, 8)], UnknownLinkError),
         ([UpdateWeight(0, 8, 50.0), RemoveLink(0, 99)], UnknownLinkError),
-    ], ids=["remove-node", "add-node", "refresh-props"])
+        ([AddLink(0, 8, props(delay=3.0)), RemoveLink(0, 99)], UnknownLinkError),
+    ], ids=["remove-node", "add-node", "refresh-props", "parallel-props"])
     def test_failed_epoch_changes_nothing(self, events, error):
         g = build_graph(gen_fattree(4), HOP.link_cost)
         store = rc.initialize(g, HOP)
@@ -1011,24 +1011,16 @@ INT_WIDEST = Strategy(
 )
 
 
-@pytest.mark.parametrize("strategy,one_way,pair,rule", [
-    (WIDEST, True, (3, 0), (-7.0, 1, 0)),
-    (FIVE_WIDEST, False, (0, 1), (-5.0, 1, 1)),
-    (INT_WIDEST, False, (0, 3), (0, 3, 1)),
-], ids=["one_way_edge", "tautology_five", "int_widths"])
-def test_widest_strategy_outside_the_solver_falls_back_to_search(
-    strategy, one_way, pair, rule
-):
-    """Kruskal needs one width per link, the same both ways, but
-    `apply_deltas` can store one direction of a link alone; a tautology
-    width of 5.0 caps every route at 5.0; and the search keeps an int
-    width int.  `initialize` must repair from an empty tree, and the
-    rounds from an empty store agree with it."""
+@pytest.mark.parametrize("strategy,pair,rule", [
+    (FIVE_WIDEST, (0, 1), (-5.0, 1, 1)),
+    (INT_WIDEST, (0, 3), (0, 3, 1)),
+], ids=["tautology_five", "int_widths"])
+def test_widest_strategy_outside_the_solver_falls_back_to_search(strategy, pair, rule):
+    """A tautology width of 5.0 caps every route at 5.0, and the search
+    keeps an int width int.  `initialize` must repair from an empty tree,
+    and the rounds from an empty store agree with it."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
-    if one_way:
-        # lets 3 route through 0, and not 0 through 3
-        g.apply_deltas([EdgeRecord(0, 3, 7.0, 1)])
     assert path_cost_kind(strategy) == "min"
     assert rc._all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)

@@ -147,7 +147,7 @@ class TestScenarios:
         g = build_graph(topo, HOP.link_cost)
         degree = sum(1 for _ in g.out_edges(ev.id).items())
         recs = g.ingest_event(ev, HOP.link_cost)
-        assert len(recs) == 2 * degree
+        assert len(recs) == degree
 
     def test_fixed_seed_reproduces_the_file(self):
         topo = wl.gen_fattree(4)
