@@ -242,7 +242,8 @@ class GraphStore:
         returned as a zero-count record: that is how `UpdateWeight`
         refreshes a link whose cost does not move.  Atomic: raises
         NegativeMultiplicityError without mutating anything if some link
-        would go below zero.
+        would go below zero, and UnknownLinkError if a link that is not
+        stored would be added without properties.
         """
         net: dict[tuple[NodeId, NodeId, float], int] = {}
         new_props: dict[tuple[NodeId, NodeId, float], LinkProperties] = {}
@@ -252,11 +253,11 @@ class GraphStore:
             if props is not None:
                 new_props[key] = props
 
-        for (src, dst, w), d in net.items():
-            if d and self.multiplicity(src, dst, w) + d < 0:
-                raise NegativeMultiplicityError(
-                    f"retraction of ({src}, {dst}, {w}) below zero"
-                )
+        for key, d in net.items():
+            if d and self.multiplicity(*key) + d < 0:
+                raise NegativeMultiplicityError(f"retraction of {key} below zero")
+            if d > 0 and key not in self._props and key not in new_props:
+                raise UnknownLinkError(f"new link {key} comes without properties")
 
         out = []
         for key, d in sorted(net.items()):

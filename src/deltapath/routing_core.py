@@ -1,13 +1,22 @@
 """Incremental maintenance of all-pairs forwarding rules.
 
-State is one "established" rule per (src, dst) group, stored as its
-selection key (signed cost, p_length, next).  A group's candidates are
-not stored: they are the join of the established rules with the graph
-(for every edge x -> y, y's rule toward d extended by one hop) plus the
-tautology (d, d) while d is a node, cut at p_length >= the node count:
-best paths are simple, so the cut loses none of them.  At a fixpoint
-every group holds the minimum of its candidates.  `_best_offer` computes
-that minimum for one group, for the repair and the integrity check.
+State is one row per live destination d: a dict from each node x that
+routes toward d to the selection key (signed cost, p_length, next) of the
+established rule of the group (x, d).  Every row holds at least d's own
+rule.  A group's candidates are not stored: they are the join of the
+established rules with the graph (for every edge x -> y, y's rule toward
+d extended by one hop) plus the tautology (d, d) while d is a node, cut at
+p_length >= the node count: best paths are simple, so the cut loses none
+of them.  At a fixpoint every group holds the minimum of its candidates.
+`_best_offer` computes that minimum for one group, for the repair and the
+integrity check.
+
+Rows are copy-on-write per epoch: the first write to a row in an epoch
+replaces it with a copy and journals the old row object (`_row`), so a
+row is never changed once its epoch ends.  A shallow copy of the table of
+rows is then a true snapshot, a failed epoch is undone by putting the old
+rows back, and the emitted batch is the diff of each journaled row over
+the sources written.
 
 Every built-in strategy strictly worsens the key when it extends a path
 (cost never improves, length grows), so the fixpoint is unique (Sobrinho,
@@ -22,8 +31,9 @@ with every weight 1) take the matrix from scipy's Dijkstra, and
 shortest_widest takes its widths from Kruskal's maximum spanning forest
 (Hu, Operations Research 1961).  Then a BFS over the tight edges, run for
 a block of destinations together, gives each group's length, and its
-next is the smallest tight neighbour one hop closer.  A custom path cost,
-and the few inputs that solve would key differently, repair each
+next is the smallest tight neighbour one hop closer; the block's rows are
+filled from these arrays without a Python loop per pair.  A custom path
+cost, and the few inputs that solve would key differently, repair each
 destination's tree from empty (phase 2 below): a best-first search that
 pops nodes from a heap in key order, each group once, with the minimum
 of its neighbours' keys extended by one hop, the fixpoint equation.
@@ -65,6 +75,7 @@ import heapq
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from time import perf_counter_ns
 from typing import Mapping, NamedTuple
 
@@ -101,10 +112,12 @@ RuleDeltaBatch = list  # of ForwardingRule with delta in {-1, +1}
 
 
 class EstablishedView(Mapping):
-    """Read-only (src, dst) -> ForwardingRule view over a RuleStore.
+    """Read-only (src, dst) -> ForwardingRule view over a RuleStore: the
+    pair (s, d) reads the row of d at s.
 
     Stable between epochs; reads while an epoch is being stepped are
-    undefined.
+    undefined.  The store holds no (src, dst) tuples, so iteration makes
+    each pair afresh, row by row.
     """
 
     __slots__ = ("_store",)
@@ -113,18 +126,21 @@ class EstablishedView(Mapping):
         self._store = store
 
     def __getitem__(self, pair) -> ForwardingRule:
-        key = self._store._est[pair]
+        key = self._store._est[pair[1]][pair[0]]
         cost = -key[0] if self._store.strategy.maximize else key[0]
         return ForwardingRule(pair[0], pair[1], key[2], cost, key[1], 1)
 
     def __contains__(self, pair) -> bool:
-        return pair in self._store._est
+        row = self._store._est.get(pair[1])
+        return row is not None and pair[0] in row
 
     def __iter__(self):
-        return iter(self._store._est)
+        return chain.from_iterable(
+            zip(row, repeat(d)) for d, row in self._store._est.items()
+        )
 
     def __len__(self) -> int:
-        return len(self._store._est)
+        return self._store.rule_count()
 
 
 @dataclass
@@ -146,7 +162,9 @@ class EpochStats:
 
 
 class RuleStore:
-    """The established best rule per (src, dst) group."""
+    """The established best rule per (src, dst) group, as one row per live
+    destination: `_est[d][x]` is the key of (x, d).  Rows are shared with
+    snapshots and never changed once their epoch ends (`_row`)."""
 
     __slots__ = ("strategy", "epoch", "last_stats", "_est", "_neg", "_fp_kind")
 
@@ -156,8 +174,8 @@ class RuleStore:
         self.last_stats: EpochStats | None = None
         self._neg = strategy.maximize
         self._fp_kind = path_cost_kind(strategy)
-        # (src, dst) -> (signed_cost, length, next)
-        self._est: dict[tuple[NodeId, NodeId], tuple] = {}
+        # dst -> {src: (signed_cost, length, next)}
+        self._est: dict[NodeId, dict[NodeId, tuple]] = {}
 
     # --- views
 
@@ -165,22 +183,29 @@ class RuleStore:
         return EstablishedView(self)
 
     def rule_count(self) -> int:
-        return len(self._est)
+        return sum(map(len, self._est.values()))
 
     # --- maintenance
 
     def check_integrity(self, graph: GraphStore) -> None:
-        """Check the fixpoint equation on the graph: every group joins two
-        nodes, and every ordered pair of nodes holds a rule exactly when it
-        has an offer (`_best_offer`), the smallest one.  Raises
-        IntegrityError naming the first group that breaks it."""
-        for s, d in self._est:
-            if s not in graph.nodes or d not in graph.nodes:
-                raise IntegrityError(f"({s}, {d}) names a removed node")
-        for d in graph.nodes:
-            for x in graph.nodes:
-                top = _best_offer(self, graph.out_edges, x, d)[0]
-                key = self._est.get((x, d))
+        """Check the fixpoint equation on the graph: every row and every
+        group in it names live nodes, and every ordered pair of nodes holds
+        a rule exactly when it has an offer (`_best_offer`), the smallest
+        one.  Reads each destination's row once.  Raises IntegrityError
+        naming the first row or group that breaks it."""
+        nodes = graph.nodes
+        for d, row in self._est.items():
+            if d not in nodes:
+                raise IntegrityError(f"the row of {d} names a removed node")
+            for s in row:
+                if s not in nodes:
+                    raise IntegrityError(f"({s}, {d}) names a removed node")
+        adj = graph.out_edges
+        for d in nodes:
+            row = self._est.get(d, {})
+            for x in nodes:
+                top = _best_offer(self, row, adj, x, d)[0]
+                key = row.get(x)
                 if key == top:
                     continue
                 if top is None:
@@ -221,7 +246,8 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
 
 
 # destinations solved together, so that the (edges x destinations)
-# arrays stay near this many elements whatever the graph's size
+# arrays stay near this many elements whatever the graph's size; a block
+# holds a multiple of eight destinations, the BFS's word (`_tight_bfs`)
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -248,8 +274,8 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
 
     A BFS over the tight edges gives the fewest hops L, and x's next is
     the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the key
-    the heap would settle.  Int keys repeat along a destination's tree, so
-    equal ones are stored once.
+    the heap would settle.  Each block fills its rows without a Python
+    loop per pair (`_fill_rows`).
 
     None, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
@@ -285,7 +311,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         )
     if refused:
         return None
-    est = {(d, d): _tautology_key(strategy, d) for d in ids}
+    est = {d: {d: _tautology_key(strategy, d)} for d in ids}
     if not m:
         return est
     # edges sorted by x: each x's edges are one run
@@ -302,7 +328,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
 
         graph = csr_matrix((weights, (us, xs)), shape=(n, n))
     blocks = -(-n * m // _BLOCK_ELEMENTS)
-    size = -(-n // blocks)
+    size = 8 * -(-n // (8 * blocks))
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         dests = np.arange(lo, hi)
@@ -314,25 +340,38 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
             cost = np.ascontiguousarray(dijkstra(graph, directed=True, indices=dests).T)
             tight = cost[us] + weights[:, None] == cost[xs]
         length, nxt = _tight_bfs(tight, n, dests, us, xs)
-        if widest:
-            cost = -cost
-        elif integral:
-            cost[np.isinf(cost)] = 0
-            cost = cost.astype(np.int64)
-        for r, i in enumerate(dests.tolist()):
-            d = ids[i]
-            rows = zip(ids, cost[:, r].tolist(), length[:, r].tolist(), nxt[:, r].tolist())
-            if integral:
-                shared: dict[tuple, tuple] = {}
-                for x, c, ln, j in rows:
-                    if ln > 0:
-                        key = (c, ln, ids[j])
-                        est[(x, d)] = shared.setdefault(key, key)
-            else:
-                for x, c, ln, j in rows:
-                    if ln > 0:
-                        est[(x, d)] = (c, ln, ids[j])
+        _fill_rows(est, ids, dests, -cost if widest else cost, length, nxt, integral)
     return est
+
+
+def _fill_rows(est, ids, dests, cost, length, nxt, integral) -> None:
+    """Add one block's rules to the rows of its destinations: every x with
+    L[x, d] > 0 gets the key (C[x, d], L[x, d], ids[next]).
+
+    The reached entries are taken destination-major, so each row is one
+    contiguous run, and the key tuples are built by `zip`.  Int costs come
+    back as int, and equal int keys, which repeat along each tree, are
+    built once per block: `np.unique` over the (cost rank, length, next)
+    codes.  Float keys are not shared."""
+    n = len(ids)
+    node = np.array(ids, dtype=object)  # index -> id
+    reached = length.T > 0  # (destinations x nodes)
+    srcs = node[np.nonzero(reached)[1]].tolist()
+    c, ln, j = cost.T[reached], length.T[reached], nxt.T[reached]
+    if integral:
+        _, rank = np.unique(c, return_inverse=True)
+        code = (rank * n + ln) * n + j
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        shared = list(zip(c[first].astype(np.int64).tolist(), ln[first].tolist(),
+                          node[j[first]].tolist()))
+        keys = list(map(shared.__getitem__, inverse.tolist()))
+    else:
+        keys = list(zip(c.tolist(), ln.tolist(), node[j].tolist()))
+    end = np.cumsum(reached.sum(axis=1)).tolist()
+    start = 0
+    for d, stop in zip(node[dests].tolist(), end):
+        est[d].update(zip(srcs[start:stop], keys[start:stop]))
+        start = stop
 
 
 def _widest_widths(n, us, xs, weights):
@@ -367,34 +406,39 @@ def _tight_bfs(tight, n, dests, us, xs):
     """Over the tight edges of (edges x destinations): each node's fewest
     hops (-1 if unreached) and, where that is positive, its smallest next
     with one hop fewer, as (nodes x destinations) arrays.  The edges (u, x)
-    are sorted by x; a level ORs the frontier over each x's run."""
+    are sorted by x; a level ORs the frontier over each x's run.  It does
+    so eight destinations to a word: the bool columns are padded to a
+    multiple of eight and each row is viewed as uint64 words."""
     k = len(dests)
+    if k % 8:
+        tight = np.pad(tight, ((0, 0), (0, -k % 8)))
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     heads = xs[starts]
-    length = np.full((n, k), -1, dtype=np.int32)
+    length = np.full((n, tight.shape[1]), -1, dtype=np.int32)
     length[dests, np.arange(k)] = 0
     frontier = length == 0
-    unseen = length[heads] < 0
+    words, tight_words = frontier.view(np.uint64), tight.view(np.uint64)
+    unseen = (length[heads] < 0).view(np.uint64)
     level = 0
     while True:
         level += 1
-        hit = frontier[us]
-        hit &= tight
-        reached = np.logical_or.reduceat(hit, starts, axis=0)
+        hit = words[us]
+        hit &= tight_words
+        reached = np.bitwise_or.reduceat(hit, starts, axis=0)
         reached &= unseen
         if not reached.any():
             break
         unseen &= ~reached
-        frontier[:] = False
-        frontier[heads] = reached
+        words[:] = 0
+        words[heads] = reached
         length[frontier] = level
     tight &= length[us] + 1 == length[xs]
     first = np.minimum.reduceat(
         np.where(tight, us.astype(np.int32)[:, None], n), starts, axis=0
     )
-    nxt = np.zeros((n, k), dtype=np.int32)
+    nxt = np.zeros(length.shape, dtype=np.int32)
     nxt[heads] = first
-    return length, nxt
+    return length[:, :k], nxt[:, :k]
 
 
 def search(
@@ -413,7 +457,8 @@ def search(
     filtered only next to a masked node and at the ends of a masked link.
     Under a built-in path cost it stops once `until` settles, whose rule
     and path are then in the tree.  A custom path cost that can improve a
-    path by extending it raises NonConvergenceError.
+    path by extending it raises NonConvergenceError.  Returns the scratch
+    store's row.
     """
     if dst not in graph.nodes or dst in skip_nodes:
         return {}
@@ -435,7 +480,7 @@ def search(
 
     store = RuleStore(strategy)
     _repair(store, adj, dst, (), True, (), {}, EpochStats(), until)
-    return {x: key for (x, _d), key in store._est.items()}
+    return store._est[dst]
 
 
 def _check_monotone(tree, adj, fp, neg):
@@ -469,7 +514,7 @@ def step_epoch(
     stats = EpochStats()
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
-    journal: dict[tuple[NodeId, NodeId], tuple | None] = {}
+    journal: dict[NodeId, tuple[dict | None, set]] = {}
     applied: list[list[EdgeRecord]] = []
     try:
         touched: set[NodeId] = set()
@@ -511,17 +556,20 @@ def step_epoch(
     neg = store._neg
     batch: RuleDeltaBatch = []
     changed = 0
-    for (s, d), old in journal.items():
-        new = store._est.get((s, d))
-        if old == new:
-            continue
-        changed += 1
-        if old is not None:
-            cost = -old[0] if neg else old[0]
-            batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
-        if new is not None:
-            cost = -new[0] if neg else new[0]
-            batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
+    for d, (old_row, written) in journal.items():
+        old_row = old_row or {}
+        new_row = store._est.get(d, {})
+        for s in written:
+            old, new = old_row.get(s), new_row.get(s)
+            if old == new:
+                continue
+            changed += 1
+            if old is not None:
+                cost = -old[0] if neg else old[0]
+                batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
+            if new is not None:
+                cost = -new[0] if neg else new[0]
+                batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
     batch.sort()
     t4 = perf_counter_ns()
     stats.groups_changed = changed
@@ -537,23 +585,28 @@ def step_epoch(
 # --- repair ------------------------------------------------------------------
 
 
-def _set(store, group, key, journal) -> None:
-    """Write one group's rule (None retires it), journaling its first old
-    value this epoch."""
+def _row(store, d, journal) -> tuple[dict, set]:
+    """The row of d to write, and the set of sources written to it this
+    epoch.  The first call for d in an epoch replaces the row with a copy
+    (a new row if d has none) and journals the old row object with that
+    set, so a row is never changed once its epoch ends."""
     est = store._est
-    if group not in journal:
-        journal[group] = est.get(group)
-    if key is None:
-        est.pop(group, None)
-    else:
-        est[group] = key
+    entry = journal.get(d)
+    if entry is None:
+        old = est.get(d)
+        entry = journal[d] = (old, set())
+        est[d] = {} if old is None else old.copy()
+    return est[d], entry[1]
 
 
 def _restore(store, journal) -> None:
-    """Put back every journaled group's old rule."""
-    done: dict = {}
-    for group, old in journal.items():
-        _set(store, group, old, done)
+    """Put back every journaled row, and drop the rows the epoch made."""
+    est = store._est
+    for d, (old, _written) in journal.items():
+        if old is None:
+            est.pop(d, None)
+        else:
+            est[d] = old
 
 
 def _invalidate(store, graph, before, delta_g, touched, journal) -> dict[NodeId, list]:
@@ -566,16 +619,20 @@ def _invalidate(store, graph, before, delta_g, touched, journal) -> dict[NodeId,
     for n in touched:
         if n in graph.nodes or n not in before:
             continue
-        for x in before:
-            if (n, x) in est:
-                _set(store, (n, x), None, journal)
-            if (x, n) in est:
-                _set(store, (x, n), None, journal)
+        if n in est:
+            row, written = _row(store, n, journal)
+            written.update(row)
+            del est[n]
+        for d in list(est):
+            if n in est[d]:
+                row, written = _row(store, d, journal)
+                del row[n]
+                written.add(n)
     roots: dict[NodeId, list] = {}
     for (y, x, _w), delta in delta_g:
         if delta < 0 and x in graph.nodes:
-            for d in graph.nodes:
-                key = est.get((x, d))
+            for d, row in est.items():
+                key = row.get(x)
                 if key is not None and key[2] == y:
                     roots.setdefault(d, []).append((key, x))
     adj = graph.out_edges
@@ -591,7 +648,7 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
     child of x when z's next is x) become suspects.  Keys grow along every
     path, so a node's tight neighbours are decided before it (Ramalingam
     and Reps, J. Algorithms 1996)."""
-    est = store._est
+    row, written = _row(store, d, journal)
     strategy = store.strategy
     neg = store._neg
     fp = strategy.path_cost
@@ -606,37 +663,38 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
         length = key[1] - 1
         nxt = x if x == d and _tautology_key(strategy, x)[:2] == key[:2] else None
         for y, w in adj(x):
-            ky = est.get((y, d))
+            ky = row.get(y)
             if ky is None or ky[1] != length or (nxt is not None and y >= nxt):
                 continue
             c = fp(w, -ky[0] if neg else ky[0])
             if (-c if neg else c) == key[0]:
                 nxt = y
+        written.add(x)
         if nxt is not None:
             if nxt != key[2]:
-                _set(store, (x, d), (key[0], key[1], nxt), journal)
+                row[x] = (key[0], key[1], nxt)
             continue
-        _set(store, (x, d), None, journal)
+        del row[x]
         dropped.append(x)
         for z, _w in adj(x):
-            kz = est.get((z, d))
+            kz = row.get(z)
             if kz is not None and kz[2] == x:
                 heapq.heappush(suspects, (kz, z))
     return dropped
 
 
-def _best_offer(store, adj, x, d) -> tuple:
-    """The smallest key x can take toward d from the rules as they stand:
-    the tautology when x is d, or a neighbour's rule extended by one hop.
-    Returns (key, neighbour, neighbour's key); the neighbour is None for
-    the tautology, and all three are None when x has no offer."""
-    est = store._est
+def _best_offer(store, row, adj, x, d) -> tuple:
+    """The smallest key x can take toward d from the rules of d's row as
+    they stand: the tautology when x is d, or a neighbour's rule extended
+    by one hop.  Returns (key, neighbour, neighbour's key); the neighbour
+    is None for the tautology, and all three are None when x has no
+    offer."""
     neg = store._neg
     fp = store.strategy.path_cost
     top = _tautology_key(store.strategy, x) if x == d else None
     via = vkey = None
     for y, w in adj(x):
-        ky = est.get((y, d))
+        ky = row.get(y)
         if ky is None:
             continue
         c = fp(w, -ky[0] if neg else ky[0])
@@ -660,7 +718,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     phase 1's decision (`_drop_affected`), and every node dropped there is
     reseeded.
     """
-    est = store._est
+    row = store._est.get(d, {})  # read only until the heap has work
     neg = store._neg
     kind = store._fp_kind
     fp = store.strategy.path_cost
@@ -678,8 +736,8 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             heappush(heap, (cand, x, via, vkey))
 
     def seed(x):
-        top, via, vkey = _best_offer(store, adj, x, d)
-        own = est.get((x, d))
+        top, via, vkey = _best_offer(store, row, adj, x, d)
+        own = row.get(x)
         if top is not None and (own is None or top < own):
             offer(x, top, via, vkey)
 
@@ -688,15 +746,16 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     for x in dropped:
         seed(x)
     for y, x, w in added:
-        ky = est.get((y, d))
+        ky = row.get(y)
         if ky is not None:
             c = fp(w, -ky[0] if neg else ky[0])
             cand = (-c if neg else c, ky[1] + 1, y)
-            kx = est.get((x, d))
+            kx = row.get(x)
             if kx is None or cand < kx:
                 offer(x, cand, y, ky)
     if not heap:
         return
+    row, written = _row(store, d, journal)
     stats.destinations_repaired += 1
     pops = stale = 0
     while heap:
@@ -706,18 +765,16 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             continue
         if best.get(x) == key:
             del best[x]
-        if via is not None and est.get((via, d)) != vkey:
+        if via is not None and row.get(via) != vkey:
             stale += 1
             seed(x)
             continue
-        group = (x, d)
-        old = est.get(group)
+        old = row.get(x)
         if old is not None and old <= key:
             continue
         settled.add(x)
-        if group not in journal:  # `_set`, inlined
-            journal[group] = old
-        est[group] = key
+        written.add(x)
+        row[x] = key
         if x == until:
             break
         cost = -key[0] if neg else key[0]
@@ -732,7 +789,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             else:
                 c = fp(w, cost)
             cand = (-c if neg else c, length, x)
-            kz = est.get((z, d))
+            kz = row.get(z)
             if kz is None or cand < kz:
                 b = best.get(z)
                 if b is None or cand < b:
@@ -747,7 +804,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     stats.heap_pops += pops
     stats.stale_pops += stale
     if kind is None:
-        _check_monotone({u: est[(u, d)] for u in settled}, adj, fp, neg)
+        _check_monotone({u: row[u] for u in settled}, adj, fp, neg)
 
 
 # --- serialization -----------------------------------------------------------

@@ -11,11 +11,14 @@ node count (the horizon), which also bounds the rounds.
 
 It works on the same `RuleStore` and `GraphStore` as the engine, without
 the engine's inlined arithmetic, so tests can compare the two batch for
-batch.  `solve_rounds` runs the same rounds from an empty store over any
-graph.  Like the engine, it applies each event to the graph before
-ingesting the next.  It is not atomic: a failing event leaves the state
-half-changed.  `candidates` builds the whole join that the rounds fold,
-for tests that count or inspect a group's candidates.
+batch.  Like the engine, it copies a row before its first write in an
+epoch, so a row is never changed once its epoch ends, and it drops a
+row that loses its last rule.  `solve_rounds` runs the same rounds from
+an empty store over any graph.  Like the engine, it applies each event
+to the graph before ingesting the next.  It is not atomic: a failing
+event leaves the state half-changed.  `candidates` builds the whole join
+that the rounds fold, for tests that count or inspect a group's
+candidates.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ def step_rounds(store, graph, events):
             touched.add(ev.id)
     horizon = len(graph.nodes)
     rows: dict = {}  # this epoch's index of the established rules by src
-    for (s, d), key in store._est.items():
-        rows.setdefault(s, {})[d] = key
+    for d, row in store._est.items():
+        for s, key in row.items():
+            rows.setdefault(s, {})[d] = key
 
     # group -> [best offered key or None, neighbours whose rule is gone]
     pending: dict = {}
@@ -61,7 +65,7 @@ def step_rounds(store, graph, events):
     neg = strategy.maximize
     batch = []
     for (s, d), old in journal.items():
-        new = store._est.get((s, d))
+        new = store._est.get(d, {}).get(s)
         for key, delta in ((old, -1), (new, 1)):
             if key is not None and old != new:
                 cost = -key[0] if neg else key[0]
@@ -86,12 +90,13 @@ def _settle(store, graph, pending):
     of each changed group's first old rule."""
     horizon = len(graph.nodes)
     journal: dict = {}
+    owned: set = set()  # rows copied this epoch
     rounds = 0
     while pending:
         rounds += 1
         if rounds > 2 * horizon + 4:
             raise NonConvergenceError(f"no fixpoint after {rounds - 1} rounds")
-        changes = _fold(store, graph, horizon, pending, journal)
+        changes = _fold(store, graph, horizon, pending, journal, owned)
         pending = {}
         for (s, d), old, new in changes:
             for x, w in graph.out_edges(s):
@@ -110,12 +115,13 @@ def candidates(store, graph):
     parallel edges and equal derivations add up."""
     horizon = len(graph.nodes)
     out = {(n, n): {rc._tautology_key(store.strategy, n): 1} for n in graph.nodes}
-    for (s, d), key in store._est.items():
-        for (x, w), mult in graph.out_edges(s).items():
-            derived = _extend(store, horizon, key, s, w)
-            if derived is not None:
-                group = out.setdefault((x, d), {})
-                group[derived] = group.get(derived, 0) + mult
+    for d, row in store._est.items():
+        for s, key in row.items():
+            for (x, w), mult in graph.out_edges(s).items():
+                derived = _extend(store, horizon, key, s, w)
+                if derived is not None:
+                    group = out.setdefault((x, d), {})
+                    group[derived] = group.get(derived, 0) + mult
     return out
 
 
@@ -141,11 +147,12 @@ def _notify(pending, group, via):
     pending.setdefault(group, [None, set()])[1].add(via)
 
 
-def _fold(store, graph, horizon, pending, journal):
+def _fold(store, graph, horizon, pending, journal, owned):
     est = store._est
     changes = []
     for group, (offer, gone) in pending.items():
-        old = est.get(group)
+        s, d = group
+        old = est.get(d, {}).get(s)
         if old is not None and old[2] in gone:
             best = _reselect(store, graph, horizon, group)
         elif offer is not None and (old is None or offer < old):
@@ -155,10 +162,15 @@ def _fold(store, graph, horizon, pending, journal):
         if best == old:
             continue
         journal.setdefault(group, old)
+        if d not in owned:
+            owned.add(d)
+            est[d] = dict(est.get(d, {}))
         if best is None:
-            del est[group]
+            del est[d][s]
+            if not est[d]:
+                del est[d]
         else:
-            est[group] = best
+            est.setdefault(d, {})[s] = best
         changes.append((group, old, best))
     return changes
 
@@ -169,7 +181,7 @@ def _reselect(store, graph, horizon, group):
     if x == d and x in graph.nodes:
         best = rc._tautology_key(store.strategy, x)
     for y, w in graph.out_edges(x):
-        cand = _extend(store, horizon, store._est.get((y, d)), y, w)
+        cand = _extend(store, horizon, store._est.get(d, {}).get(y), y, w)
         if cand is not None and (best is None or cand < best):
             best = cand
     return best

@@ -300,7 +300,9 @@ class TestBench:
         def leaky_step(store, graph, events):
             batch = step_epoch(store, graph, events)
             if isinstance(events[0], AddLink):
-                store._est[(0, 2)] = (99.0, 1, 2)
+                # a new row, as an epoch writes one: the bench's snapshot
+                # shares the rows the epoch left alone
+                store._est[2] = {**store._est[2], 0: (99.0, 1, 2)}
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", leaky_step)
@@ -398,7 +400,7 @@ class TestCheckAndStats:
     ):
         def corrupting_step(store, graph, events):
             batch = step_epoch(store, graph, events)
-            store._est[(0, 2)] = (99.0, 1, 2)
+            store._est[2][0] = (99.0, 1, 2)
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", corrupting_step)
@@ -420,7 +422,7 @@ class TestCheckAndStats:
 
             def corrupting_step(store, graph, events):
                 batch = step(store, graph, events)
-                store._est[(0, 2)] = (99.0, 1, 2)
+                store._est[2][0] = (99.0, 1, 2)
                 return batch
 
             step, cli.step_epoch = cli.step_epoch, corrupting_step

@@ -105,13 +105,28 @@ class TestApplyDeltas:
 
     def test_a_link_record_stores_both_directions(self):
         g = sd_graph(4, [])
-        g.apply_deltas([gm.EdgeRecord(0, 3, 7.0, 1)])
+        g.apply_deltas([gm.EdgeRecord(0, 3, 7.0, 1, props())])
         assert g.multiplicity(0, 3, 7.0) == g.multiplicity(3, 0, 7.0) == 1
-        # (3, 0) names the same link
-        g.apply_deltas([gm.EdgeRecord(3, 0, 7.0, 1, props())])
+        # (3, 0) names the same link, whose properties are stored
+        g.apply_deltas([gm.EdgeRecord(3, 0, 7.0, 1)])
         assert g.multiplicity(3, 0, 7.0) == 2
         assert g.link_props(3, 0, 7.0) == g.link_props(0, 3, 7.0) == props()
         assert list(g._props) == [(0, 3, 7.0)]
+
+    @pytest.mark.parametrize("records", [
+        [gm.EdgeRecord(0, 3, 7.0, 1)],
+        [gm.EdgeRecord(0, 1, 1.0, -1), gm.EdgeRecord(3, 0, 7.0, 2)],
+    ], ids=["alone", "after-a-valid-record"])
+    def test_a_new_link_without_properties_is_refused(self, records):
+        """A link that is not stored and brings no properties would fail
+        `check_integrity` and break a later `UpdateWeight`: the records are
+        refused and nothing changes."""
+        g = sd_graph(4, [(0, 1, 1)])
+        before = g.fork()
+        with pytest.raises(UnknownLinkError, match="without properties"):
+            g.apply_deltas(records)
+        assert g == before
+        g.check_integrity()
 
     def test_negative_multiplicity_is_rejected_atomically(self):
         g = sd_graph(2, [(0, 1, 1)])

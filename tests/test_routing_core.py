@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -304,12 +306,12 @@ class TestWidestRepair:
             WIDEST.link_cost,
         )
         store = rc.initialize(g, WIDEST)
-        assert store._est[(2, 0)] == (-1.0, 2, 4)
-        assert store._est[(1, 0)] == (-1.0, 2, 4)
+        assert store._est[0][2] == (-1.0, 2, 4)
+        assert store._est[0][1] == (-1.0, 2, 4)
         rc.step_epoch(store, g, [AddLink(3, 0, props(capacity=3.0))])
-        assert store._est[(4, 0)] == (-2.0, 2, 3)
-        assert store._est[(1, 0)] == (-2.0, 3, 4)
-        assert store._est[(2, 0)] == (-1.0, 3, 4)  # not (-1.0, 3, 1)
+        assert store._est[0][4] == (-2.0, 2, 3)
+        assert store._est[0][1] == (-2.0, 3, 4)
+        assert store._est[0][2] == (-1.0, 3, 4)  # not (-1.0, 3, 1)
         assert store.last_stats.stale_pops >= 1
         assert store._est == rc.initialize(g, WIDEST)._est
         want = oracle.widest_paths_bruteforce(g, WIDEST)
@@ -436,16 +438,18 @@ class TestIntegrity:
             (grp, c) for grp, c in sorted(candidates(store, g).items()) if len(c) > 1
         )
         worse = sorted(cands)[1]
-        store._est[group] = worse
+        store._est[group[1]][group[0]] = worse
         with pytest.raises(AssertionError, match="stale selection"):
             store.check_integrity(g)
 
     def test_deleted_pair_is_caught(self):
         g, store = self.engine()
         # a pair no other rule routes through, so only its own group breaks
-        via = {(key[2], d) for (s, d), key in store._est.items() if s != d}
-        s, d = next(p for p in sorted(store._est) if p[0] != p[1] and p not in via)
-        del store._est[(s, d)]
+        via = {(key[2], d) for d, row in store._est.items()
+               for s, key in row.items() if s != d}
+        s, d = next(p for p in sorted(store.established_rules())
+                    if p[0] != p[1] and p not in via)
+        del store._est[d][s]
         with pytest.raises(AssertionError, match="no rule"):
             store.check_integrity(g)
 
@@ -520,6 +524,56 @@ class TestAtomicEpochs:
         assert g == GraphStore()
         assert store._est == {}
         assert store.epoch == -1
+
+
+class TestSnapshots:
+    """`dict(store._est)` copies only the table of rows, and is still a
+    true snapshot: a row is never changed once its epoch ends, because an
+    epoch copies a row before its first write.  The benchmark's set-up and
+    restore checks and `bench`'s undo check rely on this."""
+
+    @staticmethod
+    def links(g):
+        return sorted({(a, b) for (a, b, _w), _m in g.edge_items() if a < b})
+
+    def test_a_shallow_copy_outlives_every_kind_of_epoch(self):
+        g = build_graph(gen_fattree(4, WeightPlan(PlanKind.UNIFORM, seed=4)), SD.link_cost)
+        store = rc.initialize(g, SD)
+        epochs = [
+            lambda: [RemoveLink(*self.links(g)[0])],
+            lambda: [RemoveNode(self.links(g)[5][0])],
+            lambda: [UpdateWeight(a, b, float(10 + i))
+                     for i, (a, b) in enumerate(self.links(g)[8:16])],
+        ]
+        for events in epochs:
+            shallow, deep = dict(store._est), copy.deepcopy(store._est)
+            assert rc.step_epoch(store, g, events()) != []
+            assert shallow == deep
+            store.check_integrity(g)
+        # an epoch that fails while ingesting: no row is even copied
+        shallow, deep = dict(store._est), copy.deepcopy(store._est)
+        a, b = self.links(g)[0]
+        with pytest.raises(UnknownLinkError):
+            rc.step_epoch(store, g, [RemoveLink(a, b), RemoveNode(b), RemoveLink(0, 99)])
+        assert shallow == deep
+        assert all(store._est[d] is row for d, row in shallow.items())
+        assert store._est.keys() == shallow.keys()
+
+    def test_an_epoch_that_fails_in_the_repair_puts_the_same_rows_back(self):
+        # the repair copies rows and changes them before it raises
+        g = build_graph(
+            utilization_topology(6, [(0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 4, 5),
+                                     (4, 5, 5), (5, 0, 5), (0, 3, 7)]),
+            DIPPING.link_cost,
+        )
+        store = rc.initialize(g, DIPPING)
+        shallow, deep = dict(store._est), copy.deepcopy(store._est)
+        with pytest.raises(NonConvergenceError):
+            rc.step_epoch(store, g, [UpdateWeight(0, 1, 9.0), RemoveLink(0, 3),
+                                     UpdateWeight(2, 3, 1.0)])
+        assert shallow == deep
+        assert all(store._est[d] is row for d, row in shallow.items())
+        assert store._est.keys() == shallow.keys()
 
 
 class TestEventsResolveInOrder:
@@ -819,7 +873,7 @@ def test_hop_count_search_takes_the_smaller_parent():
     assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
     assert tree[6] == (3, 3, 4)
     assert_same_rules(tree, rc.search(g, CUSTOM_HOP, 0))
-    assert rc._all_fixpoint(g, HOP)[(6, 0)] == (3, 3, 4)
+    assert rc._all_fixpoint(g, HOP)[0][6] == (3, 3, 4)
 
 
 def pruned_topology(topo, skip_nodes, skip_links):
@@ -848,7 +902,7 @@ def test_search_stopped_at_the_source_agrees_with_the_full_search(topo, strategy
     _g, rounds = rounds_fixpoint(pruned_topology(topo, skip_nodes, skip_links), strategy)
     for d in ids:
         full = rc.search(g, strategy, d, skip_nodes, skip_links)
-        assert_same_rules(full, {x: key for (x, y), key in rounds._est.items() if y == d})
+        assert_same_rules(full, rounds._est.get(d, {}))
         for s in ids:
             part = rc.search(g, strategy, d, skip_nodes, skip_links, until=s)
             assert_same_rules(part, {x: full[x] for x in part})
@@ -894,6 +948,13 @@ def assert_same_rules(got, want):
         assert repr(key) == repr(want[pair]), pair
 
 
+def assert_same_stores(got, want):
+    """`assert_same_rules` for every row of two stores' `_est`."""
+    assert got._est.keys() == want._est.keys()
+    for d, row in got._est.items():
+        assert_same_rules(row, want._est[d])
+
+
 # shortest_widest's path cost as a function path_cost_kind does not know
 CUSTOM_WIDEST = Strategy(
     name="custom_widest",
@@ -919,7 +980,7 @@ def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, t
     assert path_cost_kind(clone) is None
     g = build_graph(topo, builtin_strategy.link_cost)
     assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
-    assert_same_rules(rc.initialize(g, builtin_strategy)._est, rc.initialize(g, clone)._est)
+    assert_same_stores(rc.initialize(g, builtin_strategy), rc.initialize(g, clone))
 
 
 # the built-in additive path cost over a link cost that can be infinite
@@ -984,9 +1045,9 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     assert path_cost_kind(strategy) == "sum"
     assert rc._all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
-    assert_same_rules(store._est, solve_rounds(g, strategy)._est)
-    assert store._est[(0, 3)] == rule_0_3
-    assert type(store._est[(0, 3)][0]) is type(rule_0_3[0])
+    assert_same_stores(store, solve_rounds(g, strategy))
+    assert store._est[3][0] == rule_0_3
+    assert type(store._est[3][0][0]) is type(rule_0_3[0])
 
 
 # the built-in width path cost from a tautology width other than inf
@@ -1024,9 +1085,9 @@ def test_widest_strategy_outside_the_solver_falls_back_to_search(strategy, pair,
     assert path_cost_kind(strategy) == "min"
     assert rc._all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
-    assert_same_rules(store._est, solve_rounds(g, strategy)._est)
-    assert store._est[pair] == rule
-    assert type(store._est[pair][0]) is type(rule[0])
+    assert_same_stores(store, solve_rounds(g, strategy))
+    assert store._est[pair[1]][pair[0]] == rule
+    assert type(store._est[pair[1]][pair[0]][0]) is type(rule[0])
 
 
 # the built-in path costs selected in the direction that does not converge:
@@ -1163,7 +1224,23 @@ def test_rule_store_is_picklable():
     assert clone.strategy.name == store.strategy.name
     # the clone keeps working independently
     rc.step_epoch(clone, g.fork(), [RemoveLink(1, 2)])
-    assert (0, 2) in store._est
+    assert 0 in store._est[2]
+
+
+def test_rows_take_at_most_48_bytes_per_pair():
+    """hop_count fat-tree k=16: 102 400 rules in 320 rows, whose int keys
+    are shared.  A dict entry and a key tuple per pair took about 115."""
+    g = build_graph(gen_fattree(16, WeightPlan(PlanKind.UNIFORM, seed=0)), HOP.link_cost)
+    rc.initialize(build_graph(triangle(), HOP.link_cost), HOP)  # scipy loaded
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = rc.initialize(g, HOP)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert store.rule_count() == 102_400
+    assert grown / store.rule_count() <= 48
 
 
 def test_rules_to_csv_format():
