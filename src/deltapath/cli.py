@@ -176,7 +176,7 @@ def _verify_epoch(graph: GraphStore, store: RuleStore, strategy: Strategy) -> No
         bad = oracle.compare_view(result, view)
     else:
         integral = all(
-            float(w).is_integer() for (_a, _b, w), _m in graph.edge_items()
+            float(w).is_integer() for (_a, _b, w), _m in graph.link_items()
         )
         result = oracle.apsp_additive(graph, strategy)
         if integral:

@@ -152,6 +152,12 @@ class GraphStore:
             for (dst, w), mult in out.items():
                 yield (src, dst, w), mult
 
+    def link_items(self) -> Iterator[tuple[tuple[NodeId, NodeId, float], int]]:
+        """Each stored link once, as in `edge_items` with `src < dst`."""
+        adj = self._adj
+        for src, dst, w in self._props:
+            yield (src, dst, w), adj[src][(dst, w)]
+
     def multiplicity(self, src: NodeId, dst: NodeId, w: float) -> int:
         return self._adj.get(src, {}).get((dst, w), 0)
 
@@ -201,12 +207,7 @@ class GraphStore:
                     for (x, w), mult in self._adj.get(n, {}).items()
                 ]
             case AddLink(a=a, b=b, props=props):
-                if a not in self.nodes:
-                    raise UnknownNodeError(f"node {a} does not exist")
-                if b not in self.nodes:
-                    raise UnknownNodeError(f"node {b} does not exist")
-                if a == b:
-                    raise ValueError(f"self-link on node {a}")
+                self._check_ends(a, b)
                 return [EdgeRecord(*_link(a, b, link_cost(props)), 1, props)]
             case RemoveLink(a=a, b=b, w=w):
                 return [EdgeRecord(*_link(a, b, self._resolve_weight(a, b, w)), -1)]
@@ -218,6 +219,15 @@ class GraphStore:
                     EdgeRecord(*_link(a, b, link_cost(props_new)), 1, props_new),
                 ]
         raise TypeError(f"unknown event type: {ev!r}")
+
+    def _check_ends(self, a: NodeId, b: NodeId) -> None:
+        """Refuse a new link unless its ends are two nodes of the store."""
+        if a not in self.nodes:
+            raise UnknownNodeError(f"node {a} does not exist")
+        if b not in self.nodes:
+            raise UnknownNodeError(f"node {b} does not exist")
+        if a == b:
+            raise ValueError(f"self-link on node {a}")
 
     def _resolve_weight(self, a: NodeId, b: NodeId, w: float | None) -> float:
         stored = self.weights_between(a, b)
@@ -342,14 +352,25 @@ class Topology:
 
 
 def build_graph(topo: Topology, link_cost: LinkCostFn) -> GraphStore:
-    """Materialize a Topology into a GraphStore under the given link cost."""
+    """Materialize a Topology into a GraphStore under the given link cost.
+
+    The store equals the one that adding each link by `AddLink` through
+    `apply_deltas` would build, and refuses what that refuses: a repeated
+    node id, a link to an unknown node, a self-link.  It counts each
+    link's copies and writes each link once, in key order; of parallel
+    copies with the same weight, the last one's properties are kept."""
     store = GraphStore()
-    deltas = []
     for rec in topo.nodes:
         store.add_node(rec)
+    count: dict[tuple[NodeId, NodeId, float], int] = {}
+    last: dict[tuple[NodeId, NodeId, float], LinkProperties] = {}
     for a, b, props in topo.links:
-        deltas.extend(store.ingest_event(AddLink(a, b, props), link_cost))
-    store.apply_deltas(deltas)
+        store._check_ends(a, b)
+        key = _link(a, b, link_cost(props))
+        count[key] = count.get(key, 0) + 1
+        last[key] = props
+    for key in sorted(count):
+        store._store_link(key, count[key], last[key])
     return store
 
 

@@ -29,23 +29,28 @@ the matrix of every group's cost, with the test for an edge to be tight
 for it (to carry a best path).  The additive costs (hop_count is one,
 with every weight 1) take the matrix from scipy's Dijkstra, and
 shortest_widest takes its widths from Kruskal's maximum spanning forest
-(Hu, Operations Research 1961).  Then a BFS over the tight edges, run for
-a block of destinations together, gives each group's length, and its
-next is the smallest tight neighbour one hop closer; the block's rows are
-filled from these arrays without a Python loop per pair.  A custom path
-cost, and the few inputs that solve would key differently, repair each
-destination's tree from empty (phase 2 below): a best-first search that
-pops nodes from a heap in key order, each group once, with the minimum
-of its neighbours' keys extended by one hop, the fixpoint equation.
+(Hu, Operations Research 1961).  Int costs take cost and length together
+from one Dijkstra over the weights w * n + 1, as the oracle's
+`apsp_additive` does.  For float costs and widths a BFS over the tight
+edges, run for a block of destinations together, gives each group's
+length.  A group's next is the smallest tight neighbour one hop closer;
+the block's rows are filled from these arrays without a Python loop per
+pair.  A custom path cost, and the few inputs that solve would key
+differently, repair each destination's tree from empty (phase 2 below):
+a best-first search that pops nodes from a heap in key order, each group
+once, with the minimum of its neighbours' keys extended by one hop, the
+fixpoint equation.
 `search` runs that repair over a masked adjacency for NOT and backup
 policies, and stops once the policy's source settles.
 
 At set-up, the engine's additive costs and the oracle's both come from
-scipy's Dijkstra, so the oracle alone does not check them there; the
-oracle's widths come from value iteration, independent of Kruskal.  The
+scipy's Dijkstra, int costs through the same (cost * n + length)
+encoding, so the oracle alone does not check them there; the oracle's
+widths come from value iteration, independent of Kruskal.  The
 independent references are the rounds reference, the repair from empty
-of a custom path cost that `path_cost_kind` does not know, the golden
-digests, and every repaired epoch after set-up.
+of a custom path cost that `path_cost_kind` does not know (the
+heap-search differentials, int weights other than 1 included), the
+golden digests, and every repaired epoch after set-up.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -231,7 +236,7 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
-    for (_s, _d, w), _m in topology.edge_items():
+    for (_s, _d, w), _m in topology.link_items():
         strategy.validate_weight(w)
     store = RuleStore(strategy)
     est = _all_fixpoint(topology, strategy)
@@ -263,8 +268,12 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
 
     - "sum": scipy's Dijkstra from each destination computes the least
       w + C[u, d], the addition the repair makes, so the costs are the same
-      floats; int costs below 2**53 are exact in float, and come back as
-      int.  Tight: w + C[u, d] == C[x, d].
+      floats.  Tight: w + C[u, d] == C[x, d].  Int costs are solved as
+      the one number C * n + L over the weights w * n + 1: a best path is
+      simple, so L < n, and every sum Dijkstra forms stays below
+      (total weight + 1) * n < 2**53, exact in float.  Tight is then
+      w * n + 1 + D[u, d] == D[x, d], which holds for both the cost and
+      the length, and C and L come back as int.
     - "min": the widest width between two nodes is the smallest weight on
       their path in a maximum spanning tree (Hu, "The maximum capacity
       route problem", Operations Research 1961), so Kruskal over the edges
@@ -272,16 +281,17 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
       min(w, C[u, d]) == C[x, d].  Keys hold -C, and a width of 0 is keyed
       -0.0, as the repair keys it.
 
-    A BFS over the tight edges gives the fewest hops L, and x's next is
-    the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the key
-    the heap would settle.  Each block fills its rows without a Python
-    loop per pair (`_fill_rows`).
+    For float costs and widths a BFS over the tight edges gives the fewest
+    hops L (`_tight_bfs`).  x's next is the smallest u over a tight edge
+    with L[u, d] + 1 == L[x, d]: the key the heap would settle.  Each block
+    fills its rows without a Python loop per pair (`_fill_rows`).
 
     None, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
     finite (an infinite weight, or path costs that could overflow), or an
-    int tautology cost over weights that are not all int or that total
-    2**53 or more; under "min" a tautology cost other than the float inf,
+    int tautology cost over weights that are not all int or whose total
+    (each link counted both ways) plus one, times n, is 2**53 or more;
+    under "min" a tautology cost other than the float inf,
     a weight that is not a float (the repair keeps an int width int) or
     has its sign bit set.
     """
@@ -295,19 +305,21 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         return None
     ids = sorted(topology.nodes)
     index = {v: i for i, v in enumerate(ids)}
-    best: dict[tuple[int, int], float] = {}  # (x, u) -> the weight that counts
-    for (u, x, w), _m in topology.edge_items():
-        pair = (index[x], index[u])
-        old = best.get(pair)
+    n = len(ids)
+    best: dict[int, float] = {}  # x * n + u -> the weight that counts
+    for (u, x, w), _m in topology.link_items():
+        iu, ix = index[u], index[x]
+        old = best.get(ix * n + iu)
         if old is None or (w > old if widest else w < old):
-            best[pair] = w
-    n, m = len(ids), len(best)
+            best[ix * n + iu] = best[iu * n + ix] = w
+    m = len(best)
     weights = np.fromiter(best.values(), float, m)
     if widest:
         refused = not all(type(w) is float for w in best.values()) or np.signbit(weights).any()
     else:
         refused = not np.isfinite(weights.sum() * 2) or integral and not (
-            all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
+            all(type(w) is int for w in best.values())
+            and (sum(best.values()) + 1) * n < 2**53
         )
     if refused:
         return None
@@ -315,9 +327,10 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     if not m:
         return est
     # edges sorted by x: each x's edges are one run
-    pairs = np.fromiter((i for pair in best for i in pair), np.intp, 2 * m).reshape(m, 2)
-    order = np.argsort(pairs[:, 0], kind="stable")
-    xs, us, weights = pairs[order, 0], pairs[order, 1], weights[order]
+    code = np.fromiter(best, np.intp, m)
+    order = np.argsort(code)
+    (xs, us), weights = np.divmod(code[order], n), weights[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     if widest:
         width = _widest_widths(n, us, xs, weights)
     else:
@@ -326,6 +339,9 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra
 
+        if integral:
+            # one number per (cost, length): cost * n + length
+            weights = weights * n + 1
         graph = csr_matrix((weights, (us, xs)), shape=(n, n))
     blocks = -(-n * m // _BLOCK_ELEMENTS)
     size = 8 * -(-n // (8 * blocks))
@@ -339,7 +355,12 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         else:
             cost = np.ascontiguousarray(dijkstra(graph, directed=True, indices=dests).T)
             tight = cost[us] + weights[:, None] == cost[xs]
-        length, nxt = _tight_bfs(tight, n, dests, us, xs)
+        if integral:
+            nxt = _smallest_tight(tight, us, xs, starts, n)
+            # an unreached group reads length 0, as d's own, and is not filled
+            cost, length = np.divmod(np.where(np.isfinite(cost), cost, 0).astype(np.int64), n)
+        else:
+            length, nxt = _tight_bfs(tight, n, dests, us, xs, starts)
         _fill_rows(est, ids, dests, -cost if widest else cost, length, nxt, integral)
     return est
 
@@ -351,20 +372,26 @@ def _fill_rows(est, ids, dests, cost, length, nxt, integral) -> None:
     The reached entries are taken destination-major, so each row is one
     contiguous run, and the key tuples are built by `zip`.  Int costs come
     back as int, and equal int keys, which repeat along each tree, are
-    built once per block: `np.unique` over the (cost rank, length, next)
-    codes.  Float keys are not shared."""
+    built once per block: one `np.unique` over the (cost, length, next)
+    codes, with the cost's rank in place of the cost where the code would
+    not fit in int64.  Float keys are not shared."""
     n = len(ids)
     node = np.array(ids, dtype=object)  # index -> id
     reached = length.T > 0  # (destinations x nodes)
     srcs = node[np.nonzero(reached)[1]].tolist()
     c, ln, j = cost.T[reached], length.T[reached], nxt.T[reached]
     if integral:
-        _, rank = np.unique(c, return_inverse=True)
-        code = (rank * n + ln) * n + j
+        if c.size and (int(c.max()) + 1) * n * n > 2**63:
+            c_code = np.unique(c, return_inverse=True)[1]  # the code would wrap
+        else:
+            c_code = c
+        code = (c_code * n + ln) * n + j
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        shared = list(zip(c[first].astype(np.int64).tolist(), ln[first].tolist(),
-                          node[j[first]].tolist()))
-        keys = list(map(shared.__getitem__, inverse.tolist()))
+        shared = np.fromiter(
+            zip(c[first].tolist(), ln[first].tolist(), node[j[first]].tolist()),
+            dtype=object, count=len(first),
+        )
+        keys = shared[inverse].tolist()
     else:
         keys = list(zip(c.tolist(), ln.tolist(), node[j].tolist()))
     end = np.cumsum(reached.sum(axis=1)).tolist()
@@ -402,7 +429,20 @@ def _widest_widths(n, us, xs, weights):
     return width
 
 
-def _tight_bfs(tight, n, dests, us, xs):
+def _smallest_tight(tight, us, xs, starts, n):
+    """Each node x's smallest u over a tight edge (u, x), as a (nodes x
+    columns) array; n where x has no tight edge, 0 where it has no edge.
+    The edges are sorted by x, and x's run begins at its entry of
+    `starts`."""
+    first = np.minimum.reduceat(
+        np.where(tight, us.astype(np.int32)[:, None], n), starts, axis=0
+    )
+    nxt = np.zeros((n, tight.shape[1]), dtype=np.int32)
+    nxt[xs[starts]] = first
+    return nxt
+
+
+def _tight_bfs(tight, n, dests, us, xs, starts):
     """Over the tight edges of (edges x destinations): each node's fewest
     hops (-1 if unreached) and, where that is positive, its smallest next
     with one hop fewer, as (nodes x destinations) arrays.  The edges (u, x)
@@ -412,7 +452,6 @@ def _tight_bfs(tight, n, dests, us, xs):
     k = len(dests)
     if k % 8:
         tight = np.pad(tight, ((0, 0), (0, -k % 8)))
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     heads = xs[starts]
     length = np.full((n, tight.shape[1]), -1, dtype=np.int32)
     length[dests, np.arange(k)] = 0
@@ -433,12 +472,7 @@ def _tight_bfs(tight, n, dests, us, xs):
         words[heads] = reached
         length[frontier] = level
     tight &= length[us] + 1 == length[xs]
-    first = np.minimum.reduceat(
-        np.where(tight, us.astype(np.int32)[:, None], n), starts, axis=0
-    )
-    nxt = np.zeros(length.shape, dtype=np.int32)
-    nxt[heads] = first
-    return length[:, :k], nxt[:, :k]
+    return length[:, :k], _smallest_tight(tight, us, xs, starts, n)[:, :k]
 
 
 def search(

@@ -157,6 +157,72 @@ class TestGraphIntegrity:
             g.check_integrity()
 
 
+def build_by_events(topo, link_cost):
+    """The store that `AddLink` events build through `apply_deltas`."""
+    g = gm.GraphStore()
+    for rec in topo.nodes:
+        g.add_node(rec)
+    deltas = []
+    for a, b, p in topo.links:
+        deltas += g.ingest_event(gm.AddLink(a, b, p), link_cost)
+    g.apply_deltas(deltas)
+    return g
+
+
+@st.composite
+def parallel_topologies(draw):
+    """Up to 6 nodes with negative or gapped ids and up to 14 links, drawn
+    from few utilizations (the weight) and delays, so that parallel links
+    of equal weight with different properties and parallel links of
+    different weights are common."""
+    ids = draw(st.lists(st.integers(-5, 9), min_size=1, max_size=6, unique=True))
+    links = []
+    if len(ids) > 1:
+        ends = st.sampled_from(ids)
+        for a, b, u, d in draw(st.lists(
+            st.tuples(ends, ends, st.sampled_from([1.0, 2.0]), st.sampled_from([0.0, 3.0])),
+            max_size=14,
+        )):
+            if a != b:
+                links.append((a, b, props(utilization=u, delay=d)))
+    return gm.Topology([gm.NodeRecord(i) for i in ids], links)
+
+
+class TestBuildGraph:
+    @settings(max_examples=150, deadline=None)
+    @given(parallel_topologies())
+    def test_equals_the_store_built_by_events(self, topo):
+        g = gm.build_graph(topo, SD.link_cost)
+        want = build_by_events(topo, SD.link_cost)
+        assert g == want
+        assert list(g.edge_items()) == list(want.edge_items())
+        g.check_integrity()
+
+    @settings(max_examples=100, deadline=None)
+    @given(parallel_topologies())
+    def test_link_items_are_the_ordered_half_of_edge_items(self, topo):
+        g = gm.build_graph(topo, SD.link_cost)
+        for remove in (None, min(g.nodes)):
+            if remove is not None:  # again once a node and its links are gone
+                g.apply_deltas(g.ingest_event(gm.RemoveNode(remove), SD.link_cost))
+            half = [(key, m) for key, m in g.edge_items() if key[0] < key[1]]
+            assert sorted(g.link_items()) == sorted(half)
+
+    @pytest.mark.parametrize("nodes,links,error", [
+        ([0, 1], [(0, 1), (0, 5)], UnknownNodeError),
+        ([0, 1], [(5, 1)], UnknownNodeError),
+        ([0, 1], [(0, 1), (1, 1)], ValueError),
+        ([0, 1, 0], [(0, 1)], DuplicateNodeError),
+    ], ids=["unknown-second-end", "unknown-first-end", "self-link", "duplicate-node"])
+    def test_bad_topologies_raise_what_the_events_raise(self, nodes, links, error):
+        topo = gm.Topology([gm.NodeRecord(i) for i in nodes],
+                           [(a, b, props()) for a, b in links])
+        for build in (gm.build_graph, build_by_events):
+            with pytest.raises(error) as raised:
+                build(topo, SD.link_cost)
+            assert type(raised.value) is error
+
+
 class TestFork:
     def test_fork_is_independent(self):
         g = sd_graph(3, [(0, 1, 1), (1, 2, 1)])

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -966,16 +967,34 @@ CUSTOM_WIDEST = Strategy(
 )
 
 
+# the built-in additive path cost over int weights 1 to 3 on
+# `real_weight_topologies`, so that an int cost and a length part ways
+INT_SUM = Strategy(
+    name="int_sum",
+    link_cost=lambda p: 1 + int(p.utilization) % 7,
+    path_cost=SD.path_cost,
+    tautology_cost=0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
+# INT_SUM's path cost as a function path_cost_kind does not know
+CUSTOM_INT_SUM = replace(INT_SUM, name="custom_int_sum", path_cost=lambda w, c: w + c)
+
+
 @pytest.mark.parametrize("builtin_strategy,clone", [
     (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW), (HOP, CUSTOM_HOP),
-    (WIDEST, CUSTOM_WIDEST),
-], ids=["sd_utilization", "sd_free_bw", "hop_count", "shortest_widest"])
+    (INT_SUM, CUSTOM_INT_SUM), (WIDEST, CUSTOM_WIDEST),
+], ids=["sd_utilization", "sd_free_bw", "hop_count", "int_sum", "shortest_widest"])
 @settings(max_examples=150, deadline=None)
 @given(topo=real_weight_topologies())
 def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, topo):
     """A built-in is solved for every destination at once, its clone by
     one heap search per destination: the rules agree key for key, type for
-    type and, for a width of 0, sign for sign."""
+    type and, for a width of 0, sign for sign.  Under int_sum a cheaper
+    path can be longer, so the (cost * n + length) encoding is checked
+    against the search, which keeps cost and length apart."""
     assert path_cost_kind(builtin_strategy) is not None
     assert path_cost_kind(clone) is None
     g = build_graph(topo, builtin_strategy.link_cost)
@@ -1017,6 +1036,18 @@ BIG_INT_SUM = Strategy(
 )
 
 
+# the built-in additive path cost over int weights whose total is exact in
+# float but whose (cost * n + length) code, on four nodes, is not
+COMPOSITE_INT_SUM = Strategy(
+    name="composite_int_sum",
+    link_cost=lambda p: 2**50 + int(p.utilization),
+    path_cost=SD.path_cost,
+    tautology_cost=0,
+    maximize=False,
+    weight_domain=SD.weight_domain,
+)
+
+
 # the built-in additive path cost from an int tautology over int and
 # float weights
 MIXED_SUM = Strategy(
@@ -1031,15 +1062,20 @@ MIXED_SUM = Strategy(
 
 @pytest.mark.parametrize("strategy,rule_0_3", [
     (INF_SUM, (math.inf, 3, 1)), (ONE_SUM, (94.0, 3, 1)),
-    (BIG_INT_SUM, (3 * 2**53 + 93, 3, 1)), (MIXED_SUM, (93.0, 3, 1)),
-], ids=["inf_weight", "tautology_one", "int_beyond_2_53", "int_and_float"])
+    (BIG_INT_SUM, (3 * 2**53 + 93, 3, 1)),
+    (COMPOSITE_INT_SUM, (3 * 2**50 + 93, 3, 1)), (MIXED_SUM, (93.0, 3, 1)),
+], ids=["inf_weight", "tautology_one", "int_beyond_2_53", "int_composite_beyond_2_53",
+        "int_and_float"])
 def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rule_0_3):
     """Behind an inf link, search gives a rule of cost inf, which Dijkstra
     would call unreachable; a path that starts from cost 1.0 rounds
     differently from one that starts from 0; int costs of 2**53 or more
-    are not exact in float; and under an int tautology a path's cost is
-    int or float depending on its weights.  `initialize` must repair from
-    an empty tree, and the rounds from an empty store agree with it."""
+    are not exact in float, and neither is a cost times the node count
+    once the weights' total plus one, times n, reaches 2**53 (here 2S is
+    below 2**53, (2S + 1) * 4 is not); and under an int tautology a
+    path's cost is int or float depending on its weights.  `initialize`
+    must repair from an empty tree, and the rounds from an empty store
+    agree with it."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "sum"
@@ -1241,6 +1277,24 @@ def test_rows_take_at_most_48_bytes_per_pair():
         tracemalloc.stop()
     assert store.rule_count() == 102_400
     assert grown / store.rule_count() <= 48
+
+
+def test_int_keys_whose_code_would_wrap_stay_apart():
+    """Among 4096 nodes the (cost, length, next) code of a cost c is about
+    c * 2**24, so costs 2**41 and 3 * 2**40, which share length and next,
+    would wrap to one int64 code: the fill codes the cost's rank instead,
+    and each node keeps its own key."""
+    n = 4096
+    cost = np.zeros((n, 1), dtype=np.int64)
+    length = np.full((n, 1), -1, dtype=np.int64)
+    nxt = np.zeros((n, 1), dtype=np.int32)
+    length[0] = 0
+    cost[1], length[1] = 2**41, 1
+    cost[2], length[2] = 3 * 2**40, 1
+    est = {0: {0: (0, 0, 0)}}
+    rc._fill_rows(est, list(range(n)), np.arange(1), cost, length, nxt, True)
+    assert est == {0: {0: (0, 0, 0), 1: (2**41, 1, 0), 2: (3 * 2**40, 1, 0)}}
+    assert all(type(v) is int for key in est[0].values() for v in key)
 
 
 def test_rules_to_csv_format():
