@@ -164,7 +164,8 @@ def _format_path(path, suffix="") -> str:
 
 
 def _verify_epoch(graph: GraphStore, store: RuleStore, strategy: Strategy) -> None:
-    # scipy loads with the oracle, so only `run --verify` pays for it
+    # only `run --verify` loads the oracle; scipy loads with its first
+    # additive solve
     from . import oracle
 
     view = store.established_rules()

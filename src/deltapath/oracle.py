@@ -1,9 +1,11 @@
 """From-scratch reference solvers used for equivalence testing.
 
 Nothing here shares code with the incremental engine: additive strategies
-get a fresh Dijkstra per source (scipy), widest-path strategies get a
-synchronous value iteration plus, under the brute-force entry point, an
-exhaustive simple-path enumeration cross-checking the widths.  The only
+get a fresh Dijkstra per source, widest-path strategies get a synchronous
+value iteration plus, under the brute-force entry point, an exhaustive
+simple-path enumeration cross-checking the widths.  scipy is used only for
+that Dijkstra: `apsp_additive` imports it on its first call, so a process
+that checks only widest strategies never loads it.  The only
 deliberately shared piece of semantics is the selection tie-break, which
 replicates the engine's key tuple (signed cost, p_length, next), whose
 plain order is the selection order (see `strategy`): primary key per the
@@ -13,19 +15,18 @@ Memory: a solve holds a few (N, N) matrices, and every kernel past the
 Dijkstra works on (directed edges x targets) arrays over one block of
 targets at a time, each near `_BLOCK_ELEMENTS` elements, so its working
 memory is O(N^2 + _BLOCK_ELEMENTS) whatever the weights.  `compare_view`
-adds O(N^2) bits and a few words per view entry.
+reads the view one chunk of entries at a time, so it adds an (N, N) mask
+of the pairs not yet seen plus a few words per entry of one chunk.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import InvalidWeightError, TooLargeError
 from .graph_model import GraphStore, NodeId
@@ -246,6 +247,11 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
     """
     if strategy.maximize:
         raise InvalidWeightError("apsp_additive requires an additive strategy")
+    # scipy loads on first use, so that a process checking only widest
+    # strategies does not load it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     ids, edges, nbr_idx, nbr_w = _collect_edges(graph, widest=False)
     n = len(ids)
     rows, cols, data = edges.srcs, edges.dsts, edges.ws
@@ -261,7 +267,7 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
     if integral and max_w * n * n < 2**52:
         m = float(n)
         comp = csr_matrix((data * m + 1.0, (rows, cols)), shape=(n, n))
-        Dc = _dijkstra(comp, directed=True)
+        Dc = dijkstra(comp, directed=True)
         finite = np.isfinite(Dc)
         with np.errstate(invalid="ignore"):
             LEN = np.mod(Dc, m)
@@ -273,7 +279,7 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
         used_rtol = 0.0
     else:
         mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-        D = _dijkstra(mat, directed=True)
+        D = dijkstra(mat, directed=True)
         LEN = _fewest_hops(D, edges, False, rtol)
         used_rtol = rtol
     nxt = _next_hops(D, LEN, edges, False, used_rtol)
@@ -440,30 +446,36 @@ def compare_view(
     mismatches come first, in view order, then the oracle-reachable pairs
     the view lacks, in `ids` order.
 
-    `_screen` passes most entries at once; the rest go through
+    The view is read one chunk of entries at a time, so the working
+    memory past the mask of missing pairs is that of one chunk.  In each
+    chunk `_screen` passes most entries at once; the rest go through
     `_mismatch`, which builds the reasons.
     """
     index = result.index
-    keys = list(view)
-    count = len(keys)
-    rows = np.fromiter(map(index.get, map(itemgetter(0), keys), repeat(-1)), np.intp, count)
-    cols = np.fromiter(map(index.get, map(itemgetter(1), keys), repeat(-1)), np.intp, count)
-    try:
-        passed = _screen(result, view, keys, rows, cols, rtol, check_length)
-    except (ArithmeticError, AttributeError, TypeError, ValueError):
-        # what the screen cannot compare, `_mismatch` decides (or raises on)
-        passed = np.zeros(count, dtype=bool)
-    bad = []
-    for k in np.flatnonzero(~passed).tolist():
-        s, t = key = keys[k]
-        reason = _mismatch(result, s, t, view[key], rtol, check_length, witness_next)
-        if reason is not None:
-            bad.append((s, t, reason))
+    # an entry of a chunk holds its key, two indices, its rule's three
+    # fields and a few masks, about 170 B traced: 1.4 MiB per chunk
+    chunk = _BLOCK_ELEMENTS // 8
     missing = (
         result._cost > -math.inf if result.maximize else result._cost < math.inf
     )
-    known = (rows >= 0) & (cols >= 0)
-    missing[rows[known], cols[known]] = False
+    bad = []
+    entries = iter(view)
+    while keys := list(islice(entries, chunk)):
+        count = len(keys)
+        rows = np.fromiter(map(index.get, map(itemgetter(0), keys), repeat(-1)), np.intp, count)
+        cols = np.fromiter(map(index.get, map(itemgetter(1), keys), repeat(-1)), np.intp, count)
+        try:
+            passed = _screen(result, view, keys, rows, cols, rtol, check_length)
+        except (ArithmeticError, AttributeError, TypeError, ValueError):
+            # what the screen cannot compare, `_mismatch` decides (or raises on)
+            passed = np.zeros(count, dtype=bool)
+        for k in np.flatnonzero(~passed).tolist():
+            s, t = key = keys[k]
+            reason = _mismatch(result, s, t, view[key], rtol, check_length, witness_next)
+            if reason is not None:
+                bad.append((s, t, reason))
+        known = (rows >= 0) & (cols >= 0)
+        missing[rows[known], cols[known]] = False
     ids = result.ids
     for i, j in zip(*(a.tolist() for a in np.nonzero(missing))):
         bad.append((ids[i], ids[j], "oracle-reachable pair missing from engine"))

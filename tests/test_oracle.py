@@ -1,20 +1,26 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltapath
 from deltapath import oracle
 from deltapath.errors import InvalidWeightError, TooLargeError
-from deltapath.graph_model import RemoveLink, build_graph
-from deltapath.routing_core import ForwardingRule
+from deltapath.graph_model import RemoveLink, build_graph, save_topology
+from deltapath.routing_core import ForwardingRule, initialize
 from deltapath.strategy import Strategy, builtin, builtin_names
-from deltapath.workloads import gen_fattree
+from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
 from conftest import (
     affected_pairs,
@@ -331,6 +337,64 @@ def test_solve_memory_is_bounded(strategy, topo):
     assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+def test_compare_view_memory_is_bounded():
+    """The traced peak of checking the established view of hop_count
+    fat-tree k=16 (102 400 pairs) stays under 4 MiB: the mask of missing
+    pairs plus one chunk of entries.  Keys and columns for the whole view
+    at once are 16.8 MiB here."""
+    g = build_graph(gen_fattree(16), HOP.link_cost)
+    view = initialize(g, HOP).established_rules()
+    result = oracle.solve(g, HOP)
+    tracemalloc.start()
+    try:
+        bad = oracle.compare_view(result, view)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bad == []
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_the_widest_check_loads_no_scipy(tmp_path):
+    """Solving and checking shortest_widest, in the library and through
+    `run --verify`, never loads scipy; the first additive solve does."""
+    small = gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM))
+    save_topology(small, tmp_path / "jellyfish20.txt")
+    save_topology(triangle(), tmp_path / "triangle.txt")
+    a, b, _props = small.links[0]
+    (tmp_path / "events.txt").write_text(f"epoch 1\n-link {a} {b}\n")
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from deltapath import oracle
+        from deltapath.cli import main
+        from deltapath.graph_model import build_graph, load_topology
+        from deltapath.routing_core import initialize
+        from deltapath.strategy import builtin
+        from deltapath.workloads import PlanKind, WeightPlan, gen_jellyfish
+
+        tmp = Path(sys.argv[1])
+        widest, plan = builtin("shortest_widest"), WeightPlan(PlanKind.UNIFORM)
+        g = build_graph(gen_jellyfish(64, 6, plan), widest.link_cost)
+        view = initialize(g, widest).established_rules()
+        assert oracle.compare_view(oracle.solve(g, widest), view) == []
+        oracle.widest_paths_bruteforce(build_graph(gen_jellyfish(14, 3, plan), widest.link_cost),
+                                       widest)
+        assert main(["run", "--topology", str(tmp / "jellyfish20.txt"), "--strategy", "widest",
+                     "--events", str(tmp / "events.txt"), "--out", str(tmp / "m.csv"),
+                     "--verify"]) == 0
+        print("scipy" in sys.modules)
+        sd = builtin("sd_utilization")
+        oracle.apsp_additive(build_graph(load_topology(tmp / "triangle.txt"), sd.link_cost), sd)
+        print("scipy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 # --- compare_view: its reasons, their order, and the options
 
 
@@ -479,3 +543,81 @@ def test_compare_view_of_views_without_rules():
     view[(0, 1)] = None
     with pytest.raises(AttributeError):
         oracle.compare_view(r, view)
+
+
+# --- compare_view reads the view in chunks of `_BLOCK_ELEMENTS // 8`
+# --- entries; the chunks must not show in its result
+
+
+def same_in_every_chunking(monkeypatch, result, view, **options):
+    """compare_view's result with the default chunk, after asserting that
+    chunks of 1, 2 and 3 entries give the same list."""
+    expect = oracle.compare_view(result, view, **options)
+    for chunk in (1, 2, 3):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_BLOCK_ELEMENTS", 8 * chunk)
+            assert oracle.compare_view(result, view, **options) == expect, chunk
+    return expect
+
+
+@pytest.mark.parametrize("options", [{}, {"rtol": 1e-9, "witness_next": True}],
+                         ids=["exact", "rtol-witness"])
+def test_compare_view_chunks_of_small_views(monkeypatch, options):
+    """The views of the reason-order and unknown-node tests above."""
+    r = oracle.apsp_additive(sd_graph(5, [(0, 1, 1), (1, 2, 1), (0, 2, 3), (3, 4, 1)]), SD)
+    good = rules_of(r)
+    view = {
+        (2, 1): good[(2, 1)]._replace(p_length=2),
+        (0, 3): ForwardingRule(0, 3, 1, 5.0, 2, 1),
+        (1, 0): good[(1, 0)]._replace(p_cost=7.0),
+        (0, 2): good[(0, 2)]._replace(next=2),
+        (0, 9): ForwardingRule(0, 9, 1, 1.0, 1, 1),
+    }
+    for pair, rule in good.items():
+        if pair not in view and pair not in {(4, 3), (2, 0), (0, 1)}:
+            view[pair] = rule
+    assert len(same_in_every_chunking(monkeypatch, r, view, **options)) == 8
+    r = oracle.apsp_additive(sd_graph(3, [(0, 1, 1), (1, 2, 1)]), SD)
+    view = {(9, 9): ForwardingRule(9, 9, 9, 0.0, 0, 1), **rules_of(r)}
+    view[(7, 0)] = ForwardingRule(7, 0, 0, 1.0, 1, 1)
+    assert same_in_every_chunking(monkeypatch, r, view, **options) == [
+        (9, 9, "engine reaches an oracle-unreachable pair"),
+        (7, 0, "engine reaches an oracle-unreachable pair"),
+    ]
+
+
+def test_compare_view_chunks_of_an_established_view(monkeypatch):
+    """A hop_count fat-tree k=4 store (400 pairs) whose rows were
+    corrupted: a changed cost, a cost of None (the screen does not pass
+    it, and `_mismatch` names it), an entry for a node the oracle lacks,
+    and a deleted entry.  Under `rtol` the None becomes a Decimal equal to
+    the cost, which `_screen` cannot subtract: that chunk alone falls back
+    to `_mismatch`, which passes it."""
+    g = build_graph(gen_fattree(4), HOP.link_cost)
+    store = initialize(g, HOP)
+    r = oracle.solve(g, HOP)
+    rows = store._est
+    (d0, s0), (d1, s1), (d2, _s2), (d3, s3) = (
+        (d, next(x for x in rows[d] if x != d)) for d in list(rows)[:4]
+    )
+    cost, length, nxt = rows[d0][s0]
+    rows[d0][s0] = (cost + 1, length, nxt)
+    cost1, length1, nxt1 = rows[d1][s1]
+    rows[d1][s1] = (None, length1, nxt1)
+    rows[d2][99] = (1, 1, d2)
+    del rows[d3][s3]
+    view = store.established_rules()
+    tail = [
+        (99, d2, "engine reaches an oracle-unreachable pair"),
+        (s3, d3, "oracle-reachable pair missing from engine"),
+    ]
+    assert same_in_every_chunking(monkeypatch, r, view) == [
+        (s0, d0, f"cost {cost + 1} vs oracle {float(cost)}"),
+        (s1, d1, f"cost None vs oracle {float(cost1)}"),
+        *tail,
+    ]
+    rows[d1][s1] = (Decimal(cost1), length1, nxt1)
+    assert same_in_every_chunking(monkeypatch, r, view, rtol=1e-9, witness_next=True) == [
+        (s0, d0, f"cost {cost + 1} vs oracle {float(cost)}"),
+        *tail,
+    ]
