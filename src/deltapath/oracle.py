@@ -11,12 +11,14 @@ replicates the engine's key tuple (signed cost, p_length, next), whose
 plain order is the selection order (see `strategy`): primary key per the
 strategy, then fewer hops, then smallest next-hop id.
 
-Memory: a solve holds a few (N, N) matrices, and every kernel past the
-Dijkstra works on (directed edges x targets) arrays over one block of
-targets at a time, each near `_BLOCK_ELEMENTS` elements, so its working
-memory is O(N^2 + _BLOCK_ELEMENTS) whatever the weights.  `compare_view`
-reads the view one chunk of entries at a time, so it adds an (N, N) mask
-of the pairs not yet seen plus a few words per entry of one chunk.
+Memory: a solve holds a few (N, N) matrices: the costs as float64, the
+fewest hops as float32, exact below 2**24 hops, and the next hops as
+int32.  Every kernel past the Dijkstra works on (directed edges x
+targets) arrays over one block of targets at a time, each near
+`_BLOCK_ELEMENTS` elements, so its working memory is O(N^2 +
+_BLOCK_ELEMENTS) whatever the weights.  `compare_view` reads the view one
+chunk of entries at a time, so it adds an (N, N) mask of the pairs not
+yet seen plus a few words per entry of one chunk.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def _next_hops(D, LEN, edges: _Edges, maximize, rtol):
     """Tie-broken next hops: the smallest x over an edge s->x that carries
     an optimal path (`_ties`) one hop longer than x's."""
     n = D.shape[0]
-    nxt = np.full((n, n), -1, dtype=np.int64)
+    nxt = np.full((n, n), -1, dtype=np.int32)
     srcs, dsts, _ws, heads, starts = edges
     for lo, hi in _blocks(n, srcs.size):
         base = D[srcs, lo:hi]
@@ -218,7 +220,7 @@ def _fewest_hops(D, edges: _Edges, maximize: bool, rtol: float):
     (and is finite, for additive routing; whose width is, for widest), by
     synchronous relaxation from LEN[t, t] = 0."""
     n = D.shape[0]
-    LEN = np.full((n, n), np.inf)
+    LEN = np.full((n, n), np.inf, dtype=np.float32)
     np.fill_diagonal(LEN, 0.0)
     srcs, dsts, ws, heads, starts = edges
     for lo, hi in _blocks(n, srcs.size):
@@ -259,7 +261,7 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
         raise InvalidWeightError(f"non-positive weight {data.min()}")
     if n == 0:
         empty = np.zeros((0, 0))
-        return OracleResult(ids, empty, empty, empty.astype(np.int64),
+        return OracleResult(ids, empty, empty, empty.astype(np.int32),
                             nbr_idx, nbr_w, False, 0.0)
 
     integral = bool(np.all(data == np.floor(data)))
@@ -269,8 +271,9 @@ def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> 
         comp = csr_matrix((data * m + 1.0, (rows, cols)), shape=(n, n))
         Dc = dijkstra(comp, directed=True)
         finite = np.isfinite(Dc)
+        LEN = np.empty((n, n), dtype=np.float32)
         with np.errstate(invalid="ignore"):
-            LEN = np.mod(Dc, m)
+            np.mod(Dc, m, out=LEN)
         LEN[~finite] = np.inf
         # in place: D = (Dc - LEN) / m where finite, inf elsewhere
         D = Dc
@@ -311,7 +314,7 @@ def widest_reference(graph: GraphStore, strategy: Strategy) -> OracleResult:
     n = len(ids)
     if n == 0:
         empty = np.zeros((0, 0))
-        return OracleResult(ids, empty, empty, empty.astype(np.int64),
+        return OracleResult(ids, empty, empty, empty.astype(np.int32),
                             nbr_idx, nbr_w, True, 0.0)
     W = _widths(edges, n)
     LEN = _fewest_hops(W, edges, True, 0.0)

@@ -26,26 +26,27 @@ does not depend on how the fixpoint was reached.
 Under every built-in path cost the first fixpoint is solved for every
 destination at once (`_all_fixpoint`).  One step depends on the strategy:
 the matrix of every group's cost, with the test for an edge to be tight
-for it (to carry a best path).  The additive costs (hop_count is one,
-with every weight 1) take the matrix from scipy's Dijkstra, and
-shortest_widest takes its widths from Kruskal's maximum spanning forest
-(Hu, Operations Research 1961).  Int costs take cost and length together
-from one Dijkstra over the weights w * n + 1, as the oracle's
-`apsp_additive` does.  For float costs and widths a BFS over the tight
-edges, run for a block of destinations together, gives each group's
-length.  A group's next is the smallest tight neighbour one hop closer;
-the block's rows are filled from these arrays without a Python loop per
-pair.  A custom path cost, and the few inputs that solve would key
-differently, repair each destination's tree from empty (phase 2 below):
-a best-first search that pops nodes from a heap in key order, each group
-once, with the minimum of its neighbours' keys extended by one hop, the
-fixpoint equation.
+for it (to carry a best path).  Additive costs over unequal weights, int
+or float, take the matrix from scipy's Dijkstra, and shortest_widest
+takes its widths from Kruskal's maximum spanning forest (Hu, Operations
+Research 1961).  A BFS over the tight edges, run for a block of
+destinations together, gives each group's length, and one minimum over
+each node's edges its next: the smallest tight neighbour one hop closer.
+An additive cost whose weights are all equal (hop_count's are all 1)
+needs neither matrix nor test: a group's cost follows from its length,
+and the BFS runs over every edge.  The block's rows are filled from
+these arrays without a Python loop per pair.  A custom path cost, and
+the few inputs that solve would key differently, repair each
+destination's tree from empty (phase 2 below): a best-first search that
+pops nodes from a heap in key order, each group once, with the minimum
+of its neighbours' keys extended by one hop, the fixpoint equation.
 `search` runs that repair over a masked adjacency for NOT and backup
 policies, and stops once the policy's source settles.
 
-At set-up, the engine's additive costs and the oracle's both come from
-scipy's Dijkstra, int costs through the same (cost * n + length)
-encoding, so the oracle alone does not check them there; the oracle's
+At set-up, the oracle's int costs come from its own Dijkstra over the
+composite weights w * n + 1, independent of the engine's.  The engine's
+real costs over unequal weights and the oracle's both come from scipy's
+Dijkstra, so the oracle alone does not check them there; the oracle's
 widths come from value iteration, independent of Kruskal.  The
 independent references are the rounds reference, the repair from empty
 of a custom path cost that `path_cost_kind` does not know (the
@@ -266,14 +267,17 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     toward each destination, and the test for an edge to be tight, that is
     to carry a best path (C[x, d] is what u's cost extended by w gives).
 
-    - "sum": scipy's Dijkstra from each destination computes the least
-      w + C[u, d], the addition the repair makes, so the costs are the same
-      floats.  Tight: w + C[u, d] == C[x, d].  Int costs are solved as
-      the one number C * n + L over the weights w * n + 1: a best path is
-      simple, so L < n, and every sum Dijkstra forms stays below
-      (total weight + 1) * n < 2**53, exact in float.  Tight is then
-      w * n + 1 + D[u, d] == D[x, d], which holds for both the cost and
-      the length, and C and L come back as int.
+    - "sum" with every weight equal to w: a path's cost depends only on
+      its hop count, so the BFS runs over every edge, with no test, and C
+      is read from the cost of L hops, the repair's fold
+      w + (w + ... (w + 0)), int for int costs.  No Dijkstra runs, and
+      scipy is not loaded.
+    - "sum" otherwise: scipy's Dijkstra from each destination computes
+      the least w + C[u, d], the addition the repair makes, so the costs
+      are the same floats.  Tight: w + C[u, d] == C[x, d].  Int costs take
+      the same path: every sum Dijkstra forms is the cost of a simple path,
+      below the weights' total < 2**53, so exact in float, and C comes
+      back as int.
     - "min": the widest width between two nodes is the smallest weight on
       their path in a maximum spanning tree (Hu, "The maximum capacity
       route problem", Operations Research 1961), so Kruskal over the edges
@@ -281,16 +285,16 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
       min(w, C[u, d]) == C[x, d].  Keys hold -C, and a width of 0 is keyed
       -0.0, as the repair keys it.
 
-    For float costs and widths a BFS over the tight edges gives the fewest
-    hops L (`_tight_bfs`).  x's next is the smallest u over a tight edge
-    with L[u, d] + 1 == L[x, d]: the key the heap would settle.  Each block
-    fills its rows without a Python loop per pair (`_fill_rows`).
+    A BFS over the tight edges then gives the fewest hops L and each x's
+    next, the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the
+    key the heap would settle (`_tight_bfs`).  Each block fills its rows
+    without a Python loop per pair (`_fill_rows`).
 
     None, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
     finite (an infinite weight, or path costs that could overflow), or an
     int tautology cost over weights that are not all int or whose total
-    (each link counted both ways) plus one, times n, is 2**53 or more;
+    (each link counted both ways) is 2**53 or more;
     under "min" a tautology cost other than the float inf,
     a weight that is not a float (the repair keeps an int width int) or
     has its sign bit set.
@@ -318,8 +322,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         refused = not all(type(w) is float for w in best.values()) or np.signbit(weights).any()
     else:
         refused = not np.isfinite(weights.sum() * 2) or integral and not (
-            all(type(w) is int for w in best.values())
-            and (sum(best.values()) + 1) * n < 2**53
+            all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
         )
     if refused:
         return None
@@ -331,17 +334,20 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     order = np.argsort(code)
     (xs, us), weights = np.divmod(code[order], n), weights[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    uniform = not widest and (weights == weights[0]).all()
     if widest:
         width = _widest_widths(n, us, xs, weights)
+    elif uniform:
+        # the cost of L hops, folded hop by hop as the repair adds w + c
+        by_hops = np.full(n, weights[0], dtype=np.int64 if integral else float)
+        by_hops[0] = 0
+        np.add.accumulate(by_hops, out=by_hops)
     else:
-        # scipy loads on first use, so that `import deltapath` and a
-        # widest-only process do not load it
+        # scipy loads on first use, so that `import deltapath`, hop_count
+        # and a widest-only process do not load it
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra
 
-        if integral:
-            # one number per (cost, length): cost * n + length
-            weights = weights * n + 1
         graph = csr_matrix((weights, (us, xs)), shape=(n, n))
     blocks = -(-n * m // _BLOCK_ELEMENTS)
     size = 8 * -(-n // (8 * blocks))
@@ -352,15 +358,18 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         if widest:
             cost = width[:, lo:hi]
             tight = np.minimum(weights[:, None], cost[us]) == cost[xs]
+        elif uniform:
+            tight = None
         else:
             cost = np.ascontiguousarray(dijkstra(graph, directed=True, indices=dests).T)
             tight = cost[us] + weights[:, None] == cost[xs]
-        if integral:
-            nxt = _smallest_tight(tight, us, xs, starts, n)
-            # an unreached group reads length 0, as d's own, and is not filled
-            cost, length = np.divmod(np.where(np.isfinite(cost), cost, 0).astype(np.int64), n)
-        else:
-            length, nxt = _tight_bfs(tight, n, dests, us, xs, starts)
+        length, nxt = _tight_bfs(tight, n, dests, us, xs, starts)
+        # an unreached group reads length -1 and is not filled, whatever
+        # its cost
+        if uniform:
+            cost = by_hops[length]
+        elif integral:
+            cost = np.where(np.isfinite(cost), cost, 0).astype(np.int64)
         _fill_rows(est, ids, dests, -cost if widest else cost, length, nxt, integral)
     return est
 
@@ -372,24 +381,26 @@ def _fill_rows(est, ids, dests, cost, length, nxt, integral) -> None:
     The reached entries are taken destination-major, so each row is one
     contiguous run, and the key tuples are built by `zip`.  Int costs come
     back as int, and equal int keys, which repeat along each tree, are
-    built once per block: one `np.unique` over the (cost, length, next)
-    codes, with the cost's rank in place of the cost where the code would
-    not fit in int64.  Float keys are not shared."""
+    built once per block, each decoded from one of the distinct (cost,
+    length, next) codes that `np.unique` returns, with the cost's rank in
+    place of the cost where the code would not fit in int64.  Float keys
+    are not shared."""
     n = len(ids)
     node = np.array(ids, dtype=object)  # index -> id
     reached = length.T > 0  # (destinations x nodes)
     srcs = node[np.nonzero(reached)[1]].tolist()
     c, ln, j = cost.T[reached], length.T[reached], nxt.T[reached]
     if integral:
+        rank = None
         if c.size and (int(c.max()) + 1) * n * n > 2**63:
-            c_code = np.unique(c, return_inverse=True)[1]  # the code would wrap
-        else:
-            c_code = c
-        code = (c_code * n + ln) * n + j
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            rank, c = np.unique(c, return_inverse=True)  # the code would wrap
+        codes, inverse = np.unique((c * n + ln) * n + j, return_inverse=True)
+        c, rest = np.divmod(codes, n * n)
+        ln, j = np.divmod(rest, n)
+        if rank is not None:
+            c = rank[c]
         shared = np.fromiter(
-            zip(c[first].tolist(), ln[first].tolist(), node[j[first]].tolist()),
-            dtype=object, count=len(first),
+            zip(c.tolist(), ln.tolist(), node[j].tolist()), dtype=object, count=len(codes)
         )
         keys = shared[inverse].tolist()
     else:
@@ -429,40 +440,37 @@ def _widest_widths(n, us, xs, weights):
     return width
 
 
-def _smallest_tight(tight, us, xs, starts, n):
-    """Each node x's smallest u over a tight edge (u, x), as a (nodes x
-    columns) array; n where x has no tight edge, 0 where it has no edge.
-    The edges are sorted by x, and x's run begins at its entry of
-    `starts`."""
-    first = np.minimum.reduceat(
-        np.where(tight, us.astype(np.int32)[:, None], n), starts, axis=0
-    )
-    nxt = np.zeros((n, tight.shape[1]), dtype=np.int32)
-    nxt[xs[starts]] = first
-    return nxt
-
-
 def _tight_bfs(tight, n, dests, us, xs, starts):
-    """Over the tight edges of (edges x destinations): each node's fewest
-    hops (-1 if unreached) and, where that is positive, its smallest next
-    with one hop fewer, as (nodes x destinations) arrays.  The edges (u, x)
-    are sorted by x; a level ORs the frontier over each x's run.  It does
-    so eight destinations to a word: the bool columns are padded to a
-    multiple of eight and each row is viewed as uint64 words."""
+    """Over the tight edges of (edges x destinations), or over every edge
+    where `tight` is None: each node's fewest hops (-1 if unreached) and,
+    where that is positive, its smallest next with one hop fewer, as (nodes
+    x destinations) arrays.  The edges (u, x) are sorted by x; a level ORs
+    the frontier over each x's run.  It does so eight destinations to a
+    word: the columns are padded to a multiple of eight and each row of
+    bools is viewed as uint64 words.
+
+    A reached node's fewest hops are one more than the least among its
+    tight neighbours', so one minimum of L[u] * n + u over x's run names
+    its next."""
     k = len(dests)
-    if k % 8:
-        tight = np.pad(tight, ((0, 0), (0, -k % 8)))
+    cols = k + -k % 8
     heads = xs[starts]
-    length = np.full((n, tight.shape[1]), -1, dtype=np.int32)
+    # the next's keys stay below 2 * n * n: int32 below 2**15 nodes
+    length = np.full((n, cols), -1, dtype=np.int32 if n < 2**15 else np.int64)
     length[dests, np.arange(k)] = 0
     frontier = length == 0
-    words, tight_words = frontier.view(np.uint64), tight.view(np.uint64)
+    words = frontier.view(np.uint64)
+    if tight is not None:
+        if cols > k:
+            tight = np.pad(tight, ((0, 0), (0, cols - k)))
+        tight_words = tight.view(np.uint64)
     unseen = (length[heads] < 0).view(np.uint64)
     level = 0
     while True:
         level += 1
-        hit = words[us]
-        hit &= tight_words
+        hit = np.take(words, us, axis=0)
+        if tight is not None:
+            hit &= tight_words
         reached = np.bitwise_or.reduceat(hit, starts, axis=0)
         reached &= unseen
         if not reached.any():
@@ -471,8 +479,18 @@ def _tight_bfs(tight, n, dests, us, xs, starts):
         words[:] = 0
         words[heads] = reached
         length[frontier] = level
-    tight &= length[us] + 1 == length[xs]
-    return length[:, :k], _smallest_tight(tight, us, xs, starts, n)[:, :k]
+    # the next: the least L[u] * n + u over x's run.  A reached node's
+    # tight neighbours are reached, and over every edge all its neighbours
+    # are; an edge that is not tight reads n * n more, past every tight one
+    code = length * n
+    code += np.arange(n, dtype=code.dtype)[:, None]
+    code = np.take(code, us, axis=0)
+    if tight is not None:
+        code += ~tight * code.dtype.type(n * n)
+    first = np.minimum.reduceat(code, starts, axis=0)
+    nxt = np.zeros((n, cols), dtype=np.int32)
+    nxt[heads] = first % n
+    return length[:, :k], nxt[:, :k]
 
 
 def search(

@@ -395,6 +395,34 @@ def test_the_widest_check_loads_no_scipy(tmp_path):
     assert proc.stdout.split() == ["False", "True"]
 
 
+def test_hop_count_loads_no_scipy():
+    """hop_count's weights are all equal, so `initialize` reads its costs
+    from the hop counts, and epochs repair without a Dijkstra: set-up,
+    a link failure, its restore and a switch failure load no scipy."""
+    script = textwrap.dedent("""
+        import sys
+        from deltapath.graph_model import AddLink, RemoveLink, RemoveNode, build_graph
+        from deltapath.routing_core import initialize, step_epoch
+        from deltapath.strategy import builtin
+        from deltapath.workloads import gen_fattree
+
+        hop = builtin("hop_count")
+        topo = gen_fattree(8)
+        g = build_graph(topo, hop.link_cost)
+        store = initialize(g, hop)
+        a, b, props = topo.links[0]
+        assert step_epoch(store, g, [RemoveLink(a, b)])
+        assert step_epoch(store, g, [AddLink(a, b, props)])
+        assert step_epoch(store, g, [RemoveNode(a)])
+        print("scipy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 # --- compare_view: its reasons, their order, and the options
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltapath import oracle
@@ -983,18 +983,33 @@ INT_SUM = Strategy(
 CUSTOM_INT_SUM = replace(INT_SUM, name="custom_int_sum", path_cost=lambda w, c: w + c)
 
 
+# the built-in additive path cost over one float link cost, where a cost
+# is the fold of 0.1 over the hops (0.30000000000000004 at three), and
+# over one int link cost other than 1
+TENTH_SUM = replace(SD, name="tenth_sum", link_cost=lambda p: 0.1)
+CUSTOM_TENTH_SUM = replace(TENTH_SUM, name="custom_tenth_sum", path_cost=lambda w, c: w + c)
+THREE_SUM = replace(INT_SUM, name="three_sum", link_cost=lambda p: 3)
+CUSTOM_THREE_SUM = replace(THREE_SUM, name="custom_three_sum", path_cost=lambda w, c: w + c)
+
+
 @pytest.mark.parametrize("builtin_strategy,clone", [
     (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW), (HOP, CUSTOM_HOP),
-    (INT_SUM, CUSTOM_INT_SUM), (WIDEST, CUSTOM_WIDEST),
-], ids=["sd_utilization", "sd_free_bw", "hop_count", "int_sum", "shortest_widest"])
+    (INT_SUM, CUSTOM_INT_SUM), (TENTH_SUM, CUSTOM_TENTH_SUM), (THREE_SUM, CUSTOM_THREE_SUM),
+    (WIDEST, CUSTOM_WIDEST),
+], ids=["sd_utilization", "sd_free_bw", "hop_count", "int_sum", "float_constant",
+        "int_constant", "shortest_widest"])
 @settings(max_examples=150, deadline=None)
 @given(topo=real_weight_topologies())
+# a path of seven hops, where the fold of 0.1 (0.7) and 7 * 0.1 part ways
+@example(topo=utilization_topology(8, [(i, i + 1, 1) for i in range(7)]))
 def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, topo):
     """A built-in is solved for every destination at once, its clone by
     one heap search per destination: the rules agree key for key, type for
     type and, for a width of 0, sign for sign.  Under int_sum a cheaper
-    path can be longer, so the (cost * n + length) encoding is checked
-    against the search, which keeps cost and length apart."""
+    path can be longer, so the int costs of the float Dijkstra are checked
+    against the search, which keeps cost and length apart; under one link
+    cost, solved from the hop counts alone, the float costs are checked
+    against the search's own additions."""
     assert path_cost_kind(builtin_strategy) is not None
     assert path_cost_kind(clone) is None
     g = build_graph(topo, builtin_strategy.link_cost)
@@ -1037,7 +1052,7 @@ BIG_INT_SUM = Strategy(
 
 
 # the built-in additive path cost over int weights whose total is exact in
-# float but whose (cost * n + length) code, on four nodes, is not
+# float but whose (cost * n + length) code, on four nodes, would not be
 COMPOSITE_INT_SUM = Strategy(
     name="composite_int_sum",
     link_cost=lambda p: 2**50 + int(p.utilization),
@@ -1062,20 +1077,15 @@ MIXED_SUM = Strategy(
 
 @pytest.mark.parametrize("strategy,rule_0_3", [
     (INF_SUM, (math.inf, 3, 1)), (ONE_SUM, (94.0, 3, 1)),
-    (BIG_INT_SUM, (3 * 2**53 + 93, 3, 1)),
-    (COMPOSITE_INT_SUM, (3 * 2**50 + 93, 3, 1)), (MIXED_SUM, (93.0, 3, 1)),
-], ids=["inf_weight", "tautology_one", "int_beyond_2_53", "int_composite_beyond_2_53",
-        "int_and_float"])
+    (BIG_INT_SUM, (3 * 2**53 + 93, 3, 1)), (MIXED_SUM, (93.0, 3, 1)),
+], ids=["inf_weight", "tautology_one", "int_beyond_2_53", "int_and_float"])
 def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rule_0_3):
     """Behind an inf link, search gives a rule of cost inf, which Dijkstra
     would call unreachable; a path that starts from cost 1.0 rounds
     differently from one that starts from 0; int costs of 2**53 or more
-    are not exact in float, and neither is a cost times the node count
-    once the weights' total plus one, times n, reaches 2**53 (here 2S is
-    below 2**53, (2S + 1) * 4 is not); and under an int tautology a
-    path's cost is int or float depending on its weights.  `initialize`
-    must repair from an empty tree, and the rounds from an empty store
-    agree with it."""
+    are not exact in float; and under an int tautology a path's cost is
+    int or float depending on its weights.  `initialize` must repair from
+    an empty tree, and the rounds from an empty store agree with it."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "sum"
@@ -1084,6 +1094,21 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     assert_same_stores(store, solve_rounds(g, strategy))
     assert store._est[3][0] == rule_0_3
     assert type(store._est[3][0][0]) is type(rule_0_3[0])
+
+
+def test_int_costs_past_the_composite_bound_are_solved():
+    """Int weights whose total (each link both ways) is below 2**53 are
+    solved for every destination at once, although their (cost * n +
+    length) code would not be exact in float: here 2S is below 2**53,
+    (2S + 1) * 4 is not.  The costs come back as int, and the rounds from
+    an empty store agree."""
+    g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
+                    COMPOSITE_INT_SUM.link_cost)
+    assert rc._all_fixpoint(g, COMPOSITE_INT_SUM) is not None
+    store = rc.initialize(g, COMPOSITE_INT_SUM)
+    assert_same_stores(store, solve_rounds(g, COMPOSITE_INT_SUM))
+    assert store._est[3][0] == (3 * 2**50 + 93, 3, 1)
+    assert type(store._est[3][0][0]) is int
 
 
 # the built-in width path cost from a tautology width other than inf
