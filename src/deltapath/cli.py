@@ -37,7 +37,7 @@ from .graph_model import (
     parse_event,
     save_topology,
 )
-from .path_retrieval import PathRequest, retrieve, retrieve_batch
+from .path_retrieval import PathRequest, retrieve
 from .policy_engine import PolicyEngine, parse_policy
 from .routing_core import EpochStats, RuleStore, initialize, rules_to_csv, step_epoch
 from .strategy import Strategy, builtin
@@ -216,8 +216,8 @@ def _format_stats(stats: EpochStats) -> str:
 
 
 class _Replay:
-    """Replay context: engine, policies, and the pristine topology for
-    `reset` directives."""
+    """Replay context: engine, policies, the pristine topology for `reset`
+    directives, and the last step's `fixpoint_ns` and `retrieval_ns`."""
 
     def __init__(self, topo: Topology, strategy: Strategy):
         self.topo = topo
@@ -243,21 +243,22 @@ class _Replay:
 
     def step(self, block: EpochBlock) -> MetricRecord:
         self.warn_duplicates(block.events)
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         batch = step_epoch(self.store, self.graph, block.events)
-        fixpoint_us = int((time.perf_counter() - t0) * 1e6)
+        self.fixpoint_ns = time.perf_counter_ns() - t0
         if log.isEnabledFor(logging.DEBUG):
             log.debug("epoch %d stats: %s", block.epoch_id,
                       _format_stats(self.store.last_stats))
             if batch:
                 log.debug("rule changes:\n%s", rules_to_csv(block.epoch_id, batch))
 
-        retrieval_us = 0
+        self.retrieval_ns = 0
         if block.requests:
             view = self.store.established_rules()
-            t0 = time.perf_counter()
-            retrieve_batch(view, block.requests)
-            retrieval_us = int((time.perf_counter() - t0) * 1e6)
+            t0 = time.perf_counter_ns()
+            for r in block.requests:
+                retrieve(view, r.src, r.dst)
+            self.retrieval_ns = time.perf_counter_ns() - t0
 
         for pid, text, line_no in block.policy_adds:
             try:
@@ -276,9 +277,9 @@ class _Replay:
             epoch=block.epoch_id,
             events=len(block.events),
             rules_changed=len(batch),
-            fixpoint_us=fixpoint_us,
+            fixpoint_us=self.fixpoint_ns // 1000,
             requests=len(block.requests),
-            retrieval_us=retrieval_us,
+            retrieval_us=self.retrieval_ns // 1000,
         )
 
 
@@ -383,21 +384,23 @@ def _bench_failures(args, topo: Topology, strategy: Strategy, writer: _RowWriter
 def _bench_sweep(args, topo: Topology, strategy: Strategy, writer: _RowWriter) -> None:
     """One row per batch size up to --batch-size: that size's scenario
     replayed on a fresh engine, its epochs' update or retrieval times
-    summarized."""
+    summarized from their ns timings."""
     weights = args.kind == workloads.ScenarioKind.WEIGHT_UPDATE_BATCHES
     sizes = workloads.WEIGHT_BATCH_SIZES if weights else workloads.PATH_REQUEST_SIZES
     for size in [s for s in sizes if s <= args.batch_size]:
         replay = _Replay(topo, strategy)
-        records = [replay.step(b) for b in parse_blocks(_scenario_lines(topo, args, size))]
-        latencies = [r.fixpoint_us if weights else r.retrieval_us for r in records]
+        latencies = []
+        for block in parse_blocks(_scenario_lines(topo, args, size)):
+            replay.step(block)
+            latencies.append(replay.fixpoint_ns if weights else replay.retrieval_ns)
         med = statistics.median(latencies)
         writer.write({
             "batch_size": size,
             "batches": len(latencies),
-            "median_us": int(med),
-            "worst_us": int(max(latencies)),
+            "median_us": int(med) // 1000,
+            "worst_us": max(latencies) // 1000,
             "updates_per_s" if weights else "requests_per_s":
-                int(size * 1e6 / med) if med else 0,
+                int(size * 1e9 / med) if med else 0,
         })
 
 

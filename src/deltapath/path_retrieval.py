@@ -1,8 +1,10 @@
 """Lazy end-to-end path materialization by next-hop pointer chasing.
 
-Paths are never cached: each request walks the established rules from the
-source until a rule's next hop is the destination, which costs one keyed
-lookup per hop.
+Paths are never cached.  `retrieve` takes the view `established_rules()`
+returns, reads the destination's row once, and `walk` follows the next
+pointers through it, one dict lookup per hop.  Waypoint segments, NOT
+paths and backup paths go through the same walk: waypoints over the
+established rows, NOT and backup over the row of a masked search.
 """
 
 from __future__ import annotations
@@ -33,36 +35,33 @@ class Path:
 
 
 def retrieve(view, s: NodeId, d: NodeId) -> Path:
-    """Chase next pointers from (s, d) through the established view.
+    """`walk` from s over the row of d in a RuleStore's established view."""
+    return walk(*view.row(d), s, d)
 
-    Raises UnreachableError when some (x, d) lookup misses, and
-    CycleDetectedError when the walk does not reach d in the first rule's
-    p_length hops, as a correct view does (so the view is corrupted).
-    """
-    first = view.get((s, d))
-    if first is None:
+
+def walk(row, neg: bool, s: NodeId, d: NodeId) -> Path:
+    """Chase next pointers from s through the row of d, a dict from each
+    node to its key (signed cost, p_length, next), its cost negated when
+    `neg` (a maximizing strategy).  Raises UnreachableError when a node's
+    key is missing, and CycleDetectedError when the walk does not reach d
+    in s's p_length hops, as a correct row does (so it is corrupted)."""
+    key = row.get(s)
+    if key is None:
         raise UnreachableError(f"no rule for ({s}, {d})")
-    if s == d:
-        return Path((s,), first.p_cost, 0)
-    limit = first.p_length
+    cost = -key[0] if neg else key[0]
     hops = [s]
     node = s
-    rule = first
-    for _ in range(limit):
-        nxt = rule.next
-        hops.append(nxt)
-        if nxt == d:
-            return Path(tuple(hops), first.p_cost, len(hops) - 1)
-        node = nxt
-        rule = view.get((node, d))
-        if rule is None:
+    for _ in range(key[1]):
+        node = key[2]
+        hops.append(node)
+        if node == d:
+            break
+        key = row.get(node)
+        if key is None:
             raise UnreachableError(f"no rule for ({node}, {d}) while chasing ({s}, {d})")
-    raise CycleDetectedError(f"pointer chase from ({s}, {d}) exceeded {limit} steps")
-
-
-def retrieve_batch(view, requests) -> list[Path]:
-    """Serve a batch of PathRequests in order."""
-    return [retrieve(view, r.src, r.dst) for r in requests]
+    if node != d:
+        raise CycleDetectedError(f"walk from ({s}, {d}) exceeded {len(hops) - 1} steps")
+    return Path(tuple(hops), cost, len(hops) - 1)
 
 
 def path_links(p: Path) -> list[tuple[NodeId, NodeId]]:

@@ -4,7 +4,9 @@ Waypoint policies decompose into segment retrievals over the base rules.
 NOT and backup policies route on the live graph with nodes (NOT) or the
 primary path's links (backup) masked, by `routing_core.search`: the
 engine's own repair run from an empty tree toward the policy's
-destination, stopped once the policy's source settles.  It uses the
+destination, stopped once the policy's source settles, and the path
+is read off the search tree by `path_retrieval.walk`, the walk that
+`retrieve` runs over an established row.  The search uses the
 engine's selection key and cost order, so the source's path equals the
 engine's fixpoint on the masked graph bit for bit: extending a path
 never improves its key (Sobrinho, "Algebra and algorithms for QoS path
@@ -26,7 +28,7 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import GraphStore, NodeId
-from .path_retrieval import Path, path_links, retrieve
+from .path_retrieval import Path, path_links, retrieve, walk
 from .routing_core import RuleStore, search
 from .strategy import Strategy
 
@@ -180,14 +182,7 @@ class PolicyEngine:
         return PolicyResult(policy, (primary, backup), kind)
 
     def _masked_path(self, policy: Policy, **mask) -> Path:
-        """Chase `next` from the policy's src through the masked search
-        tree; a search stopped at the src holds every rule on its path."""
+        """`walk` from the policy's src through the masked search tree; a
+        search stopped at the src holds every rule on its path."""
         tree = search(self.graph, self.strategy, policy.dst, until=policy.src, **mask)
-        first = tree.get(policy.src)
-        if first is None:
-            raise UnreachableError(f"no masked route for ({policy.src}, {policy.dst})")
-        hops = [policy.src]
-        while hops[-1] != policy.dst:
-            hops.append(tree[hops[-1]][2])
-        cost = -first[0] if self.strategy.maximize else first[0]
-        return Path(tuple(hops), cost, first[1])
+        return walk(tree, self.strategy.maximize, policy.src, policy.dst)

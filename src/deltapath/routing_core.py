@@ -136,6 +136,10 @@ class EstablishedView(Mapping):
         cost = -key[0] if self._store.strategy.maximize else key[0]
         return ForwardingRule(pair[0], pair[1], key[2], cost, key[1], 1)
 
+    def row(self, d: NodeId) -> tuple[dict, bool]:
+        """The row of d (empty if none) and whether its costs are negated."""
+        return self._store._est.get(d, {}), self._store._neg
+
     def __contains__(self, pair) -> bool:
         row = self._store._est.get(pair[1])
         return row is not None and pair[0] in row
@@ -232,8 +236,8 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
 
     The built-in path costs are solved for every destination at once
     (`_all_fixpoint`); a custom path cost, and the few inputs that solve
-    would key differently, repair each destination's tree from empty.
-    Both give the same keys, float for float and int for int.
+    would key differently, repair each destination's tree from empty
+    (`search`).  Both give the same keys, float for float and int for int.
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
@@ -242,11 +246,8 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     store = RuleStore(strategy)
     est = _all_fixpoint(topology, strategy)
     if est is None:
-        stats = EpochStats()
-        for d in topology.nodes:
-            _repair(store, topology.out_edges, d, (), True, (), {}, stats)
-    else:
-        store._est = est
+        est = {d: search(topology, strategy, d) for d in topology.nodes}
+    store._est = est
     store.epoch = 0
     return store
 

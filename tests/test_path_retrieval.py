@@ -5,8 +5,8 @@ import pytest
 from deltapath import oracle, path_retrieval as pr
 from deltapath.errors import CycleDetectedError, UnreachableError
 from deltapath.graph_model import build_graph
-from deltapath.routing_core import ForwardingRule, initialize
-from deltapath.strategy import builtin
+from deltapath.routing_core import initialize
+from deltapath.strategy import builtin, builtin_names
 
 from conftest import random_connected_topology, utilization_topology
 
@@ -39,25 +39,18 @@ class TestRetrieve:
         with pytest.raises(UnreachableError):
             pr.retrieve(view, 0, 3)
 
-    def test_corrupted_view_is_detected(self):
+    def test_corrupted_view_is_detected(self, triangle_graph):
         # two rules pointing at each other can only come from corruption
-        view = {
-            (0, 9): ForwardingRule(0, 9, 1, 1.0, 1, 1),
-            (1, 9): ForwardingRule(1, 9, 0, 1.0, 1, 1),
-        }
+        store = initialize(triangle_graph, SD)
+        store._est[9] = {0: (1.0, 1, 1), 1: (1.0, 1, 0)}
         with pytest.raises(CycleDetectedError):
-            pr.retrieve(view, 0, 9)
+            pr.retrieve(store.established_rules(), 0, 9)
 
-    def test_missing_suffix_is_unreachable(self):
-        view = {(0, 9): ForwardingRule(0, 9, 1, 1.0, 1, 1)}
+    def test_missing_suffix_is_unreachable(self, triangle_graph):
+        store = initialize(triangle_graph, SD)
+        store._est[9] = {0: (1.0, 1, 1)}
         with pytest.raises(UnreachableError, match=r"\(1, 9\)"):
-            pr.retrieve(view, 0, 9)
-
-    def test_batch_preserves_order(self, triangle_view):
-        reqs = [pr.PathRequest(1, 0, 2), pr.PathRequest(2, 2, 0)]
-        paths = pr.retrieve_batch(triangle_view, reqs)
-        assert paths[0].hops == (0, 1, 2)
-        assert paths[1].hops == (2, 1, 0)
+            pr.retrieve(store.established_rules(), 0, 9)
 
 
 class TestPathLinks:
@@ -74,24 +67,35 @@ class TestPathLinks:
 
 
 class TestConsistency:
+    @pytest.mark.parametrize("name", builtin_names())
     @pytest.mark.parametrize("seed", range(3))
-    def test_cost_and_optimality(self, seed):
+    def test_cost_and_optimality(self, seed, name):
+        strategy = builtin(name)
         rng = random.Random(seed)
         topo = random_connected_topology(rng, 16)
-        g = build_graph(topo, SD.link_cost)
-        view = initialize(g, SD).established_rules()
-        want = oracle.apsp_additive(g, SD)
+        g = build_graph(topo, strategy.link_cost)
+        view = initialize(g, strategy).established_rules()
+        if strategy.maximize:
+            want = oracle.widest_reference(g, strategy)
+        else:
+            want = oracle.apsp_additive(g, strategy)
+        best = max if strategy.maximize else min
+        # the oracle sums sd_free_bw's fractional weights in its own order
+        rel = 1e-9 if name == "sd_free_bw" else 0.0
         weights = {}
         for (a, b, w), _m in g.edge_items():
-            weights[(a, b)] = min(w, weights.get((a, b), w))
+            weights[(a, b)] = best(w, weights.get((a, b), w))
         for s in range(16):
             for t in range(16):
                 p = pr.retrieve(view, s, t)
                 assert p.cost == view[(s, t)].p_cost
-                assert p.cost == want.cost_of(s, t)
+                assert p.cost == pytest.approx(want.cost_of(s, t), rel=rel, abs=0.0)
                 assert p.length == view[(s, t)].p_length
-                # recompute the fold along the hops
-                assert p.cost == sum(weights[e] for e in pr.path_links(p))
+                # fold the path cost along the hops, from t back to s
+                cost = strategy.tautology_cost
+                for e in reversed(pr.path_links(p)):
+                    cost = strategy.path_cost(weights[e], cost)
+                assert p.cost == cost
 
     def test_every_suffix_is_its_own_retrieval(self):
         rng = random.Random(40)

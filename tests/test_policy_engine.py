@@ -22,6 +22,7 @@ from conftest import (
 )
 
 SD = builtin("sd_utilization")
+WIDEST = builtin("shortest_widest")
 
 
 def engine_for(topo):
@@ -168,6 +169,30 @@ class TestNotConstraints:
         assert res.paths[0].hops == (0, 3, 4)
         pruned = without_nodes(g, {1, 2})
         assert res.paths[0].cost == oracle.apsp_additive(pruned, SD).cost_of(0, 4)
+
+    def test_widest_path_avoiding_the_base_path_matches_the_oracle(self):
+        # NOT the inner nodes of each pair's own path, so every mask bites
+        rng = random.Random(5)
+        g = build_graph(random_connected_topology(rng, 14), WIDEST.link_cost)
+        rules = initialize(g, WIDEST)
+        engine = pe.PolicyEngine(g, rules, WIDEST)
+        pairs = [(s, t) for s in range(14) for t in range(14)]
+        outcomes = set()
+        for pid, (s, t) in enumerate(rng.sample(pairs, 40)):
+            skip = frozenset(retrieve(rules.established_rules(), s, t).hops[1:-1])
+            if not skip:
+                continue
+            engine.add(pe.Policy(pid, s, t, pe.NotNodes(skip)))
+            want = oracle.widest_reference(without_nodes(g, skip), WIDEST)
+            outcomes.add(want.reachable(s, t))
+            if not want.reachable(s, t):
+                with pytest.raises(UnreachableError):
+                    engine.evaluate(pid)
+                continue
+            path = engine.evaluate(pid).paths[0]
+            assert not skip & set(path.hops)
+            assert path.cost == want.cost_of(s, t) > 0
+        assert outcomes == {True, False}
 
     def test_search_tree_tracks_epochs(self):
         rng = random.Random(12)
