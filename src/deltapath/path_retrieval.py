@@ -9,7 +9,6 @@ established rows, NOT and backup over the row of a masked search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CycleDetectedError, UnreachableError
@@ -22,16 +21,15 @@ class PathRequest(NamedTuple):
     dst: NodeId
 
 
-@dataclass(frozen=True)
-class Path:
-    """A materialized route: node sequence plus the rule's cost/length."""
+class Path(NamedTuple):
+    """A materialized route: node sequence plus the rule's cost."""
 
     hops: tuple[NodeId, ...]
     cost: float
-    length: int
 
-    def __post_init__(self):
-        assert self.length == len(self.hops) - 1
+    @property
+    def length(self) -> int:
+        return len(self.hops) - 1
 
 
 def retrieve(view, s: NodeId, d: NodeId) -> Path:
@@ -61,7 +59,7 @@ def walk(row, neg: bool, s: NodeId, d: NodeId) -> Path:
             raise UnreachableError(f"no rule for ({node}, {d}) while chasing ({s}, {d})")
     if node != d:
         raise CycleDetectedError(f"walk from ({s}, {d}) exceeded {len(hops) - 1} steps")
-    return Path(tuple(hops), cost, len(hops) - 1)
+    return Path(tuple(hops), cost)
 
 
 def path_links(p: Path) -> list[tuple[NodeId, NodeId]]:

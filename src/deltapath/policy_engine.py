@@ -17,6 +17,7 @@ keeps state between epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -30,7 +31,7 @@ from .errors import (
 from .graph_model import GraphStore, NodeId
 from .path_retrieval import Path, path_links, retrieve, walk
 from .routing_core import RuleStore, search
-from .strategy import Strategy
+from .strategy import Strategy, path_cost_kind
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,32 @@ class PolicyEngine:
 
     def eval_waypoints(self, policy: Policy) -> PolicyResult:
         """One retrieval per segment over the base rules, concatenated;
-        revisited nodes are flagged, not rejected."""
+        revisited nodes are flagged, not rejected.
+
+        The segments' costs combine by sum or min when the path cost is
+        built in and the tautology is its identity (0, or inf for the
+        width).  Otherwise the path cost is folded from the tautology over
+        the joined hops, from the last back, each hop over its best
+        parallel link, as the engine extends a rule."""
         stops = (policy.src, *policy.body.nodes, policy.dst)
         view = self.rules.established_rules()
         segments = [retrieve(view, a, b) for a, b in zip(stops, stops[1:])]
         hops = list(segments[0].hops)
         for seg in segments[1:]:
             hops.extend(seg.hops[1:])
-        costs = [seg.cost for seg in segments]
-        cost = min(costs) if self.strategy.maximize else sum(costs)
-        path = Path(tuple(hops), cost, len(hops) - 1)
+        strategy = self.strategy
+        kind = path_cost_kind(strategy)
+        if strategy.tautology_cost == {"sum": 0, "min": math.inf}.get(kind):
+            costs = [seg.cost for seg in segments]
+            cost = sum(costs) if kind == "sum" else min(costs)
+        else:
+            fp, best = strategy.path_cost, max if strategy.maximize else min
+            cost = strategy.tautology_cost
+            for a, b in reversed(list(zip(hops, hops[1:]))):
+                cost = best(fp(w, cost) for w in self.graph.weights_between(a, b))
         return PolicyResult(
-            policy, (path,), "waypoint", revisits=len(set(hops)) != len(hops)
+            policy, (Path(tuple(hops), cost),), "waypoint",
+            revisits=len(set(hops)) != len(hops),
         )
 
     def eval_not(self, policy: Policy) -> PolicyResult:

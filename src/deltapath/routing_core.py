@@ -88,14 +88,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DeltaPathError, IntegrityError, NonConvergenceError
-from .graph_model import (
-    AddNode,
-    EdgeRecord,
-    GraphStore,
-    NodeId,
-    RemoveNode,
-    TopologyEvent,
-)
+from .graph_model import EdgeRecord, GraphStore, NodeId, TopologyEvent
 from .strategy import Strategy, path_cost_kind
 
 
@@ -139,10 +132,6 @@ class EstablishedView(Mapping):
     def row(self, d: NodeId) -> tuple[dict, bool]:
         """The row of d (empty if none) and whether its costs are negated."""
         return self._store._est.get(d, {}), self._store._neg
-
-    def __contains__(self, pair) -> bool:
-        row = self._store._est.get(pair[1])
-        return row is not None and pair[0] in row
 
     def __iter__(self):
         return chain.from_iterable(
@@ -570,7 +559,6 @@ def step_epoch(
     journal: dict[NodeId, tuple[dict | None, set]] = {}
     applied: list[list[EdgeRecord]] = []
     try:
-        touched: set[NodeId] = set()
         net: dict[tuple[NodeId, NodeId, float], int] = {}
         # each event resolves against the graph as the earlier ones left it
         for ev in events:
@@ -580,16 +568,16 @@ def step_epoch(
                 if delta > 0:
                     strategy.validate_weight(w)
                 net[(a, b, w)] = net.get((a, b, w), 0) + delta
-            if isinstance(ev, (AddNode, RemoveNode)):
-                touched.add(ev.id)
         # a link's change is the same change to its edge each way
         delta_g = sorted(
             (edge, d) for (a, b, w), d in net.items() if d for edge in ((a, b, w), (b, a, w))
         )
+        # a node removed and re-added in the epoch is in neither set
+        removed = nodes.keys() - graph.nodes.keys()
+        born = graph.nodes.keys() - nodes.keys()
         t1 = perf_counter_ns()
-        dropped = _invalidate(store, graph, nodes, delta_g, touched, journal)
+        dropped = _invalidate(store, graph, removed, delta_g, journal)
         t2 = perf_counter_ns()
-        born = {n for n in touched if n in graph.nodes}
         added = [edge for edge, delta in delta_g if delta > 0]
         # an added edge can improve a route toward any destination
         dests = graph.nodes if added else {d for d, xs in dropped.items() if xs} | born
@@ -662,16 +650,12 @@ def _restore(store, journal) -> None:
             est[d] = old
 
 
-def _invalidate(store, graph, before, delta_g, touched, journal) -> dict[NodeId, list]:
-    """Phase 1: retire the groups of removed nodes and of the nodes toward
-    them (every group joins two nodes of `before`, the node table from
-    before the epoch), then, per destination, drop the rules that lost
-    their cost over a retracted edge.  Returns destination -> nodes
-    dropped."""
+def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
+    """Phase 1: retire the groups of the removed nodes and of the nodes
+    toward them, then, per destination, drop the rules that lost their
+    cost over a retracted edge.  Returns destination -> nodes dropped."""
     est = store._est
-    for n in touched:
-        if n in graph.nodes or n not in before:
-            continue
+    for n in removed:
         if n in est:
             row, written = _row(store, n, journal)
             written.update(row)
@@ -863,12 +847,10 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
 # --- serialization -----------------------------------------------------------
 
 
-def rules_to_csv(epoch: int, batch: RuleDeltaBatch, header: bool = False) -> str:
+def rules_to_csv(epoch: int, batch: RuleDeltaBatch) -> str:
     """Render an emitted change batch as CSV lines
     `epoch,src,dst,next,p_cost,p_length,delta`."""
     buf = io.StringIO()
-    if header:
-        buf.write("epoch,src,dst,next,p_cost,p_length,delta\n")
     for r in batch:
         buf.write(f"{epoch},{r.src},{r.dst},{r.next},{r.p_cost!r},{r.p_length},{r.delta}\n")
     return buf.getvalue()

@@ -55,14 +55,14 @@ class TestRetrieve:
 
 class TestPathLinks:
     def test_two_hop_windowing(self):
-        p = pr.Path((0, 1, 2), 2.0, 2)
+        p = pr.Path((0, 1, 2), 2.0)
         assert pr.path_links(p) == [(0, 1), (1, 2)]
 
     def test_self_path_has_no_links(self):
-        assert pr.path_links(pr.Path((7,), 0.0, 0)) == []
+        assert pr.path_links(pr.Path((7,), 0.0)) == []
 
     def test_k_hops_give_k_pairs(self):
-        p = pr.Path(tuple(range(6)), 5.0, 5)
+        p = pr.Path(tuple(range(6)), 5.0)
         assert len(pr.path_links(p)) == 5
 
 

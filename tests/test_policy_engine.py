@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,57 @@ class TestWaypoints:
         res = engine.evaluate(1)
         assert res.paths[0].hops == (0, 1, 2, 1)
         assert res.revisits
+
+    @pytest.mark.parametrize("strategy", [SD, WIDEST], ids=lambda s: s.name)
+    def test_builtin_cost_combines_the_segment_costs(self, strategy):
+        rng = random.Random(8)
+        g = build_graph(random_connected_topology(rng, 16), strategy.link_cost)
+        rules = initialize(g, strategy)
+        engine = pe.PolicyEngine(g, rules, strategy)
+        view = rules.established_rules()
+        combine = min if strategy.maximize else sum
+        for pid in range(20):
+            stops = rng.sample(range(16), 4)
+            engine.add(pe.Policy(pid, stops[0], stops[-1], pe.Waypoints(tuple(stops[1:-1]))))
+            want = combine(retrieve(view, a, b).cost for a, b in zip(stops, stops[1:]))
+            assert engine.evaluate(pid).paths[0].cost == want
+
+    def test_tautology_counts_once_per_path(self):
+        # a tautology that is not the sum's identity: 0 -> 2 costs 2 + (3 + 1)
+        strategy = replace(SD, tautology_cost=1.0)
+        g = build_graph(utilization_topology(3, [(0, 1, 2), (1, 2, 3)]), strategy.link_cost)
+        rules = initialize(g, strategy)
+        engine = pe.PolicyEngine(g, rules, strategy)
+        engine.add(pe.parse_policy(1, "0 : 1 : 2"))
+        path = engine.evaluate(1).paths[0]
+        assert path == retrieve(rules.established_rules(), 0, 2)
+        assert path.cost == 6.0
+
+    @pytest.mark.parametrize("base", [SD, WIDEST], ids=lambda s: s.name)
+    def test_custom_path_cost_is_folded_over_the_hops(self, base):
+        """A lambda clone of a built-in path cost, over fractional weights
+        and parallel links, costs a waypoint path as the fold of its path
+        cost over the hops, each over its best parallel link."""
+        fp = (lambda w, c: min(w, c)) if base.maximize else (lambda w, c: w + c)
+        strategy = replace(base, path_cost=fp)
+        rng = random.Random(9)
+        topo = random_connected_topology(rng, 14)
+        topo.links = [(a, b, replace(p, utilization=rng.uniform(0.1, 9.9)))
+                      for a, b, p in topo.links + topo.links[:6]]
+        g = build_graph(topo, strategy.link_cost)
+        engine = pe.PolicyEngine(g, initialize(g, strategy), strategy)
+        best = max if strategy.maximize else min
+        weights = {}
+        for (a, b, w), _m in g.edge_items():
+            weights[(a, b)] = best(w, weights.get((a, b), w))
+        for pid in range(40):
+            stops = rng.sample(range(14), 4)
+            engine.add(pe.Policy(pid, stops[0], stops[-1], pe.Waypoints(tuple(stops[1:-1]))))
+            path = engine.evaluate(pid).paths[0]
+            cost = strategy.tautology_cost
+            for e in reversed(path_links(path)):
+                cost = strategy.path_cost(weights[e], cost)
+            assert path.cost == cost
 
 
 class TestNotConstraints:
