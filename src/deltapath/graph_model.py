@@ -447,25 +447,24 @@ def load_topology(path) -> Topology:
     return topo
 
 
+def _link_text(a: NodeId, b: NodeId, p: LinkProperties) -> str:
+    """`a b` and the properties, as topology and event lines spell a link."""
+    return f"{a} {b} capacity={p.capacity!r} utilization={p.utilization!r} delay={p.delay!r}"
+
+
 def save_topology(topo: Topology, path) -> None:
     with open(path, "w") as fh:
         for rec in topo.nodes:
             fh.write(f"node {rec.id} {rec.label.value}\n")
         for a, b, p in topo.links:
-            fh.write(
-                f"link {a} {b} capacity={p.capacity!r} "
-                f"utilization={p.utilization!r} delay={p.delay!r}\n"
-            )
+            fh.write(f"link {_link_text(a, b, p)}\n")
 
 
 def format_event(ev: TopologyEvent) -> str:
     """Render one event in the event-file line format."""
     match ev:
         case AddLink(a=a, b=b, props=p):
-            return (
-                f"+link {a} {b} capacity={p.capacity!r} "
-                f"utilization={p.utilization!r} delay={p.delay!r}"
-            )
+            return f"+link {_link_text(a, b, p)}"
         case RemoveLink(a=a, b=b, w=None):
             return f"-link {a} {b}"
         case RemoveLink(a=a, b=b, w=w):

@@ -35,7 +35,8 @@ each node's edges its next: the smallest tight neighbour one hop closer.
 An additive cost whose weights are all equal (hop_count's are all 1)
 needs neither matrix nor test: a group's cost follows from its length,
 and the BFS runs over every edge.  The block's rows are filled from
-these arrays without a Python loop per pair.  A custom path cost, and
+these arrays without a Python loop per pair; under equal weights each
+key that repeats along a tree is built once.  A custom path cost, and
 the few inputs that solve would key differently, repair each
 destination's tree from empty (phase 2 below): a best-first search that
 pops nodes from a heap in key order, each group once, with the minimum
@@ -278,7 +279,8 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     A BFS over the tight edges then gives the fewest hops L and each x's
     next, the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the
     key the heap would settle (`_tight_bfs`).  Each block fills its rows
-    without a Python loop per pair (`_fill_rows`).
+    without a Python loop per pair (`_fill_rows`), building equal keys once
+    where every weight is equal.
 
     None, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
@@ -360,41 +362,31 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
             cost = by_hops[length]
         elif integral:
             cost = np.where(np.isfinite(cost), cost, 0).astype(np.int64)
-        _fill_rows(est, ids, dests, -cost if widest else cost, length, nxt, integral)
+        _fill_rows(est, ids, dests, -cost if widest else cost, length, nxt, uniform)
     return est
 
 
-def _fill_rows(est, ids, dests, cost, length, nxt, integral) -> None:
+def _fill_rows(est, ids, dests, cost, length, nxt, uniform) -> None:
     """Add one block's rules to the rows of its destinations: every x with
     L[x, d] > 0 gets the key (C[x, d], L[x, d], ids[next]).
 
     The reached entries are taken destination-major, so each row is one
-    contiguous run, and the key tuples are built by `zip`.  Int costs come
-    back as int, and equal int keys, which repeat along each tree, are
-    built once per block, each decoded from one of the distinct (cost,
-    length, next) codes that `np.unique` returns, with the cost's rank in
-    place of the cost where the code would not fit in int64.  Float keys
-    are not shared."""
+    contiguous run, and the key tuples are built by `zip`.  Where every
+    weight is equal (`uniform`) the cost follows from the length, so equal
+    keys, which repeat along each tree, are built once per block, each from
+    the first entry of its code L * n + next, which is below n * n.
+    Otherwise every pair gets a key of its own."""
     n = len(ids)
     node = np.array(ids, dtype=object)  # index -> id
     reached = length.T > 0  # (destinations x nodes)
     srcs = node[np.nonzero(reached)[1]].tolist()
     c, ln, j = cost.T[reached], length.T[reached], nxt.T[reached]
-    if integral:
-        rank = None
-        if c.size and (int(c.max()) + 1) * n * n > 2**63:
-            rank, c = np.unique(c, return_inverse=True)  # the code would wrap
-        codes, inverse = np.unique((c * n + ln) * n + j, return_inverse=True)
-        c, rest = np.divmod(codes, n * n)
-        ln, j = np.divmod(rest, n)
-        if rank is not None:
-            c = rank[c]
-        shared = np.fromiter(
-            zip(c.tolist(), ln.tolist(), node[j].tolist()), dtype=object, count=len(codes)
-        )
-        keys = shared[inverse].tolist()
-    else:
-        keys = list(zip(c.tolist(), ln.tolist(), node[j].tolist()))
+    if uniform:
+        _, first, inverse = np.unique(ln * n + j, return_index=True, return_inverse=True)
+        c, ln, j = c[first], ln[first], j[first]
+    keys = list(zip(c.tolist(), ln.tolist(), node[j].tolist()))
+    if uniform:
+        keys = np.fromiter(keys, dtype=object, count=len(keys))[inverse].tolist()
     end = np.cumsum(reached.sum(axis=1)).tolist()
     start = 0
     for d, stop in zip(node[dests].tolist(), end):

@@ -14,7 +14,7 @@ import deltapath
 from deltapath import workloads as wl
 from deltapath.cli import main, parse_blocks, parse_event_file
 from deltapath.errors import EventParseError
-from deltapath.graph_model import AddLink, load_topology, save_topology
+from deltapath.graph_model import AddLink, format_event, load_topology, save_topology
 from deltapath.routing_core import EpochStats, RuleStore, step_epoch
 
 from conftest import triangle, utilization_topology
@@ -119,6 +119,56 @@ class TestRun:
         rows = read_csv(out)
         # both epochs see the same change count because of the reset
         assert rows[1]["rules_changed"] == rows[2]["rules_changed"]
+
+    def test_verify_names_the_pair_that_diverges(
+        self, tmp_path, triangle_file, monkeypatch, capsys
+    ):
+        def corrupting_step(store, graph, events):
+            batch = step_epoch(store, graph, events)
+            store._est[2] = {**store._est[2], 0: (99.0, 1, 2)}  # a new row
+            return batch
+
+        monkeypatch.setattr("deltapath.cli.step_epoch", corrupting_step)
+        events = tmp_path / "events.txt"
+        events.write_text("epoch 1\n-link 0 1\n")
+        assert main([
+            "run", "--topology", str(triangle_file), "--strategy", "sd-util",
+            "--events", str(events), "--out", str(tmp_path / "m.csv"), "--verify",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "error: epoch 1: pair (0, 2) diverges from the oracle" in err
+        assert "Traceback" not in err
+
+    def test_verify_of_fractional_weights(self, tmp_path):
+        """sd_free_bw weights are fractions, which the oracle sums in
+        another order: the check compares within a relative tolerance."""
+        topo = tmp_path / "fattree4.txt"
+        assert main([
+            "gen", "fattree", "--k", "4", "--plan", "uniform", "--seed", "5",
+            "-o", str(topo),
+        ]) == 0
+        events = tmp_path / "ev.txt"
+        assert main([
+            "gen", "scenario", "--kind", "link-failure", "--topology", str(topo),
+            "--trials", "3", "--seed", "5", "-o", str(events),
+        ]) == 0
+        assert main([
+            "run", "--topology", str(topo), "--strategy", "sd-freebw",
+            "--events", str(events), "--out", str(tmp_path / "m.csv"), "--verify",
+        ]) == 0
+
+    def test_a_link_added_twice_is_logged(self, tmp_path, triangle_file, caplog):
+        a, b, p = triangle().links[0]
+        events = tmp_path / "events.txt"
+        events.write_text(f"epoch 1\n{format_event(AddLink(a, b, p))}\n")
+        caplog.set_level(logging.WARNING, logger="deltapath")
+        assert main([
+            "run", "--topology", str(triangle_file), "--strategy", "sd-util",
+            "--events", str(events), "--out", str(tmp_path / "m.csv"), "--verify",
+        ]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "duplicate link (0, 1, 1): multiplicity will rise"
+        ]
 
     def test_widest_verify_beyond_bruteforce_size(self, tmp_path):
         from deltapath.graph_model import load_topology

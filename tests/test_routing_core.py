@@ -1289,27 +1289,29 @@ def test_rule_store_is_picklable():
 
 
 def test_rows_take_at_most_48_bytes_per_pair():
-    """hop_count fat-tree k=16: 102 400 rules in 320 rows, whose int keys
-    are shared.  A dict entry and a key tuple per pair took about 115."""
-    g = build_graph(gen_fattree(16, WeightPlan(PlanKind.UNIFORM, seed=0)), HOP.link_cost)
+    """Fat-tree k=16: 102 400 rules in 320 rows, whose keys are shared
+    where every weight is equal: 1 under hop_count on any plan, 0.1 under
+    sd_free_bw on idle links.  A dict entry and a key tuple per pair took
+    about 115."""
     rc.initialize(build_graph(triangle(), HOP.link_cost), HOP)  # scipy loaded
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        store = rc.initialize(g, HOP)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert store.rule_count() == 102_400
-    assert grown / store.rule_count() <= 48
+    for strategy, plan in ((HOP, PlanKind.UNIFORM), (FREE_BW, PlanKind.HOP_COUNT)):
+        g = build_graph(gen_fattree(16, WeightPlan(plan, seed=0)), strategy.link_cost)
+        assert len({w for (_a, _b, w), _m in g.link_items()}) == 1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = rc.initialize(g, strategy)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert store.rule_count() == 102_400
+        assert grown / store.rule_count() <= 48, strategy.name
 
 
-def test_int_keys_whose_code_would_wrap_stay_apart():
-    """Among 4096 nodes the (cost, length, next) code of a cost c is about
-    c * 2**24, so costs 2**41 and 3 * 2**40, which share length and next,
-    would wrap to one int64 code: the fill codes the cost's rank instead,
-    and each node keeps its own key."""
-    n = 4096
+def test_unequal_int_keys_stay_apart():
+    """Over unequal weights two pairs with the same length and next but
+    costs 2**41 and 3 * 2**40 keep keys of their own, with int costs."""
+    n = 3
     cost = np.zeros((n, 1), dtype=np.int64)
     length = np.full((n, 1), -1, dtype=np.int64)
     nxt = np.zeros((n, 1), dtype=np.int32)
@@ -1317,7 +1319,7 @@ def test_int_keys_whose_code_would_wrap_stay_apart():
     cost[1], length[1] = 2**41, 1
     cost[2], length[2] = 3 * 2**40, 1
     est = {0: {0: (0, 0, 0)}}
-    rc._fill_rows(est, list(range(n)), np.arange(1), cost, length, nxt, True)
+    rc._fill_rows(est, list(range(n)), np.arange(1), cost, length, nxt, False)
     assert est == {0: {0: (0, 0, 0), 1: (2**41, 1, 0), 2: (3 * 2**40, 1, 0)}}
     assert all(type(v) is int for key in est[0].values() for v in key)
 
