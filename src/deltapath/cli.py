@@ -164,28 +164,11 @@ def _format_path(path, suffix="") -> str:
 
 
 def _verify_epoch(graph: GraphStore, store: RuleStore, strategy: Strategy) -> None:
-    # only `run --verify` loads the oracle; scipy loads with its first
-    # additive solve
+    # only `run --verify` loads the oracle, which sums in the engine's
+    # order, so every strategy compares exactly
     from . import oracle
 
-    view = store.established_rules()
-    if strategy.maximize:
-        if len(graph.nodes) <= 14:
-            result = oracle.widest_paths_bruteforce(graph, strategy)
-        else:
-            result = oracle.widest_reference(graph, strategy)
-        bad = oracle.compare_view(result, view)
-    else:
-        integral = all(
-            float(w).is_integer() for (_a, _b, w), _m in graph.link_items()
-        )
-        result = oracle.apsp_additive(graph, strategy)
-        if integral:
-            bad = oracle.compare_view(result, view)
-        else:
-            bad = oracle.compare_view(
-                result, view, rtol=1e-9, check_length=False, witness_next=True
-            )
+    bad = oracle.compare_view(oracle.solve(graph, strategy), store.established_rules())
     if bad:
         s, t, reason = bad[0]
         raise VerifyMismatchError(

@@ -1,24 +1,40 @@
 """From-scratch reference solvers used for equivalence testing.
 
-Nothing here shares code with the incremental engine: additive strategies
-get a fresh Dijkstra per source, widest-path strategies get a synchronous
-value iteration plus, under the brute-force entry point, an exhaustive
-simple-path enumeration cross-checking the widths.  scipy is used only for
-that Dijkstra: `apsp_additive` imports it on its first call, so a process
-that checks only widest strategies never loads it.  The only
+Nothing here shares code with the incremental engine.  Every built-in
+strategy is solved by Bellman's synchronous relaxation toward each target
+(Bellman, "On a routing problem", Quarterly of Applied Mathematics 1958):
+D[s, t] is the best over the edges s -> x of w extended by D[x, t], that
+is w + D[x, t] for additive strategies and min(w, D[x, t]) for widest
+ones.  That is the extension the engine's repair makes, in the same
+order, so every cost is the engine's own float and every tie is exact,
+real weights included.  That holds at any size for float weights, which
+are summed as the engine sums them.  Weights of another type (hop_count's
+ints) are summed exactly only while every path sum stays below 2**53;
+past that, `apsp_additive` raises TooLargeError rather than check
+inexactly.
+The fewest hops come from the same relaxation over the edges that carry a
+best path, and each next hop from one minimum over each source's edges.
+The brute-force widest entry point also cross-checks the widths by
+exhaustive simple-path enumeration.  No scipy is loaded.  The only
 deliberately shared piece of semantics is the selection tie-break, which
 replicates the engine's key tuple (signed cost, p_length, next), whose
 plain order is the selection order (see `strategy`): primary key per the
 strategy, then fewer hops, then smallest next-hop id.
 
+Time: a relaxation ends one sweep after the last change, so it sweeps at
+most one more time than the most hops of a best path: at most N times, as
+on a ring of N nodes whose best paths all go the long way round.  Each
+sweep reads only the edges whose far end changed in the sweep before.
+
 Memory: a solve holds a few (N, N) matrices: the costs as float64, the
 fewest hops as float32, exact below 2**24 hops, and the next hops as
-int32.  Every kernel past the Dijkstra works on (directed edges x
-targets) arrays over one block of targets at a time, each near
-`_BLOCK_ELEMENTS` elements, so its working memory is O(N^2 +
-_BLOCK_ELEMENTS) whatever the weights.  `compare_view` reads the view one
-chunk of entries at a time, so it adds an (N, N) mask of the pairs not
-yet seen plus a few words per entry of one chunk.
+int32.  Every kernel works on (targets x directed edges) arrays over one
+block of targets at a time, each near `_BLOCK_ELEMENTS` elements (or of 8
+targets, past 8192 edges), so its working memory is O(N^2 +
+_BLOCK_ELEMENTS + 8 * edges) whatever the weights.
+`compare_view` reads the view one chunk of entries at a time, so it adds
+an (N, N) mask of the pairs not yet seen plus a few words per entry of
+one chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from .errors import InvalidWeightError, TooLargeError
 from .graph_model import GraphStore, NodeId
 from .strategy import Strategy
 
-# targets solved together, so that each (edges x targets) array stays near
+# targets solved together, so that each (targets x edges) array stays near
 # this many elements (512 KiB of float64) whatever the graph's size; larger
 # blocks were no faster on fat-tree k=16 and raised the peak
 _BLOCK_ELEMENTS = 1 << 16
@@ -44,7 +60,7 @@ class OracleResult:
     """Per ordered pair: optimal cost, tie-broken length, tie-broken next
     hop, and (on demand) the witness next-hop sets."""
 
-    def __init__(self, ids, cost, length, nxt, nbr_idx, nbr_w, maximize, rtol):
+    def __init__(self, ids, cost, length, nxt, nbr_idx, nbr_w, maximize):
         self.ids: tuple[NodeId, ...] = tuple(ids)
         self.index = {n: i for i, n in enumerate(self.ids)}
         self.maximize = maximize
@@ -53,7 +69,6 @@ class OracleResult:
         self._next = nxt
         self._nbr_idx = nbr_idx
         self._nbr_w = nbr_w
-        self._rtol = rtol
 
     @property
     def cost_matrix(self):
@@ -125,11 +140,7 @@ class OracleResult:
             if self.maximize
             else ws + self._cost[xs, j]
         )
-        base = self._cost[i, j]
-        if self._rtol:
-            mask = np.abs(via - base) <= self._rtol * abs(base) + 1e-12
-        else:
-            mask = via == base
+        mask = via == self._cost[i, j]
         if tie_break:
             mask = mask & (self._length[xs, j] + 1 == self._length[i, j])
         return frozenset(self.ids[x] for x in xs[mask])
@@ -173,153 +184,113 @@ def _collect_edges(graph: GraphStore, widest: bool):
 
 
 def _blocks(n: int, m: int):
-    """Target columns [lo, hi) in blocks of about `_BLOCK_ELEMENTS // m`."""
-    size = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    """Target columns [lo, hi) in blocks of about `_BLOCK_ELEMENTS // m`,
+    and of at least 8: each sweep of `_relax` reads every edge to find the
+    active ones, and 8 targets share that read (hop_count fat-tree k=32 on
+    a 2-vCPU VM: 1.45 s a solve with 2 targets a block, 1.04 s with 8)."""
+    size = max(8, _BLOCK_ELEMENTS // max(m, 1))
     for lo in range(0, n, size):
         yield lo, min(lo + size, n)
 
 
-def _via(D, edges: _Edges, maximize: bool, lo: int, hi: int):
-    """(edges, targets lo:hi): each edge's source's cost toward each target
-    through that edge."""
-    w = edges.ws[:, None]
-    return np.minimum(w, D[edges.dsts, lo:hi]) if maximize else w + D[edges.dsts, lo:hi]
+def _relax(block, edges: _Edges, offer, better, seeds) -> None:
+    """Bellman's synchronous relaxation toward one block of targets, in
+    place: block[j, x] is x's value toward the block's j-th target, and
+    each sweep improves every column block[:, s] by `better` (a ufunc)
+    with the best over the edges s -> x of `offer(k, block[:, x])`, k
+    being those edges' indices, until a sweep changes no column.  A sweep
+    offers only over the edges whose far end changed in the sweep before
+    (the first, over the edges into the `seeds` columns): a far end that
+    did not change offers what it offered before, which its sources
+    already hold."""
+    srcs, dsts = edges.srcs, edges.dsts
+    changed = np.zeros(block.shape[1], dtype=bool)
+    changed[seeds] = True
+    first = np.ones(srcs.size, dtype=bool)
+    while (k := changed.take(dsts).nonzero()[0]).size:
+        s = srcs.take(k)
+        # the first of each source's run of edges
+        np.not_equal(s[1:], s[:-1], out=first[1:k.size])
+        starts = first[:k.size].nonzero()[0]
+        heads = s.take(starts)
+        old = block.take(heads, axis=1)
+        new = better(old, better.reduceat(offer(k, block.take(dsts.take(k), axis=1)), starts, axis=1))
+        block[:, heads] = new
+        changed[:] = False
+        changed[heads] = (new != old).any(axis=0)
 
 
-def _ties(via, base, rtol: float):
-    """Where `via` equals `base`: exactly, or with `rtol` within a relative
-    tolerance plus 1e-12."""
-    if not rtol:
-        return via == base
-    with np.errstate(invalid="ignore"):
-        return np.abs(via - base) <= rtol * np.abs(base) + 1e-12
+def _solve(ids, edges: _Edges, nbr_idx, nbr_w, maximize: bool) -> OracleResult:
+    """Costs, fewest hops and tie-broken next hops toward one block of
+    targets at a time.
 
-
-def _next_hops(D, LEN, edges: _Edges, maximize, rtol):
-    """Tie-broken next hops: the smallest x over an edge s->x that carries
-    an optimal path (`_ties`) one hop longer than x's."""
-    n = D.shape[0]
-    nxt = np.full((n, n), -1, dtype=np.int32)
-    srcs, dsts, _ws, heads, starts = edges
-    for lo, hi in _blocks(n, srcs.size):
-        base = D[srcs, lo:hi]
-        opt = _ties(_via(D, edges, maximize, lo, hi), base, rtol)
-        opt &= base > -math.inf if maximize else base < math.inf
-        del base
-        opt &= LEN[dsts, lo:hi] + 1 == LEN[srcs, lo:hi]
-        best = np.minimum.reduceat(np.where(opt, dsts[:, None], n), starts, axis=0)
-        best[best == n] = -1
-        nxt[heads, lo:hi] = best
-    np.fill_diagonal(nxt, np.arange(n))
-    return nxt
-
-
-def _fewest_hops(D, edges: _Edges, maximize: bool, rtol: float):
-    """Fewest hops along optimal paths: toward each target t, the hop
-    distance to t over the edges s->x whose cost through x `_ties` D[s, t]
-    (and is finite, for additive routing; whose width is, for widest), by
-    synchronous relaxation from LEN[t, t] = 0."""
-    n = D.shape[0]
-    LEN = np.full((n, n), np.inf, dtype=np.float32)
-    np.fill_diagonal(LEN, 0.0)
+    The costs relax from each target's own cost (0, or the width inf).  An
+    edge s -> x is tight toward t when it carries a best path: its offer
+    equals D[s, t], exactly, and t is reachable.  The fewest hops relax
+    from 0 at the target over the tight edges, and s's next is the
+    smallest x over a tight edge one hop closer."""
+    n = len(ids)
+    cost = np.empty((n, n))
+    length = np.empty((n, n), dtype=np.float32)
+    nxt = np.empty((n, n), dtype=np.int32)
     srcs, dsts, ws, heads, starts = edges
+    if maximize:
+        extend, better, unreached, own = np.minimum, np.maximum, -math.inf, math.inf
+    else:
+        extend, better, unreached, own = np.add, np.minimum, math.inf, 0.0
+
+    def offer(k, far):
+        return extend(ws.take(k), far)
     for lo, hi in _blocks(n, srcs.size):
-        via = _via(D, edges, maximize, lo, hi)
-        tight = _ties(via, D[srcs, lo:hi], rtol)
-        tight &= np.isfinite(ws)[:, None] if maximize else np.isfinite(via)
-        del via
-        block = LEN[:, lo:hi]
-        for _ in range(n + 1 if maximize else n):
-            hops = np.where(tight, block[dsts], np.inf)
-            cand = np.minimum.reduceat(hops, starts, axis=0) + 1.0
-            new = np.minimum(block[heads], cand)
-            if np.array_equal(new, block[heads]):
-                break
-            block[heads] = new
-    return LEN
+        targets, rows = np.arange(lo, hi), np.arange(hi - lo)
+        block = np.full((hi - lo, n), unreached)
+        block[rows, targets] = own
+        _relax(block, edges, offer, better, targets)
+        base = block.take(srcs, axis=1)
+        tight = offer(np.arange(srcs.size), block.take(dsts, axis=1)) == base
+        tight &= base != unreached
+        del base
+        cost[:, lo:hi] = block.T
+        # 1 over a tight edge, inf over the others
+        step = np.where(tight, np.float32(1), np.float32(math.inf))
+        hops = np.full((hi - lo, n), np.inf, dtype=np.float32)
+        hops[rows, targets] = 0.0
+        _relax(hops, edges, lambda k, far: far + step.take(k, axis=1), np.minimum, targets)
+        tight &= hops.take(dsts, axis=1) + 1 == hops.take(srcs, axis=1)
+        best = np.minimum.reduceat(np.where(tight, dsts, n), starts, axis=1)
+        best[best == n] = -1
+        length[:, lo:hi] = hops.T
+        nxt[:, lo:hi] = -1
+        nxt[heads, lo:hi] = best.T
+        nxt[targets, targets] = targets
+    return OracleResult(ids, cost, length, nxt, nbr_idx, nbr_w, maximize)
 
 
-def apsp_additive(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> OracleResult:
-    """All-pairs optima for an additive strategy: per-source Dijkstra with
-    the engine's key-tuple tie-break applied.
+def apsp_additive(graph: GraphStore, strategy: Strategy) -> OracleResult:
+    """All-pairs optima for an additive strategy, with the engine's
+    key-tuple tie-break applied, exact for float weights and for weights
+    of another type (ints) whose total is below 2**53.
 
-    Integer-valued weights are solved exactly through a composite weight
-    encoding (cost, hop count); real weights fall back to a relative
-    tolerance when identifying cost ties.
-    """
+    Raises InvalidWeightError on a weight that is not positive, and
+    TooLargeError on a non-float weight when the weights' total, which
+    bounds every path sum, is 2**53 or more: float64 no longer holds
+    such sums exactly."""
     if strategy.maximize:
         raise InvalidWeightError("apsp_additive requires an additive strategy")
-    # scipy loads on first use, so that a process checking only widest
-    # strategies does not load it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     ids, edges, nbr_idx, nbr_w = _collect_edges(graph, widest=False)
-    n = len(ids)
-    rows, cols, data = edges.srcs, edges.dsts, edges.ws
-    if data.size and data.min() <= 0:
-        raise InvalidWeightError(f"non-positive weight {data.min()}")
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return OracleResult(ids, empty, empty, empty.astype(np.int32),
-                            nbr_idx, nbr_w, False, 0.0)
-
-    integral = bool(np.all(data == np.floor(data)))
-    max_w = data.max() if data.size else 1.0
-    if integral and max_w * n * n < 2**52:
-        m = float(n)
-        comp = csr_matrix((data * m + 1.0, (rows, cols)), shape=(n, n))
-        Dc = dijkstra(comp, directed=True)
-        finite = np.isfinite(Dc)
-        LEN = np.empty((n, n), dtype=np.float32)
-        with np.errstate(invalid="ignore"):
-            np.mod(Dc, m, out=LEN)
-        LEN[~finite] = np.inf
-        # in place: D = (Dc - LEN) / m where finite, inf elsewhere
-        D = Dc
-        np.subtract(D, LEN, out=D, where=finite)
-        D /= m
-        used_rtol = 0.0
-    else:
-        mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-        D = dijkstra(mat, directed=True)
-        LEN = _fewest_hops(D, edges, False, rtol)
-        used_rtol = rtol
-    nxt = _next_hops(D, LEN, edges, False, used_rtol)
-    return OracleResult(ids, D, LEN, nxt, nbr_idx, nbr_w, False, used_rtol)
-
-
-def _widths(edges: _Edges, n: int):
-    """Max-min widths toward every target, by synchronous Bellman iteration
-    over the edges."""
-    W = np.full((n, n), -np.inf)
-    np.fill_diagonal(W, np.inf)
-    _srcs, dsts, ws, heads, starts = edges
-    for lo, hi in _blocks(n, dsts.size):
-        block = W[:, lo:hi]
-        for _ in range(n + 1):
-            via = np.minimum(ws[:, None], block[dsts])
-            new = np.maximum(block[heads], np.maximum.reduceat(via, starts, axis=0))
-            if np.array_equal(new, block[heads]):
-                break
-            block[heads] = new
-    return W
+    if edges.ws.size and edges.ws.min() <= 0:
+        raise InvalidWeightError(f"non-positive weight {edges.ws.min()}")
+    weights = [w for (_a, _b, w), _m in graph.link_items()]
+    if sum(weights) >= 2**53 and not all(isinstance(w, float) for w in weights):
+        raise TooLargeError("weights total 2**53 or more, past exact float sums")
+    return _solve(ids, edges, nbr_idx, nbr_w, False)
 
 
 def widest_reference(graph: GraphStore, strategy: Strategy) -> OracleResult:
     """Value-iteration reference for widest-path strategies (no size cap)."""
     if not strategy.maximize:
         raise InvalidWeightError("widest_reference requires a widest strategy")
-    ids, edges, nbr_idx, nbr_w = _collect_edges(graph, widest=True)
-    n = len(ids)
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return OracleResult(ids, empty, empty, empty.astype(np.int32),
-                            nbr_idx, nbr_w, True, 0.0)
-    W = _widths(edges, n)
-    LEN = _fewest_hops(W, edges, True, 0.0)
-    nxt = _next_hops(W, LEN, edges, True, 0.0)
-    return OracleResult(ids, W, LEN, nxt, nbr_idx, nbr_w, True, 0.0)
+    return _solve(*_collect_edges(graph, widest=True), True)
 
 
 def _enumerate_widths(edges: _Edges, n):
@@ -361,11 +332,11 @@ def widest_paths_bruteforce(graph: GraphStore, strategy: Strategy) -> OracleResu
     return result
 
 
-def solve(graph: GraphStore, strategy: Strategy, rtol: float = 1e-9) -> OracleResult:
+def solve(graph: GraphStore, strategy: Strategy) -> OracleResult:
     """Route to the matching reference solver for the strategy family."""
     if strategy.maximize:
         return widest_reference(graph, strategy)
-    return apsp_additive(graph, strategy, rtol)
+    return apsp_additive(graph, strategy)
 
 
 def _mismatch(result: OracleResult, s, t, rule, rtol, check_length, witness_next):
@@ -398,8 +369,7 @@ def _screen(result: OracleResult, view, keys, rows, cols, rtol, check_length):
     value compares with the oracle's matrices at (rows, cols) as Python
     compares it (an int cost of 2**53 or more included).  The next must be
     the oracle's tie-broken next, also under `witness_next`: that next
-    passed the test `witnesses` makes, under the result's own tolerance,
-    so it is always a witness.  An entry not passed here may still pass
+    passed the test `witnesses` makes, so it is always a witness.  An entry not passed here may still pass
     `_mismatch`."""
     count = len(keys)
     passed = np.zeros(count, dtype=bool)
@@ -442,12 +412,13 @@ def compare_view(
 ) -> list[tuple]:
     """Mismatches between an established-rule view and an oracle result.
 
-    Returns a list of (s, t, reason) tuples; empty means equivalence.  With
-    `rtol`, costs compare within relative tolerance and, combined with
-    `witness_next`, the next hop only has to lie in the cost-level witness
-    set (used for real-valued weights where exact ties differ).  The view's
-    mismatches come first, in view order, then the oracle-reachable pairs
-    the view lacks, in `ids` order.
+    Returns a list of (s, t, reason) tuples; empty means equivalence.  The
+    oracle's costs are the engine's own floats, so the defaults compare
+    every cost, length and next exactly.  With `rtol`, costs compare within
+    a relative tolerance instead, and with `witness_next` the next hop only
+    has to lie in the cost-level witness set.  The view's mismatches come
+    first, in view order, then the oracle-reachable pairs the view lacks,
+    in `ids` order.
 
     The view is read one chunk of entries at a time, so the working
     memory past the mask of missing pairs is that of one chunk.  In each

@@ -44,11 +44,10 @@ of its neighbours' keys extended by one hop, the fixpoint equation.
 `search` runs that repair over a masked adjacency for NOT and backup
 policies, and stops once the policy's source settles.
 
-At set-up, the oracle's int costs come from its own Dijkstra over the
-composite weights w * n + 1, independent of the engine's.  The engine's
-real costs over unequal weights and the oracle's both come from scipy's
-Dijkstra, so the oracle alone does not check them there; the oracle's
-widths come from value iteration, independent of Kruskal.  The
+The oracle shares no solver with set-up: it relaxes every cost toward
+each target by Bellman's synchronous sweeps, where set-up runs scipy's
+Dijkstra, a BFS or Kruskal, and it makes the same addition w + C[u, d],
+so it checks every cost exactly, fractional ones included.  Further
 independent references are the rounds reference, the repair from empty
 of a custom path cost that `path_cost_kind` does not know (the
 heap-search differentials, int weights other than 1 included), the
@@ -541,8 +540,9 @@ def step_epoch(
     +1 for their replacements.  What the epoch did is left in
     `store.last_stats`.
 
-    If an event, the edge update or the repair fails, the graph and the
-    store are left as they were and the error propagates.
+    If an event, the edge update, the repair or building the batch fails,
+    the graph and the store are left as they were (`epoch` and
+    `last_stats` included) and the error propagates.
     """
     strategy = store.strategy
     stats = EpochStats()
@@ -577,6 +577,31 @@ def step_epoch(
             _repair(store, graph.out_edges, d, dropped.get(d, ()), d in born,
                     added, journal, stats)
         t3 = perf_counter_ns()
+        neg = store._neg
+        batch: RuleDeltaBatch = []
+        changed = 0
+        for d, (old_row, written) in journal.items():
+            old_row = old_row or {}
+            new_row = store._est.get(d, {})
+            for s in written:
+                old, new = old_row.get(s), new_row.get(s)
+                if old == new:
+                    continue
+                changed += 1
+                if old is not None:
+                    cost = -old[0] if neg else old[0]
+                    batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
+                if new is not None:
+                    cost = -new[0] if neg else new[0]
+                    batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
+        batch.sort()
+        t4 = perf_counter_ns()
+        stats.groups_changed = changed
+        stats.groups_invalidated += sum(len(xs) for xs in dropped.values())
+        stats.ingest_ns = t1 - t0
+        stats.invalidate_ns = t2 - t1
+        stats.recompute_ns = t3 - t2
+        stats.diff_ns = t4 - t3
     except BaseException:
         _restore(store, journal)
         for done in reversed(applied):
@@ -584,33 +609,8 @@ def step_epoch(
         graph.nodes.clear()
         graph.nodes.update(nodes)
         raise
+    # committed only once the batch exists
     store.epoch += 1
-
-    neg = store._neg
-    batch: RuleDeltaBatch = []
-    changed = 0
-    for d, (old_row, written) in journal.items():
-        old_row = old_row or {}
-        new_row = store._est.get(d, {})
-        for s in written:
-            old, new = old_row.get(s), new_row.get(s)
-            if old == new:
-                continue
-            changed += 1
-            if old is not None:
-                cost = -old[0] if neg else old[0]
-                batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
-            if new is not None:
-                cost = -new[0] if neg else new[0]
-                batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
-    batch.sort()
-    t4 = perf_counter_ns()
-    stats.groups_changed = changed
-    stats.groups_invalidated += sum(len(xs) for xs in dropped.values())
-    stats.ingest_ns = t1 - t0
-    stats.invalidate_ns = t2 - t1
-    stats.recompute_ns = t3 - t2
-    stats.diff_ns = t4 - t3
     store.last_stats = stats
     return batch
 

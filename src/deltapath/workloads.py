@@ -293,7 +293,7 @@ def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> Iterator[st
         raise InfeasibleError("weight-update batches need the uniform plan")
 
     def lines():
-        # only this scenario loads the oracle, and scipy with its additive solve
+        # only this scenario loads the oracle
         from . import oracle
 
         strategy = builtin("sd_utilization")

@@ -140,8 +140,8 @@ class TestRun:
         assert "Traceback" not in err
 
     def test_verify_of_fractional_weights(self, tmp_path):
-        """sd_free_bw weights are fractions, which the oracle sums in
-        another order: the check compares within a relative tolerance."""
+        """sd_free_bw weights are fractions, which the oracle sums in the
+        engine's order: the check compares them exactly."""
         topo = tmp_path / "fattree4.txt"
         assert main([
             "gen", "fattree", "--k", "4", "--plan", "uniform", "--seed", "5",
@@ -181,7 +181,7 @@ class TestRun:
         a, b, _p = load_topology(topo).links[0]
         events = tmp_path / "ev.txt"
         events.write_text(f"epoch 1\n-link {a} {b}\n")
-        # 16 nodes exceeds the brute-force cap, exercising the reference oracle
+        # 16 nodes, past the brute-force cap of 14
         assert main([
             "run", "--topology", str(topo), "--strategy", "widest",
             "--events", str(events), "--out", str(tmp_path / "m.csv"), "--verify",

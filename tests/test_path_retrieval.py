@@ -80,8 +80,6 @@ class TestConsistency:
         else:
             want = oracle.apsp_additive(g, strategy)
         best = max if strategy.maximize else min
-        # the oracle sums sd_free_bw's fractional weights in its own order
-        rel = 1e-9 if name == "sd_free_bw" else 0.0
         weights = {}
         for (a, b, w), _m in g.edge_items():
             weights[(a, b)] = best(w, weights.get((a, b), w))
@@ -89,7 +87,7 @@ class TestConsistency:
             for t in range(16):
                 p = pr.retrieve(view, s, t)
                 assert p.cost == view[(s, t)].p_cost
-                assert p.cost == pytest.approx(want.cost_of(s, t), rel=rel, abs=0.0)
+                assert p.cost == want.cost_of(s, t)
                 assert p.length == view[(s, t)].p_length
                 # fold the path cost along the hops, from t back to s
                 cost = strategy.tautology_cost
