@@ -15,8 +15,8 @@ inexactly.
 The fewest hops come from the same relaxation over the edges that carry a
 best path, and each next hop from one minimum over each source's edges.
 The brute-force widest entry point also cross-checks the widths by
-exhaustive simple-path enumeration.  No scipy is loaded.  The only
-deliberately shared piece of semantics is the selection tie-break, which
+exhaustive simple-path enumeration.  The only deliberately shared piece
+of semantics is the selection tie-break, which
 replicates the engine's key tuple (signed cost, p_length, next), whose
 plain order is the selection order (see `strategy`): primary key per the
 strategy, then fewer hops, then smallest next-hop id.

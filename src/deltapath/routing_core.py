@@ -27,10 +27,11 @@ Under every built-in path cost the first fixpoint is solved for every
 destination at once (`_all_fixpoint`).  One step depends on the strategy:
 the matrix of every group's cost, with the test for an edge to be tight
 for it (to carry a best path).  Additive costs over unequal weights, int
-or float, take the matrix from scipy's Dijkstra, and shortest_widest
-takes its widths from Kruskal's maximum spanning forest (Hu, Operations
-Research 1961).  A BFS over the tight edges, run for a block of
-destinations together, gives each group's length, and one minimum over
+or float, take the matrix from Bellman's relaxation, swept in numpy for
+a block of destinations together, and shortest_widest takes its widths
+from Kruskal's maximum spanning forest (Hu, Operations Research 1961).
+A BFS over the tight edges, run for a block of destinations together,
+gives each group's length, and one minimum over
 each node's edges its next: the smallest tight neighbour one hop closer.
 An additive cost whose weights are all equal (hop_count's are all 1)
 needs neither matrix nor test: a group's cost follows from its length,
@@ -44,14 +45,15 @@ of its neighbours' keys extended by one hop, the fixpoint equation.
 `search` runs that repair over a masked adjacency for NOT and backup
 policies, and stops once the policy's source settles.
 
-The oracle shares no solver with set-up: it relaxes every cost toward
-each target by Bellman's synchronous sweeps, where set-up runs scipy's
-Dijkstra, a BFS or Kruskal, and it makes the same addition w + C[u, d],
-so it checks every cost exactly, fractional ones included.  Further
-independent references are the rounds reference, the repair from empty
-of a custom path cost that `path_cost_kind` does not know (the
-heap-search differentials, int weights other than 1 included), the
-golden digests, and every repaired epoch after set-up.
+The oracle and set-up both relax additive costs by Bellman's sweeps, but
+share no code: the oracle sweeps an edge list toward each block of
+targets, set-up a padded table of each node's neighbours
+(`_relaxed_costs`).  Both make the addition w + C[u, d] that the repair
+makes, so the oracle checks every cost exactly, fractional ones
+included.  Independent of both stay the repair from empty of a custom
+path cost that `path_cost_kind` does not know (the heap-search
+differentials, int weights other than 1 included), the golden digests,
+the rounds reference, and every repaired epoch after set-up.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -246,6 +248,12 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
 # holds a multiple of eight destinations, the BFS's word (`_tight_bfs`)
 _BLOCK_ELEMENTS = 1 << 18
 
+# at least this many destinations relax together (`_relaxed_costs`): a
+# sweep makes a few numpy calls per neighbour slot however many
+# destinations share them, and a temporary holds only (nodes x
+# destinations); on fat-tree k=32, 64 beat both 32 and 128
+_RELAX_COLUMNS = 64
+
 
 def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     """Every rule of a built-in path cost, for all destinations at once, or
@@ -260,14 +268,16 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     - "sum" with every weight equal to w: a path's cost depends only on
       its hop count, so the BFS runs over every edge, with no test, and C
       is read from the cost of L hops, the repair's fold
-      w + (w + ... (w + 0)), int for int costs.  No Dijkstra runs, and
-      scipy is not loaded.
-    - "sum" otherwise: scipy's Dijkstra from each destination computes
-      the least w + C[u, d], the addition the repair makes, so the costs
-      are the same floats.  Tight: w + C[u, d] == C[x, d].  Int costs take
-      the same path: every sum Dijkstra forms is the cost of a simple path,
-      below the weights' total < 2**53, so exact in float, and C comes
-      back as int.
+      w + (w + ... (w + 0)), int for int costs.  Nothing relaxes.
+    - "sum" otherwise: Bellman's relaxation toward each block of
+      destinations (`_relaxed_costs`) forms every cost as w + C[u, d], the
+      addition the repair makes, so the costs are the same floats.  Tight:
+      w + C[u, d] == C[x, d].  Int costs take the same path, exact in
+      float: after t sweeps C[u, d] is the least cost of a walk of at most
+      t edges, which a simple path attains, so it is at most the links'
+      total, and every sum w + C[u, d] is at most twice that, the weights'
+      total with each link counted both ways, below 2**53 by the guard.
+      C comes back as int.
     - "min": the widest width between two nodes is the smallest weight on
       their path in a maximum spanning tree (Hu, "The maximum capacity
       route problem", Operations Research 1961), so Kruskal over the edges
@@ -283,9 +293,10 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
 
     None, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
-    finite (an infinite weight, or path costs that could overflow), or an
-    int tautology cost over weights that are not all int or whose total
-    (each link counted both ways) is 2**53 or more;
+    finite (an infinite weight, or path costs that could overflow), a
+    negative weight (a cycle over its link and back would never let the
+    relaxation end), or an int tautology cost over weights that are not
+    all int or whose total (each link counted both ways) is 2**53 or more;
     under "min" a tautology cost other than the float inf,
     a weight that is not a float (the repair keeps an int width int) or
     has its sign bit set.
@@ -312,8 +323,12 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     if widest:
         refused = not all(type(w) is float for w in best.values()) or np.signbit(weights).any()
     else:
-        refused = not np.isfinite(weights.sum() * 2) or integral and not (
-            all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
+        refused = (
+            not np.isfinite(weights.sum() * 2)
+            or (weights < 0).any()
+            or integral and not (
+                all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
+            )
         )
     if refused:
         return None
@@ -326,6 +341,8 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     (xs, us), weights = np.divmod(code[order], n), weights[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     uniform = not widest and (weights == weights[0]).all()
+    blocks = -(-n * m // _BLOCK_ELEMENTS)
+    size = 8 * -(-n // (8 * blocks))
     if widest:
         width = _widest_widths(n, us, xs, weights)
     elif uniform:
@@ -334,14 +351,9 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         by_hops[0] = 0
         np.add.accumulate(by_hops, out=by_hops)
     else:
-        # scipy loads on first use, so that `import deltapath`, hop_count
-        # and a widest-only process do not load it
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        graph = csr_matrix((weights, (us, xs)), shape=(n, n))
-    blocks = -(-n * m // _BLOCK_ELEMENTS)
-    size = 8 * -(-n // (8 * blocks))
+        # the relaxation's own blocks: a whole number of the BFS's blocks
+        span = size * -(-_RELAX_COLUMNS // size)
+        spans = _relaxed_costs(n, us, xs, weights, span)
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         dests = np.arange(lo, hi)
@@ -352,7 +364,9 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         elif uniform:
             tight = None
         else:
-            cost = np.ascontiguousarray(dijkstra(graph, directed=True, indices=dests).T)
+            if lo % span == 0:
+                relaxed = next(spans)
+            cost = relaxed[:, lo % span:][:, :hi - lo]
             tight = cost[us] + weights[:, None] == cost[xs]
         length, nxt = _tight_bfs(tight, n, dests, us, xs, starts)
         # an unreached group reads length -1 and is not filled, whatever
@@ -391,6 +405,57 @@ def _fill_rows(est, ids, dests, cost, length, nxt, uniform) -> None:
     for d, stop in zip(node[dests].tolist(), end):
         est[d].update(zip(srcs[start:stop], keys[start:stop]))
         start = stop
+
+
+def _relaxed_costs(n, us, xs, weights, span):
+    """Yield the least costs toward destinations [0, span), [span, 2 *
+    span), ... in turn, each as an (n x destinations) float array, +inf
+    where unreached, by Bellman's relaxation ("On a routing problem",
+    Quarterly of Applied Mathematics 1958).
+
+    Each sweep sets C[x, d] = min(C[x, d], min over x's edges (u, x, w) of
+    w + C[u, d]) for the nodes with a neighbour whose cost fell in the
+    sweep before, and the loop ends when a sweep changes nothing.  Every
+    cost is thus formed by the repair's addition w + C[u, d]: the same
+    floats.
+
+    Each node's neighbours and weights are one row of a table padded to
+    the most neighbours with the node n, whose cost stays +inf.  The rows
+    go in descending degree, so the rows with more than s neighbours are a
+    prefix, and a sweep takes its rows' s-th neighbours for one slot s at
+    a time: each temporary is (rows x destinations)."""
+    degree = np.bincount(xs, minlength=n)
+    # the edges run by x: an edge's slot is its place in x's run
+    slot = np.arange(len(xs)) - np.searchsorted(xs, xs)
+    nbr = np.full((n, degree.max()), n, dtype=np.intp)
+    nbr[xs, slot] = us
+    wt = np.zeros(nbr.shape)
+    wt[xs, slot] = weights
+    node = np.argsort(-degree, kind="stable")  # row -> node
+    nbr, wt, degree = nbr[node], wt[node], degree[node]
+    for lo in range(0, n, span):
+        dests = np.arange(lo, min(lo + span, n))
+        cost = np.full((n + 1, len(dests)), np.inf)
+        cost[dests, np.arange(len(dests))] = 0
+        fell = np.zeros(n + 1, dtype=bool)
+        fell[dests] = True
+        while (rows := np.flatnonzero(fell[nbr].any(axis=1))).size:
+            at = node[rows]
+            old = cost[at]
+            new = old.copy()
+            offer = np.empty_like(old)
+            near, w = nbr[rows], wt[rows]
+            # how many rows have more than s neighbours, for each slot s
+            ends = np.searchsorted(-degree[rows], -np.arange(degree[rows[0]]))
+            for s, p in enumerate(ends.tolist()):
+                np.take(cost, near[:p, s], axis=0, out=offer[:p])
+                offer[:p] += w[:p, s, None]
+                np.minimum(new[:p], offer[:p], out=new[:p])
+            down = (new < old).any(axis=1)
+            fell[:] = False
+            fell[at[down]] = True
+            cost[at[down]] = new[down]
+        yield cost[:n]
 
 
 def _widest_widths(n, us, xs, weights):

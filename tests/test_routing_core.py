@@ -1034,10 +1034,10 @@ def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, t
     """A built-in is solved for every destination at once, its clone by
     one heap search per destination: the rules agree key for key, type for
     type and, for a width of 0, sign for sign.  Under int_sum a cheaper
-    path can be longer, so the int costs of the float Dijkstra are checked
-    against the search, which keeps cost and length apart; under one link
-    cost, solved from the hop counts alone, the float costs are checked
-    against the search's own additions."""
+    path can be longer, so the int costs of the float relaxation are
+    checked against the search, which keeps cost and length apart; under
+    one link cost, solved from the hop counts alone, the float costs are
+    checked against the search's own additions."""
     assert path_cost_kind(builtin_strategy) is not None
     assert path_cost_kind(clone) is None
     g = build_graph(topo, builtin_strategy.link_cost)
@@ -1108,11 +1108,11 @@ MIXED_SUM = Strategy(
     (BIG_INT_SUM, (3 * 2**53 + 93, 3, 1)), (MIXED_SUM, (93.0, 3, 1)),
 ], ids=["inf_weight", "tautology_one", "int_beyond_2_53", "int_and_float"])
 def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rule_0_3):
-    """Behind an inf link, search gives a rule of cost inf, which Dijkstra
-    would call unreachable; a path that starts from cost 1.0 rounds
-    differently from one that starts from 0; int costs of 2**53 or more
-    are not exact in float; and under an int tautology a path's cost is
-    int or float depending on its weights.  `initialize` must repair from
+    """Behind an inf link, search gives a rule of cost inf, which the
+    relaxation would call unreachable; a path that starts from cost 1.0
+    rounds differently from one that starts from 0; int costs of 2**53 or
+    more are not exact in float; and under an int tautology a path's cost
+    is int or float depending on its weights.  `initialize` must repair from
     an empty tree, and the rounds from an empty store agree with it."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
@@ -1122,6 +1122,17 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     assert_same_stores(store, solve_rounds(g, strategy))
     assert store._est[3][0] == rule_0_3
     assert type(store._est[3][0][0]) is type(rule_0_3[0])
+
+
+def test_a_negative_weight_is_left_to_the_repair():
+    """A negative weight makes a cycle, over its link and back, that
+    lowers every cost it reaches on each pass, so the relaxation would not
+    end: `_all_fixpoint` refuses it."""
+    neg = replace(SD, name="neg_sum", link_cost=lambda p: p.utilization - 50,
+                  weight_domain=WeightDomain(-math.inf, math.inf))
+    g = build_graph(utilization_topology(3, [(0, 1, 60), (1, 2, 40)]), neg.link_cost)
+    assert path_cost_kind(neg) == "sum"
+    assert rc._all_fixpoint(g, neg) is None
 
 
 def test_int_costs_past_the_composite_bound_are_solved():
@@ -1137,6 +1148,52 @@ def test_int_costs_past_the_composite_bound_are_solved():
     assert_same_stores(store, solve_rounds(g, COMPOSITE_INT_SUM))
     assert store._est[3][0] == (3 * 2**50 + 93, 3, 1)
     assert type(store._est[3][0][0]) is int
+
+
+# small int weights beside one of 2**52 - 2**8 (utilization 100):
+# their total, each link counted both ways, is just below 2**53, and an
+# offer back over the heavy link, w + C[u, d], is 2**53 - 2**9 + 8
+NEAR_INT_SUM = replace(
+    INT_SUM, name="near_int_sum",
+    link_cost=lambda p: 2**52 - 2**8 if p.utilization == 100 else int(p.utilization),
+)
+CUSTOM_NEAR_INT_SUM = replace(NEAR_INT_SUM, name="custom_near_int_sum",
+                              path_cost=lambda w, c: w + c)
+
+
+def _ring(n, seed):
+    rng = random.Random(seed)
+    return utilization_topology(n, [(i, (i + 1) % n, rng.randint(1, 99)) for i in range(n)])
+
+
+@pytest.mark.parametrize("strategy,clone,topo", [
+    (SD, CUSTOM_SUM, _ring(40, 3)),
+    # a ring of five and a path of four
+    (SD, CUSTOM_SUM, utilization_topology(9, [(0, 1, 7), (1, 2, 2), (2, 3, 9), (3, 4, 1),
+                                              (4, 0, 3), (5, 6, 4), (6, 7, 8), (7, 8, 2)])),
+    (NEAR_INT_SUM, CUSTOM_NEAR_INT_SUM,
+     utilization_topology(4, [(0, 1, 100), (1, 2, 3), (2, 3, 5)])),
+], ids=["ring40", "two_components", "int_near_2_53"])
+def test_relaxed_costs_equal_the_heap_search(strategy, clone, topo):
+    """The relaxation of unequal weights agrees with one heap search per
+    destination, key for key and type for type: on a ring of 40, whose
+    best paths reach 20 hops, so that it sweeps at least 20 times; across
+    two components, whose groups between them get no rule; and over int
+    weights whose total is just below the 2**53 guard."""
+    g = build_graph(topo, strategy.link_cost)
+    assert rc._all_fixpoint(g, strategy) is not None  # no fallback here
+    store = rc.initialize(g, strategy)
+    assert_same_stores(store, rc.initialize(g, clone))
+    if len(g.nodes) == 40:
+        assert max(key[1] for row in store._est.values() for key in row.values()) >= 20
+    if len(g.nodes) == 9:
+        assert all((x < 5) == (d < 5) for d, row in store._est.items() for x in row)
+        assert store.rule_count() == 5 * 5 + 4 * 4
+    if strategy is NEAR_INT_SUM:
+        total = sum(w for (_a, _b, w), _m in g.edge_items())
+        assert 2**53 - 2**9 < total < 2**53
+        assert store._est[3][0] == (2**52 - 2**8 + 8, 3, 1)
+        assert type(store._est[3][0][0]) is int
 
 
 # the built-in width path cost from a tautology width other than inf
@@ -1321,7 +1378,7 @@ def test_rows_take_at_most_48_bytes_per_pair():
     where every weight is equal: 1 under hop_count on any plan, 0.1 under
     sd_free_bw on idle links.  A dict entry and a key tuple per pair took
     about 115."""
-    rc.initialize(build_graph(triangle(), HOP.link_cost), HOP)  # scipy loaded
+    rc.initialize(build_graph(triangle(), HOP.link_cost), HOP)  # first calls allocate for good
     for strategy, plan in ((HOP, PlanKind.UNIFORM), (FREE_BW, PlanKind.HOP_COUNT)):
         g = build_graph(gen_fattree(16, WeightPlan(plan, seed=0)), strategy.link_cost)
         assert len({w for (_a, _b, w), _m in g.link_items()}) == 1
