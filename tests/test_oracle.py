@@ -21,7 +21,7 @@ from deltapath.errors import InvalidWeightError, TooLargeError
 from deltapath.graph_model import RemoveLink, build_graph, save_topology
 from deltapath.routing_core import ForwardingRule, initialize
 from deltapath.strategy import Strategy, builtin, builtin_names
-from deltapath.workloads import PlanKind, WeightPlan, gen_fattree
+from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
 from conftest import (
     affected_pairs,
@@ -414,6 +414,89 @@ def test_compare_view_memory_is_bounded():
         tracemalloc.stop()
     assert bad == []
     assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_the_widest_check_loads_no_scipy(tmp_path):
+    """Solving and checking shortest_widest, in the library and through
+    `run --verify`, never loads scipy, and an additive solve does not
+    either."""
+    small = gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM))
+    save_topology(small, tmp_path / "jellyfish20.txt")
+    save_topology(triangle(), tmp_path / "triangle.txt")
+    a, b, _props = small.links[0]
+    (tmp_path / "events.txt").write_text(f"epoch 1\n-link {a} {b}\n")
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from deltapath import oracle
+        from deltapath.cli import main
+        from deltapath.graph_model import build_graph, load_topology
+        from deltapath.routing_core import initialize
+        from deltapath.strategy import builtin
+        from deltapath.workloads import PlanKind, WeightPlan, gen_jellyfish
+
+        tmp = Path(sys.argv[1])
+        widest, plan = builtin("shortest_widest"), WeightPlan(PlanKind.UNIFORM)
+        g = build_graph(gen_jellyfish(64, 6, plan), widest.link_cost)
+        view = initialize(g, widest).established_rules()
+        assert oracle.compare_view(oracle.solve(g, widest), view) == []
+        oracle.widest_paths_bruteforce(build_graph(gen_jellyfish(14, 3, plan), widest.link_cost),
+                                       widest)
+        assert main(["run", "--topology", str(tmp / "jellyfish20.txt"), "--strategy", "widest",
+                     "--events", str(tmp / "events.txt"), "--out", str(tmp / "m.csv"),
+                     "--verify"]) == 0
+        print("scipy" in sys.modules)
+        sd = builtin("sd_utilization")
+        oracle.apsp_additive(build_graph(load_topology(tmp / "triangle.txt"), sd.link_cost), sd)
+        print("scipy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_hop_count_loads_no_scipy(tmp_path):
+    """hop_count's weights are all equal, so `initialize` reads its costs
+    from the hop counts, and epochs repair without a Dijkstra: set-up,
+    a link failure, its restore and a switch failure load no scipy, and
+    neither do the oracle's solve, `compare_view` and `run --verify`."""
+    topo = gen_fattree(4)
+    save_topology(topo, tmp_path / "fattree4.txt")
+    a, b, _props = topo.links[0]
+    (tmp_path / "events.txt").write_text(f"epoch 1\n-link {a} {b}\nepoch 2\n-node {a}\n")
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from deltapath import oracle
+        from deltapath.cli import main
+        from deltapath.graph_model import AddLink, RemoveLink, RemoveNode, build_graph
+        from deltapath.routing_core import initialize, step_epoch
+        from deltapath.strategy import builtin
+        from deltapath.workloads import gen_fattree
+
+        tmp = Path(sys.argv[1])
+        hop = builtin("hop_count")
+        topo = gen_fattree(8)
+        g = build_graph(topo, hop.link_cost)
+        store = initialize(g, hop)
+        a, b, props = topo.links[0]
+        assert step_epoch(store, g, [RemoveLink(a, b)])
+        assert step_epoch(store, g, [AddLink(a, b, props)])
+        assert step_epoch(store, g, [RemoveNode(a)])
+        print("scipy" in sys.modules)
+        assert oracle.compare_view(oracle.solve(g, hop), store.established_rules()) == []
+        assert main(["run", "--topology", str(tmp / "fattree4.txt"), "--strategy", "hopcount",
+                     "--events", str(tmp / "events.txt"), "--out", str(tmp / "m.csv"),
+                     "--verify"]) == 0
+        print("scipy" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(deltapath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_no_built_in_loads_scipy(tmp_path):
