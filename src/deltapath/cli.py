@@ -338,7 +338,9 @@ def _bench_failures(args, topo: Topology, strategy: Strategy, writer: _RowWriter
     undone outside the timed region and must restore the rules exactly."""
     replay = _Replay(topo, strategy)
     graph, store = replay.graph, replay.store
-    before = dict(store._est)  # rows are never changed once their epoch ends
+    # rows are never changed once their epoch ends, and a restored node
+    # takes back its slot, so the restored rows equal these list for list
+    before = dict(store._est)
     latencies = []
     for block in parse_blocks(_scenario_lines(topo, args, args.batch_size)):
         if block.reset:

@@ -2,9 +2,10 @@
 
 Paths are never cached.  `retrieve` takes the view `established_rules()`
 returns, reads the destination's row once, and `walk` follows the next
-pointers through it, one dict lookup per hop.  Waypoint segments, NOT
-paths and backup paths go through the same walk: waypoints over the
-established rows, NOT and backup over the row of a masked search.
+pointers through it: per hop, one lookup of the next node's slot and one
+index into the row.  Waypoint segments, NOT paths and backup paths go
+through the same walk: waypoints over the established rows, NOT and
+backup over the row of a masked search.
 """
 
 from __future__ import annotations
@@ -37,13 +38,17 @@ def retrieve(view, s: NodeId, d: NodeId) -> Path:
     return walk(*view.row(d), s, d)
 
 
-def walk(row, neg: bool, s: NodeId, d: NodeId) -> Path:
-    """Chase next pointers from s through the row of d, a dict from each
-    node to its key (signed cost, p_length, next), its cost negated when
-    `neg` (a maximizing strategy).  Raises UnreachableError when a node's
-    key is missing, and CycleDetectedError when the walk does not reach d
-    in s's p_length hops, as a correct row does (so it is corrupted)."""
-    key = row.get(s)
+def walk(row, slot, neg: bool, s: NodeId, d: NodeId) -> Path:
+    """Chase next pointers from s through the row of d, a list holding at
+    each node's slot its key (signed cost, p_length, next) or None, its
+    cost negated when `neg` (a maximizing strategy).  Raises
+    UnreachableError when a node's key is missing, and CycleDetectedError
+    when the walk does not reach d in s's p_length hops, as a correct row
+    does (so it is corrupted)."""
+    try:
+        key = row[slot[s]]
+    except (KeyError, IndexError):  # s has no slot, or d has no row
+        key = None
     if key is None:
         raise UnreachableError(f"no rule for ({s}, {d})")
     cost = -key[0] if neg else key[0]
@@ -54,7 +59,7 @@ def walk(row, neg: bool, s: NodeId, d: NodeId) -> Path:
         hops.append(node)
         if node == d:
             break
-        key = row.get(node)
+        key = row[slot[node]]
         if key is None:
             raise UnreachableError(f"no rule for ({node}, {d}) while chasing ({s}, {d})")
     if node != d:

@@ -199,5 +199,5 @@ class PolicyEngine:
     def _masked_path(self, policy: Policy, **mask) -> Path:
         """`walk` from the policy's src through the masked search tree; a
         search stopped at the src holds every rule on its path."""
-        tree = search(self.graph, self.strategy, policy.dst, until=policy.src, **mask)
-        return walk(tree, self.strategy.maximize, policy.src, policy.dst)
+        row, slot = search(self.graph, self.strategy, policy.dst, until=policy.src, **mask)
+        return walk(row, slot, self.strategy.maximize, policy.src, policy.dst)

@@ -1,13 +1,18 @@
 """Incremental maintenance of all-pairs forwarding rules.
 
-State is one row per live destination d: a dict from each node x that
-routes toward d to the selection key (signed cost, p_length, next) of the
-established rule of the group (x, d).  Every row holds at least d's own
-rule.  A group's candidates are not stored: they are the join of the
-established rules with the graph (for every edge x -> y, y's rule toward
-d extended by one hop) plus the tautology (d, d) while d is a node, cut at
-p_length >= the node count: best paths are simple, so the cut loses none
-of them.  At a fixpoint every group holds the minimum of its candidates.
+Every node has a slot: a dense index given in sorted id order at set-up,
+the next free one to a node born later.  A removed node keeps its slot,
+so a node that comes back takes the same one.  State is one row per live
+destination d: a list indexed by slot, holding for each node x that
+routes toward d the selection key (signed cost, p_length, next) of the
+established rule of the group (x, d), and None for every other node.
+`next` is a node id, not a slot.  Every row is as long as the list of
+slots, and holds at least d's own rule.  A group's candidates are not
+stored: they are the join of the established rules with the graph (for
+every edge x -> y, y's rule toward d extended by one hop) plus the
+tautology (d, d) while d is a node, cut at p_length >= the node count:
+best paths are simple, so the cut loses none of them.  At a fixpoint
+every group holds the minimum of its candidates.
 `_best_offer` computes that minimum for one group, for the repair and the
 integrity check.
 
@@ -16,7 +21,8 @@ replaces it with a copy and journals the old row object (`_row`), so a
 row is never changed once its epoch ends.  A shallow copy of the table of
 rows is then a true snapshot, a failed epoch is undone by putting the old
 rows back, and the emitted batch is the diff of each journaled row over
-the sources written.
+the slots written.  An epoch that gives a born node a new slot copies
+every row once, one entry longer.
 
 Every built-in strategy strictly worsens the key when it extends a path
 (cost never improves, length grows), so the fixpoint is unique (Sobrinho,
@@ -35,9 +41,10 @@ gives each group's length, and one minimum over
 each node's edges its next: the smallest tight neighbour one hop closer.
 An additive cost whose weights are all equal (hop_count's are all 1)
 needs neither matrix nor test: a group's cost follows from its length,
-and the BFS runs over every edge.  The block's rows are filled from
-these arrays without a Python loop per pair; under equal weights each
-key that repeats along a tree is built once.  A custom path cost, and
+and the BFS runs over every edge.  Each block's rows are built as lists
+from these arrays without a Python loop per pair; under equal weights
+every key is read from one table by (hop count, next), so each key is
+built once for the whole graph.  A custom path cost, and
 the few inputs that solve would key differently, repair each
 destination's tree from empty (phase 2 below): a best-first search that
 pops nodes from a heap in key order, each group once, with the minimum
@@ -83,7 +90,7 @@ import heapq
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from time import perf_counter_ns
 from typing import Mapping, NamedTuple
 
@@ -114,11 +121,11 @@ RuleDeltaBatch = list  # of ForwardingRule with delta in {-1, +1}
 
 class EstablishedView(Mapping):
     """Read-only (src, dst) -> ForwardingRule view over a RuleStore: the
-    pair (s, d) reads the row of d at s.
+    pair (s, d) reads the row of d at the slot of s.
 
     Stable between epochs; reads while an epoch is being stepped are
     undefined.  The store holds no (src, dst) tuples, so iteration makes
-    each pair afresh, row by row.
+    each pair afresh, row by row, in slot order.
     """
 
     __slots__ = ("_store",)
@@ -127,17 +134,23 @@ class EstablishedView(Mapping):
         self._store = store
 
     def __getitem__(self, pair) -> ForwardingRule:
-        key = self._store._est[pair[1]][pair[0]]
-        cost = -key[0] if self._store.strategy.maximize else key[0]
+        store = self._store
+        key = store._est[pair[1]][store.slot[pair[0]]]
+        if key is None:
+            raise KeyError(pair)
+        cost = -key[0] if store._neg else key[0]
         return ForwardingRule(pair[0], pair[1], key[2], cost, key[1], 1)
 
-    def row(self, d: NodeId) -> tuple[dict, bool]:
-        """The row of d (empty if none) and whether its costs are negated."""
-        return self._store._est.get(d, {}), self._store._neg
+    def row(self, d: NodeId) -> tuple[list, dict, bool]:
+        """The row of d (empty if none), the slot of each node, and whether
+        the row's costs are negated."""
+        store = self._store
+        return store._est.get(d, []), store.slot, store._neg
 
     def __iter__(self):
+        ids = self._store.ids
         return chain.from_iterable(
-            zip(row, repeat(d)) for d, row in self._store._est.items()
+            zip(compress(ids, row), repeat(d)) for d, row in self._store._est.items()
         )
 
     def __len__(self) -> int:
@@ -148,14 +161,16 @@ class EstablishedView(Mapping):
 class EpochStats:
     """What one `step_epoch` did: destinations whose repair had work,
     rules dropped for recomputation, heap entries popped and those skipped
-    as stale, groups whose rule changed, and the `perf_counter_ns` spent
-    ingesting events, invalidating, recomputing and diffing."""
+    as stale, groups whose rule changed, the rules established after it,
+    and the `perf_counter_ns` spent ingesting events, invalidating,
+    recomputing and diffing."""
 
     destinations_repaired: int = 0
     groups_invalidated: int = 0
     heap_pops: int = 0
     stale_pops: int = 0
     groups_changed: int = 0
+    rules: int = 0
     ingest_ns: int = 0
     invalidate_ns: int = 0
     recompute_ns: int = 0
@@ -164,19 +179,25 @@ class EpochStats:
 
 class RuleStore:
     """The established best rule per (src, dst) group, as one row per live
-    destination: `_est[d][x]` is the key of (x, d).  Rows are shared with
-    snapshots and never changed once their epoch ends (`_row`)."""
+    destination: `_est[d][slot[x]]` is the key of (x, d), None where x has
+    no rule, and `ids[i]` is the node of slot i.  Rows are shared with
+    snapshots and never changed once their epoch ends (`_row`).  The rule
+    count is kept from each epoch's batch."""
 
-    __slots__ = ("strategy", "epoch", "last_stats", "_est", "_neg", "_fp_kind")
+    __slots__ = ("strategy", "epoch", "last_stats", "slot", "ids", "_est", "_neg",
+                 "_fp_kind", "_rules")
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
         self.epoch = -1
         self.last_stats: EpochStats | None = None
+        self.slot: dict[NodeId, int] = {}
+        self.ids: list[NodeId] = []
         self._neg = strategy.maximize
         self._fp_kind = path_cost_kind(strategy)
-        # dst -> {src: (signed_cost, length, next)}
-        self._est: dict[NodeId, dict[NodeId, tuple]] = {}
+        # dst -> [(signed_cost, length, next) or None, by slot]
+        self._est: dict[NodeId, list[tuple | None]] = {}
+        self._rules = 0
 
     # --- views
 
@@ -184,29 +205,36 @@ class RuleStore:
         return EstablishedView(self)
 
     def rule_count(self) -> int:
-        return sum(map(len, self._est.values()))
+        return self._rules
 
     # --- maintenance
 
     def check_integrity(self, graph: GraphStore) -> None:
-        """Check the fixpoint equation on the graph: every row and every
-        group in it names live nodes, and every ordered pair of nodes holds
-        a rule exactly when it has an offer (`_best_offer`), the smallest
-        one.  Reads each destination's row once.  Raises IntegrityError
-        naming the first row or group that breaks it."""
-        nodes = graph.nodes
+        """Check the fixpoint equation on the graph: every node has a slot,
+        every row is as long as the slots and names live nodes, and every
+        ordered pair of nodes holds a rule exactly when it has an offer
+        (`_best_offer`), the smallest one.  Reads each destination's row
+        once.  Raises IntegrityError naming the first row or group that
+        breaks it."""
+        nodes, slot, ids = graph.nodes, self.slot, self.ids
+        for x in nodes:
+            if x not in slot:
+                raise IntegrityError(f"node {x} has no slot")
         for d, row in self._est.items():
             if d not in nodes:
                 raise IntegrityError(f"the row of {d} names a removed node")
-            for s in row:
+            if len(row) != len(ids):
+                raise IntegrityError(f"the row of {d} is not as long as the slots")
+            for s in compress(ids, row):
                 if s not in nodes:
                     raise IntegrityError(f"({s}, {d}) names a removed node")
         adj = graph.out_edges
+        nothing = [None] * len(ids)
         for d in nodes:
-            row = self._est.get(d, {})
+            row = self._est.get(d, nothing)
             for x in nodes:
                 top = _best_offer(self, row, adj, x, d)[0]
-                key = row.get(x)
+                key = row[slot[x]]
                 if key == top:
                     continue
                 if top is None:
@@ -228,19 +256,35 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     The built-in path costs are solved for every destination at once
     (`_all_fixpoint`); a custom path cost, and the few inputs that solve
     would key differently, repair each destination's tree from empty
-    (`search`).  Both give the same keys, float for float and int for int.
+    (`_repair`).  Both give the same keys, float for float and int for
+    int, and the same slots, in sorted id order.
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
     for (_s, _d, w), _m in topology.link_items():
         strategy.validate_weight(w)
-    store = RuleStore(strategy)
-    est = _all_fixpoint(topology, strategy)
-    if est is None:
-        est = {d: search(topology, strategy, d) for d in topology.nodes}
-    store._est = est
+    store = _all_fixpoint(topology, strategy)
+    if store is None:
+        store = RuleStore(strategy)
+        _take_slots(store, topology.nodes)
+        journal: dict = {}
+        for d in store.ids:
+            _repair(store, topology.out_edges, d, (), True, (), journal, EpochStats())
+        # from an empty tree every settled rule is final: one per slot written
+        store._rules = sum(len(written) for _old, written in journal.values())
     store.epoch = 0
     return store
+
+
+def _take_slots(store: RuleStore, nodes) -> bool:
+    """Give each of `nodes` that has no slot the next one, in id order;
+    whether any did."""
+    slot, ids = store.slot, store.ids
+    new = sorted(v for v in nodes if v not in slot)
+    for v in new:
+        slot[v] = len(ids)
+        ids.append(v)
+    return bool(new)
 
 
 # destinations solved together, so that the (edges x destinations)
@@ -255,9 +299,10 @@ _BLOCK_ELEMENTS = 1 << 18
 _RELAX_COLUMNS = 64
 
 
-def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
-    """Every rule of a built-in path cost, for all destinations at once, or
-    None where the repair from empty must decide.
+def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
+    """A store of every rule of a built-in path cost, solved for all
+    destinations at once over slots in sorted id order, or None where the
+    repair from empty must decide.
 
     An edge (u, x, w) lets x route through u; of parallel edges the one
     that counts is the lightest under "sum" and the widest under "min".
@@ -287,9 +332,10 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
 
     A BFS over the tight edges then gives the fewest hops L and each x's
     next, the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the
-    key the heap would settle (`_tight_bfs`).  Each block fills its rows
-    without a Python loop per pair (`_fill_rows`), building equal keys once
-    where every weight is equal.
+    key the heap would settle (`_tight_bfs`).  Each block builds its rows
+    as lists without a Python loop per pair (`_fill_rows`); where every
+    weight is equal, its keys come from one table by (L, next), each key
+    built once for the whole graph (`_hop_keys`).
 
     None, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
@@ -332,9 +378,14 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         )
     if refused:
         return None
-    est = {d: {d: _tautology_key(strategy, d)} for d in ids}
+    store = RuleStore(strategy)
+    store.ids, store.slot = ids, index
     if not m:
-        return est
+        for i, d in enumerate(ids):
+            row = store._est[d] = [None] * n
+            row[i] = _tautology_key(strategy, d)
+        store._rules = n
+        return store
     # edges sorted by x: each x's edges are one run
     code = np.fromiter(best, np.intp, m)
     order = np.argsort(code)
@@ -343,6 +394,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
     uniform = not widest and (weights == weights[0]).all()
     blocks = -(-n * m // _BLOCK_ELEMENTS)
     size = 8 * -(-n // (8 * blocks))
+    table = None
     if widest:
         width = _widest_widths(n, us, xs, weights)
     elif uniform:
@@ -350,6 +402,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
         by_hops = np.full(n, weights[0], dtype=np.int64 if integral else float)
         by_hops[0] = 0
         np.add.accumulate(by_hops, out=by_hops)
+        table = np.full((1, n), None, dtype=object)
     else:
         # the relaxation's own blocks: a whole number of the BFS's blocks
         span = size * -(-_RELAX_COLUMNS // size)
@@ -362,49 +415,68 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> dict | None:
             cost = width[:, lo:hi]
             tight = np.minimum(weights[:, None], cost[us]) == cost[xs]
         elif uniform:
-            tight = None
+            tight = cost = None
         else:
             if lo % span == 0:
                 relaxed = next(spans)
             cost = relaxed[:, lo % span:][:, :hi - lo]
             tight = cost[us] + weights[:, None] == cost[xs]
         length, nxt = _tight_bfs(tight, n, dests, us, xs, starts)
-        # an unreached group reads length -1 and is not filled, whatever
-        # its cost
         if uniform:
-            cost = by_hops[length]
+            table = _hop_keys(table, int(length.max()), by_hops, ids)
         elif integral:
+            # an unreached group is not filled, whatever its cost
             cost = np.where(np.isfinite(cost), cost, 0).astype(np.int64)
-        _fill_rows(est, ids, dests, -cost if widest else cost, length, nxt, uniform)
-    return est
+        elif widest:
+            cost = -cost
+        store._rules += _fill_rows(store, dests, cost, length, nxt, table)
+    return store
 
 
-def _fill_rows(est, ids, dests, cost, length, nxt, uniform) -> None:
-    """Add one block's rules to the rows of its destinations: every x with
-    L[x, d] > 0 gets the key (C[x, d], L[x, d], ids[next]).
-
-    The reached entries are taken destination-major, so each row is one
-    contiguous run, and the key tuples are built by `zip`.  Where every
-    weight is equal (`uniform`) the cost follows from the length, so equal
-    keys, which repeat along each tree, are built once per block, each from
-    the first entry of its code L * n + next, which is below n * n.
-    Otherwise every pair gets a key of its own."""
+def _hop_keys(table, top, by_hops, ids):
+    """The object table of equal-weight keys grown to hop count `top`: row
+    L > 0 holds the key (cost of L hops, L, ids[j]) at column j, built
+    once for the whole graph.  Row 0 and the last row hold None, so that a
+    group of length 0 or -1 (unreached) reads None."""
+    built = len(table) - 1  # rows 0 .. built - 1 hold keys or row 0's None
+    if top < built:
+        return table
     n = len(ids)
-    node = np.array(ids, dtype=object)  # index -> id
-    reached = length.T > 0  # (destinations x nodes)
-    srcs = node[np.nonzero(reached)[1]].tolist()
-    c, ln, j = cost.T[reached], length.T[reached], nxt.T[reached]
-    if uniform:
-        _, first, inverse = np.unique(ln * n + j, return_index=True, return_inverse=True)
-        c, ln, j = c[first], ln[first], j[first]
-    keys = list(zip(c.tolist(), ln.tolist(), node[j].tolist()))
-    if uniform:
-        keys = np.fromiter(keys, dtype=object, count=len(keys))[inverse].tolist()
-    end = np.cumsum(reached.sum(axis=1)).tolist()
-    start = 0
-    for d, stop in zip(node[dests].tolist(), end):
-        est[d].update(zip(srcs[start:stop], keys[start:stop]))
-        start = stop
+    grown = np.full((top + 2, n), None, dtype=object)
+    grown[:built] = table[:built]
+    for hops, cost in enumerate(by_hops[max(built, 1):top + 1].tolist(), max(built, 1)):
+        grown[hops] = np.fromiter(zip(repeat(cost, n), repeat(hops, n), ids), object, n)
+    return grown
+
+
+def _fill_rows(store, dests, cost, length, nxt, table) -> int:
+    """Build the rows of one block's destinations, each one list by slot:
+    every x with L[x, d] > 0 gets the key (C[x, d], L[x, d], ids[next]),
+    d itself its tautology and every other node None.  Returns the number
+    of rules.
+
+    With a key `table` (`_hop_keys`, where every weight is equal and the
+    cost follows from the length) the rows are read from it by (L, next)
+    in one indexing.  Otherwise the keys of the whole block are built by
+    `zip` in row order and sliced into rows, and the few unreached groups
+    are set to None after."""
+    strategy, ids = store.strategy, store.ids
+    n = len(ids)
+    if table is not None:
+        rows = table[length.T, nxt.T].tolist()
+    else:
+        node = np.array(ids, dtype=object)  # slot -> id
+        keys = list(zip(cost.T.ravel().tolist(), length.T.ravel().tolist(),
+                        node[nxt.T].ravel().tolist()))
+        rows = [keys[lo:lo + n] for lo in range(0, len(keys), n)]
+        for k, i in zip(*np.nonzero(length.T < 0)):
+            rows[k][i] = None
+    est = store._est
+    for i, row in zip(dests.tolist(), rows):
+        d = ids[i]
+        row[i] = _tautology_key(strategy, d)
+        est[d] = row
+    return int(np.count_nonzero(length > 0)) + len(dests)
 
 
 def _relaxed_costs(n, us, xs, weights, span):
@@ -546,20 +618,20 @@ def search(
     skip_nodes: frozenset[NodeId] = frozenset(),
     skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
     until: NodeId | None = None,
-) -> dict[NodeId, tuple]:
+) -> tuple[list, dict[NodeId, int]]:
     """Every node's rule toward `dst` on the graph without `skip_nodes` and
-    without the links `skip_links` (both directions, all parallel copies),
-    as the engine's key: node -> (signed cost, length, next).
+    without the links `skip_links` (both directions, all parallel copies):
+    the row of the engine's keys (signed cost, length, next) or None, and
+    the slot of each node, the graph's nodes in the order it holds them.
 
     `_repair` of an empty tree into a scratch store, over an adjacency
     filtered only next to a masked node and at the ends of a masked link.
     Under a built-in path cost it stops once `until` settles, whose rule
     and path are then in the tree.  A custom path cost that can improve a
-    path by extending it raises NonConvergenceError.  Returns the scratch
-    store's row.
+    path by extending it raises NonConvergenceError.
     """
     if dst not in graph.nodes or dst in skip_nodes:
-        return {}
+        return [], {}
     adj = graph.out_edges
     if skip_nodes or skip_links:
         cut = set(skip_links) | {(b, a) for a, b in skip_links}
@@ -577,8 +649,10 @@ def search(
             return graph.out_edges(u) if edges is None else edges
 
     store = RuleStore(strategy)
+    store.ids = list(graph.nodes)
+    store.slot = dict(zip(store.ids, count()))
     _repair(store, adj, dst, (), True, (), {}, EpochStats(), until)
-    return store._est[dst]
+    return store._est[dst], store.slot
 
 
 def _check_monotone(tree, adj, fp, neg):
@@ -606,14 +680,15 @@ def step_epoch(
     `store.last_stats`.
 
     If an event, the edge update, the repair or building the batch fails,
-    the graph and the store are left as they were (`epoch` and
-    `last_stats` included) and the error propagates.
+    the graph and the store are left as they were (`epoch`, `last_stats`,
+    the rule count and the slots included) and the error propagates.
     """
     strategy = store.strategy
     stats = EpochStats()
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
-    journal: dict[NodeId, tuple[dict | None, set]] = {}
+    slots = len(store.ids)
+    journal: dict[NodeId, tuple[list | None, set]] = {}
     applied: list[list[EdgeRecord]] = []
     try:
         net: dict[tuple[NodeId, NodeId, float], int] = {}
@@ -632,6 +707,9 @@ def step_epoch(
         # a node removed and re-added in the epoch is in neither set
         removed = nodes.keys() - graph.nodes.keys()
         born = graph.nodes.keys() - nodes.keys()
+        if _take_slots(store, born):
+            for d in list(store._est):
+                _row(store, d, journal)  # as long as the new slots
         t1 = perf_counter_ns()
         dropped = _invalidate(store, graph, removed, delta_g, journal)
         t2 = perf_counter_ns()
@@ -643,32 +721,41 @@ def step_epoch(
                     added, journal, stats)
         t3 = perf_counter_ns()
         neg = store._neg
+        ids = store.ids
+        nothing = [None] * len(ids)
         batch: RuleDeltaBatch = []
-        changed = 0
+        changed = rules = 0
         for d, (old_row, written) in journal.items():
-            old_row = old_row or {}
-            new_row = store._est.get(d, {})
-            for s in written:
-                old, new = old_row.get(s), new_row.get(s)
+            if old_row is None:
+                old_row = nothing
+            elif len(old_row) < len(ids):
+                old_row = old_row + nothing[len(old_row):]
+            new_row = store._est.get(d, nothing)
+            for i in written:
+                old, new = old_row[i], new_row[i]
                 if old == new:
                     continue
                 changed += 1
+                s = ids[i]
                 if old is not None:
+                    rules -= 1
                     cost = -old[0] if neg else old[0]
                     batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
                 if new is not None:
+                    rules += 1
                     cost = -new[0] if neg else new[0]
                     batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
         batch.sort()
         t4 = perf_counter_ns()
         stats.groups_changed = changed
+        stats.rules = store._rules + rules
         stats.groups_invalidated += sum(len(xs) for xs in dropped.values())
         stats.ingest_ns = t1 - t0
         stats.invalidate_ns = t2 - t1
         stats.recompute_ns = t3 - t2
         stats.diff_ns = t4 - t3
     except BaseException:
-        _restore(store, journal)
+        _restore(store, journal, slots)
         for done in reversed(applied):
             graph.undo_deltas(done)
         graph.nodes.clear()
@@ -676,6 +763,7 @@ def step_epoch(
         raise
     # committed only once the batch exists
     store.epoch += 1
+    store._rules = stats.rules
     store.last_stats = stats
     return batch
 
@@ -683,50 +771,62 @@ def step_epoch(
 # --- repair ------------------------------------------------------------------
 
 
-def _row(store, d, journal) -> tuple[dict, set]:
-    """The row of d to write, and the set of sources written to it this
+def _row(store, d, journal) -> tuple[list, set]:
+    """The row of d to write, and the set of slots written to it this
     epoch.  The first call for d in an epoch replaces the row with a copy
-    (a new row if d has none) and journals the old row object with that
-    set, so a row is never changed once its epoch ends."""
+    as long as the slots (a new row of None if d has none) and journals the
+    old row object with that set, so a row is never changed once its epoch
+    ends."""
     est = store._est
     entry = journal.get(d)
     if entry is None:
         old = est.get(d)
         entry = journal[d] = (old, set())
-        est[d] = {} if old is None else old.copy()
+        n = len(store.ids)
+        if old is None:
+            est[d] = [None] * n
+        else:
+            row = est[d] = old.copy()
+            row += repeat(None, n - len(row))
     return est[d], entry[1]
 
 
-def _restore(store, journal) -> None:
-    """Put back every journaled row, and drop the rows the epoch made."""
+def _restore(store, journal, slots) -> None:
+    """Put back every journaled row, drop the rows the epoch made, and
+    take back the slots past the first `slots`."""
     est = store._est
     for d, (old, _written) in journal.items():
         if old is None:
             est.pop(d, None)
         else:
             est[d] = old
+    for v in store.ids[slots:]:
+        del store.slot[v]
+    del store.ids[slots:]
 
 
 def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
     """Phase 1: retire the groups of the removed nodes and of the nodes
     toward them, then, per destination, drop the rules that lost their
     cost over a retracted edge.  Returns destination -> nodes dropped."""
-    est = store._est
+    est, slot = store._est, store.slot
     for n in removed:
+        i = slot[n]
         if n in est:
             row, written = _row(store, n, journal)
-            written.update(row)
+            written.update(compress(count(), row))
             del est[n]
         for d in list(est):
-            if n in est[d]:
+            if est[d][i] is not None:
                 row, written = _row(store, d, journal)
-                del row[n]
-                written.add(n)
+                row[i] = None
+                written.add(i)
     roots: dict[NodeId, list] = {}
     for (y, x, _w), delta in delta_g:
         if delta < 0 and x in graph.nodes:
+            i = slot[x]
             for d, row in est.items():
-                key = row.get(x)
+                key = row[i]
                 if key is not None and key[2] == y:
                     roots.setdefault(d, []).append((key, x))
     adj = graph.out_edges
@@ -743,6 +843,7 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
     path, so a node's tight neighbours are decided before it (Ramalingam
     and Reps, J. Algorithms 1996)."""
     row, written = _row(store, d, journal)
+    slot = store.slot
     strategy = store.strategy
     neg = store._neg
     fp = strategy.path_cost
@@ -757,21 +858,22 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
         length = key[1] - 1
         nxt = x if x == d and _tautology_key(strategy, x)[:2] == key[:2] else None
         for y, w in adj(x):
-            ky = row.get(y)
+            ky = row[slot[y]]
             if ky is None or ky[1] != length or (nxt is not None and y >= nxt):
                 continue
             c = fp(w, -ky[0] if neg else ky[0])
             if (-c if neg else c) == key[0]:
                 nxt = y
-        written.add(x)
+        i = slot[x]
+        written.add(i)
         if nxt is not None:
             if nxt != key[2]:
-                row[x] = (key[0], key[1], nxt)
+                row[i] = (key[0], key[1], nxt)
             continue
-        del row[x]
+        row[i] = None
         dropped.append(x)
         for z, _w in adj(x):
-            kz = row.get(z)
+            kz = row[slot[z]]
             if kz is not None and kz[2] == x:
                 heapq.heappush(suspects, (kz, z))
     return dropped
@@ -783,12 +885,13 @@ def _best_offer(store, row, adj, x, d) -> tuple:
     by one hop.  Returns (key, neighbour, neighbour's key); the neighbour
     is None for the tautology, and all three are None when x has no
     offer."""
+    slot = store.slot
     neg = store._neg
     fp = store.strategy.path_cost
     top = _tautology_key(store.strategy, x) if x == d else None
     via = vkey = None
     for y, w in adj(x):
-        ky = row.get(y)
+        ky = row[slot[y]]
         if ky is None:
             continue
         c = fp(w, -ky[0] if neg else ky[0])
@@ -812,7 +915,9 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     phase 1's decision (`_drop_affected`), and every node dropped there is
     reseeded.
     """
-    row = store._est.get(d, {})  # read only until the heap has work
+    slot = store.slot
+    # read only until the heap has work
+    row = store._est.get(d) or [None] * len(store.ids)
     neg = store._neg
     kind = store._fp_kind
     fp = store.strategy.path_cost
@@ -831,7 +936,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
 
     def seed(x):
         top, via, vkey = _best_offer(store, row, adj, x, d)
-        own = row.get(x)
+        own = row[slot[x]]
         if top is not None and (own is None or top < own):
             offer(x, top, via, vkey)
 
@@ -840,11 +945,11 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     for x in dropped:
         seed(x)
     for y, x, w in added:
-        ky = row.get(y)
+        ky = row[slot[y]]
         if ky is not None:
             c = fp(w, -ky[0] if neg else ky[0])
             cand = (-c if neg else c, ky[1] + 1, y)
-            kx = row.get(x)
+            kx = row[slot[x]]
             if kx is None or cand < kx:
                 offer(x, cand, y, ky)
     if not heap:
@@ -859,16 +964,17 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             continue
         if best.get(x) == key:
             del best[x]
-        if via is not None and row.get(via) != vkey:
+        if via is not None and row[slot[via]] != vkey:
             stale += 1
             seed(x)
             continue
-        old = row.get(x)
+        i = slot[x]
+        old = row[i]
         if old is not None and old <= key:
             continue
         settled.add(x)
-        written.add(x)
-        row[x] = key
+        written.add(i)
+        row[i] = key
         if x == until:
             break
         cost = -key[0] if neg else key[0]
@@ -883,7 +989,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             else:
                 c = fp(w, cost)
             cand = (-c if neg else c, length, x)
-            kz = row.get(z)
+            kz = row[slot[z]]
             if kz is None or cand < kz:
                 b = best.get(z)
                 if b is None or cand < b:
@@ -898,7 +1004,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     stats.heap_pops += pops
     stats.stale_pops += stale
     if kind is None:
-        _check_monotone({u: row[u] for u in settled}, adj, fp, neg)
+        _check_monotone({u: row[slot[u]] for u in settled}, adj, fp, neg)
 
 
 # --- serialization -----------------------------------------------------------

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from deltapath import oracle
+from deltapath import oracle, routing_core
 from deltapath.graph_model import (
     AddLink,
     GraphStore,
@@ -76,6 +77,21 @@ def random_connected_topology(rng: random.Random, n: int, avg_degree: float = No
         if a != b and (min(a, b), max(a, b)) not in pairs:
             add_edge(a, b)
     return topo
+
+
+def rules_by_id(store) -> dict:
+    """A store's rules as {dst: {src: key}}, read through its slots: two
+    stores whose slots differ (nodes born in another order, a removed
+    node's slot still held) compare by node id."""
+    ids = store.ids
+    return {d: dict(zip(compress(ids, row), filter(None, row)))
+            for d, row in store._est.items()}
+
+
+def search_tree(*args, **kwargs) -> dict:
+    """`routing_core.search`'s rules as {node: key}."""
+    row, slot = routing_core.search(*args, **kwargs)
+    return dict(zip(compress(slot, row), filter(None, row)))
 
 
 @st.composite

@@ -11,17 +11,20 @@ node count (the horizon), which also bounds the rounds.
 
 It works on the same `RuleStore` and `GraphStore` as the engine, without
 the engine's inlined arithmetic, so tests can compare the two batch for
-batch.  Like the engine, it copies a row before its first write in an
-epoch, so a row is never changed once its epoch ends, and it drops a
-row that loses its last rule.  `solve_rounds` runs the same rounds from
-an empty store over any graph.  Like the engine, it applies each event
-to the graph before ingesting the next.  It is not atomic: a failing
-event leaves the state half-changed.  `candidates` builds the whole join
-that the rounds fold, for tests that count or inspect a group's
-candidates.
+batch.  Like the engine, it gives each born node the next slot, makes
+every row as long as the slots when an epoch takes one, copies a row
+before its first write in an epoch, so a row is never changed once its
+epoch ends, and it drops a row that loses its last rule.
+`solve_rounds` runs the same rounds from an empty store over any graph.
+Like the engine, it applies each event to the graph before ingesting
+the next.  It is not atomic: a failing event leaves the state
+half-changed.  `candidates` builds the whole join that the rounds fold,
+for tests that count or inspect a group's candidates.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from deltapath import routing_core as rc
 from deltapath.errors import NonConvergenceError
@@ -39,10 +42,14 @@ def step_rounds(store, graph, events):
                 net[edge] = net.get(edge, 0) + delta
         if isinstance(ev, (AddNode, RemoveNode)):
             touched.add(ev.id)
+    if rc._take_slots(store, graph.nodes):
+        pad = len(store.ids)
+        for d, row in store._est.items():
+            store._est[d] = row + [None] * (pad - len(row))
     horizon = len(graph.nodes)
     rows: dict = {}  # this epoch's index of the established rules by src
     for d, row in store._est.items():
-        for s, key in row.items():
+        for s, key in zip(compress(store.ids, row), filter(None, row)):
             rows.setdefault(s, {})[d] = key
 
     # group -> [best offered key or None, neighbours whose rule is gone]
@@ -61,11 +68,12 @@ def step_rounds(store, graph, events):
 
     journal = _settle(store, graph, pending)
     store.epoch += 1
+    store._rules = _count(store)
 
     neg = strategy.maximize
     batch = []
     for (s, d), old in journal.items():
-        new = store._est.get(d, {}).get(s)
+        new = _rule(store, s, d)
         for key, delta in ((old, -1), (new, 1)):
             if key is not None and old != new:
                 cost = -key[0] if neg else key[0]
@@ -78,11 +86,17 @@ def solve_rounds(graph, strategy):
     """The fixpoint of `graph` as the rounds reach it from an empty store,
     every node's tautology offered in the first round."""
     store = rc.RuleStore(strategy)
+    rc._take_slots(store, graph.nodes)
     pending = {
         (n, n): [rc._tautology_key(strategy, n), set()] for n in graph.nodes
     }
     _settle(store, graph, pending)
+    store._rules = _count(store)
     return store
+
+
+def _count(store):
+    return sum(len(row) - row.count(None) for row in store._est.values())
 
 
 def _settle(store, graph, pending):
@@ -116,13 +130,19 @@ def candidates(store, graph):
     horizon = len(graph.nodes)
     out = {(n, n): {rc._tautology_key(store.strategy, n): 1} for n in graph.nodes}
     for d, row in store._est.items():
-        for s, key in row.items():
+        for s, key in zip(compress(store.ids, row), filter(None, row)):
             for (x, w), mult in graph.out_edges(s).items():
                 derived = _extend(store, horizon, key, s, w)
                 if derived is not None:
                     group = out.setdefault((x, d), {})
                     group[derived] = group.get(derived, 0) + mult
     return out
+
+
+def _rule(store, s, d):
+    """The key of (s, d), or None."""
+    row = store._est.get(d)
+    return None if row is None else row[store.slot[s]]
 
 
 def _extend(store, horizon, key, via, w):
@@ -152,7 +172,7 @@ def _fold(store, graph, horizon, pending, journal, owned):
     changes = []
     for group, (offer, gone) in pending.items():
         s, d = group
-        old = est.get(d, {}).get(s)
+        old = _rule(store, s, d)
         if old is not None and old[2] in gone:
             best = _reselect(store, graph, horizon, group)
         elif offer is not None and (old is None or offer < old):
@@ -164,13 +184,12 @@ def _fold(store, graph, horizon, pending, journal, owned):
         journal.setdefault(group, old)
         if d not in owned:
             owned.add(d)
-            est[d] = dict(est.get(d, {}))
-        if best is None:
-            del est[d][s]
-            if not est[d]:
-                del est[d]
-        else:
-            est.setdefault(d, {})[s] = best
+            est[d] = list(est.get(d) or [None] * len(store.ids))
+        # a row dropped earlier in the epoch comes back empty
+        row = est.setdefault(d, [None] * len(store.ids))
+        row[store.slot[s]] = best
+        if not any(row):
+            del est[d]
         changes.append((group, old, best))
     return changes
 
@@ -181,7 +200,7 @@ def _reselect(store, graph, horizon, group):
     if x == d and x in graph.nodes:
         best = rc._tautology_key(store.strategy, x)
     for y, w in graph.out_edges(x):
-        cand = _extend(store, horizon, store._est.get(d, {}).get(y), y, w)
+        cand = _extend(store, horizon, _rule(store, y, d), y, w)
         if cand is not None and (best is None or cand < best):
             best = cand
     return best

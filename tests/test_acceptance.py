@@ -32,12 +32,17 @@ from deltapath.policy_engine import PolicyEngine, parse_policy
 from deltapath.routing_core import (
     ForwardingRule,
     initialize,
-    search,
     step_epoch,
 )
 from deltapath.strategy import builtin
 
-from conftest import affected_pairs, props, random_connected_topology, random_events
+from conftest import (
+    affected_pairs,
+    props,
+    random_connected_topology,
+    random_events,
+    search_tree,
+)
 
 SD = builtin("sd_utilization")
 HOP = builtin("hop_count")
@@ -392,7 +397,7 @@ def test_c07_not_constraints_match_the_oracle(k8_uniform):
         view = {
             (x, d): ForwardingRule(x, d, key[2], key[0], key[1])
             for d in pruned.nodes
-            for x, key in search(graph, SD, d, frozenset(excluded)).items()
+            for x, key in search_tree(graph, SD, d, frozenset(excluded)).items()
         }
         assert oracle.compare_view(want, view) == []
         checked += 1

@@ -125,7 +125,8 @@ class TestRun:
     ):
         def corrupting_step(store, graph, events):
             batch = step_epoch(store, graph, events)
-            store._est[2] = {**store._est[2], 0: (99.0, 1, 2)}  # a new row
+            store._est[2] = list(store._est[2])  # a new row
+            store._est[2][store.slot[0]] = (99.0, 1, 2)
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", corrupting_step)
@@ -352,7 +353,8 @@ class TestBench:
             if isinstance(events[0], AddLink):
                 # a new row, as an epoch writes one: the bench's snapshot
                 # shares the rows the epoch left alone
-                store._est[2] = {**store._est[2], 0: (99.0, 1, 2)}
+                store._est[2] = list(store._est[2])
+                store._est[2][store.slot[0]] = (99.0, 1, 2)
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", leaky_step)
@@ -502,10 +504,11 @@ class TestCheckAndStats:
             f.name[:-3] + "_ms" if f.name.endswith("_ns") else f.name
             for f in fields(EpochStats)
         ]
-        assert len(names) == 9
+        assert len(names) == 10
         for line in lines:
             assert [kv.split("=")[0] for kv in line.split(" stats: ")[1].split()] == names
         assert "groups_changed=4" in lines[0]
+        assert "rules=9" in lines[0] and "rules=9" in lines[1]
 
 
 def test_broken_pipe_exits_quietly(tmp_path, triangle_file, monkeypatch):

@@ -745,16 +745,18 @@ def test_compare_view_chunks_of_an_established_view(monkeypatch):
     g = build_graph(gen_fattree(4), HOP.link_cost)
     store = initialize(g, HOP)
     r = oracle.solve(g, HOP)
-    rows = store._est
+    rows, slot = store._est, store.slot
     (d0, s0), (d1, s1), (d2, _s2), (d3, s3) = (
-        (d, next(x for x in rows[d] if x != d)) for d in list(rows)[:4]
+        (d, next(x for x in store.ids if x != d)) for d in list(rows)[:4]
     )
-    cost, length, nxt = rows[d0][s0]
-    rows[d0][s0] = (cost + 1, length, nxt)
-    cost1, length1, nxt1 = rows[d1][s1]
-    rows[d1][s1] = (None, length1, nxt1)
-    rows[d2][99] = (1, 1, d2)
-    del rows[d3][s3]
+    cost, length, nxt = rows[d0][slot[s0]]
+    rows[d0][slot[s0]] = (cost + 1, length, nxt)
+    cost1, length1, nxt1 = rows[d1][slot[s1]]
+    rows[d1][slot[s1]] = (None, length1, nxt1)
+    slot[99] = len(store.ids)  # a slot for a node the graph lacks
+    store.ids.append(99)
+    rows[d2].append((1, 1, d2))
+    rows[d3][slot[s3]] = None
     view = store.established_rules()
     tail = [
         (99, d2, "engine reaches an oracle-unreachable pair"),
@@ -765,7 +767,7 @@ def test_compare_view_chunks_of_an_established_view(monkeypatch):
         (s1, d1, f"cost None vs oracle {float(cost1)}"),
         *tail,
     ]
-    rows[d1][s1] = (Decimal(cost1), length1, nxt1)
+    rows[d1][slot[s1]] = (Decimal(cost1), length1, nxt1)
     assert same_in_every_chunking(monkeypatch, r, view, rtol=1e-9, witness_next=True) == [
         (s0, d0, f"cost {cost + 1} vs oracle {float(cost)}"),
         *tail,

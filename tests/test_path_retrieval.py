@@ -42,13 +42,13 @@ class TestRetrieve:
     def test_corrupted_view_is_detected(self, triangle_graph):
         # two rules pointing at each other can only come from corruption
         store = initialize(triangle_graph, SD)
-        store._est[9] = {0: (1.0, 1, 1), 1: (1.0, 1, 0)}
+        store._est[9] = [(1.0, 1, 1), (1.0, 1, 0), None]  # by slot: nodes 0, 1, 2
         with pytest.raises(CycleDetectedError):
             pr.retrieve(store.established_rules(), 0, 9)
 
     def test_missing_suffix_is_unreachable(self, triangle_graph):
         store = initialize(triangle_graph, SD)
-        store._est[9] = {0: (1.0, 1, 1)}
+        store._est[9] = [(1.0, 1, 1), None, None]
         with pytest.raises(UnreachableError, match=r"\(1, 9\)"):
             pr.retrieve(store.established_rules(), 0, 9)
 

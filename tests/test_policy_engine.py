@@ -12,12 +12,13 @@ from deltapath.errors import (
 )
 from deltapath.graph_model import RemoveLink, RemoveNode, build_graph
 from deltapath.path_retrieval import path_links, retrieve
-from deltapath.routing_core import initialize, search, step_epoch
+from deltapath.routing_core import initialize, step_epoch
 from deltapath.strategy import builtin
 
 from conftest import (
     random_connected_topology,
     random_events,
+    search_tree,
     triangle,
     utilization_topology,
 )
@@ -254,7 +255,7 @@ class TestNotConstraints:
             step_epoch(rules, g, [ev])
             # the tree toward 9 equals a fresh solve of (graph minus node 5)
             want = oracle.apsp_additive(without_nodes(g, {5}), SD)
-            assert search(g, SD, 9, frozenset({5})) == oracle_tree(want, 9)
+            assert search_tree(g, SD, 9, frozenset({5})) == oracle_tree(want, 9)
 
     def test_link_inside_excluded_star_leaves_result_unchanged(self):
         topo = utilization_topology(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 2, 4)])
