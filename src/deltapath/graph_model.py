@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, KeysView, NamedTuple, Union
 
 from .errors import (
     AmbiguousLinkError,
@@ -157,6 +157,12 @@ class GraphStore:
         adj = self._adj
         for src, dst, w in self._props:
             yield (src, dst, w), adj[src][(dst, w)]
+
+    def links(self) -> KeysView[tuple[NodeId, NodeId, float]]:
+        """Each stored link once, as its key (src, dst, w) with `src < dst`,
+        in `link_items` order: a view, so `zip(*graph.links())` reads the
+        links with no Python step per link."""
+        return self._props.keys()
 
     def multiplicity(self, src: NodeId, dst: NodeId, w: float) -> int:
         return self._adj.get(src, {}).get((dst, w), 0)

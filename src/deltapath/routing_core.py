@@ -30,37 +30,42 @@ IEEE/ACM ToN 2002) and an epoch's emitted batch, a diff of two fixpoints,
 does not depend on how the fixpoint was reached.
 
 Under every built-in path cost the first fixpoint is solved for every
-destination at once (`_all_fixpoint`).  One step depends on the strategy:
-the matrix of every group's cost, with the test for an edge to be tight
-for it (to carry a best path).  Additive costs over unequal weights, int
-or float, take the matrix from Bellman's relaxation, swept in numpy for
-a block of destinations together, and shortest_widest takes its widths
-from Kruskal's maximum spanning forest (Hu, Operations Research 1961).
-A BFS over the tight edges, run for a block of destinations together,
-gives each group's length, and one minimum over
-each node's edges its next: the smallest tight neighbour one hop closer.
-An additive cost whose weights are all equal (hop_count's are all 1)
-needs neither matrix nor test: a group's cost follows from its length,
-and the BFS runs over every edge.  Each block's rows are built as lists
-from these arrays without a Python loop per pair; under equal weights
-every key is read from one table by (hop count, next), so each key is
-built once for the whole graph.  A custom path cost, and
-the few inputs that solve would key differently, repair each
-destination's tree from empty (phase 2 below): a best-first search that
-pops nodes from a heap in key order, each group once, with the minimum
-of its neighbours' keys extended by one hop, the fixpoint equation.
-`search` runs that repair over a masked adjacency for NOT and backup
-policies, and stops once the policy's source settles.
+destination at once (`_all_fixpoint`), over one layout of the graph: the
+links are read into arrays once, the lightest or widest of parallel
+links is kept, and the directed edges are sorted by (degree of x, x, u),
+so that the nodes of each degree form a class, a dense (nodes x degree)
+table of their neighbours (`_layout`).  Each set-up kernel makes one
+reduction along the degree axis per class.  One step depends on the
+strategy: the matrix of every group's cost, with the test for an edge to
+be tight for it (to carry a best path).  Additive costs over unequal
+weights, int or float, take the matrix from Bellman's relaxation, swept
+in numpy for a block of destinations together, and shortest_widest takes
+its widths from Kruskal's maximum spanning forest (Hu, Operations
+Research 1961).  A BFS over the tight edges, run for a block of
+destinations together as bits, 64 destinations to a word, gives each
+group's length, and one minimum over each node's edges its next: the
+smallest tight neighbour one hop closer.  An additive cost whose weights
+are all equal (hop_count's are all 1) needs neither matrix nor test: a
+group's cost follows from its length, and the BFS runs over every edge.
+Each block's rows are built as lists from these arrays without a Python
+loop per pair; under equal weights every key is read from one table by
+(hop count, next), so each key is built once for the whole graph.  A
+custom path cost, and the few inputs that solve would key differently,
+repair each destination's tree from empty (phase 2 below): a best-first
+search that pops nodes from a heap in key order, each group once, with
+the minimum of its neighbours' keys extended by one hop, the fixpoint
+equation.  `search` runs that repair over a masked adjacency for NOT and
+backup policies, and stops once the policy's source settles.
 
 The oracle and set-up both relax additive costs by Bellman's sweeps, but
 share no code: the oracle sweeps an edge list toward each block of
-targets, set-up a padded table of each node's neighbours
-(`_relaxed_costs`).  Both make the addition w + C[u, d] that the repair
-makes, so the oracle checks every cost exactly, fractional ones
-included.  Independent of both stay the repair from empty of a custom
-path cost that `path_cost_kind` does not know (the heap-search
-differentials, int weights other than 1 included), the golden digests,
-the rounds reference, and every repaired epoch after set-up.
+targets, set-up the degree classes of its layout (`_relaxed_costs`).
+Both make the addition w + C[u, d] that the repair makes, so the oracle
+checks every cost exactly, fractional ones included.  Independent of
+both stay the repair from empty of a custom path cost that
+`path_cost_kind` does not know (the heap-search differentials, int
+weights other than 1 included), the golden digests, the rounds
+reference, and every repaired epoch after set-up.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -257,12 +262,12 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     (`_all_fixpoint`); a custom path cost, and the few inputs that solve
     would key differently, repair each destination's tree from empty
     (`_repair`).  Both give the same keys, float for float and int for
-    int, and the same slots, in sorted id order.
+    int, and the same slots, in sorted id order.  Raises
+    InvalidWeightError naming the first weight, in `link_items` order,
+    outside the strategy's domain.
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
-    for (_s, _d, w), _m in topology.link_items():
-        strategy.validate_weight(w)
     store = _all_fixpoint(topology, strategy)
     if store is None:
         store = RuleStore(strategy)
@@ -287,16 +292,54 @@ def _take_slots(store: RuleStore, nodes) -> bool:
     return bool(new)
 
 
-# destinations solved together, so that the (edges x destinations)
-# arrays stay near this many elements whatever the graph's size; a block
-# holds a multiple of eight destinations, the BFS's word (`_tight_bfs`)
+# set-up's (edges x destinations) temporaries stay near this many
+# elements whatever the graph's size: a block of destinations solved
+# together is as many of the BFS's 64-destination words as fit, and at
+# least one; where one word is already too wide, a kernel takes each
+# degree class in runs of rows that fit (`_layout`)
 _BLOCK_ELEMENTS = 1 << 18
 
-# at least this many destinations relax together (`_relaxed_costs`): a
-# sweep makes a few numpy calls per neighbour slot however many
-# destinations share them, and a temporary holds only (nodes x
-# destinations); on fat-tree k=32, 64 beat both 32 and 128
-_RELAX_COLUMNS = 64
+
+class _Layout(NamedTuple):
+    """The directed edges (u, x, w) of the links that count, sorted by
+    (degree of x, x, u).  `nodes` holds the nodes with edges in that
+    order, and `near` each edge's u as its place in `nodes`.  The nodes of
+    one degree k are a class: their edges form a dense (nodes x k) table,
+    row i holding the k neighbours of the class's i-th node.  `runs`
+    gives each class as `(rows, edges, k)`, slices of `nodes` and of the
+    edges, cut into runs of whole rows where a class's (edges x
+    destinations) array would pass `_BLOCK_ELEMENTS`, so that a kernel
+    makes one reduction along the degree axis per class, or per run of a
+    large one."""
+
+    nodes: np.ndarray
+    us: np.ndarray
+    ws: np.ndarray
+    near: np.ndarray
+    runs: list
+
+
+def _layout(n, a, b, weight, width) -> _Layout:
+    """The layout of the links (a, b, weight) between slots, each taken
+    both ways, for blocks of `width` destinations."""
+    xs, us, ws = np.r_[a, b], np.r_[b, a], np.r_[weight, weight]
+    degree = np.bincount(xs, minlength=n)
+    order = np.lexsort((us, xs, degree[xs]))
+    us, ws = us[order], ws[order]
+    nodes = np.argsort(degree, kind="stable")[n - np.count_nonzero(degree):]
+    place = np.empty(n, dtype=np.intp)
+    place[nodes] = np.arange(len(nodes))
+    # the first edge of each of `nodes`, and one past the last
+    offset = np.r_[0, np.cumsum(degree[nodes])].tolist()
+    runs = []
+    end = 0
+    for k, count in zip(*map(np.ndarray.tolist, np.unique(degree[nodes], return_counts=True))):
+        step = max(1, _BLOCK_ELEMENTS // (k * width))
+        for lo in range(end, end + count, step):
+            hi = min(lo + step, end + count)
+            runs.append((slice(lo, hi), slice(offset[lo], offset[hi]), k))
+        end += count
+    return _Layout(nodes, us, ws, place[us], runs)
 
 
 def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
@@ -304,11 +347,17 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
     destinations at once over slots in sorted id order, or None where the
     repair from empty must decide.
 
-    An edge (u, x, w) lets x route through u; of parallel edges the one
-    that counts is the lightest under "sum" and the widest under "min".
-    Per strategy there is one step: a matrix C of each node's best cost
-    toward each destination, and the test for an edge to be tight, that is
-    to carry a best path (C[x, d] is what u's cost extended by w gives).
+    The links are read once, as arrays.  Every weight is first checked
+    against the strategy's domain, whatever the path cost: the first one
+    outside it, in `link_items` order, raises InvalidWeightError.  An edge
+    (u, x, w) lets x route through u; of parallel links the one that
+    counts is the lightest under "sum" and the widest under "min", picked
+    by one `lexsort`.  The edges that count are laid out by the degree of
+    x (`_layout`), so that each set-up kernel makes one reduction along
+    the degree axis per class.  Per strategy there is one step: a matrix C
+    of each node's best cost toward each destination, and the test for an
+    edge to be tight, that is to carry a best path (C[x, d] is what u's
+    cost extended by w gives).
 
     - "sum" with every weight equal to w: a path's cost depends only on
       its hop count, so the BFS runs over every edge, with no test, and C
@@ -325,7 +374,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
       C comes back as int.
     - "min": the widest width between two nodes is the smallest weight on
       their path in a maximum spanning tree (Hu, "The maximum capacity
-      route problem", Operations Research 1961), so Kruskal over the edges
+      route problem", Operations Research 1961), so Kruskal over the links
       in descending width fills C (`_widest_widths`).  Tight:
       min(w, C[u, d]) == C[x, d].  Keys hold -C, and a width of 0 is keyed
       -0.0, as the repair keys it.
@@ -345,8 +394,16 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
     all int or whose total (each link counted both ways) is 2**53 or more;
     under "min" a tautology cost other than the float inf,
     a weight that is not a float (the repair keeps an int width int) or
-    has its sign bit set.
+    has its sign bit set.  Only the links that count are looked at.
     """
+    links = topology.links()
+    m = len(links)
+    ends_a, ends_b, given = zip(*links) if m else ((), (), ())
+    given = np.fromiter(given, object, m)
+    with np.errstate(invalid="ignore"):  # a nan is outside every domain
+        outside = ~strategy.weight_domain.contains(given)
+    if outside.any():
+        strategy.validate_weight(given[outside.argmax()])
     kind = path_cost_kind(strategy)
     widest = kind == "min"
     taut = strategy.tautology_cost
@@ -358,26 +415,6 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
     ids = sorted(topology.nodes)
     index = {v: i for i, v in enumerate(ids)}
     n = len(ids)
-    best: dict[int, float] = {}  # x * n + u -> the weight that counts
-    for (u, x, w), _m in topology.link_items():
-        iu, ix = index[u], index[x]
-        old = best.get(ix * n + iu)
-        if old is None or (w > old if widest else w < old):
-            best[ix * n + iu] = best[iu * n + ix] = w
-    m = len(best)
-    weights = np.fromiter(best.values(), float, m)
-    if widest:
-        refused = not all(type(w) is float for w in best.values()) or np.signbit(weights).any()
-    else:
-        refused = (
-            not np.isfinite(weights.sum() * 2)
-            or (weights < 0).any()
-            or integral and not (
-                all(type(w) is int for w in best.values()) and sum(best.values()) < 2**53
-            )
-        )
-    if refused:
-        return None
     store = RuleStore(strategy)
     store.ids, store.slot = ids, index
     if not m:
@@ -386,42 +423,50 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
             row[i] = _tautology_key(strategy, d)
         store._rules = n
         return store
-    # edges sorted by x: each x's edges are one run
-    code = np.fromiter(best, np.intp, m)
-    order = np.argsort(code)
-    (xs, us), weights = np.divmod(code[order], n), weights[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    uniform = not widest and (weights == weights[0]).all()
-    blocks = -(-n * m // _BLOCK_ELEMENTS)
-    size = 8 * -(-n // (8 * blocks))
+    a = np.fromiter(map(index.__getitem__, ends_a), np.intp, m)
+    b = np.fromiter(map(index.__getitem__, ends_b), np.intp, m)
+    weight = given.astype(float)
+    # by ends, then the lightest ("sum") or widest ("min") first
+    order = np.lexsort((-weight if widest else weight, b, a))
+    a, b = a[order], b[order]
+    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+    order = order[first]
+    a, b, weight, given = a[first], b[first], weight[order], given[order]
+    if widest:
+        refused = set(map(type, given)) != {float} or np.signbit(weight).any()
+    else:
+        refused = (
+            # twice the weights' total with each link counted both ways
+            not np.isfinite(4 * weight.sum())
+            or (weight < 0).any()
+            or integral and not (set(map(type, given)) == {int} and 2 * sum(given) < 2**53)
+        )
+    if refused:
+        return None
+    size = 64 * max(1, _BLOCK_ELEMENTS // (64 * 2 * len(a)))
+    edges = _layout(n, a, b, weight, size)
+    uniform = not widest and (weight == weight[0]).all()
     table = None
     if widest:
-        width = _widest_widths(n, us, xs, weights)
+        width = _widest_widths(n, a, b, weight)
     elif uniform:
         # the cost of L hops, folded hop by hop as the repair adds w + c
-        by_hops = np.full(n, weights[0], dtype=np.int64 if integral else float)
+        by_hops = np.full(n, weight[0], dtype=np.int64 if integral else float)
         by_hops[0] = 0
         np.add.accumulate(by_hops, out=by_hops)
         table = np.full((1, n), None, dtype=object)
-    else:
-        # the relaxation's own blocks: a whole number of the BFS's blocks
-        span = size * -(-_RELAX_COLUMNS // size)
-        spans = _relaxed_costs(n, us, xs, weights, span)
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         dests = np.arange(lo, hi)
         # (nodes x destinations); the width matrix is symmetric
         if widest:
             cost = width[:, lo:hi]
-            tight = np.minimum(weights[:, None], cost[us]) == cost[xs]
         elif uniform:
-            tight = cost = None
+            cost = None
         else:
-            if lo % span == 0:
-                relaxed = next(spans)
-            cost = relaxed[:, lo % span:][:, :hi - lo]
-            tight = cost[us] + weights[:, None] == cost[xs]
-        length, nxt = _tight_bfs(tight, n, dests, us, xs, starts)
+            cost = _relaxed_costs(n, edges, dests)
+        tight = None if uniform else _tight(cost, edges, widest)
+        length, nxt = _tight_bfs(tight, n, dests, edges)
         if uniform:
             table = _hop_keys(table, int(length.max()), by_hops, ids)
         elif integral:
@@ -479,55 +524,61 @@ def _fill_rows(store, dests, cost, length, nxt, table) -> int:
     return int(np.count_nonzero(length > 0)) + len(dests)
 
 
-def _relaxed_costs(n, us, xs, weights, span):
-    """Yield the least costs toward destinations [0, span), [span, 2 *
-    span), ... in turn, each as an (n x destinations) float array, +inf
-    where unreached, by Bellman's relaxation ("On a routing problem",
-    Quarterly of Applied Mathematics 1958).
+def _relaxed_costs(n, edges, dests):
+    """The least costs toward `dests`, as an (n x destinations) float
+    array, +inf where unreached, by Bellman's relaxation ("On a routing
+    problem", Quarterly of Applied Mathematics 1958).
 
     Each sweep sets C[x, d] = min(C[x, d], min over x's edges (u, x, w) of
-    w + C[u, d]) for the nodes with a neighbour whose cost fell in the
-    sweep before, and the loop ends when a sweep changes nothing.  Every
-    cost is thus formed by the repair's addition w + C[u, d]: the same
-    floats.
-
-    Each node's neighbours and weights are one row of a table padded to
-    the most neighbours with the node n, whose cost stays +inf.  The rows
-    go in descending degree, so the rows with more than s neighbours are a
-    prefix, and a sweep takes its rows' s-th neighbours for one slot s at
-    a time: each temporary is (rows x destinations)."""
-    degree = np.bincount(xs, minlength=n)
-    # the edges run by x: an edge's slot is its place in x's run
-    slot = np.arange(len(xs)) - np.searchsorted(xs, xs)
-    nbr = np.full((n, degree.max()), n, dtype=np.intp)
-    nbr[xs, slot] = us
-    wt = np.zeros(nbr.shape)
-    wt[xs, slot] = weights
-    node = np.argsort(-degree, kind="stable")  # row -> node
-    nbr, wt, degree = nbr[node], wt[node], degree[node]
-    for lo in range(0, n, span):
-        dests = np.arange(lo, min(lo + span, n))
-        cost = np.full((n + 1, len(dests)), np.inf)
-        cost[dests, np.arange(len(dests))] = 0
-        fell = np.zeros(n + 1, dtype=bool)
-        fell[dests] = True
-        while (rows := np.flatnonzero(fell[nbr].any(axis=1))).size:
-            at = node[rows]
+    w + C[u, d]) for the nodes with a neighbour whose cost fell since they
+    were last swept, and the loop ends when a sweep changes nothing.  A
+    sweep takes the layout's classes in turn, each in one gather of the
+    neighbours' costs, (nodes x degree x destinations), and one minimum
+    along the degree axis.  Every cost is thus formed by the
+    repair's addition w + C[u, d], and the fixpoint, the largest below the
+    start, does not depend on the order of the sweep: the same floats."""
+    k = len(dests)
+    cost = np.full((n, k), np.inf)
+    cost[dests, np.arange(k)] = 0
+    fell = np.zeros(n, dtype=bool)
+    fell[dests] = True
+    while fell.any():
+        swept, fell = fell, np.zeros(n, dtype=bool)
+        for rows, run, degree in edges.runs:
+            near = edges.us[run].reshape(-1, degree)
+            live = swept[near].any(axis=1)
+            if not live.any():
+                continue
+            at, near = edges.nodes[rows][live], near[live]
+            offer = np.take(cost, near, axis=0)
+            offer += edges.ws[run].reshape(-1, degree, 1)[live]
+            new = offer.min(axis=1)
             old = cost[at]
-            new = old.copy()
-            offer = np.empty_like(old)
-            near, w = nbr[rows], wt[rows]
-            # how many rows have more than s neighbours, for each slot s
-            ends = np.searchsorted(-degree[rows], -np.arange(degree[rows[0]]))
-            for s, p in enumerate(ends.tolist()):
-                np.take(cost, near[:p, s], axis=0, out=offer[:p])
-                offer[:p] += w[:p, s, None]
-                np.minimum(new[:p], offer[:p], out=new[:p])
             down = (new < old).any(axis=1)
-            fell[:] = False
-            fell[at[down]] = True
-            cost[at[down]] = new[down]
-        yield cost[:n]
+            at = at[down]
+            cost[at] = np.minimum(new[down], old[down])
+            fell[at] = True
+    return cost
+
+
+def _tight(cost, edges, widest):
+    """Which edges (u, x, w) carry a best path toward each destination of
+    the (nodes x destinations) cost matrix: w + C[u, d] == C[x, d], or
+    min(w, C[u, d]) == C[x, d] for widths, as bits (`_bits`), one row of
+    words per edge."""
+    k = cost.shape[1]
+    words = -(-k // 64)
+    tight = np.empty((len(edges.us), words), dtype=np.uint64)
+    for rows, run, degree in edges.runs:
+        offer = cost[edges.us[run]]
+        w = edges.ws[run, None]
+        if widest:
+            np.minimum(offer, w, out=offer)
+        else:
+            offer += w
+        own = cost[edges.nodes[rows]]
+        tight[run] = _bits((offer.reshape(-1, degree, k) == own[:, None]).reshape(-1, k), words)
+    return tight
 
 
 def _widest_widths(n, us, xs, weights):
@@ -558,57 +609,80 @@ def _widest_widths(n, us, xs, weights):
     return width
 
 
-def _tight_bfs(tight, n, dests, us, xs, starts):
-    """Over the tight edges of (edges x destinations), or over every edge
-    where `tight` is None: each node's fewest hops (-1 if unreached) and,
-    where that is positive, its smallest next with one hop fewer, as (nodes
-    x destinations) arrays.  The edges (u, x) are sorted by x; a level ORs
-    the frontier over each x's run.  It does so eight destinations to a
-    word: the columns are padded to a multiple of eight and each row of
-    bools is viewed as uint64 words.
+def _bits(flags, words):
+    """Pack (rows x columns) bools 64 columns to a uint64 word, `words`
+    words a row, the bits past the last column clear."""
+    rows, cols = flags.shape
+    if cols % 8:
+        # whole bytes a row, so that one flat packbits serves
+        whole = np.zeros((rows, cols + -cols % 8), dtype=bool)
+        whole[:, :cols] = flags
+        flags = whole
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, :flags.shape[1] // 8] = np.packbits(flags, bitorder="little").reshape(rows, -1)
+    return packed.view(np.uint64)
 
-    A reached node's fewest hops are one more than the least among its
-    tight neighbours', so one minimum of L[u] * n + u over x's run names
-    its next."""
+
+def _tight_bfs(tight, n, dests, edges):
+    """Over the tight edges (`_tight`'s bits), or over every edge where
+    `tight` is None: each node's fewest hops toward each of `dests` (-1 if
+    unreached) and, where that is positive, its smallest next with one hop
+    fewer, as (nodes x destinations) arrays.
+
+    The frontier and the nodes not yet seen are bits like the tight
+    edges, 64 destinations to a uint64 word (`_bits`).  A level gathers
+    the frontier's words over every edge's u and ORs them along the degree
+    axis of each run of the layout.  A reached node's fewest hops are one
+    more than the least among its tight neighbours', so one minimum of
+    L[u] * n + u along the degree axis names its next."""
     k = len(dests)
-    cols = k + -k % 8
-    heads = xs[starts]
+    words = -(-k // 64)
+    nodes, near = edges.nodes, edges.near
+    # in the order of `nodes`, which holds every node with an edge
+    source = nodes[:, None] == dests
+    frontier = _bits(source, words)
+    unseen = ~frontier
+    hit = np.empty((len(near), words), dtype=np.uint64)
+    reached = np.empty_like(frontier)
     # the next's keys stay below 2 * n * n: int32 below 2**15 nodes
-    length = np.full((n, cols), -1, dtype=np.int32 if n < 2**15 else np.int64)
-    length[dests, np.arange(k)] = 0
-    frontier = length == 0
-    words = frontier.view(np.uint64)
-    if tight is not None:
-        if cols > k:
-            tight = np.pad(tight, ((0, 0), (0, cols - k)))
-        tight_words = tight.view(np.uint64)
-    unseen = (length[heads] < 0).view(np.uint64)
+    length = np.full((len(nodes), k), -1, dtype=np.int32 if n < 2**15 else np.int64)
+    length[source] = 0
     level = 0
     while True:
         level += 1
-        hit = np.take(words, us, axis=0)
+        np.take(frontier, near, axis=0, out=hit)
         if tight is not None:
-            hit &= tight_words
-        reached = np.bitwise_or.reduceat(hit, starts, axis=0)
+            hit &= tight
+        for rows, run, degree in edges.runs:
+            np.bitwise_or.reduce(hit[run].reshape(-1, degree, words), axis=1,
+                                 out=reached[rows])
         reached &= unseen
         if not reached.any():
             break
-        unseen &= ~reached
-        words[:] = 0
-        words[heads] = reached
-        length[frontier] = level
-    # the next: the least L[u] * n + u over x's run.  A reached node's
+        unseen ^= reached
+        length[np.unpackbits(reached.view(np.uint8), axis=1, count=k,
+                             bitorder="little").view(bool)] = level
+        frontier, reached = reached, frontier
+    # the next: the least L[u] * n + u over x's edges.  A reached node's
     # tight neighbours are reached, and over every edge all its neighbours
     # are; an edge that is not tight reads n * n more, past every tight one
-    code = length * n
-    code += np.arange(n, dtype=code.dtype)[:, None]
-    code = np.take(code, us, axis=0)
-    if tight is not None:
-        code += ~tight * code.dtype.type(n * n)
-    first = np.minimum.reduceat(code, starts, axis=0)
-    nxt = np.zeros((n, cols), dtype=np.int32)
-    nxt[heads] = first % n
-    return length[:, :k], nxt[:, :k]
+    keyed = length * n
+    keyed += nodes.astype(keyed.dtype)[:, None]
+    far = keyed.dtype.type(n * n)
+    first = np.empty_like(length)
+    for rows, run, degree in edges.runs:
+        code = np.take(keyed, near[run], axis=0)
+        if tight is not None:
+            loose = np.unpackbits((~tight[run]).view(np.uint8), axis=1, count=k,
+                                  bitorder="little")
+            code += loose * far
+        np.minimum.reduce(code.reshape(-1, degree, k), axis=1, out=first[rows])
+    hops = np.full((n, k), -1, dtype=length.dtype)
+    hops[nodes] = length
+    hops[dests, np.arange(k)] = 0
+    nxt = np.zeros((n, k), dtype=np.int32)
+    nxt[nodes] = first % n
+    return hops, nxt
 
 
 def search(

@@ -34,10 +34,11 @@ class WeightDomain(NamedTuple):
     hi: float
     lo_open: bool = False
 
-    def contains(self, w: float) -> bool:
-        if self.lo_open:
-            return self.lo < w <= self.hi
-        return self.lo <= w <= self.hi
+    def contains(self, w):
+        """Whether w lies in the domain; elementwise over a numpy array.
+        A nan lies in none."""
+        above = self.lo < w if self.lo_open else self.lo <= w
+        return above & (w <= self.hi)
 
 
 @dataclass(frozen=True)

@@ -1158,6 +1158,13 @@ CUSTOM_THREE_SUM = replace(THREE_SUM, name="custom_three_sum", path_cost=lambda 
 @given(topo=real_weight_topologies())
 # a path of seven hops, where the fold of 0.1 (0.7) and 7 * 0.1 part ways
 @example(topo=utilization_topology(8, [(i, i + 1, 1) for i in range(7)]))
+# a star: a class of degree 1 beside one of degree n - 1
+@example(topo=utilization_topology(6, [(0, i, i) for i in range(1, 6)]))
+# isolated nodes (degree 0 has no class) beside classes of degree 1 and 2
+@example(topo=utilization_topology(7, [(1, 2, 3), (2, 4, 1), (4, 6, 2)]))
+# parallel links: in link order the wider copy comes second (links are
+# kept sorted by weight), and the lighter first
+@example(topo=utilization_topology(3, [(0, 1, 2), (0, 1, 1), (1, 2, 3), (0, 2, 9)]))
 def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, topo):
     """A built-in is solved for every destination at once, its clone by
     one heap search per destination: the rules agree key for key, type for
@@ -1171,6 +1178,116 @@ def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, t
     g = build_graph(topo, builtin_strategy.link_cost)
     assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
     assert_same_stores(rc.initialize(g, builtin_strategy), rc.initialize(g, clone))
+
+
+@pytest.mark.parametrize("builtin_strategy,clone", [
+    (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW), (INT_SUM, CUSTOM_INT_SUM),
+    (WIDEST, CUSTOM_WIDEST),
+], ids=["sd_utilization", "sd_free_bw", "int_sum", "shortest_widest"])
+def test_the_copy_that_counts_may_come_second_in_link_order(builtin_strategy, clone):
+    """A parallel copy of (0, 1) added by an event comes after the other
+    links in link order.  Its utilization is lower, so it is the lighter
+    copy under the sums and the wider one under shortest_widest: the
+    solve must take it, as the heap search of the clone does."""
+    cost = builtin_strategy.link_cost
+    g = build_graph(utilization_topology(3, [(0, 1, 5), (1, 2, 4), (0, 2, 8)]), cost)
+    g.apply_deltas(g.ingest_event(AddLink(0, 1, props(utilization=2.0)), cost))
+    assert [w for (a, b, w), _m in g.link_items() if (a, b) == (0, 1)] == [
+        cost(props(utilization=5.0)), cost(props(utilization=2.0))]
+    assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
+    store = rc.initialize(g, builtin_strategy)
+    assert_same_stores(store, rc.initialize(g, clone))
+    assert store._est[1][0][0] == (-1 if builtin_strategy.maximize else 1) * cost(
+        props(utilization=2.0))
+
+
+@pytest.mark.parametrize("builtin_strategy,clone", [
+    (SD, CUSTOM_SUM), (FREE_BW, CUSTOM_FREE_BW), (HOP, CUSTOM_HOP),
+    (WIDEST, CUSTOM_WIDEST),
+], ids=["sd_utilization", "sd_free_bw", "hop_count", "shortest_widest"])
+@pytest.mark.parametrize("name", ["jellyfish150", "fattree8"])
+def test_blocks_past_one_word_and_one_block(monkeypatch, builtin_strategy, clone, name):
+    """Set-up solves blocks of destinations, each a whole number of
+    64-destination words as far as the graph allows, and cuts each degree
+    class into runs of rows, both by `_BLOCK_ELEMENTS`.  With its default
+    every destination of these graphs (150 and 80) is one block that ends
+    in the middle of its second or third word; with less, the blocks are
+    one word wide and the last ends mid-word; with 1, every run is one
+    row.  Each way the rules equal the oracle's exactly, and the heap
+    search of the custom clone key for key and type for type."""
+    plan = WeightPlan(PlanKind.UNIFORM, seed=3)
+    if name == "jellyfish150":
+        topo = gen_jellyfish(150, 6, plan, seed=3)
+    else:
+        topo = gen_fattree(8, plan)
+    g = build_graph(topo, builtin_strategy.link_cost)
+    n, links = len(g.nodes), sum(1 for _link in g.link_items())
+    assert 64 < n <= 64 * (rc._BLOCK_ELEMENTS // (128 * links)) and n % 64
+    want = rc.initialize(g, clone)
+    result = oracle.solve(g, builtin_strategy)
+    for elements in (rc._BLOCK_ELEMENTS, 128 * links, 1):
+        with monkeypatch.context() as m:
+            m.setattr(rc, "_BLOCK_ELEMENTS", elements)
+            assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
+            store = rc.initialize(g, builtin_strategy)
+        assert_same_stores(store, want)
+        assert oracle.compare_view(result, store.established_rules()) == [], elements
+
+
+def hub_topology(n):
+    """Node 0 linked to every other node, and the odd neighbours linked in
+    pairs (1, 3), (5, 7), ...: classes of degree 1, 2 and n - 1."""
+    links = [(0, i, 1 + i % 7) for i in range(1, n)]
+    links += [(i, i + 2, 1 + i % 5) for i in range(1, n - 2, 4)]
+    return utilization_topology(n, links)
+
+
+def test_a_hub_sets_up_in_bounded_memory():
+    """Set-up takes each node's neighbours per degree class, so a hub of
+    699 neighbours costs no table padded to its degree: under
+    sd_utilization `initialize`'s traced memory rises at most 10 MiB above
+    what it keeps (the 45 MiB store), where a table of every node's
+    neighbours padded to the largest degree took 19 MiB.  The rules equal
+    the oracle's exactly."""
+    rc.initialize(build_graph(triangle(), SD.link_cost), SD)  # first calls allocate for good
+    g = build_graph(hub_topology(700), SD.link_cost)
+    tracemalloc.start()
+    try:
+        store = rc.initialize(g, SD)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 10 * 2**20, (peak - kept) / 2**20
+    assert oracle.compare_view(oracle.solve(g, SD), store.established_rules()) == []
+
+
+# sd_utilization with a nan weight for a utilization of 3
+NAN_SUM = replace(SD, name="nan_sum",
+                  link_cost=lambda p: math.nan if p.utilization == 3 else p.utilization)
+# shortest_widest over widths that are negative below a utilization of 3
+SIGNED_WIDEST = replace(WIDEST, name="signed_widest", link_cost=lambda p: p.utilization - 3)
+
+
+@pytest.mark.parametrize("strategy,links,first", [
+    (SD, [(0, 1, 5), (1, 2, 0)], 0.0),
+    (CUSTOM_SUM, [(0, 1, 5), (1, 2, 0)], 0.0),
+    (NAN_SUM, [(0, 1, 3), (1, 2, 0), (0, 2, 4)], math.nan),
+    (NAN_SUM, [(0, 1, 0), (1, 2, 3), (0, 2, 4)], 0.0),
+    (SIGNED_WIDEST, [(0, 1, 2), (1, 2, 1), (0, 2, 5)], -1.0),
+], ids=["sd_zero", "custom_zero", "nan_first", "zero_first", "negative_width"])
+def test_initialize_names_the_first_weight_outside_the_domain(strategy, links, first):
+    """`initialize` checks every weight against the strategy's domain,
+    whatever its path cost, and raises with the message `validate_weight`
+    gives for the first one outside it in `link_items` order: nan there
+    before 0.0, 0.0 before nan, and -1.0 before the smaller -2.0."""
+    g = build_graph(utilization_topology(3, links), strategy.link_cost)
+    # both domains here end at inf; nan fails either test
+    open_at_0 = strategy.weight_domain.lo_open
+    outside = [w for (_a, _b, w), _m in g.link_items() if not (w > 0 if open_at_0 else w >= 0)]
+    assert repr(outside[0]) == repr(first)
+    with pytest.raises(InvalidWeightError) as err:
+        rc.initialize(g, strategy)
+    assert str(err.value) == f"weight {first} outside domain of strategy {strategy.name!r}"
 
 
 # the built-in additive path cost over a link cost that can be infinite
