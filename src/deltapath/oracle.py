@@ -71,15 +71,6 @@ class OracleResult:
         self._nbr_w = nbr_w
 
     @property
-    def cost_matrix(self):
-        """(N, N) optimal costs in `ids` order; +-inf marks unreachable."""
-        return self._cost
-
-    @property
-    def length_matrix(self):
-        return self._length
-
-    @property
     def next_matrix(self):
         """(N, N) tie-broken next hops as indices into `ids`; -1 if none."""
         return self._next

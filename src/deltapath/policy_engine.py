@@ -4,9 +4,10 @@ Waypoint policies decompose into segment retrievals over the base rules.
 NOT and backup policies route on the live graph with nodes (NOT) or the
 primary path's links (backup) masked, by `routing_core.search`: the
 engine's own repair run from an empty tree toward the policy's
-destination, stopped once the policy's source settles, and the path
-is read off the search tree by `path_retrieval.walk`, the walk that
-`retrieve` runs over an established row.  The search uses the
+destination, stopped once the policy's source settles, into a row over
+the rule store's slots, and the path is read off that row by
+`path_retrieval.walk`, the walk that `retrieve` runs over an
+established row.  The search uses the
 engine's selection key and cost order, so the source's path equals the
 engine's fixpoint on the masked graph bit for bit: extending a path
 never improves its key (Sobrinho, "Algebra and algorithms for QoS path
@@ -108,7 +109,10 @@ def parse_policy(policy_id: int, text: str) -> Policy:
 
 
 class PolicyEngine:
-    """Evaluates policies against a base engine's graph and rule store."""
+    """Evaluates policies against a base engine's graph and rule store.
+    NOT and backup searches write their rows over the store's slots, the
+    one node index, so the slots must cover the graph, as `initialize`
+    and `step_epoch` keep them."""
 
     def __init__(self, graph: GraphStore, rules: RuleStore, strategy: Strategy):
         self.graph = graph
@@ -197,7 +201,8 @@ class PolicyEngine:
         return PolicyResult(policy, (primary, backup), kind)
 
     def _masked_path(self, policy: Policy, **mask) -> Path:
-        """`walk` from the policy's src through the masked search tree; a
-        search stopped at the src holds every rule on its path."""
-        row, slot = search(self.graph, self.strategy, policy.dst, until=policy.src, **mask)
-        return walk(row, slot, self.strategy.maximize, policy.src, policy.dst)
+        """`walk` from the policy's src through the masked search's row,
+        over the rule store's slots; a search stopped at the src holds
+        every rule on its path."""
+        row = search(self.rules, self.graph, policy.dst, until=policy.src, **mask)
+        return walk(row, self.rules.slot, self.strategy.maximize, policy.src, policy.dst)

@@ -2,19 +2,23 @@
 
 Every node has a slot: a dense index given in sorted id order at set-up,
 the next free one to a node born later.  A removed node keeps its slot,
-so a node that comes back takes the same one.  State is one row per live
-destination d: a list indexed by slot, holding for each node x that
-routes toward d the selection key (signed cost, p_length, next) of the
-established rule of the group (x, d), and None for every other node.
-`next` is a node id, not a slot.  Every row is as long as the list of
-slots, and holds at least d's own rule.  A group's candidates are not
-stored: they are the join of the established rules with the graph (for
-every edge x -> y, y's rule toward d extended by one hop) plus the
-tautology (d, d) while d is a node, cut at p_length >= the node count:
-best paths are simple, so the cut loses none of them.  At a fixpoint
-every group holds the minimum of its candidates.
-`_best_offer` computes that minimum for one group, for the repair and the
-integrity check.
+so a node that comes back takes the same one, and no slot is given back:
+the rows grow by one entry per distinct id ever born.  The store's slots
+are the one node index (`_take_slots`): the set-up solve, its fallback
+and every NOT or backup `search` write rows over them, so they must
+cover the graph, as `initialize` and `step_epoch` keep them.  State is
+one row per live destination d: a list indexed by slot, holding for each
+node x that routes toward d the selection key (signed cost, p_length,
+next) of the established rule of the group (x, d), and None for every
+other node.  `next` is a node id, not a slot.  Every row is as long as
+the list of slots, and holds at least d's own rule.  A group's
+candidates are not stored: they are the join of the established rules
+with the graph (for every edge x -> y, y's rule toward d extended by one
+hop) plus the tautology (d, d) while d is a node, cut at p_length >= the
+node count: best paths are simple, so the cut loses none of them.  At a
+fixpoint every group holds the minimum of its candidates.  `_best_offer`
+computes that minimum for one group, for the repair and the integrity
+check.
 
 Rows are copy-on-write per epoch: the first write to a row in an epoch
 replaces it with a copy and journals the old row object (`_row`), so a
@@ -51,11 +55,12 @@ Each block's rows are built as lists from these arrays without a Python
 loop per pair; under equal weights every key is read from one table by
 (hop count, next), so each key is built once for the whole graph.  A
 custom path cost, and the few inputs that solve would key differently,
-repair each destination's tree from empty (phase 2 below): a best-first
-search that pops nodes from a heap in key order, each group once, with
-the minimum of its neighbours' keys extended by one hop, the fixpoint
-equation.  `search` runs that repair over a masked adjacency for NOT and
-backup policies, and stops once the policy's source settles.
+are set up by one `search` per destination, which repairs its tree from
+empty (phase 2 below): a best-first search that pops nodes from a heap
+in key order, each group once, with the minimum of its neighbours' keys
+extended by one hop, the fixpoint equation.  NOT and backup policies run
+the same `search` over a masked adjacency, stopped once the policy's
+source settles.
 
 The oracle and set-up both relax additive costs by Bellman's sweeps, but
 share no code: the oracle sweeps an edge list toward each block of
@@ -258,25 +263,23 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     """Build the established rules of a topology snapshot: the fixpoint
     that `step_epoch` then maintains.
 
-    The built-in path costs are solved for every destination at once
-    (`_all_fixpoint`); a custom path cost, and the few inputs that solve
-    would key differently, repair each destination's tree from empty
-    (`_repair`).  Both give the same keys, float for float and int for
-    int, and the same slots, in sorted id order.  Raises
+    The store gives its slots once, in sorted id order, and every row is
+    solved over them.  The built-in path costs are solved for every
+    destination at once (`_all_fixpoint`); a custom path cost, and the few
+    inputs that solve would key differently, take one `search` per
+    destination, and the rule count is read from the rows.  Both give the
+    same keys, float for float and int for int.  Raises
     InvalidWeightError naming the first weight, in `link_items` order,
     outside the strategy's domain.
     """
     if not topology.nodes:
         raise DeltaPathError("cannot initialize on an empty topology")
-    store = _all_fixpoint(topology, strategy)
-    if store is None:
-        store = RuleStore(strategy)
-        _take_slots(store, topology.nodes)
-        journal: dict = {}
+    store = RuleStore(strategy)
+    _take_slots(store, topology.nodes)
+    if not _all_fixpoint(store, topology):
         for d in store.ids:
-            _repair(store, topology.out_edges, d, (), True, (), journal, EpochStats())
-        # from an empty tree every settled rule is final: one per slot written
-        store._rules = sum(len(written) for _old, written in journal.values())
+            store._est[d] = search(store, topology, d)
+        store._rules = sum(len(row) - row.count(None) for row in store._est.values())
     store.epoch = 0
     return store
 
@@ -284,11 +287,9 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
 def _take_slots(store: RuleStore, nodes) -> bool:
     """Give each of `nodes` that has no slot the next one, in id order;
     whether any did."""
-    slot, ids = store.slot, store.ids
-    new = sorted(v for v in nodes if v not in slot)
-    for v in new:
-        slot[v] = len(ids)
-        ids.append(v)
+    new = sorted(v for v in nodes if v not in store.slot)
+    store.slot.update(zip(new, count(len(store.ids))))
+    store.ids += new
     return bool(new)
 
 
@@ -342,10 +343,11 @@ def _layout(n, a, b, weight, width) -> _Layout:
     return _Layout(nodes, us, ws, place[us], runs)
 
 
-def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
-    """A store of every rule of a built-in path cost, solved for all
-    destinations at once over slots in sorted id order, or None where the
-    repair from empty must decide.
+def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
+    """Fill the empty `store`, whose slots are the topology's nodes in
+    sorted id order (as `initialize` gives them), with every rule of a
+    built-in path cost, solved for all destinations at once; or decline,
+    False, where the repair from empty must decide.
 
     The links are read once, as arrays.  Every weight is first checked
     against the strategy's domain, whatever the path cost: the first one
@@ -386,7 +388,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
     weight is equal, its keys come from one table by (L, next), each key
     built once for the whole graph (`_hop_keys`).
 
-    None, so that `initialize` repairs from empty: a custom path cost;
+    Declined, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
     finite (an infinite weight, or path costs that could overflow), a
     negative weight (a cycle over its link and back would never let the
@@ -396,6 +398,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
     a weight that is not a float (the repair keeps an int width int) or
     has its sign bit set.  Only the links that count are looked at.
     """
+    strategy = store.strategy
     links = topology.links()
     m = len(links)
     ends_a, ends_b, given = zip(*links) if m else ((), (), ())
@@ -404,25 +407,22 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
         outside = ~strategy.weight_domain.contains(given)
     if outside.any():
         strategy.validate_weight(given[outside.argmax()])
-    kind = path_cost_kind(strategy)
+    kind = store._fp_kind
     widest = kind == "min"
     taut = strategy.tautology_cost
     integral = type(taut) is int and not widest
     if kind is None or not (integral or type(taut) is float):
-        return None
+        return False
     if taut != (math.inf if widest else 0):
-        return None
-    ids = sorted(topology.nodes)
-    index = {v: i for i, v in enumerate(ids)}
+        return False
+    ids, index = store.ids, store.slot
     n = len(ids)
-    store = RuleStore(strategy)
-    store.ids, store.slot = ids, index
     if not m:
         for i, d in enumerate(ids):
             row = store._est[d] = [None] * n
             row[i] = _tautology_key(strategy, d)
         store._rules = n
-        return store
+        return True
     a = np.fromiter(map(index.__getitem__, ends_a), np.intp, m)
     b = np.fromiter(map(index.__getitem__, ends_b), np.intp, m)
     weight = given.astype(float)
@@ -442,7 +442,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
             or integral and not (set(map(type, given)) == {int} and 2 * sum(given) < 2**53)
         )
     if refused:
-        return None
+        return False
     size = 64 * max(1, _BLOCK_ELEMENTS // (64 * 2 * len(a)))
     edges = _layout(n, a, b, weight, size)
     uniform = not widest and (weight == weight[0]).all()
@@ -475,7 +475,7 @@ def _all_fixpoint(topology: GraphStore, strategy: Strategy) -> RuleStore | None:
         elif widest:
             cost = -cost
         store._rules += _fill_rows(store, dests, cost, length, nxt, table)
-    return store
+    return True
 
 
 def _hop_keys(table, top, by_hops, ids):
@@ -686,26 +686,28 @@ def _tight_bfs(tight, n, dests, edges):
 
 
 def search(
+    store: RuleStore,
     graph: GraphStore,
-    strategy: Strategy,
     dst: NodeId,
     skip_nodes: frozenset[NodeId] = frozenset(),
     skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
     until: NodeId | None = None,
-) -> tuple[list, dict[NodeId, int]]:
+) -> list:
     """Every node's rule toward `dst` on the graph without `skip_nodes` and
-    without the links `skip_links` (both directions, all parallel copies):
-    the row of the engine's keys (signed cost, length, next) or None, and
-    the slot of each node, the graph's nodes in the order it holds them.
+    without the links `skip_links` (both directions, all parallel copies),
+    as a row over the slots of `store`: the engine's key (signed cost,
+    length, next) or None at each slot.  The slots must cover the graph's
+    nodes, as `initialize` and `step_epoch` keep them; the store's rows
+    are not read or written.
 
-    `_repair` of an empty tree into a scratch store, over an adjacency
-    filtered only next to a masked node and at the ends of a masked link.
-    Under a built-in path cost it stops once `until` settles, whose rule
-    and path are then in the tree.  A custom path cost that can improve a
-    path by extending it raises NonConvergenceError.
+    `_repair` of an empty tree under the store's strategy, over an
+    adjacency filtered only next to a masked node and at the ends of a
+    masked link.  Under a built-in path cost it stops once `until`
+    settles, whose rule and path are then in the row.  A custom path cost
+    that can improve a path by extending it raises NonConvergenceError.
     """
     if dst not in graph.nodes or dst in skip_nodes:
-        return [], {}
+        return []
     adj = graph.out_edges
     if skip_nodes or skip_links:
         cut = set(skip_links) | {(b, a) for a, b in skip_links}
@@ -722,11 +724,10 @@ def search(
             edges = masked.get(u)
             return graph.out_edges(u) if edges is None else edges
 
-    store = RuleStore(strategy)
-    store.ids = list(graph.nodes)
-    store.slot = dict(zip(store.ids, count()))
-    _repair(store, adj, dst, (), True, (), {}, EpochStats(), until)
-    return store._est[dst], store.slot
+    tree = RuleStore(store.strategy)  # the store's slots, none of its rows
+    tree.slot, tree.ids = store.slot, store.ids
+    _repair(tree, adj, dst, (), True, (), {}, EpochStats(), until)
+    return tree._est[dst]
 
 
 def _check_monotone(tree, adj, fp, neg):

@@ -79,6 +79,12 @@ def random_connected_topology(rng: random.Random, n: int, avg_degree: float = No
     return topo
 
 
+def cost_and_length(result: oracle.OracleResult) -> tuple[np.ndarray, np.ndarray]:
+    """An oracle solve's (N, N) optimal costs (+-inf where unreachable) and
+    tie-broken lengths, in `result.ids` order."""
+    return result._cost, result._length
+
+
 def rules_by_id(store) -> dict:
     """A store's rules as {dst: {src: key}}, read through its slots: two
     stores whose slots differ (nodes born in another order, a removed
@@ -88,10 +94,27 @@ def rules_by_id(store) -> dict:
             for d, row in store._est.items()}
 
 
-def search_tree(*args, **kwargs) -> dict:
-    """`routing_core.search`'s rules as {node: key}."""
-    row, slot = routing_core.search(*args, **kwargs)
-    return dict(zip(compress(slot, row), filter(None, row)))
+def slotted_store(graph: GraphStore, strategy: Strategy) -> routing_core.RuleStore:
+    """An empty store with a slot for each of the graph's nodes, in sorted
+    id order, as `initialize` gives them."""
+    store = routing_core.RuleStore(strategy)
+    routing_core._take_slots(store, graph.nodes)
+    return store
+
+
+def all_fixpoint(graph: GraphStore, strategy: Strategy):
+    """The store `routing_core._all_fixpoint` fills, or None where it
+    declines."""
+    store = slotted_store(graph, strategy)
+    return store if routing_core._all_fixpoint(store, graph) else None
+
+
+def search_tree(graph: GraphStore, strategy: Strategy, *args, **kwargs) -> dict:
+    """`routing_core.search`'s rules as {node: key}, over slots of the
+    graph's nodes."""
+    store = slotted_store(graph, strategy)
+    row = routing_core.search(store, graph, *args, **kwargs)
+    return dict(zip(compress(store.ids, row), filter(None, row)))
 
 
 @st.composite
@@ -177,9 +200,10 @@ def affected_pairs(
     before = oracle.solve(graph_before, strategy)
     after = oracle.solve(graph_after, strategy)
     if before.ids == after.ids:
+        (cost0, length0), (cost1, length1) = map(cost_and_length, (before, after))
         same = (
-            (before.cost_matrix == after.cost_matrix)
-            & (before.length_matrix == after.length_matrix)
+            (cost0 == cost1)
+            & (length0 == length1)
             & (before.next_matrix == after.next_matrix)
         )
         # inf == inf holds, so unreachable-on-both compares equal

@@ -25,6 +25,7 @@ from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
 from conftest import (
     affected_pairs,
+    cost_and_length,
     loose_topologies,
     props,
     random_connected_topology,
@@ -277,7 +278,7 @@ def assert_witness_properties(result):
     """Every reachable pair's next is its smallest tie-broken witness, and
     its length is one more than the fewest hops of its cost-level
     witnesses."""
-    length = result.length_matrix
+    _cost, length = cost_and_length(result)
     for s in result.ids:
         for t in result.ids:
             if not result.reachable(s, t):
@@ -514,7 +515,9 @@ def test_no_built_in_loads_scipy(tmp_path):
         from deltapath import oracle
         from deltapath.cli import main
         from deltapath.graph_model import AddLink, RemoveLink, RemoveNode, build_graph
-        from deltapath.routing_core import _all_fixpoint, initialize, step_epoch
+        from deltapath.routing_core import (
+            RuleStore, _all_fixpoint, _take_slots, initialize, step_epoch,
+        )
         from deltapath.strategy import builtin
         from deltapath.workloads import PlanKind, WeightPlan, gen_fattree
 
@@ -524,7 +527,9 @@ def test_no_built_in_loads_scipy(tmp_path):
         for name in ("hopcount", "sd-freebw", "widest", "sd-util"):
             strategy = builtin(name)
             g = build_graph(topo, strategy.link_cost)
-            assert _all_fixpoint(g, strategy) is not None
+            empty = RuleStore(strategy)
+            _take_slots(empty, g.nodes)
+            assert _all_fixpoint(empty, g)
             store = initialize(g, strategy)
             assert step_epoch(store, g, [RemoveLink(a, b)])
             assert step_epoch(store, g, [AddLink(a, b, props)])

@@ -10,21 +10,26 @@ from deltapath.errors import (
     UnknownNodeError,
     UnreachableError,
 )
-from deltapath.graph_model import RemoveLink, RemoveNode, build_graph
-from deltapath.path_retrieval import path_links, retrieve
+from deltapath.graph_model import AddLink, AddNode, RemoveLink, RemoveNode, build_graph
+from deltapath.path_retrieval import Path, path_links, retrieve
 from deltapath.routing_core import initialize, step_epoch
-from deltapath.strategy import builtin
+from deltapath.strategy import builtin, builtin_names
+from deltapath.workloads import PlanKind, WeightPlan, gen_jellyfish
 
 from conftest import (
+    props,
     random_connected_topology,
     random_events,
+    rules_by_id,
     search_tree,
     triangle,
     utilization_topology,
 )
 
 SD = builtin("sd_utilization")
+FREE_BW = builtin("sd_free_bw")
 WIDEST = builtin("shortest_widest")
+BUILTINS = [builtin(name) for name in builtin_names()]
 
 
 def engine_for(topo):
@@ -130,7 +135,7 @@ class TestWaypoints:
         assert res.paths[0].hops == (0, 1, 2, 1)
         assert res.revisits
 
-    @pytest.mark.parametrize("strategy", [SD, WIDEST], ids=lambda s: s.name)
+    @pytest.mark.parametrize("strategy", [SD, FREE_BW, WIDEST], ids=lambda s: s.name)
     def test_builtin_cost_combines_the_segment_costs(self, strategy):
         rng = random.Random(8)
         g = build_graph(random_connected_topology(rng, 16), strategy.link_cost)
@@ -318,3 +323,53 @@ class TestBackup:
         assert res.kind == "duplicate"
         assert rules._est == before
         assert g.multiplicity(0, 1, 1.0) == 1
+
+
+def oracle_path(want, s, d) -> Path:
+    """The oracle's route from s to d, read along its next hops."""
+    hops = [s]
+    while hops[-1] != d:
+        hops.append(want.next_of(hops[-1], d))
+    return Path(tuple(hops), want.cost_of(s, d))
+
+
+class TestStoreSlots:
+    """NOT and backup searches write their rows over the rule store's own
+    slots, which stop following the graph's sorted order once a removed
+    node leaves its slot dead and a fresh id takes the next one."""
+
+    @pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+    def test_not_and_backup_over_a_dead_and_an_appended_slot(self, strategy):
+        topo = gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM, seed=7), seed=7)
+        g = build_graph(topo, strategy.link_cost)
+        rules = initialize(g, strategy)
+        engine = pe.PolicyEngine(g, rules, strategy)
+        step_epoch(rules, g, [RemoveNode(7)])
+        # -2 stays alone, so that some groups have no rule
+        fresh = -1
+        step_epoch(rules, g, [AddNode(-2), AddNode(fresh),
+                              AddLink(fresh, 3, props(utilization=2.0)),
+                              AddLink(fresh, 12, props(utilization=4.0))])
+        assert rules.ids[-2:] == [-2, fresh] and 7 in rules.slot and 7 not in g.nodes
+        assert rules.ids != sorted(g.nodes)
+        nots = [(fresh, {5, 9}, 15), (0, {3}, fresh), (fresh, {3}, 18), (11, {2, 6}, 4)]
+        for pid, (s, avoid, t) in enumerate(nots):
+            engine.add(pe.Policy(pid, s, t, pe.NotNodes(frozenset(avoid))))
+            path = engine.evaluate(pid).paths[0]
+            assert path == oracle_path(oracle.solve(without_nodes(g, avoid), strategy), s, t)
+        for pid, (s, t) in enumerate([(fresh, 15), (16, fresh), (1, 19)], len(nots)):
+            engine.add(pe.parse_policy(pid, f"{s} : backup : {t}"))
+            primary, backup = engine.evaluate(pid).paths
+            pruned = g.fork()
+            for a, b in path_links(primary):
+                for w in pruned.weights_between(a, b):
+                    pruned.apply_deltas(pruned.ingest_event(RemoveLink(a, b, w),
+                                                            strategy.link_cost))
+            assert backup == oracle_path(oracle.solve(pruned, strategy), s, t)
+        # a custom path cost is set up by one search per destination; its
+        # rule count is what its rows hold, the rules the epochs kept
+        custom = replace(strategy, name="custom", path_cost=lambda w, c: strategy.path_cost(w, c))
+        store = initialize(g, custom)
+        assert store.rule_count() == sum(map(len, rules_by_id(store).values()))
+        assert store.rule_count() == rules.rule_count()
+        assert rules_by_id(store) == rules_by_id(rules)

@@ -42,6 +42,7 @@ from rounds_reference import candidates, solve_rounds, step_rounds
 
 from conftest import (
     affected_pairs,
+    all_fixpoint,
     loose_topologies,
     props,
     random_connected_topology,
@@ -49,6 +50,7 @@ from conftest import (
     real_weight_topologies,
     rules_by_id,
     search_tree,
+    slotted_store,
     topology,
     triangle,
     utilization_topology,
@@ -1029,7 +1031,7 @@ def test_hop_count_search_takes_the_smaller_parent():
     assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
     assert tree[6] == (3, 3, 4)
     assert_same_rules(tree, search_tree(g, CUSTOM_HOP, 0))
-    assert rc._all_fixpoint(g, HOP)._est[0][6] == (3, 3, 4)
+    assert all_fixpoint(g, HOP)._est[0][6] == (3, 3, 4)
 
 
 def pruned_topology(topo, skip_nodes, skip_links):
@@ -1092,7 +1094,7 @@ def test_custom_path_cost_settles_past_the_source():
                     SD.link_cost)
     assert search_tree(g, SD, 0, until=1) == {0: (0.0, 0, 0), 1: (1.0, 1, 0)}
     with pytest.raises(NonConvergenceError):
-        rc.search(g, DISCOUNT_SUM, 0, until=1)
+        search_tree(g, DISCOUNT_SUM, 0, until=1)
 
 
 def assert_same_rules(got, want):
@@ -1176,7 +1178,7 @@ def test_all_destination_solve_equals_the_heap_search(builtin_strategy, clone, t
     assert path_cost_kind(builtin_strategy) is not None
     assert path_cost_kind(clone) is None
     g = build_graph(topo, builtin_strategy.link_cost)
-    assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
+    assert all_fixpoint(g, builtin_strategy) is not None  # no fallback here
     assert_same_stores(rc.initialize(g, builtin_strategy), rc.initialize(g, clone))
 
 
@@ -1194,7 +1196,7 @@ def test_the_copy_that_counts_may_come_second_in_link_order(builtin_strategy, cl
     g.apply_deltas(g.ingest_event(AddLink(0, 1, props(utilization=2.0)), cost))
     assert [w for (a, b, w), _m in g.link_items() if (a, b) == (0, 1)] == [
         cost(props(utilization=5.0)), cost(props(utilization=2.0))]
-    assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
+    assert all_fixpoint(g, builtin_strategy) is not None  # no fallback here
     store = rc.initialize(g, builtin_strategy)
     assert_same_stores(store, rc.initialize(g, clone))
     assert store._est[1][0][0] == (-1 if builtin_strategy.maximize else 1) * cost(
@@ -1228,7 +1230,7 @@ def test_blocks_past_one_word_and_one_block(monkeypatch, builtin_strategy, clone
     for elements in (rc._BLOCK_ELEMENTS, 128 * links, 1):
         with monkeypatch.context() as m:
             m.setattr(rc, "_BLOCK_ELEMENTS", elements)
-            assert rc._all_fixpoint(g, builtin_strategy) is not None  # no fallback here
+            assert all_fixpoint(g, builtin_strategy) is not None  # no fallback here
             store = rc.initialize(g, builtin_strategy)
         assert_same_stores(store, want)
         assert oracle.compare_view(result, store.established_rules()) == [], elements
@@ -1362,7 +1364,7 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "sum"
-    assert rc._all_fixpoint(g, strategy) is None
+    assert all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
     assert_same_stores(store, solve_rounds(g, strategy))
     assert store._est[3][0] == rule_0_3
@@ -1377,7 +1379,7 @@ def test_a_negative_weight_is_left_to_the_repair():
                   weight_domain=WeightDomain(-math.inf, math.inf))
     g = build_graph(utilization_topology(3, [(0, 1, 60), (1, 2, 40)]), neg.link_cost)
     assert path_cost_kind(neg) == "sum"
-    assert rc._all_fixpoint(g, neg) is None
+    assert all_fixpoint(g, neg) is None
 
 
 def test_int_costs_past_the_composite_bound_are_solved():
@@ -1388,7 +1390,7 @@ def test_int_costs_past_the_composite_bound_are_solved():
     an empty store agree."""
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     COMPOSITE_INT_SUM.link_cost)
-    assert rc._all_fixpoint(g, COMPOSITE_INT_SUM) is not None
+    assert all_fixpoint(g, COMPOSITE_INT_SUM) is not None
     store = rc.initialize(g, COMPOSITE_INT_SUM)
     assert_same_stores(store, solve_rounds(g, COMPOSITE_INT_SUM))
     assert store._est[3][0] == (3 * 2**50 + 93, 3, 1)
@@ -1426,7 +1428,7 @@ def test_relaxed_costs_equal_the_heap_search(strategy, clone, topo):
     two components, whose groups between them get no rule; and over int
     weights whose total is just below the 2**53 guard."""
     g = build_graph(topo, strategy.link_cost)
-    assert rc._all_fixpoint(g, strategy) is not None  # no fallback here
+    assert all_fixpoint(g, strategy) is not None  # no fallback here
     store = rc.initialize(g, strategy)
     assert_same_stores(store, rc.initialize(g, clone))
     if len(g.nodes) == 40:
@@ -1474,7 +1476,7 @@ def test_widest_strategy_outside_the_solver_falls_back_to_search(strategy, pair,
     g = build_graph(utilization_topology(4, [(0, 1, 1), (1, 2, 90), (2, 3, 2)]),
                     strategy.link_cost)
     assert path_cost_kind(strategy) == "min"
-    assert rc._all_fixpoint(g, strategy) is None
+    assert all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
     assert_same_stores(store, solve_rounds(g, strategy))
     assert store._est[pair[1]][pair[0]] == rule
@@ -1601,7 +1603,7 @@ class TestCustomStrategy:
     def test_not_evaluation_of_a_shrinking_strategy_raises(self):
         g = build_graph(topology(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
                         SHRINKING.link_cost)
-        engine = PolicyEngine(g, rc.RuleStore(SHRINKING), SHRINKING)
+        engine = PolicyEngine(g, slotted_store(g, SHRINKING), SHRINKING)
         with pytest.raises(NonConvergenceError):
             engine.eval_not(parse_policy(1, "0 : !1 : 3"))
 
