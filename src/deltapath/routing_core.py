@@ -293,12 +293,15 @@ def _take_slots(store: RuleStore, nodes) -> bool:
     return bool(new)
 
 
-# set-up's (edges x destinations) temporaries stay near this many
-# elements whatever the graph's size: a block of destinations solved
-# together is as many of the BFS's 64-destination words as fit, and at
-# least one; where one word is already too wide, a kernel takes each
-# degree class in runs of rows that fit (`_layout`)
+# set-up's (nodes x destinations) matrices stay near this many elements
+# whatever the graph's size: a block of destinations solved together is as
+# many of the BFS's 64-destination words as fit, at least one and at most
+# every node
 _BLOCK_ELEMENTS = 1 << 18
+# a kernel's (edges x destinations) temporaries stay near this many
+# elements, 512 KiB of float64, so that they stay in a core's L2 cache: it
+# takes each degree class in runs of rows that fit, at least one (`_layout`)
+_RUN_ELEMENTS = 1 << 16
 
 
 class _Layout(NamedTuple):
@@ -309,15 +312,20 @@ class _Layout(NamedTuple):
     row i holding the k neighbours of the class's i-th node.  `runs`
     gives each class as `(rows, edges, k)`, slices of `nodes` and of the
     edges, cut into runs of whole rows where a class's (edges x
-    destinations) array would pass `_BLOCK_ELEMENTS`, so that a kernel
-    makes one reduction along the degree axis per class, or per run of a
-    large one."""
+    destinations) array would pass `_RUN_ELEMENTS`, so that a kernel makes
+    one reduction along the degree axis per run, over temporaries that
+    stay in cache.  A run is one row where a single row passes it.
+    `classes` gives each class whole, for the BFS's levels, whose arrays
+    hold 64 destinations to an element.  The block of destinations, and
+    with it every (nodes x destinations) matrix, is bounded apart, by
+    `_BLOCK_ELEMENTS`."""
 
     nodes: np.ndarray
     us: np.ndarray
     ws: np.ndarray
     near: np.ndarray
     runs: list
+    classes: list
 
 
 def _layout(n, a, b, weight, width) -> _Layout:
@@ -332,15 +340,16 @@ def _layout(n, a, b, weight, width) -> _Layout:
     place[nodes] = np.arange(len(nodes))
     # the first edge of each of `nodes`, and one past the last
     offset = np.r_[0, np.cumsum(degree[nodes])].tolist()
-    runs = []
+    runs, classes = [], []
     end = 0
     for k, count in zip(*map(np.ndarray.tolist, np.unique(degree[nodes], return_counts=True))):
-        step = max(1, _BLOCK_ELEMENTS // (k * width))
+        step = max(1, _RUN_ELEMENTS // (k * width))
         for lo in range(end, end + count, step):
             hi = min(lo + step, end + count)
             runs.append((slice(lo, hi), slice(offset[lo], offset[hi]), k))
+        classes.append((slice(end, end + count), slice(offset[end], offset[end + count]), k))
         end += count
-    return _Layout(nodes, us, ws, place[us], runs)
+    return _Layout(nodes, us, ws, place[us], runs, classes)
 
 
 def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
@@ -356,7 +365,12 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     counts is the lightest under "sum" and the widest under "min", picked
     by one `lexsort`.  The edges that count are laid out by the degree of
     x (`_layout`), so that each set-up kernel makes one reduction along
-    the degree axis per class.  Per strategy there is one step: a matrix C
+    the degree axis per class, or per run of a large one.  The
+    destinations are solved a block at a time: as many 64-destination
+    words as keep the block's (nodes x destinations) matrices within
+    `_BLOCK_ELEMENTS`, at least one and at most every node.  A run is as
+    many rows as keep its (edges x destinations) temporaries within
+    `_RUN_ELEMENTS`, at least one.  Per strategy there is one step: a matrix C
     of each node's best cost toward each destination, and the test for an
     edge to be tight, that is to carry a best path (C[x, d] is what u's
     cost extended by w gives).
@@ -443,7 +457,7 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
         )
     if refused:
         return False
-    size = 64 * max(1, _BLOCK_ELEMENTS // (64 * 2 * len(a)))
+    size = min(n, 64 * max(1, _BLOCK_ELEMENTS // (64 * n)))
     edges = _layout(n, a, b, weight, size)
     uniform = not widest and (weight == weight[0]).all()
     table = None
@@ -530,13 +544,18 @@ def _relaxed_costs(n, edges, dests):
     problem", Quarterly of Applied Mathematics 1958).
 
     Each sweep sets C[x, d] = min(C[x, d], min over x's edges (u, x, w) of
-    w + C[u, d]) for the nodes with a neighbour whose cost fell since they
-    were last swept, and the loop ends when a sweep changes nothing.  A
-    sweep takes the layout's classes in turn, each in one gather of the
-    neighbours' costs, (nodes x degree x destinations), and one minimum
-    along the degree axis.  Every cost is thus formed by the
-    repair's addition w + C[u, d], and the fixpoint, the largest below the
-    start, does not depend on the order of the sweep: the same floats."""
+    w + C[u, d]) for the nodes with a neighbour whose cost fell in the
+    sweep before, and the loop ends when a sweep changes nothing.  A sweep
+    takes the layout's runs in turn (`_layout`: the rows of one degree
+    class whose (edges x destinations) temporaries fit `_RUN_ELEMENTS`),
+    each in one gather of the neighbours' costs, (rows x degree x
+    destinations), and one minimum along the degree axis.  A run writes
+    its costs before the next one gathers, so later runs read the costs
+    that earlier runs lowered in the same sweep, and more runs carry a
+    cost further in each sweep.  The (n x destinations) matrix is one
+    block's (`_BLOCK_ELEMENTS`).  Every cost is formed by the repair's
+    addition w + C[u, d], and the fixpoint, the largest below the start,
+    does not depend on the order of the sweep: the same floats."""
     k = len(dests)
     cost = np.full((n, k), np.inf)
     cost[dests, np.arange(k)] = 0
@@ -632,9 +651,9 @@ def _tight_bfs(tight, n, dests, edges):
     The frontier and the nodes not yet seen are bits like the tight
     edges, 64 destinations to a uint64 word (`_bits`).  A level gathers
     the frontier's words over every edge's u and ORs them along the degree
-    axis of each run of the layout.  A reached node's fewest hops are one
-    more than the least among its tight neighbours', so one minimum of
-    L[u] * n + u along the degree axis names its next."""
+    axis of each class of the layout.  A reached node's fewest hops are
+    one more than the least among its tight neighbours', so one minimum
+    of L[u] * n + u along the degree axis of each run names its next."""
     k = len(dests)
     words = -(-k // 64)
     nodes, near = edges.nodes, edges.near
@@ -653,7 +672,7 @@ def _tight_bfs(tight, n, dests, edges):
         np.take(frontier, near, axis=0, out=hit)
         if tight is not None:
             hit &= tight
-        for rows, run, degree in edges.runs:
+        for rows, run, degree in edges.classes:
             np.bitwise_or.reduce(hit[run].reshape(-1, degree, words), axis=1,
                                  out=reached[rows])
         reached &= unseen

@@ -1210,30 +1210,52 @@ def test_the_copy_that_counts_may_come_second_in_link_order(builtin_strategy, cl
 @pytest.mark.parametrize("name", ["jellyfish150", "fattree8"])
 def test_blocks_past_one_word_and_one_block(monkeypatch, builtin_strategy, clone, name):
     """Set-up solves blocks of destinations, each a whole number of
-    64-destination words as far as the graph allows, and cuts each degree
-    class into runs of rows, both by `_BLOCK_ELEMENTS`.  With its default
-    every destination of these graphs (150 and 80) is one block that ends
-    in the middle of its second or third word; with less, the blocks are
-    one word wide and the last ends mid-word; with 1, every run is one
-    row.  Each way the rules equal the oracle's exactly, and the heap
-    search of the custom clone key for key and type for type."""
+    64-destination words as far as `_BLOCK_ELEMENTS` allows (n x
+    destinations), and cuts each degree class into runs of rows by
+    `_RUN_ELEMENTS` (edges x destinations).  With the defaults every
+    destination of these graphs (150 and 80) is one block that ends in the
+    middle of its second or third word; with a block budget of 64 n, the
+    blocks are one word wide and the last ends mid-word; with budgets of 1,
+    the blocks are one word and every run is one row.  Each way the rules
+    equal the oracle's exactly, and the heap search of the custom clone key
+    for key and type for type."""
     plan = WeightPlan(PlanKind.UNIFORM, seed=3)
     if name == "jellyfish150":
         topo = gen_jellyfish(150, 6, plan, seed=3)
     else:
         topo = gen_fattree(8, plan)
     g = build_graph(topo, builtin_strategy.link_cost)
-    n, links = len(g.nodes), sum(1 for _link in g.link_items())
-    assert 64 < n <= 64 * (rc._BLOCK_ELEMENTS // (128 * links)) and n % 64
+    n = len(g.nodes)
+    assert 64 < n < 192 and n % 64
     want = rc.initialize(g, clone)
     result = oracle.solve(g, builtin_strategy)
-    for elements in (rc._BLOCK_ELEMENTS, 128 * links, 1):
+    cases = [(rc._BLOCK_ELEMENTS, rc._RUN_ELEMENTS, n), (64 * n, rc._RUN_ELEMENTS, 64), (1, 1, 64)]
+    for block, run, width in cases:
         with monkeypatch.context() as m:
-            m.setattr(rc, "_BLOCK_ELEMENTS", elements)
+            m.setattr(rc, "_BLOCK_ELEMENTS", block)
+            m.setattr(rc, "_RUN_ELEMENTS", run)
+            layouts = recorded_layouts(m)
             assert all_fixpoint(g, builtin_strategy) is not None  # no fallback here
             store = rc.initialize(g, builtin_strategy)
+            assert [args[-1] for args in layouts] == [width, width]
+            if run == 1:
+                assert {r.stop - r.start for r, _run, _k in rc._layout(*layouts[0]).runs} == {1}
         assert_same_stores(store, want)
-        assert oracle.compare_view(result, store.established_rules()) == [], elements
+        assert oracle.compare_view(result, store.established_rules()) == [], (block, run)
+
+
+def recorded_layouts(m):
+    """Patch `_layout` within the monkeypatch context `m` to record the
+    arguments of each call; the list they are recorded in."""
+    calls = []
+    layout = rc._layout
+
+    def recording(*args):
+        calls.append(args)
+        return layout(*args)
+
+    m.setattr(rc, "_layout", recording)
+    return calls
 
 
 def hub_topology(n):
@@ -1261,6 +1283,52 @@ def test_a_hub_sets_up_in_bounded_memory():
         tracemalloc.stop()
     assert peak - kept <= 10 * 2**20, (peak - kept) / 2**20
     assert oracle.compare_view(oracle.solve(g, SD), store.established_rules()) == []
+
+
+@pytest.mark.parametrize("name", ["fattree12", "hub700", "jellyfish150"])
+def test_set_up_sizes_its_blocks_and_runs(monkeypatch, name):
+    """Under sd_utilization `_layout`'s runs tile each degree class
+    exactly: in order, each row holding one node's neighbours and every
+    node with a neighbour in one row, and each of its classes spans the
+    runs of its degree.  Each run's (edges x destinations) array is within
+    `_RUN_ELEMENTS` or the run is one row (the hub's 699 neighbours), and
+    the block's (nodes x destinations) matrices are within
+    `_BLOCK_ELEMENTS` or the block is one word."""
+    plan = WeightPlan(PlanKind.UNIFORM, seed=3)
+    topo = {
+        "fattree12": lambda: gen_fattree(12, plan),
+        "hub700": lambda: hub_topology(700),
+        "jellyfish150": lambda: gen_jellyfish(150, 6, plan, seed=3),
+    }[name]()
+    g = build_graph(topo, SD.link_cost)
+    with monkeypatch.context() as m:
+        layouts = recorded_layouts(m)
+        store = rc.initialize(g, SD)
+    [args] = layouts
+    n, width = args[0], args[-1]
+    edges = rc._layout(*args)
+    assert width == n or width % 64 == 0 and width < n
+    assert width * n <= rc._BLOCK_ELEMENTS or width == 64
+    slot = store.slot
+    neighbours = {slot[x]: sorted({slot[y] for y, _w in g.out_edges(x)}) for x in g.nodes}
+    assert sorted(edges.nodes.tolist()) == sorted(x for x, near in neighbours.items() if near)
+    end = ends = 0
+    degrees = []
+    for rows, run, k in edges.runs:
+        assert (rows.start, run.start) == (end, ends)
+        end, ends = rows.stop, run.stop
+        table = edges.us[run].reshape(-1, k).tolist()
+        assert [neighbours[x] for x in edges.nodes[rows].tolist()] == table
+        assert len(table) * k * width <= rc._RUN_ELEMENTS or len(table) == 1
+        degrees.append(k)
+    assert (end, ends) == (len(edges.nodes), len(edges.us))
+    assert degrees == sorted(degrees)
+    # each class whole, as its runs together
+    assert [k for _rows, _run, k in edges.classes] == sorted(set(degrees))
+    for rows, run, k in edges.classes:
+        inside = [r for r in edges.runs if r[2] == k]
+        assert rows == slice(inside[0][0].start, inside[-1][0].stop)
+        assert run == slice(inside[0][1].start, inside[-1][1].stop)
 
 
 # sd_utilization with a nan weight for a utilization of 3
