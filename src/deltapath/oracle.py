@@ -32,16 +32,13 @@ int32.  Every kernel works on (targets x directed edges) arrays over one
 block of targets at a time, each near `_BLOCK_ELEMENTS` elements (or of 8
 targets, past 8192 edges), so its working memory is O(N^2 +
 _BLOCK_ELEMENTS + 8 * edges) whatever the weights.
-`compare_view` reads the view one chunk of entries at a time, so it adds
-an (N, N) mask of the pairs not yet seen plus a few words per entry of
-one chunk.
+`compare_view` reads the view one row at a time, so it adds an (N, N)
+mask of the pairs the view lacks plus the oracle's keys for one row.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -60,15 +57,14 @@ class OracleResult:
     """Per ordered pair: optimal cost, tie-broken length, tie-broken next
     hop, and (on demand) the witness next-hop sets."""
 
-    def __init__(self, ids, cost, length, nxt, nbr_idx, nbr_w, maximize):
+    def __init__(self, ids, cost, length, nxt, edges, maximize):
         self.ids: tuple[NodeId, ...] = tuple(ids)
         self.index = {n: i for i, n in enumerate(self.ids)}
         self.maximize = maximize
         self._cost = cost
         self._length = length
         self._next = nxt
-        self._nbr_idx = nbr_idx
-        self._nbr_w = nbr_w
+        self._edges = edges
 
     @property
     def next_matrix(self):
@@ -124,8 +120,9 @@ class OracleResult:
             return frozenset({s})
         if not self.reachable(s, t):
             return frozenset()
-        xs = self._nbr_idx[i]
-        ws = self._nbr_w[i]
+        edges = self._edges
+        lo, hi = np.searchsorted(edges.srcs, (i, i + 1)).tolist()
+        xs, ws = edges.dsts[lo:hi], edges.ws[lo:hi]
         via = (
             np.minimum(ws, self._cost[xs, j])
             if self.maximize
@@ -150,10 +147,9 @@ class _Edges(NamedTuple):
 
 
 def _collect_edges(graph: GraphStore, widest: bool):
-    """Sorted node ids, the edges with each pair's reduced weight (min for
-    additive routing, max for widest), and per-source neighbor array views."""
+    """Sorted node ids, and the edges with each pair's reduced weight (min
+    for additive routing, max for widest)."""
     ids = sorted(graph.nodes)
-    n = len(ids)
     index = {node: i for i, node in enumerate(ids)}
     wmin: dict[tuple[int, int], float] = {}
     for (src, dst, w), _mult in graph.edge_items():
@@ -168,10 +164,7 @@ def _collect_edges(graph: GraphStore, widest: bool):
     order = np.lexsort((dsts, srcs))
     srcs, dsts, ws = srcs[order], dsts[order], ws[order]
     heads, starts = np.unique(srcs, return_index=True)
-    indptr = np.searchsorted(srcs, np.arange(n + 1))
-    nbr_idx = [dsts[indptr[s]:indptr[s + 1]] for s in range(n)]
-    nbr_w = [ws[indptr[s]:indptr[s + 1]] for s in range(n)]
-    return ids, _Edges(srcs, dsts, ws, heads, starts), nbr_idx, nbr_w
+    return ids, _Edges(srcs, dsts, ws, heads, starts)
 
 
 def _blocks(n: int, m: int):
@@ -211,7 +204,7 @@ def _relax(block, edges: _Edges, offer, better, seeds) -> None:
         changed[heads] = (new != old).any(axis=0)
 
 
-def _solve(ids, edges: _Edges, nbr_idx, nbr_w, maximize: bool) -> OracleResult:
+def _solve(ids, edges: _Edges, maximize: bool) -> OracleResult:
     """Costs, fewest hops and tie-broken next hops toward one block of
     targets at a time.
 
@@ -254,7 +247,7 @@ def _solve(ids, edges: _Edges, nbr_idx, nbr_w, maximize: bool) -> OracleResult:
         nxt[:, lo:hi] = -1
         nxt[heads, lo:hi] = best.T
         nxt[targets, targets] = targets
-    return OracleResult(ids, cost, length, nxt, nbr_idx, nbr_w, maximize)
+    return OracleResult(ids, cost, length, nxt, edges, maximize)
 
 
 def apsp_additive(graph: GraphStore, strategy: Strategy) -> OracleResult:
@@ -268,13 +261,13 @@ def apsp_additive(graph: GraphStore, strategy: Strategy) -> OracleResult:
     such sums exactly."""
     if strategy.maximize:
         raise InvalidWeightError("apsp_additive requires an additive strategy")
-    ids, edges, nbr_idx, nbr_w = _collect_edges(graph, widest=False)
+    ids, edges = _collect_edges(graph, widest=False)
     if edges.ws.size and edges.ws.min() <= 0:
         raise InvalidWeightError(f"non-positive weight {edges.ws.min()}")
     weights = [w for (_a, _b, w), _m in graph.link_items()]
     if sum(weights) >= 2**53 and not all(isinstance(w, float) for w in weights):
         raise TooLargeError("weights total 2**53 or more, past exact float sums")
-    return _solve(ids, edges, nbr_idx, nbr_w, False)
+    return _solve(ids, edges, False)
 
 
 def widest_reference(graph: GraphStore, strategy: Strategy) -> OracleResult:
@@ -316,7 +309,7 @@ def widest_paths_bruteforce(graph: GraphStore, strategy: Strategy) -> OracleResu
         raise TooLargeError(f"{len(graph.nodes)} nodes; brute force capped at 14")
     result = widest_reference(graph, strategy)
     n = len(result.ids)
-    _ids, edges, _ni, _nw = _collect_edges(graph, widest=True)
+    _ids, edges = _collect_edges(graph, widest=True)
     enum = _enumerate_widths(edges, n)
     if not np.array_equal(enum, result._cost):
         raise AssertionError("width enumeration disagrees with value iteration")
@@ -330,68 +323,28 @@ def solve(graph: GraphStore, strategy: Strategy) -> OracleResult:
     return apsp_additive(graph, strategy)
 
 
-def _mismatch(result: OracleResult, s, t, rule, rtol, check_length, witness_next):
-    """Why the view's rule for (s, t) fails against the oracle, or None."""
+def _mismatch(result: OracleResult, s, t, p_cost, p_length, nxt, rtol, check_length,
+              witness_next):
+    """Why the view's rule for (s, t), of cost `p_cost`, length `p_length`
+    and next hop `nxt`, fails against the oracle, or None."""
     tri = result.triple(s, t)
     if tri is None:
         return "engine reaches an oracle-unreachable pair"
-    cost, length, nxt = tri
+    cost, length, want = tri
     if rtol:
         scale = abs(cost) if cost not in (math.inf, -math.inf) else 1.0
-        if not (rule.p_cost == cost or abs(rule.p_cost - cost) <= rtol * scale):
-            return f"cost {rule.p_cost} vs oracle {cost}"
-    elif rule.p_cost != cost:
-        return f"cost {rule.p_cost} vs oracle {cost}"
-    if check_length and rule.p_length != length:
-        return f"length {rule.p_length} vs oracle {length}"
+        if not (p_cost == cost or abs(p_cost - cost) <= rtol * scale):
+            return f"cost {p_cost} vs oracle {cost}"
+    elif p_cost != cost:
+        return f"cost {p_cost} vs oracle {cost}"
+    if check_length and p_length != length:
+        return f"length {p_length} vs oracle {length}"
     if witness_next:
-        if rule.next not in result.witnesses(s, t, tie_break=False):
-            return f"next {rule.next} not an oracle witness"
-    elif rule.next != nxt:
-        return f"next {rule.next} vs oracle {nxt}"
+        if nxt not in result.witnesses(s, t, tie_break=False):
+            return f"next {nxt} not an oracle witness"
+    elif nxt != want:
+        return f"next {nxt} vs oracle {want}"
     return None
-
-
-def _screen(result: OracleResult, view, keys, rows, cols, rtol, check_length):
-    """Which view entries certainly pass `_mismatch`, decided for all of
-    them at once.
-
-    The rules' (next, p_cost, p_length) become object columns, so that each
-    value compares with the oracle's matrices at (rows, cols) as Python
-    compares it (an int cost of 2**53 or more included).  The next must be
-    the oracle's tie-broken next, also under `witness_next`: that next
-    passed the test `witnesses` makes, so it is always a witness.  An entry not passed here may still pass
-    `_mismatch`."""
-    count = len(keys)
-    passed = np.zeros(count, dtype=bool)
-    known = np.flatnonzero((rows >= 0) & (cols >= 0))
-    cost = result._cost[rows[known], cols[known]]
-    reach = cost > -math.inf if result.maximize else cost < math.inf
-    at, cost = known[reach], cost[reach]
-    if not at.size:
-        return passed
-    rules = map(view.__getitem__, map(keys.__getitem__, at))
-    attrs = chain.from_iterable(map(attrgetter("next", "p_cost", "p_length"), rules))
-    values = np.fromiter(attrs, object, 3 * at.size).reshape(at.size, 3)
-    i, j = rows[at], cols[at]
-    if rtol:
-        scale = np.where(np.isinf(cost), 1.0, np.abs(cost))
-        # Python's float arithmetic raises the FPU's invalid flag on inf - inf
-        with np.errstate(invalid="ignore"):
-            ok = (values[:, 1] == cost) | (np.abs(values[:, 1] - cost) <= rtol * scale)
-    else:
-        ok = ~(values[:, 1] != cost)
-    # `triple` takes int() of the length, which fails on inf
-    length = result._length[i, j]
-    finite = np.isfinite(length)
-    ok &= finite
-    if check_length:
-        ok &= ~(values[:, 2] != np.where(finite, length, 0).astype(np.int64))
-    nxt = result._next[i, j]
-    ok &= nxt >= 0
-    ok &= ~(values[:, 0] != np.array(result.ids, dtype=object)[nxt])
-    passed[at] = ok
-    return passed
 
 
 def compare_view(
@@ -411,36 +364,51 @@ def compare_view(
     first, in view order, then the oracle-reachable pairs the view lacks,
     in `ids` order.
 
-    The view is read one chunk of entries at a time, so the working
-    memory past the mask of missing pairs is that of one chunk.  In each
-    chunk `_screen` passes most entries at once; the rest go through
-    `_mismatch`, which builds the reasons.
+    The view is read one row at a time through its `rows()`.  For each
+    destination the oracle's answer is laid out as a row of the view's
+    keys, (signed cost, length, next) or None, over the view's slots, and
+    a row equal to it holds no mismatch.  Only the entries of a row that
+    differ from the oracle's key go through `_mismatch`, which names the
+    reason; it passes an entry whose cost is within `rtol`, or whose next
+    is a witness, as the options ask.  The oracle's own next is always a
+    witness, so an entry equal to its key passes under every option.
     """
-    index = result.index
-    # an entry of a chunk holds its key, two indices, its rule's three
-    # fields and a few masks, about 170 B traced: 1.4 MiB per chunk
-    chunk = _BLOCK_ELEMENTS // 8
-    missing = (
-        result._cost > -math.inf if result.maximize else result._cost < math.inf
-    )
-    bad = []
-    entries = iter(view)
-    while keys := list(islice(entries, chunk)):
-        count = len(keys)
-        rows = np.fromiter(map(index.get, map(itemgetter(0), keys), repeat(-1)), np.intp, count)
-        cols = np.fromiter(map(index.get, map(itemgetter(1), keys), repeat(-1)), np.intp, count)
-        try:
-            passed = _screen(result, view, keys, rows, cols, rtol, check_length)
-        except (ArithmeticError, AttributeError, TypeError, ValueError):
-            # what the screen cannot compare, `_mismatch` decides (or raises on)
-            passed = np.zeros(count, dtype=bool)
-        for k in np.flatnonzero(~passed).tolist():
-            s, t = key = keys[k]
-            reason = _mismatch(result, s, t, view[key], rtol, check_length, witness_next)
+    rows, slots, negated = view.rows()
+    index, nodes = result.index, np.array(result.ids, dtype=object)
+    cost, length, nxt = result._cost, result._length, result._next
+    missing = cost > -math.inf if result.maximize else cost < math.inf
+    # the oracle's index of each slot's node, 0 where the oracle lacks it
+    at = np.fromiter((index.get(x, -1) for x in slots), np.intp, len(slots))
+    known = at >= 0
+    at[~known] = 0
+    nothing = [None] * len(slots)
+    covered, lacked, bad = [], [], []
+    for d, row in rows:
+        j = index.get(d)
+        want = nothing
+        if j is not None:
+            covered.append(j)
+            c = cost[at, j]
+            want = list(zip((-c if negated else c).tolist(), length[at, j].tolist(),
+                            nodes[nxt[at, j]].tolist()))
+            for k in np.flatnonzero(~(missing[at, j] & known)).tolist():
+                want[k] = None
+        if row == want:
+            continue
+        for s, key, oracle_key in zip(slots, row, want):
+            if key == oracle_key:
+                continue
+            if key is None:
+                lacked.append((index[s], j))
+                continue
+            p_cost = -key[0] if negated else key[0]
+            reason = _mismatch(result, s, d, p_cost, key[1], key[2], rtol, check_length,
+                               witness_next)
             if reason is not None:
-                bad.append((s, t, reason))
-        known = (rows >= 0) & (cols >= 0)
-        missing[rows[known], cols[known]] = False
+                bad.append((s, d, reason))
+    missing[np.ix_(at[known], covered)] = False
+    for i, j in lacked:
+        missing[i, j] = True
     ids = result.ids
     for i, j in zip(*(a.tolist() for a in np.nonzero(missing))):
         bad.append((ids[i], ids[j], "oracle-reachable pair missing from engine"))

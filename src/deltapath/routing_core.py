@@ -102,7 +102,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from time import perf_counter_ns
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -156,6 +156,13 @@ class EstablishedView(Mapping):
         the row's costs are negated."""
         store = self._store
         return store._est.get(d, []), store.slot, store._neg
+
+    def rows(self) -> tuple[Iterable, list, bool]:
+        """Each destination's row as (d, row) in view order, the node of
+        each slot, and whether the rows' costs are negated: the pairs of
+        the view row by row, in the keys the store holds."""
+        store = self._store
+        return store._est.items(), store.ids, store._neg
 
     def __iter__(self):
         ids = self._store.ids

@@ -102,6 +102,20 @@ def slotted_store(graph: GraphStore, strategy: Strategy) -> routing_core.RuleSto
     return store
 
 
+def rule_store(rules: dict) -> routing_core.RuleStore:
+    """An sd_utilization store holding `rules`, {(s, t): ForwardingRule}:
+    a slot for every source and destination named, in sorted id order,
+    and one row per destination, in the order in which each first
+    appears."""
+    store = routing_core.RuleStore(builtin("sd_utilization"))
+    routing_core._take_slots(store, {x for pair in rules for x in pair})
+    for (s, t), rule in rules.items():
+        row = store._est.setdefault(t, [None] * len(store.ids))
+        row[store.slot[s]] = (rule.p_cost, rule.p_length, rule.next)
+    store._rules = len(rules)
+    return store
+
+
 def all_fixpoint(graph: GraphStore, strategy: Strategy):
     """The store `routing_core._all_fixpoint` fills, or None where it
     declines."""

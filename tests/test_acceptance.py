@@ -42,6 +42,7 @@ from conftest import (
     props,
     random_connected_topology,
     random_events,
+    rule_store,
     search_tree,
 )
 
@@ -396,11 +397,11 @@ def test_c07_not_constraints_match_the_oracle(k8_uniform):
         assert path.cost == want.cost_of(s, t)
         # every destination's search tree, not just this pair, matches the
         # node-deleted oracle
-        view = {
+        view = rule_store({
             (x, d): ForwardingRule(x, d, key[2], key[0], key[1])
             for d in pruned.nodes
             for x, key in search_tree(graph, SD, d, frozenset(excluded)).items()
-        }
+        }).established_rules()
         assert oracle.compare_view(want, view) == []
         checked += 1
     _passed(7, f"{checked} NOT-constraint policies equal the node-deleted "

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import deltapath
 from deltapath import oracle
 from deltapath.errors import InvalidWeightError, TooLargeError
-from deltapath.graph_model import RemoveLink, build_graph, save_topology
-from deltapath.routing_core import ForwardingRule, initialize
+from deltapath.graph_model import RemoveLink, RemoveNode, build_graph, save_topology
+from deltapath.routing_core import ForwardingRule, initialize, step_epoch
 from deltapath.strategy import Strategy, builtin, builtin_names
 from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 
@@ -30,6 +30,7 @@ from conftest import (
     props,
     random_connected_topology,
     real_weight_topologies,
+    rule_store,
     topology,
     triangle,
     utilization_topology,
@@ -255,18 +256,28 @@ class TestAffectedPairs:
         assert changed == {(0, 1), (1, 0), (0, 2), (2, 0)}
 
 
+def rules_of(result):
+    """The oracle's own answer as {(s, t): ForwardingRule}."""
+    return {
+        (s, t): ForwardingRule(s, t, nxt, cost, length, 1)
+        for s, t, cost, length, nxt in result.pairs()
+    }
+
+
+def compare_rules(result, rules, **options):
+    """`compare_view` of the established view of a store holding `rules`."""
+    return oracle.compare_view(result, rule_store(rules).established_rules(), **options)
+
+
 def test_compare_view_reports_divergence(triangle_graph):
     r = oracle.apsp_additive(triangle_graph, SD)
-    good = {
-        (s, t): ForwardingRule(s, t, nxt, cost, length, 1)
-        for s, t, cost, length, nxt in r.pairs()
-    }
-    assert oracle.compare_view(r, good) == []
+    good = rules_of(r)
+    assert compare_rules(r, good) == []
     bad = dict(good)
     bad[(0, 2)] = bad[(0, 2)]._replace(p_cost=99.0)
-    assert oracle.compare_view(r, bad) == [(0, 2, "cost 99.0 vs oracle 2.0")]
+    assert compare_rules(r, bad) == [(0, 2, "cost 99.0 vs oracle 2.0")]
     del bad[(0, 2)]
-    assert oracle.compare_view(r, bad) == [(0, 2, "oracle-reachable pair missing from engine")]
+    assert compare_rules(r, bad) == [(0, 2, "oracle-reachable pair missing from engine")]
 
 
 # --- properties of a solve that take nothing from its kernels on trust:
@@ -402,8 +413,8 @@ def test_solve_memory_is_bounded(strategy, topo):
 def test_compare_view_memory_is_bounded():
     """The traced peak of checking the established view of hop_count
     fat-tree k=16 (102 400 pairs) stays under 4 MiB: the mask of missing
-    pairs plus one chunk of entries.  Keys and columns for the whole view
-    at once are 16.8 MiB here."""
+    pairs plus the oracle's keys for one row.  Keys and columns for the
+    whole view at once are 16.8 MiB here."""
     g = build_graph(gen_fattree(16), HOP.link_cost)
     view = initialize(g, HOP).established_rules()
     result = oracle.solve(g, HOP)
@@ -552,20 +563,12 @@ def test_no_built_in_loads_scipy(tmp_path):
 # --- compare_view: its reasons, their order, and the options
 
 
-def rules_of(result):
-    """The oracle's own answer as a view."""
-    return {
-        (s, t): ForwardingRule(s, t, nxt, cost, length, 1)
-        for s, t, cost, length, nxt in result.pairs()
-    }
-
-
 def test_compare_view_reasons_in_view_order_then_missing_row_major():
     # a triangle (0-2 direct costs 3, through 1 costs 2) and a separate link 3-4
     g = sd_graph(5, [(0, 1, 1), (1, 2, 1), (0, 2, 3), (3, 4, 1)])
     r = oracle.apsp_additive(g, SD)
     good = rules_of(r)
-    assert oracle.compare_view(r, good) == []
+    assert compare_rules(r, good) == []
     view = {
         (2, 1): good[(2, 1)]._replace(p_length=2),
         (0, 3): ForwardingRule(0, 3, 1, 5.0, 2, 1),
@@ -576,7 +579,7 @@ def test_compare_view_reasons_in_view_order_then_missing_row_major():
     for pair, rule in good.items():
         if pair not in view and pair not in {(4, 3), (2, 0), (0, 1)}:
             view[pair] = rule
-    assert oracle.compare_view(r, view) == [
+    assert compare_rules(r, view) == [
         (2, 1, "length 2 vs oracle 1"),
         (0, 3, "engine reaches an oracle-unreachable pair"),
         (1, 0, "cost 7.0 vs oracle 1.0"),
@@ -589,7 +592,7 @@ def test_compare_view_reasons_in_view_order_then_missing_row_major():
     # one reason per pair, the first that applies: cost, then length, then next
     view[(1, 0)] = good[(1, 0)]._replace(p_cost=7.0, p_length=5, next=2)
     view[(2, 1)] = good[(2, 1)]._replace(p_length=2, next=0)
-    assert oracle.compare_view(r, view)[:3] == [
+    assert compare_rules(r, view)[:3] == [
         (2, 1, "length 2 vs oracle 1"),
         (0, 3, "engine reaches an oracle-unreachable pair"),
         (1, 0, "cost 7.0 vs oracle 1.0"),
@@ -601,7 +604,7 @@ def test_compare_view_names_nodes_the_oracle_lacks():
     r = oracle.apsp_additive(g, SD)
     view = {(9, 9): ForwardingRule(9, 9, 9, 0.0, 0, 1), **rules_of(r)}
     view[(7, 0)] = ForwardingRule(7, 0, 0, 1.0, 1, 1)
-    assert oracle.compare_view(r, view) == [
+    assert compare_rules(r, view) == [
         (9, 9, "engine reaches an oracle-unreachable pair"),
         (7, 0, "engine reaches an oracle-unreachable pair"),
     ]
@@ -617,10 +620,10 @@ def test_witness_next_accepts_any_cost_level_witness():
     good = rules_of(r)
     view = dict(good)
     view[(0, 3)] = good[(0, 3)]._replace(next=1)
-    assert oracle.compare_view(r, view) == [(0, 3, "next 1 vs oracle 3")]
-    assert oracle.compare_view(r, view, rtol=1e-9, witness_next=True) == []
+    assert compare_rules(r, view) == [(0, 3, "next 1 vs oracle 3")]
+    assert compare_rules(r, view, rtol=1e-9, witness_next=True) == []
     view[(0, 3)] = good[(0, 3)]._replace(next=2)
-    assert oracle.compare_view(r, view, rtol=1e-9, witness_next=True) == [
+    assert compare_rules(r, view, rtol=1e-9, witness_next=True) == [
         (0, 3, "next 2 not an oracle witness"),
     ]
 
@@ -630,10 +633,10 @@ def test_check_length_false_ignores_the_length_only():
     r = oracle.apsp_additive(g, SD)
     view = rules_of(r)
     view[(0, 2)] = view[(0, 2)]._replace(p_length=5)
-    assert oracle.compare_view(r, view) == [(0, 2, "length 5 vs oracle 2")]
-    assert oracle.compare_view(r, view, check_length=False) == []
+    assert compare_rules(r, view) == [(0, 2, "length 5 vs oracle 2")]
+    assert compare_rules(r, view, check_length=False) == []
     view[(0, 2)] = view[(0, 2)]._replace(next=0)
-    assert oracle.compare_view(r, view, check_length=False) == [(0, 2, "next 0 vs oracle 1")]
+    assert compare_rules(r, view, check_length=False) == [(0, 2, "next 0 vs oracle 1")]
 
 
 def test_rtol_bounds_the_cost_difference():
@@ -641,12 +644,12 @@ def test_rtol_bounds_the_cost_difference():
     r = oracle.apsp_additive(g, SD)
     view = rules_of(r)
     view[(0, 1)] = view[(0, 1)]._replace(p_cost=1 / 3 * (1 + 1e-12))
-    assert oracle.compare_view(r, view, rtol=1e-9) == []
-    assert oracle.compare_view(r, view) == [
+    assert compare_rules(r, view, rtol=1e-9) == []
+    assert compare_rules(r, view) == [
         (0, 1, f"cost {1 / 3 * (1 + 1e-12)} vs oracle {1 / 3}"),
     ]
     view[(0, 1)] = view[(0, 1)]._replace(p_cost=1 / 3 * (1 + 1e-8))
-    assert oracle.compare_view(r, view, rtol=1e-9) == [
+    assert compare_rules(r, view, rtol=1e-9) == [
         (0, 1, f"cost {1 / 3 * (1 + 1e-8)} vs oracle {1 / 3}"),
     ]
 
@@ -672,81 +675,27 @@ def test_costs_compare_as_python_compares_them():
     assert r.cost_of(0, 1) == 2.0**53
     view = rules_of(r)
     view[(0, 1)] = view[(0, 1)]._replace(p_cost=2**53)
-    assert oracle.compare_view(r, view) == []
+    assert compare_rules(r, view) == []
     view[(0, 1)] = view[(0, 1)]._replace(p_cost=Decimal(2**53))
-    assert oracle.compare_view(r, view, rtol=1e-9) == []
+    assert compare_rules(r, view, rtol=1e-9) == []
     view[(0, 1)] = view[(0, 1)]._replace(p_cost=2**53 + 1)
-    assert oracle.compare_view(r, view) == [
+    assert compare_rules(r, view) == [
         (0, 1, "cost 9007199254740993 vs oracle 9007199254740992.0"),
     ]
     third = oracle.apsp_additive(sd_graph(2, [(0, 1, 1 / 3)]), SD)
     view = rules_of(third)
     view[(0, 1)] = view[(0, 1)]._replace(p_cost=Fraction(1, 3))
-    assert oracle.compare_view(third, view) == [
+    assert compare_rules(third, view) == [
         (0, 1, "cost 1/3 vs oracle 0.3333333333333333"),
     ]
-    assert oracle.compare_view(third, view, rtol=1e-9) == []
+    assert compare_rules(third, view, rtol=1e-9) == []
 
 
-def test_compare_view_of_views_without_rules():
-    """Values that are not rules at all: the pairs the oracle cannot reach
-    are named without reading them, the others raise as they always did."""
-    r = oracle.apsp_additive(sd_graph(2, [(0, 1, 1)]), SD)
-    view = {**rules_of(r), (5, 6): None}
-    assert oracle.compare_view(r, view) == [(5, 6, "engine reaches an oracle-unreachable pair")]
-    view[(0, 1)] = None
-    with pytest.raises(AttributeError):
-        oracle.compare_view(r, view)
-
-
-# --- compare_view reads the view in chunks of `_BLOCK_ELEMENTS // 8`
-# --- entries; the chunks must not show in its result
-
-
-def same_in_every_chunking(monkeypatch, result, view, **options):
-    """compare_view's result with the default chunk, after asserting that
-    chunks of 1, 2 and 3 entries give the same list."""
-    expect = oracle.compare_view(result, view, **options)
-    for chunk in (1, 2, 3):
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_BLOCK_ELEMENTS", 8 * chunk)
-            assert oracle.compare_view(result, view, **options) == expect, chunk
-    return expect
-
-
-@pytest.mark.parametrize("options", [{}, {"rtol": 1e-9, "witness_next": True}],
-                         ids=["exact", "rtol-witness"])
-def test_compare_view_chunks_of_small_views(monkeypatch, options):
-    """The views of the reason-order and unknown-node tests above."""
-    r = oracle.apsp_additive(sd_graph(5, [(0, 1, 1), (1, 2, 1), (0, 2, 3), (3, 4, 1)]), SD)
-    good = rules_of(r)
-    view = {
-        (2, 1): good[(2, 1)]._replace(p_length=2),
-        (0, 3): ForwardingRule(0, 3, 1, 5.0, 2, 1),
-        (1, 0): good[(1, 0)]._replace(p_cost=7.0),
-        (0, 2): good[(0, 2)]._replace(next=2),
-        (0, 9): ForwardingRule(0, 9, 1, 1.0, 1, 1),
-    }
-    for pair, rule in good.items():
-        if pair not in view and pair not in {(4, 3), (2, 0), (0, 1)}:
-            view[pair] = rule
-    assert len(same_in_every_chunking(monkeypatch, r, view, **options)) == 8
-    r = oracle.apsp_additive(sd_graph(3, [(0, 1, 1), (1, 2, 1)]), SD)
-    view = {(9, 9): ForwardingRule(9, 9, 9, 0.0, 0, 1), **rules_of(r)}
-    view[(7, 0)] = ForwardingRule(7, 0, 0, 1.0, 1, 1)
-    assert same_in_every_chunking(monkeypatch, r, view, **options) == [
-        (9, 9, "engine reaches an oracle-unreachable pair"),
-        (7, 0, "engine reaches an oracle-unreachable pair"),
-    ]
-
-
-def test_compare_view_chunks_of_an_established_view(monkeypatch):
+def test_compare_view_of_a_corrupted_established_view():
     """A hop_count fat-tree k=4 store (400 pairs) whose rows were
-    corrupted: a changed cost, a cost of None (the screen does not pass
-    it, and `_mismatch` names it), an entry for a node the oracle lacks,
-    and a deleted entry.  Under `rtol` the None becomes a Decimal equal to
-    the cost, which `_screen` cannot subtract: that chunk alone falls back
-    to `_mismatch`, which passes it."""
+    corrupted: a changed cost, a cost of None, an entry at a slot for a
+    node the oracle lacks, and a deleted entry, each named.  Under `rtol`
+    the None becomes a Decimal equal to the cost, which passes."""
     g = build_graph(gen_fattree(4), HOP.link_cost)
     store = initialize(g, HOP)
     r = oracle.solve(g, HOP)
@@ -760,20 +709,128 @@ def test_compare_view_chunks_of_an_established_view(monkeypatch):
     rows[d1][slot[s1]] = (None, length1, nxt1)
     slot[99] = len(store.ids)  # a slot for a node the graph lacks
     store.ids.append(99)
-    rows[d2].append((1, 1, d2))
+    for d, row in rows.items():
+        row.append((1, 1, d2) if d == d2 else None)
     rows[d3][slot[s3]] = None
     view = store.established_rules()
     tail = [
         (99, d2, "engine reaches an oracle-unreachable pair"),
         (s3, d3, "oracle-reachable pair missing from engine"),
     ]
-    assert same_in_every_chunking(monkeypatch, r, view) == [
+    assert oracle.compare_view(r, view) == [
         (s0, d0, f"cost {cost + 1} vs oracle {float(cost)}"),
         (s1, d1, f"cost None vs oracle {float(cost1)}"),
         *tail,
     ]
     rows[d1][slot[s1]] = (Decimal(cost1), length1, nxt1)
-    assert same_in_every_chunking(monkeypatch, r, view, rtol=1e-9, witness_next=True) == [
+    assert oracle.compare_view(r, view, rtol=1e-9, witness_next=True) == [
         (s0, d0, f"cost {cost + 1} vs oracle {float(cost)}"),
         *tail,
     ]
+
+
+def test_compare_view_names_one_wrong_entry_of_a_fattree16():
+    """hop_count fat-tree k=16 after an aggregation switch fails: the
+    failed switch keeps its slot, empty in every row, and the view
+    compares clean.  A wrong next, cost or length in one entry of one
+    row is then the one mismatch named."""
+    g = build_graph(gen_fattree(16), HOP.link_cost)
+    store = initialize(g, HOP)
+    assert step_epoch(store, g, [RemoveNode(130)])
+    assert 130 in store.slot and 130 not in g.nodes
+    r = oracle.solve(g, HOP)
+    view = store.established_rules()
+    assert oracle.compare_view(r, view) == []
+    s, d = 200, 5
+    row = store._est[d] = list(store._est[d])
+    cost, length, nxt = key = row[store.slot[s]]
+    for wrong, reason in [
+        ((cost, length, s), f"next {s} vs oracle {nxt}"),
+        ((cost + 2, length, nxt), f"cost {cost + 2} vs oracle {float(cost)}"),
+        ((cost, length + 2, nxt), f"length {length + 2} vs oracle {length}"),
+    ]:
+        row[store.slot[s]] = wrong
+        assert oracle.compare_view(r, view) == [(s, d, reason)]
+    row[store.slot[s]] = key
+    assert oracle.compare_view(r, view) == []
+
+
+# --- compare_view against a loop over the view's entries
+
+
+def reference_compare(result, view, rtol=0.0, check_length=True, witness_next=False):
+    """`compare_view` as a loop over `view.items()`: `_mismatch` for each
+    entry in view order, then the oracle-reachable pairs the view lacks,
+    row-major in `ids` order."""
+    bad = []
+    for (s, t), rule in view.items():
+        reason = oracle._mismatch(result, s, t, rule.p_cost, rule.p_length, rule.next, rtol,
+                                  check_length, witness_next)
+        if reason is not None:
+            bad.append((s, t, reason))
+    for s in result.ids:
+        for t in result.ids:
+            if result.reachable(s, t) and (s, t) not in view:
+                bad.append((s, t, "oracle-reachable pair missing from engine"))
+    return bad
+
+
+@st.composite
+def row_corruptions(draw):
+    """Edits to a store's rows, each (kind, destination pick, source pick,
+    value pick), the picks taken modulo what the store holds."""
+    kinds = st.sampled_from(["cost", "near", "length", "next", "drop", "add", "slot", "row"])
+    pick = st.integers(0, 1 << 10)
+    return draw(st.lists(st.tuples(kinds, pick, pick, pick), max_size=6))
+
+
+def corrupt(store, edits):
+    """Apply `row_corruptions` to the store's rows: a cost moved by 1 or
+    by a relative 1e-12, a length moved by 1, another next, an entry
+    deleted or set where there was none, a slot for a node the graph
+    lacks, and a row for a destination the graph lacks."""
+    rows, ids = store._est, store.ids
+    for d in rows:
+        rows[d] = list(rows[d])
+    for kind, dp, sp, vp in edits:
+        d = list(rows)[dp % len(rows)]
+        row = rows[d]
+        k = sp % len(ids)
+        key = row[k]
+        if kind == "slot":
+            store.slot[1000 + len(ids)] = len(ids)
+            ids.append(1000 + len(ids))
+            for other in rows.values():
+                other.append(None)
+            row[-1] = (vp, 1, d)
+        elif kind == "row":
+            rows[2000 + dp] = [None] * len(ids)
+            rows[2000 + dp][k] = (vp, 1, ids[k])
+        elif kind == "add" or key is None:
+            row[k] = (vp % 4, vp % 3, ids[vp % len(ids)])
+        elif kind == "cost":
+            row[k] = (key[0] + 1, key[1], key[2])
+        elif kind == "near":
+            row[k] = (key[0] * (1 + 1e-12), key[1], key[2])
+        elif kind == "length":
+            row[k] = (key[0], key[1] + 1, key[2])
+        elif kind == "next":
+            row[k] = (key[0], key[1], ids[vp % len(ids)])
+        else:
+            row[k] = None
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"check_length": False}, {"rtol": 1e-9, "check_length": False, "witness_next": True},
+], ids=["exact", "no-length", "rtol-witness"])
+@pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+@settings(max_examples=40, deadline=None)
+@given(topo=loose_topologies(), edits=row_corruptions())
+def test_compare_view_equals_the_entry_loop(strategy, options, topo, edits):
+    g = build_graph(topo, strategy.link_cost)
+    store = initialize(g, strategy)
+    corrupt(store, edits)
+    result = oracle.solve(g, strategy)
+    view = store.established_rules()
+    assert oracle.compare_view(result, view, **options) == reference_compare(result, view,
+                                                                              **options)
