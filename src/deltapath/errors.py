@@ -55,7 +55,8 @@ class NoBackupError(DeltaPathError):
 
 
 class TooLargeError(DeltaPathError):
-    """Input exceeds a brute-force size limit."""
+    """Input past what a check holds exactly: the oracle refuses non-float
+    weights whose total is 2**53 or more."""
 
 
 class InfeasibleError(DeltaPathError):

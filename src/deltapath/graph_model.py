@@ -152,16 +152,10 @@ class GraphStore:
             for (dst, w), mult in out.items():
                 yield (src, dst, w), mult
 
-    def link_items(self) -> Iterator[tuple[tuple[NodeId, NodeId, float], int]]:
-        """Each stored link once, as in `edge_items` with `src < dst`."""
-        adj = self._adj
-        for src, dst, w in self._props:
-            yield (src, dst, w), adj[src][(dst, w)]
-
     def links(self) -> KeysView[tuple[NodeId, NodeId, float]]:
         """Each stored link once, as its key (src, dst, w) with `src < dst`,
-        in `link_items` order: a view, so `zip(*graph.links())` reads the
-        links with no Python step per link."""
+        in the order they were stored: a view, so `zip(*graph.links())`
+        reads the links with no Python step per link."""
         return self._props.keys()
 
     def multiplicity(self, src: NodeId, dst: NodeId, w: float) -> int:

@@ -1,4 +1,4 @@
-"""From-scratch reference solvers used for equivalence testing.
+"""The from-scratch reference solver used for equivalence testing.
 
 Nothing here shares code with the incremental engine.  Every built-in
 strategy is solved by Bellman's synchronous relaxation toward each target
@@ -9,17 +9,17 @@ ones.  That is the extension the engine's repair makes, in the same
 order, so every cost is the engine's own float and every tie is exact,
 real weights included.  That holds at any size for float weights, which
 are summed as the engine sums them.  Weights of another type (hop_count's
-ints) are summed exactly only while every path sum stays below 2**53;
-past that, `apsp_additive` raises TooLargeError rather than check
-inexactly.
+ints) are held exactly only while their total, which bounds every path
+sum and every width, stays below 2**53; past that, `solve` raises
+TooLargeError rather than check inexactly.
 The fewest hops come from the same relaxation over the edges that carry a
 best path, and each next hop from one minimum over each source's edges.
-The brute-force widest entry point also cross-checks the widths by
-exhaustive simple-path enumeration.  The only deliberately shared piece
-of semantics is the selection tie-break, which
-replicates the engine's key tuple (signed cost, p_length, next), whose
-plain order is the selection order (see `strategy`): primary key per the
-strategy, then fewer hops, then smallest next-hop id.
+`solve` is the one entry point, and `compare_view` checks a view against
+it exactly.  The only deliberately shared piece of semantics is the
+selection tie-break, which replicates the engine's key tuple (signed
+cost, p_length, next), whose plain order is the selection order (see
+`strategy`): primary key per the strategy, then fewer hops, then
+smallest next-hop id.
 
 Time: a relaxation ends one sweep after the last change, so it sweeps at
 most one more time than the most hops of a best path: at most N times, as
@@ -39,7 +39,7 @@ mask of the pairs the view lacks plus the oracle's keys for one row.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,17 +54,16 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 class OracleResult:
-    """Per ordered pair: optimal cost, tie-broken length, tie-broken next
-    hop, and (on demand) the witness next-hop sets."""
+    """Per ordered pair: optimal cost, tie-broken length and tie-broken
+    next hop."""
 
-    def __init__(self, ids, cost, length, nxt, edges, maximize):
+    def __init__(self, ids, cost, length, nxt, maximize):
         self.ids: tuple[NodeId, ...] = tuple(ids)
         self.index = {n: i for i, n in enumerate(self.ids)}
         self.maximize = maximize
         self._cost = cost
         self._length = length
         self._next = nxt
-        self._edges = edges
 
     @property
     def next_matrix(self):
@@ -97,41 +96,6 @@ class OracleResult:
             int(self._length[i, j]),
             self.ids[self._next[i, j]],
         )
-
-    def pairs(self) -> Iterator[tuple[NodeId, NodeId, float, int, NodeId]]:
-        """All reachable ordered pairs, self pairs included."""
-        reach = (
-            self._cost > -math.inf if self.maximize else self._cost < math.inf
-        )
-        for i, j in zip(*np.nonzero(reach)):
-            yield (
-                self.ids[i],
-                self.ids[j],
-                float(self._cost[i, j]),
-                int(self._length[i, j]),
-                self.ids[self._next[i, j]],
-            )
-
-    def witnesses(self, s: NodeId, t: NodeId, tie_break: bool = True) -> frozenset:
-        """Next hops on some optimal path; with `tie_break`, restricted to
-        paths that are also tie-break minimal (fewest hops)."""
-        i, j = self.index[s], self.index[t]
-        if i == j:
-            return frozenset({s})
-        if not self.reachable(s, t):
-            return frozenset()
-        edges = self._edges
-        lo, hi = np.searchsorted(edges.srcs, (i, i + 1)).tolist()
-        xs, ws = edges.dsts[lo:hi], edges.ws[lo:hi]
-        via = (
-            np.minimum(ws, self._cost[xs, j])
-            if self.maximize
-            else ws + self._cost[xs, j]
-        )
-        mask = via == self._cost[i, j]
-        if tie_break:
-            mask = mask & (self._length[xs, j] + 1 == self._length[i, j])
-        return frozenset(self.ids[x] for x in xs[mask])
 
 
 class _Edges(NamedTuple):
@@ -247,131 +211,58 @@ def _solve(ids, edges: _Edges, maximize: bool) -> OracleResult:
         nxt[:, lo:hi] = -1
         nxt[heads, lo:hi] = best.T
         nxt[targets, targets] = targets
-    return OracleResult(ids, cost, length, nxt, edges, maximize)
-
-
-def apsp_additive(graph: GraphStore, strategy: Strategy) -> OracleResult:
-    """All-pairs optima for an additive strategy, with the engine's
-    key-tuple tie-break applied, exact for float weights and for weights
-    of another type (ints) whose total is below 2**53.
-
-    Raises InvalidWeightError on a weight that is not positive, and
-    TooLargeError on a non-float weight when the weights' total, which
-    bounds every path sum, is 2**53 or more: float64 no longer holds
-    such sums exactly."""
-    if strategy.maximize:
-        raise InvalidWeightError("apsp_additive requires an additive strategy")
-    ids, edges = _collect_edges(graph, widest=False)
-    if edges.ws.size and edges.ws.min() <= 0:
-        raise InvalidWeightError(f"non-positive weight {edges.ws.min()}")
-    weights = [w for (_a, _b, w), _m in graph.link_items()]
-    if sum(weights) >= 2**53 and not all(isinstance(w, float) for w in weights):
-        raise TooLargeError("weights total 2**53 or more, past exact float sums")
-    return _solve(ids, edges, False)
-
-
-def widest_reference(graph: GraphStore, strategy: Strategy) -> OracleResult:
-    """Value-iteration reference for widest-path strategies (no size cap)."""
-    if not strategy.maximize:
-        raise InvalidWeightError("widest_reference requires a widest strategy")
-    return _solve(*_collect_edges(graph, widest=True), True)
-
-
-def _enumerate_widths(edges: _Edges, n):
-    """Max over all simple paths of the min edge width, per ordered pair."""
-    out_edges: dict[int, list[tuple[int, float]]] = {}
-    for i, j, w in zip(edges.srcs.tolist(), edges.dsts.tolist(), edges.ws.tolist()):
-        out_edges.setdefault(i, []).append((j, w))
-    best = np.full((n, n), -np.inf)
-    np.fill_diagonal(best, np.inf)
-
-    def dfs(origin, node, width, visited):
-        for nxt, w in out_edges.get(node, ()):
-            if nxt in visited:
-                continue
-            nw = min(width, w)
-            if nw > best[origin, nxt]:
-                best[origin, nxt] = nw
-            visited.add(nxt)
-            dfs(origin, nxt, nw, visited)
-            visited.remove(nxt)
-
-    for s in range(n):
-        dfs(s, s, math.inf, {s})
-    return best
-
-
-def widest_paths_bruteforce(graph: GraphStore, strategy: Strategy) -> OracleResult:
-    """Exhaustive widest-path reference for small graphs: widths certified
-    by simple-path enumeration, tie-break replicating the selection order
-    (max width, then fewest hops, then smallest next id)."""
-    if len(graph.nodes) > 14:
-        raise TooLargeError(f"{len(graph.nodes)} nodes; brute force capped at 14")
-    result = widest_reference(graph, strategy)
-    n = len(result.ids)
-    _ids, edges = _collect_edges(graph, widest=True)
-    enum = _enumerate_widths(edges, n)
-    if not np.array_equal(enum, result._cost):
-        raise AssertionError("width enumeration disagrees with value iteration")
-    return result
+    return OracleResult(ids, cost, length, nxt, maximize)
 
 
 def solve(graph: GraphStore, strategy: Strategy) -> OracleResult:
-    """Route to the matching reference solver for the strategy family."""
-    if strategy.maximize:
-        return widest_reference(graph, strategy)
-    return apsp_additive(graph, strategy)
+    """All-pairs optima for the strategy's built-in path cost (the sum when
+    minimizing, the bottleneck width when maximizing), with the engine's
+    key-tuple tie-break applied, exact for float weights and for weights
+    of another type (ints) whose total is below 2**53.
+
+    Raises InvalidWeightError on an additive weight that is not positive,
+    and TooLargeError on a non-float weight when the weights' total,
+    which bounds every path sum and every width, is 2**53 or more:
+    float64 no longer holds such values exactly."""
+    ids, edges = _collect_edges(graph, widest=strategy.maximize)
+    if not strategy.maximize and edges.ws.size and edges.ws.min() <= 0:
+        raise InvalidWeightError(f"non-positive weight {edges.ws.min()}")
+    weights = [w for _a, _b, w in graph.links()]
+    if sum(weights) >= 2**53 and not all(isinstance(w, float) for w in weights):
+        raise TooLargeError("weights total 2**53 or more, past exact floats")
+    return _solve(ids, edges, strategy.maximize)
 
 
-def _mismatch(result: OracleResult, s, t, p_cost, p_length, nxt, rtol, check_length,
-              witness_next):
+def _mismatch(result: OracleResult, s, t, p_cost, p_length, nxt):
     """Why the view's rule for (s, t), of cost `p_cost`, length `p_length`
     and next hop `nxt`, fails against the oracle, or None."""
     tri = result.triple(s, t)
     if tri is None:
         return "engine reaches an oracle-unreachable pair"
     cost, length, want = tri
-    if rtol:
-        scale = abs(cost) if cost not in (math.inf, -math.inf) else 1.0
-        if not (p_cost == cost or abs(p_cost - cost) <= rtol * scale):
-            return f"cost {p_cost} vs oracle {cost}"
-    elif p_cost != cost:
+    if p_cost != cost:
         return f"cost {p_cost} vs oracle {cost}"
-    if check_length and p_length != length:
+    if p_length != length:
         return f"length {p_length} vs oracle {length}"
-    if witness_next:
-        if nxt not in result.witnesses(s, t, tie_break=False):
-            return f"next {nxt} not an oracle witness"
-    elif nxt != want:
+    if nxt != want:
         return f"next {nxt} vs oracle {want}"
     return None
 
 
-def compare_view(
-    result: OracleResult,
-    view,
-    rtol: float = 0.0,
-    check_length: bool = True,
-    witness_next: bool = False,
-) -> list[tuple]:
+def compare_view(result: OracleResult, view) -> list[tuple]:
     """Mismatches between an established-rule view and an oracle result.
 
     Returns a list of (s, t, reason) tuples; empty means equivalence.  The
-    oracle's costs are the engine's own floats, so the defaults compare
-    every cost, length and next exactly.  With `rtol`, costs compare within
-    a relative tolerance instead, and with `witness_next` the next hop only
-    has to lie in the cost-level witness set.  The view's mismatches come
-    first, in view order, then the oracle-reachable pairs the view lacks,
-    in `ids` order.
+    oracle's costs are the engine's own floats, so every cost, length and
+    next compares exactly.  The view's mismatches come first, in view
+    order, then the oracle-reachable pairs the view lacks, in `ids` order.
 
     The view is read one row at a time through its `rows()`.  For each
     destination the oracle's answer is laid out as a row of the view's
     keys, (signed cost, length, next) or None, over the view's slots, and
     a row equal to it holds no mismatch.  Only the entries of a row that
     differ from the oracle's key go through `_mismatch`, which names the
-    reason; it passes an entry whose cost is within `rtol`, or whose next
-    is a witness, as the options ask.  The oracle's own next is always a
-    witness, so an entry equal to its key passes under every option.
+    reason.
     """
     rows, slots, negated = view.rows()
     index, nodes = result.index, np.array(result.ids, dtype=object)
@@ -402,8 +293,7 @@ def compare_view(
                 lacked.append((index[s], j))
                 continue
             p_cost = -key[0] if negated else key[0]
-            reason = _mismatch(result, s, d, p_cost, key[1], key[2], rtol, check_length,
-                               witness_next)
+            reason = _mismatch(result, s, d, p_cost, key[1], key[2])
             if reason is not None:
                 bad.append((s, d, reason))
     missing[np.ix_(at[known], covered)] = False

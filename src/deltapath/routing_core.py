@@ -276,7 +276,7 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     inputs that solve would key differently, take one `search` per
     destination, and the rule count is read from the rows.  Both give the
     same keys, float for float and int for int.  Raises
-    InvalidWeightError naming the first weight, in `link_items` order,
+    InvalidWeightError naming the first weight, in `links()` order,
     outside the strategy's domain.
     """
     if not topology.nodes:
@@ -367,7 +367,7 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
 
     The links are read once, as arrays.  Every weight is first checked
     against the strategy's domain, whatever the path cost: the first one
-    outside it, in `link_items` order, raises InvalidWeightError.  An edge
+    outside it, in `links()` order, raises InvalidWeightError.  An edge
     (u, x, w) lets x route through u; of parallel links the one that
     counts is the lightest under "sum" and the widest under "min", picked
     by one `lexsort`.  The edges that count are laid out by the degree of

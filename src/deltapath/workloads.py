@@ -305,7 +305,7 @@ def gen_weight_update_batches(topo: Topology, scenario: Scenario) -> Iterator[st
         nodes = [n.id for n in topo.nodes]
         yield f"# weight-batches x{scenario.trials} size={scenario.batch_size}"
         for trial in range(1, scenario.trials + 1):
-            result = oracle.apsp_additive(graph, strategy)
+            result = oracle.solve(graph, strategy)
             batch: list[tuple[int, int]] = []
             chosen = set()
             for _ in range(50 * scenario.batch_size):

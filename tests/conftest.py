@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import compress
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from deltapath import oracle, routing_core
+from deltapath.errors import TooLargeError
 from deltapath.graph_model import (
     AddLink,
     GraphStore,
@@ -83,6 +85,77 @@ def cost_and_length(result: oracle.OracleResult) -> tuple[np.ndarray, np.ndarray
     """An oracle solve's (N, N) optimal costs (+-inf where unreachable) and
     tie-broken lengths, in `result.ids` order."""
     return result._cost, result._length
+
+
+def pairs(result: oracle.OracleResult):
+    """All reachable ordered pairs of a solve, self pairs included, as
+    (s, t, cost, length, next), row-major in `ids` order."""
+    cost, length = cost_and_length(result)
+    ids, nxt = result.ids, result.next_matrix
+    reach = cost > -math.inf if result.maximize else cost < math.inf
+    for i, j in zip(*np.nonzero(reach)):
+        yield ids[i], ids[j], float(cost[i, j]), int(length[i, j]), ids[nxt[i, j]]
+
+
+def witnesses(result: oracle.OracleResult, graph: GraphStore, s: NodeId, t: NodeId,
+              tie_break: bool = True) -> frozenset:
+    """Next hops on some optimal path from s to t, re-derived from the
+    solve's cost matrix over s's edges in the graph; with `tie_break`,
+    restricted to paths that are also tie-break minimal (fewest hops)."""
+    if s == t:
+        return frozenset({s})
+    if not result.reachable(s, t):
+        return frozenset()
+    cost, length = cost_and_length(result)
+    i, j = result.index[s], result.index[t]
+    found = set()
+    for (x, w), _mult in graph.out_edges(s).items():
+        k = result.index[x]
+        via = min(w, cost[k, j]) if result.maximize else w + cost[k, j]
+        if via == cost[i, j] and (not tie_break or length[k, j] + 1 == length[i, j]):
+            found.add(x)
+    return frozenset(found)
+
+
+def _enumerate_widths(graph: GraphStore, ids) -> np.ndarray:
+    """Max over all simple paths of the min edge width, per ordered pair
+    of `ids`."""
+    index = {node: i for i, node in enumerate(ids)}
+    out_edges: dict[int, dict[int, float]] = {}
+    for (src, dst, w), _mult in graph.edge_items():
+        out = out_edges.setdefault(index[src], {})
+        out[index[dst]] = max(out.get(index[dst], -math.inf), float(w))
+    n = len(ids)
+    best = np.full((n, n), -np.inf)
+    np.fill_diagonal(best, np.inf)
+
+    def dfs(origin, node, width, visited):
+        for nxt, w in out_edges.get(node, {}).items():
+            if nxt in visited:
+                continue
+            nw = min(width, w)
+            if nw > best[origin, nxt]:
+                best[origin, nxt] = nw
+            visited.add(nxt)
+            dfs(origin, nxt, nw, visited)
+            visited.remove(nxt)
+
+    for s in range(n):
+        dfs(s, s, math.inf, {s})
+    return best
+
+
+def widest_paths_bruteforce(graph: GraphStore, strategy: Strategy) -> oracle.OracleResult:
+    """Exhaustive widest-path reference for small graphs: `oracle.solve`,
+    its widths certified by simple-path enumeration, tie-break
+    replicating the selection order (max width, then fewest hops, then
+    smallest next id)."""
+    if len(graph.nodes) > 14:
+        raise TooLargeError(f"{len(graph.nodes)} nodes; brute force capped at 14")
+    result = oracle.solve(graph, strategy)
+    if not np.array_equal(_enumerate_widths(graph, result.ids), cost_and_length(result)[0]):
+        raise AssertionError("width enumeration disagrees with value iteration")
+    return result
 
 
 def rules_by_id(store) -> dict:

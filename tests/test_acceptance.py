@@ -44,6 +44,7 @@ from conftest import (
     random_events,
     rule_store,
     search_tree,
+    widest_paths_bruteforce,
 )
 
 SD = builtin("sd_utilization")
@@ -137,7 +138,7 @@ def _replay_one_graph(graph_index: int) -> dict:
     }
 
     def check(epoch):
-        bad = mirror.mismatches(oracle.apsp_additive(graph, SD))
+        bad = mirror.mismatches(oracle.solve(graph, SD))
         if bad:
             report["oracle_bad"].append((epoch, bad))
 
@@ -215,7 +216,7 @@ def test_c01_oracle_equivalence_real_weights():
             events = random_events(rng, graph, 1)
             step_epoch(store, graph, events)
             epochs += 1
-            result = oracle.apsp_additive(graph, FREE_BW)
+            result = oracle.solve(graph, FREE_BW)
             bad = oracle.compare_view(result, store.established_rules())
             bad_total += len(bad)
             assert bad == [], f"graph {gi}: {bad[:3]}"
@@ -286,13 +287,13 @@ def test_c04_shortest_widest_matches_bruteforce():
         ]
         graph = build_graph(topo, WIDEST.link_cost)
         store = initialize(graph, WIDEST)
-        want = oracle.widest_paths_bruteforce(graph, WIDEST)
+        want = widest_paths_bruteforce(graph, WIDEST)
         assert oracle.compare_view(want, store.established_rules()) == [], f"graph {gi}"
         # one mutation epoch, then re-verify
         links = sorted({(min(s, d), max(s, d), w) for (s, d, w), _ in graph.edge_items()})
         a, b, w = links[rng.randrange(len(links))]
         step_epoch(store, graph, [RemoveLink(a, b, w)])
-        want = oracle.widest_paths_bruteforce(graph, WIDEST)
+        want = widest_paths_bruteforce(graph, WIDEST)
         assert oracle.compare_view(want, store.established_rules()) == [], f"graph {gi}+rm"
         store.check_integrity(graph)
     _passed(4, "30 random graphs: widest-path view equals brute force, "
@@ -393,7 +394,7 @@ def test_c07_not_constraints_match_the_oracle(k8_uniform):
         pruned = graph.fork()
         for x in excluded:
             pruned.apply_deltas(pruned.ingest_event(RemoveNode(x), SD.link_cost))
-        want = oracle.apsp_additive(pruned, SD)
+        want = oracle.solve(pruned, SD)
         assert path.cost == want.cost_of(s, t)
         # every destination's search tree, not just this pair, matches the
         # node-deleted oracle
@@ -475,7 +476,7 @@ def test_c09_weight_update_batches(k8_uniform):
                     t0 = time.perf_counter()
                     step_epoch(store, graph, events)
                     latencies.append(time.perf_counter() - t0)
-                    want = oracle.apsp_additive(graph, SD)
+                    want = oracle.solve(graph, SD)
                     assert oracle.compare_view(want, store.established_rules()) == []
                     events = []
             else:
@@ -484,7 +485,7 @@ def test_c09_weight_update_batches(k8_uniform):
             t0 = time.perf_counter()
             step_epoch(store, graph, events)
             latencies.append(time.perf_counter() - t0)
-            want = oracle.apsp_additive(graph, SD)
+            want = oracle.solve(graph, SD)
             assert oracle.compare_view(want, store.established_rules()) == []
         med_us = statistics.median(latencies) * 1e6
         table.append((size, len(latencies), med_us, size * 1e6 / med_us))

@@ -75,10 +75,7 @@ class TestConsistency:
         topo = random_connected_topology(rng, 16)
         g = build_graph(topo, strategy.link_cost)
         view = initialize(g, strategy).established_rules()
-        if strategy.maximize:
-            want = oracle.widest_reference(g, strategy)
-        else:
-            want = oracle.apsp_additive(g, strategy)
+        want = oracle.solve(g, strategy)
         best = max if strategy.maximize else min
         weights = {}
         for (a, b, w), _m in g.edge_items():

@@ -112,7 +112,7 @@ class TestWaypoints:
         rng = random.Random(4)
         topo = random_connected_topology(rng, 20)
         g, _rules, engine = engine_for(topo)
-        want = oracle.apsp_additive(g, SD)
+        want = oracle.solve(g, SD)
         stops = [0, 5, 11, 3, 17, 8, 19]
         engine.add(pe.parse_policy(1, "0 : 5 11 3 17 8 : 19"))
         res = engine.evaluate(1)
@@ -226,7 +226,7 @@ class TestNotConstraints:
         res = engine.evaluate(1)
         assert res.paths[0].hops == (0, 3, 4)
         pruned = without_nodes(g, {1, 2})
-        assert res.paths[0].cost == oracle.apsp_additive(pruned, SD).cost_of(0, 4)
+        assert res.paths[0].cost == oracle.solve(pruned, SD).cost_of(0, 4)
 
     def test_widest_path_avoiding_the_base_path_matches_the_oracle(self):
         # NOT the inner nodes of each pair's own path, so every mask bites
@@ -241,7 +241,7 @@ class TestNotConstraints:
             if not skip:
                 continue
             engine.add(pe.Policy(pid, s, t, pe.NotNodes(skip)))
-            want = oracle.widest_reference(without_nodes(g, skip), WIDEST)
+            want = oracle.solve(without_nodes(g, skip), WIDEST)
             outcomes.add(want.reachable(s, t))
             if not want.reachable(s, t):
                 with pytest.raises(UnreachableError):
@@ -259,7 +259,7 @@ class TestNotConstraints:
         for ev in random_events(rng, g, 15):
             step_epoch(rules, g, [ev])
             # the tree toward 9 equals a fresh solve of (graph minus node 5)
-            want = oracle.apsp_additive(without_nodes(g, {5}), SD)
+            want = oracle.solve(without_nodes(g, {5}), SD)
             assert search_tree(g, SD, 9, frozenset({5})) == oracle_tree(want, 9)
 
     def test_link_inside_excluded_star_leaves_result_unchanged(self):

@@ -54,6 +54,7 @@ from conftest import (
     topology,
     triangle,
     utilization_topology,
+    widest_paths_bruteforce,
 )
 
 SD = builtin("sd_utilization")
@@ -89,7 +90,7 @@ class TestInitialize:
     def test_triangle_routes_around_the_heavy_edge(self):
         g = build_graph(triangle(), SD.link_cost)
         store = rc.initialize(g, SD)
-        want = oracle.apsp_additive(g, SD)
+        want = oracle.solve(g, SD)
         rule = store.established_rules()[(0, 2)]
         assert (rule.p_cost, rule.p_length, rule.next) == (
             want.cost_of(0, 2), want.length_of(0, 2), want.next_of(0, 2),
@@ -196,7 +197,7 @@ class TestStepEpoch:
         g.check_integrity()
         store.check_integrity(g)
         assert oracle.compare_view(
-            oracle.apsp_additive(g, HOP), store.established_rules()
+            oracle.solve(g, HOP), store.established_rules()
         ) == []
         restore = [AddNode(n, labels[n]) for n in (a, b)]
         restore += [AddLink(x, y, p) for (x, y, _w), p in links.items()]
@@ -221,7 +222,7 @@ class TestHorizonGrowth:
         rc.step_epoch(store, g, [AddNode(4), AddLink(4, 0, props(utilization=1.0))])
         # force retraction of the long-established chain in the grown graph
         rc.step_epoch(store, g, [UpdateWeight(1, 2, 90.0)])
-        want = oracle.apsp_additive(g, SD)
+        want = oracle.solve(g, SD)
         assert oracle.compare_view(want, store.established_rules()) == []
         store.check_integrity(g)
         # and shrink again: removals must not leak stale candidates
@@ -240,7 +241,7 @@ class TestEquivalence:
         for ev in random_events(rng, g, 30):
             rc.step_epoch(store, g, [ev])
             # exact under sd_free_bw's fractional weights too
-            bad = oracle.compare_view(oracle.apsp_additive(g, strategy), store.established_rules())
+            bad = oracle.compare_view(oracle.solve(g, strategy), store.established_rules())
             assert bad == [], bad[:5]
             store.check_integrity(g)
 
@@ -287,12 +288,12 @@ class TestEquivalence:
             ]
             g = build_graph(topology(n, links), WIDEST.link_cost)
             store = rc.initialize(g, WIDEST)
-            want = oracle.widest_paths_bruteforce(g, WIDEST)
+            want = widest_paths_bruteforce(g, WIDEST)
             assert oracle.compare_view(want, store.established_rules()) == []
             # a removal epoch keeps them aligned
             a, b, w = sorted({(s, d, w) for (s, d, w), _ in g.edge_items()})[0]
             rc.step_epoch(store, g, [RemoveLink(a, b, w)])
-            want = oracle.widest_paths_bruteforce(g, WIDEST)
+            want = widest_paths_bruteforce(g, WIDEST)
             assert oracle.compare_view(want, store.established_rules()) == []
             store.check_integrity(g)
 
@@ -317,7 +318,7 @@ class TestWidestRepair:
         assert store._est[0][2] == (-1.0, 3, 4)  # not (-1.0, 3, 1)
         assert store.last_stats.stale_pops >= 1
         assert store._est == rc.initialize(g, WIDEST)._est
-        want = oracle.widest_paths_bruteforce(g, WIDEST)
+        want = widest_paths_bruteforce(g, WIDEST)
         assert oracle.compare_view(want, store.established_rules()) == []
 
     def test_worse_child_with_a_tight_neighbour_only_moves_its_next(self):
@@ -398,7 +399,7 @@ class TestStress:
         for ev in forward:
             rc.step_epoch(store, g, [ev])
             bad = oracle.compare_view(
-                oracle.apsp_additive(g, SD), store.established_rules()
+                oracle.solve(g, SD), store.established_rules()
             )
             assert bad == [], bad[:3]
             store.check_integrity(g)
@@ -440,7 +441,7 @@ class TestStress:
                 events = random_events(rng, g, 1)
             rc.step_epoch(store, g, events)
             bad = oracle.compare_view(
-                oracle.apsp_additive(g, SD), store.established_rules()
+                oracle.solve(g, SD), store.established_rules()
             )
             assert bad == [], (step, bad[:3])
             store.check_integrity(g)
@@ -754,7 +755,7 @@ class TestEventsResolveInOrder:
         g.check_integrity()
         store.check_integrity(g)
         assert oracle.compare_view(
-            oracle.apsp_additive(g, HOP), store.established_rules()
+            oracle.solve(g, HOP), store.established_rules()
         ) == []
 
 
@@ -820,7 +821,7 @@ def test_failing_epoch_leaves_graph_and_rules_unchanged(case):
     assert store._est == est0
     rc.step_epoch(store, g, prefix)
     bad_pairs = oracle.compare_view(
-        oracle.apsp_additive(g, strategy), store.established_rules()
+        oracle.solve(g, strategy), store.established_rules()
     )
     assert bad_pairs == [], bad_pairs[:3]
     store.check_integrity(g)
@@ -890,7 +891,7 @@ def test_model_based_oracle_equivalence(script):
             continue
         rc.step_epoch(store, g, [ev])
         bad = oracle.compare_view(
-            oracle.apsp_additive(g, SD), store.established_rules()
+            oracle.solve(g, SD), store.established_rules()
         )
         assert bad == [], (ev, bad[:3])
         store.check_integrity(g)
@@ -1194,7 +1195,7 @@ def test_the_copy_that_counts_may_come_second_in_link_order(builtin_strategy, cl
     cost = builtin_strategy.link_cost
     g = build_graph(utilization_topology(3, [(0, 1, 5), (1, 2, 4), (0, 2, 8)]), cost)
     g.apply_deltas(g.ingest_event(AddLink(0, 1, props(utilization=2.0)), cost))
-    assert [w for (a, b, w), _m in g.link_items() if (a, b) == (0, 1)] == [
+    assert [w for a, b, w in g.links() if (a, b) == (0, 1)] == [
         cost(props(utilization=5.0)), cost(props(utilization=2.0))]
     assert all_fixpoint(g, builtin_strategy) is not None  # no fallback here
     store = rc.initialize(g, builtin_strategy)
@@ -1348,12 +1349,12 @@ SIGNED_WIDEST = replace(WIDEST, name="signed_widest", link_cost=lambda p: p.util
 def test_initialize_names_the_first_weight_outside_the_domain(strategy, links, first):
     """`initialize` checks every weight against the strategy's domain,
     whatever its path cost, and raises with the message `validate_weight`
-    gives for the first one outside it in `link_items` order: nan there
+    gives for the first one outside it in `links()` order: nan there
     before 0.0, 0.0 before nan, and -1.0 before the smaller -2.0."""
     g = build_graph(utilization_topology(3, links), strategy.link_cost)
     # both domains here end at inf; nan fails either test
     open_at_0 = strategy.weight_domain.lo_open
-    outside = [w for (_a, _b, w), _m in g.link_items() if not (w > 0 if open_at_0 else w >= 0)]
+    outside = [w for _a, _b, w in g.links() if not (w > 0 if open_at_0 else w >= 0)]
     assert repr(outside[0]) == repr(first)
     with pytest.raises(InvalidWeightError) as err:
         rc.initialize(g, strategy)
@@ -1661,7 +1662,7 @@ class TestCustomStrategy:
         pruned = g.fork()
         for n in sorted(excluded):
             pruned.apply_deltas(pruned.ingest_event(RemoveNode(n), SD.link_cost))
-        want = oracle.apsp_additive(pruned, SD)
+        want = oracle.solve(pruned, SD)
         for d in pruned.nodes:
             tree = search_tree(g, CUSTOM_SUM, d, excluded)
             assert tree == {
@@ -1697,7 +1698,7 @@ def test_rows_take_at_most_12_bytes_per_pair():
     rc.initialize(build_graph(triangle(), HOP.link_cost), HOP)  # first calls allocate for good
     for strategy, plan in ((HOP, PlanKind.UNIFORM), (FREE_BW, PlanKind.HOP_COUNT)):
         g = build_graph(gen_fattree(16, WeightPlan(plan, seed=0)), strategy.link_cost)
-        assert len({w for (_a, _b, w), _m in g.link_items()}) == 1
+        assert len({w for _a, _b, w in g.links()}) == 1
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
