@@ -339,7 +339,7 @@ def _bench_failures(args, topo: Topology, strategy: Strategy, writer: _RowWriter
     replay = _Replay(topo, strategy)
     graph, store = replay.graph, replay.store
     # rows are never changed once their epoch ends, and a restored node
-    # takes back its slot, so the restored rows equal these list for list
+    # takes back its slot, so the restored rows equal these column for column
     before = dict(store._est)
     latencies = []
     for block in parse_blocks(_scenario_lines(topo, args, args.batch_size)):

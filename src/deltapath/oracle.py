@@ -33,7 +33,7 @@ block of targets at a time, each near `_BLOCK_ELEMENTS` elements (or of 8
 targets, past 8192 edges), so its working memory is O(N^2 +
 _BLOCK_ELEMENTS + 8 * edges) whatever the weights.
 `compare_view` reads the view one row at a time, so it adds an (N, N)
-mask of the pairs the view lacks plus the oracle's keys for one row.
+mask of the pairs the view lacks plus the oracle's columns for one row.
 """
 
 from __future__ import annotations
@@ -257,43 +257,48 @@ def compare_view(result: OracleResult, view) -> list[tuple]:
     next compares exactly.  The view's mismatches come first, in view
     order, then the oracle-reachable pairs the view lacks, in `ids` order.
 
-    The view is read one row at a time through its `rows()`.  For each
-    destination the oracle's answer is laid out as a row of the view's
-    keys, (signed cost, length, next) or None, over the view's slots, and
-    a row equal to it holds no mismatch.  Only the entries of a row that
-    differ from the oracle's key go through `_mismatch`, which names the
-    reason.
+    The view is read one row at a time through its `rows()`, each row as
+    three columns over the view's slots: the signed cost, the length and
+    the next's slot, a negative next where a slot holds no rule.  For each
+    destination the oracle's answer is laid out as the same three
+    columns, and each column is compared with the row's in one numpy
+    comparison, the empty rule's columns where the oracle does not reach.
+    Only the slots where a column differs go through `_mismatch`, which
+    names the reason.
     """
     rows, slots, negated = view.rows()
-    index, nodes = result.index, np.array(result.ids, dtype=object)
+    index = result.index
     cost, length, nxt = result._cost, result._length, result._next
     missing = cost > -math.inf if result.maximize else cost < math.inf
     # the oracle's index of each slot's node, 0 where the oracle lacks it
     at = np.fromiter((index.get(x, -1) for x in slots), np.intp, len(slots))
     known = at >= 0
+    # the view's slot of each oracle node, -1 where the view has none
+    place = np.full(len(result.ids) + 1, -1, dtype=np.intp)
+    place[at[known]] = np.flatnonzero(known)
     at[~known] = 0
-    nothing = [None] * len(slots)
     covered, lacked, bad = [], [], []
-    for d, row in rows:
+    for d, (row_cost, row_length, row_next) in rows:
         j = index.get(d)
-        want = nothing
-        if j is not None:
+        if j is None:
+            reach = np.zeros(len(slots), dtype=bool)
+            c = length_j = next_j = 0
+        else:
             covered.append(j)
-            c = cost[at, j]
-            want = list(zip((-c if negated else c).tolist(), length[at, j].tolist(),
-                            nodes[nxt[at, j]].tolist()))
-            for k in np.flatnonzero(~(missing[at, j] & known)).tolist():
-                want[k] = None
-        if row == want:
-            continue
-        for s, key, oracle_key in zip(slots, row, want):
-            if key == oracle_key:
+            reach = missing[at, j] & known
+            c, length_j, next_j = cost[at, j], length[at, j], place[nxt[at, j]]
+        has = np.frombuffer(row_next, dtype=np.intc) >= 0
+        differ = (_column(row_next) != np.where(reach, next_j, -1))
+        differ |= _column(row_length) != np.where(reach, length_j, -1)
+        differ |= _column(row_cost) != np.where(reach, -c if negated else c, 0)
+        for k in np.flatnonzero(differ).tolist():
+            s = slots[k]
+            if not has[k]:
+                if reach[k]:
+                    lacked.append((index[s], j))
                 continue
-            if key is None:
-                lacked.append((index[s], j))
-                continue
-            p_cost = -key[0] if negated else key[0]
-            reason = _mismatch(result, s, d, p_cost, key[1], key[2])
+            p_cost = -row_cost[k] if negated else row_cost[k]
+            reason = _mismatch(result, s, d, p_cost, row_length[k], slots[row_next[k]])
             if reason is not None:
                 bad.append((s, d, reason))
     missing[np.ix_(at[known], covered)] = False
@@ -303,3 +308,11 @@ def compare_view(result: OracleResult, view) -> list[tuple]:
     for i, j in zip(*(a.tolist() for a in np.nonzero(missing))):
         bad.append((ids[i], ids[j], "oracle-reachable pair missing from engine"))
     return bad
+
+
+def _column(values):
+    """A row's column as a numpy array: the buffer of an `array`, or the
+    objects of a list."""
+    if isinstance(values, list):
+        return np.fromiter(values, object, len(values))
+    return np.asarray(values)

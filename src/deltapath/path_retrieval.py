@@ -2,8 +2,8 @@
 
 Paths are never cached.  `retrieve` takes the view `established_rules()`
 returns, reads the destination's row once, and `walk` follows the next
-pointers through it: per hop, one lookup of the next node's slot and one
-index into the row.  Waypoint segments, NOT paths and backup paths go
+slots through its columns: per hop, one index into the next column and
+one into the list of slots' nodes, with no lookup by node.  Waypoint segments, NOT paths and backup paths go
 through the same walk: waypoints over the established rows, NOT and
 backup over the row of a masked search.
 """
@@ -38,33 +38,35 @@ def retrieve(view, s: NodeId, d: NodeId) -> Path:
     return walk(*view.row(d), s, d)
 
 
-def walk(row, slot, neg: bool, s: NodeId, d: NodeId) -> Path:
-    """Chase next pointers from s through the row of d, a list holding at
-    each node's slot its key (signed cost, p_length, next) or None, its
-    cost negated when `neg` (a maximizing strategy).  Raises
-    UnreachableError when a node's key is missing, and CycleDetectedError
-    when the walk does not reach d in s's p_length hops, as a correct row
-    does (so it is corrupted)."""
+def walk(row, slot, ids, neg: bool, s: NodeId, d: NodeId) -> Path:
+    """Chase next slots from s through the row of d, whose columns hold at
+    each slot the signed cost, p_length and next slot of its node's rule,
+    a negative next where it has none (`routing_core.Row`); `slot` maps a
+    node to its slot and `ids` a slot to its node, and the cost is negated
+    when `neg` (a maximizing strategy).  Raises UnreachableError when a
+    node has no rule, and CycleDetectedError when the walk does not reach
+    d in s's p_length hops, as a correct row does (so it is corrupted)."""
+    cost, length, nxt = row
     try:
-        key = row[slot[s]]
+        i = slot[s]
+        j = nxt[i]
     except (KeyError, IndexError):  # s has no slot, or d has no row
-        key = None
-    if key is None:
+        j = -1
+    if j < 0:
         raise UnreachableError(f"no rule for ({s}, {d})")
-    cost = -key[0] if neg else key[0]
     hops = [s]
     node = s
-    for _ in range(key[1]):
-        node = key[2]
+    for _ in range(length[i]):
+        node = ids[j]
         hops.append(node)
         if node == d:
             break
-        key = row[slot[node]]
-        if key is None:
+        j = nxt[j]
+        if j < 0:
             raise UnreachableError(f"no rule for ({node}, {d}) while chasing ({s}, {d})")
     if node != d:
         raise CycleDetectedError(f"walk from ({s}, {d}) exceeded {len(hops) - 1} steps")
-    return Path(tuple(hops), cost)
+    return Path(tuple(hops), -cost[i] if neg else cost[i])
 
 
 def path_links(p: Path) -> list[tuple[NodeId, NodeId]]:

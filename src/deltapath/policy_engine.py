@@ -204,5 +204,6 @@ class PolicyEngine:
         """`walk` from the policy's src through the masked search's row,
         over the rule store's slots; a search stopped at the src holds
         every rule on its path."""
-        row = search(self.rules, self.graph, policy.dst, until=policy.src, **mask)
-        return walk(row, self.rules.slot, self.strategy.maximize, policy.src, policy.dst)
+        rules = self.rules
+        row = search(rules, self.graph, policy.dst, until=policy.src, **mask)
+        return walk(row, rules.slot, rules.ids, self.strategy.maximize, policy.src, policy.dst)

@@ -7,11 +7,18 @@ the rows grow by one entry per distinct id ever born.  The store's slots
 are the one node index (`_take_slots`): the set-up solve, its fallback
 and every NOT or backup `search` write rows over them, so they must
 cover the graph, as `initialize` and `step_epoch` keep them.  State is
-one row per live destination d: a list indexed by slot, holding for each
-node x that routes toward d the selection key (signed cost, p_length,
-next) of the established rule of the group (x, d), and None for every
-other node.  `next` is a node id, not a slot.  Every row is as long as
-the list of slots, and holds at least d's own rule.  A group's
+one row per live destination d (`Row`): three columns indexed by slot,
+holding for each node x that routes toward d the signed cost, the
+p_length and the next hop's slot of the established rule of the group
+(x, d).  Every other node's entry holds the empty rule, the same value
+in every row (`_NO_RULE`), so two rows are equal exactly when their
+rules are.  The cost column is an `array` where every cost the strategy
+can form fits one type (`cost_typecode`: floats, or hop_count's ints),
+and a list otherwise; the length and next columns are arrays of C ints.
+Every row is as long as the list of slots, and holds at least d's own
+rule.  A rule is selected by its key (signed cost, p_length, next id),
+compared cost first: the length and the next's id are read only where
+two costs tie.  A group's
 candidates are not stored: they are the join of the established rules
 with the graph (for every edge x -> y, y's rule toward d extended by one
 hop) plus the tautology (d, d) while d is a node, cut at p_length >= the
@@ -21,8 +28,8 @@ computes that minimum for one group, for the repair and the integrity
 check.
 
 Rows are copy-on-write per epoch: the first write to a row in an epoch
-replaces it with a copy and journals the old row object (`_row`), so a
-row is never changed once its epoch ends.  A shallow copy of the table of
+replaces it with a copy, one buffer copy per column, and journals the
+old row object (`_row`), so a row is never changed once its epoch ends.  A shallow copy of the table of
 rows is then a true snapshot, a failed epoch is undone by putting the old
 rows back, and the emitted batch is the diff of each journaled row over
 the slots written.  An epoch that gives a born node a new slot copies
@@ -48,13 +55,12 @@ its widths from Kruskal's maximum spanning forest (Hu, Operations
 Research 1961).  A BFS over the tight edges, run for a block of
 destinations together as bits, 64 destinations to a word, gives each
 group's length, and one minimum over each node's edges its next: the
-smallest tight neighbour one hop closer.  An additive cost whose weights
-are all equal (hop_count's are all 1) needs neither matrix nor test: a
-group's cost follows from its length, and the BFS runs over every edge.
-Each block's rows are built as lists from these arrays without a Python
-loop per pair; under equal weights every key is read from one table by
-(hop count, next), so each key is built once for the whole graph.  A
-custom path cost, and the few inputs that solve would key differently,
+tight neighbour one hop closer with the smallest id.  An additive cost
+whose weights are all equal (hop_count's are all 1) needs neither matrix
+nor test: a group's cost follows from its length, and the BFS runs over
+every edge.  Each block's rows are copied from these arrays, a typed
+column in one `frombytes`, so set-up makes no Python object per pair
+(`_fill_rows`).  A custom path cost, and the few inputs that solve would key differently,
 are set up by one `search` per destination, which repairs its tree from
 empty (phase 2 below): a best-first search that pops nodes from a heap
 in key order, each group once, with the minimum of its neighbours' keys
@@ -99,16 +105,18 @@ from __future__ import annotations
 import heapq
 import io
 import math
+from array import array
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from time import perf_counter_ns
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DeltaPathError, IntegrityError, NonConvergenceError
 from .graph_model import EdgeRecord, GraphStore, NodeId, TopologyEvent
-from .strategy import Strategy, path_cost_kind
+from .strategy import Strategy, cost_typecode, path_cost_kind
 
 
 class ForwardingRule(NamedTuple):
@@ -124,9 +132,68 @@ class ForwardingRule(NamedTuple):
 
 RuleDeltaBatch = list  # of ForwardingRule with delta in {-1, +1}
 
-# Internal rule key: (signed_cost, p_length, next) so that plain tuple
-# order is exactly the strategy's selection order (cost negated for
-# maximizing strategies).
+class Row(NamedTuple):
+    """One destination's rules as three columns over the slots: at slot i
+    the signed cost, the p_length and the next hop's slot of the rule of
+    the node ids[i], or `_NO_RULE` where it has none.  The cost column is
+    an `array` of the store's `cost_typecode`, or a list; the others are
+    arrays of C ints."""
+
+    cost: array | list
+    length: array
+    next: array
+
+
+# the (cost, length, next) of an entry with no rule, in every column
+_NO_RULE = (0, -1, -1)
+# the row of a destination that has none: every slot reads as missing
+_NO_ROW = Row([], array("i"), array("i"))
+
+
+def _empty_row(code: str | None, n: int) -> Row:
+    """A row of n slots with no rule, its cost column of typecode `code`
+    (a list where None)."""
+    cost = [0] * n if code is None else array(code, [0]) * n
+    return Row(cost, array("i", [-1]) * n, array("i", [-1]) * n)
+
+
+def _grown(row: Row, n: int) -> Row:
+    """A copy of `row` as long as n slots, the new entries empty."""
+    cost, length, nxt = row.cost[:], row.length[:], row.next[:]
+    more = n - len(nxt)
+    if more:
+        cost.extend(repeat(0, more))
+        length.extend(repeat(-1, more))
+        nxt.extend(repeat(-1, more))
+    return Row(cost, length, nxt)
+
+
+def _live(nxt: array) -> list[int]:
+    """The slots of a next column that hold a rule, in slot order."""
+    return np.flatnonzero(np.frombuffer(nxt, dtype=np.intc) >= 0).tolist()
+
+
+def _key(row: Row, i: int, ids: list) -> tuple | None:
+    """The selection key (signed cost, p_length, next id) of slot i of
+    `row`, or None where it holds no rule."""
+    j = row.next[i]
+    return None if j < 0 else (row.cost[i], row.length[i], ids[j])
+
+
+class _RowItems(ItemsView):
+    """The view's (pair, rule) items, made one row at a time: one pass
+    over each row's columns, in the order of the view's iteration."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        store = self._mapping._store
+        ids, neg = store.ids, store._neg
+        rule = ForwardingRule._make
+        for d, (cost, length, nxt) in store._est.items():
+            for i in _live(nxt):
+                s, c = ids[i], cost[i]
+                yield (s, d), rule((s, d, ids[nxt[i]], -c if neg else c, length[i], 1))
 
 
 class EstablishedView(Mapping):
@@ -135,7 +202,8 @@ class EstablishedView(Mapping):
 
     Stable between epochs; reads while an epoch is being stepped are
     undefined.  The store holds no (src, dst) tuples, so iteration makes
-    each pair afresh, row by row, in slot order.
+    each pair afresh, row by row, in slot order, and `items()` makes the
+    rules of each row in one pass over its columns.
     """
 
     __slots__ = ("_store",)
@@ -145,29 +213,38 @@ class EstablishedView(Mapping):
 
     def __getitem__(self, pair) -> ForwardingRule:
         store = self._store
-        key = store._est[pair[1]][store.slot[pair[0]]]
-        if key is None:
+        s, d = pair
+        row = store._est[d]
+        i = store.slot[s]
+        j = row.next[i]
+        if j < 0:
             raise KeyError(pair)
-        cost = -key[0] if store._neg else key[0]
-        return ForwardingRule(pair[0], pair[1], key[2], cost, key[1], 1)
+        cost = row.cost[i]
+        return ForwardingRule(s, d, store.ids[j], -cost if store._neg else cost,
+                              row.length[i], 1)
 
-    def row(self, d: NodeId) -> tuple[list, dict, bool]:
-        """The row of d (empty if none), the slot of each node, and whether
-        the row's costs are negated."""
+    def row(self, d: NodeId) -> tuple[Row, dict, list, bool]:
+        """The row of d (one with no slots if d has none), the slot of each
+        node, the node of each slot, and whether the row's costs are
+        negated: what `path_retrieval.walk` follows."""
         store = self._store
-        return store._est.get(d, []), store.slot, store._neg
+        return store._est.get(d, _NO_ROW), store.slot, store.ids, store._neg
 
     def rows(self) -> tuple[Iterable, list, bool]:
-        """Each destination's row as (d, row) in view order, the node of
+        """Each destination's `Row` as (d, row) in view order, the node of
         each slot, and whether the rows' costs are negated: the pairs of
-        the view row by row, in the keys the store holds."""
+        the view row by row, in the columns the store holds."""
         store = self._store
         return store._est.items(), store.ids, store._neg
+
+    def items(self) -> ItemsView:
+        return _RowItems(self)
 
     def __iter__(self):
         ids = self._store.ids
         return chain.from_iterable(
-            zip(compress(ids, row), repeat(d)) for d, row in self._store._est.items()
+            zip(map(ids.__getitem__, _live(row.next)), repeat(d))
+            for d, row in self._store._est.items()
         )
 
     def __len__(self) -> int:
@@ -195,14 +272,16 @@ class EpochStats:
 
 
 class RuleStore:
-    """The established best rule per (src, dst) group, as one row per live
-    destination: `_est[d][slot[x]]` is the key of (x, d), None where x has
-    no rule, and `ids[i]` is the node of slot i.  Rows are shared with
-    snapshots and never changed once their epoch ends (`_row`).  The rule
-    count is kept from each epoch's batch."""
+    """The established best rule per (src, dst) group, as one `Row` per
+    live destination: slot `slot[x]` of `_est[d]` holds the rule of (x,
+    d), or the empty rule, and `ids[i]` is the node of slot i.  Each
+    row's cost column is an `array` of typecode `_code` (`cost_typecode`),
+    or a list where that is None.  Rows are shared with snapshots and
+    never changed once their epoch ends (`_row`).  The rule count is kept
+    from each epoch's batch."""
 
     __slots__ = ("strategy", "epoch", "last_stats", "slot", "ids", "_est", "_neg",
-                 "_fp_kind", "_rules")
+                 "_fp_kind", "_code", "_rules")
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
@@ -212,8 +291,8 @@ class RuleStore:
         self.ids: list[NodeId] = []
         self._neg = strategy.maximize
         self._fp_kind = path_cost_kind(strategy)
-        # dst -> [(signed_cost, length, next) or None, by slot]
-        self._est: dict[NodeId, list[tuple | None]] = {}
+        self._code = cost_typecode(strategy)
+        self._est: dict[NodeId, Row] = {}
         self._rules = 0
 
     # --- views
@@ -227,31 +306,41 @@ class RuleStore:
     # --- maintenance
 
     def check_integrity(self, graph: GraphStore) -> None:
-        """Check the fixpoint equation on the graph: every node has a slot,
-        every row is as long as the slots and names live nodes, and every
-        ordered pair of nodes holds a rule exactly when it has an offer
+        """Check the fixpoint equation on the graph: every node has a slot;
+        every row's columns are as long as the slots, its next slots lie
+        among them, its entries without a rule hold the empty rule in
+        every column, and its rules name live nodes; and every ordered
+        pair of nodes holds a rule exactly when it has an offer
         (`_best_offer`), the smallest one.  Reads each destination's row
         once.  Raises IntegrityError naming the first row or group that
         breaks it."""
         nodes, slot, ids = graph.nodes, self.slot, self.ids
+        n = len(ids)
         for x in nodes:
             if x not in slot:
                 raise IntegrityError(f"node {x} has no slot")
         for d, row in self._est.items():
             if d not in nodes:
                 raise IntegrityError(f"the row of {d} names a removed node")
-            if len(row) != len(ids):
-                raise IntegrityError(f"the row of {d} is not as long as the slots")
-            for s in compress(ids, row):
+            if any(len(col) != n for col in row):
+                raise IntegrityError(f"a column of the row of {d} is not as long as the slots")
+            if any(j >= n for j in row.next):
+                raise IntegrityError(f"the row of {d} names a next past the slots")
+            cost, length, nxt = row
+            for i in compress(count(), map((-1).__ge__, nxt)):
+                if (cost[i], length[i], nxt[i]) != _NO_RULE:
+                    raise IntegrityError(
+                        f"({ids[i]}, {d}) has no rule but is not the empty rule")
+            for s in map(ids.__getitem__, _live(nxt)):
                 if s not in nodes:
                     raise IntegrityError(f"({s}, {d}) names a removed node")
         adj = graph.out_edges
-        nothing = [None] * len(ids)
+        nothing = _empty_row(self._code, n)
         for d in nodes:
             row = self._est.get(d, nothing)
             for x in nodes:
                 top = _best_offer(self, row, adj, x, d)[0]
-                key = row[slot[x]]
+                key = _key(row, slot[x], ids)
                 if key == top:
                     continue
                 if top is None:
@@ -286,7 +375,7 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     if not _all_fixpoint(store, topology):
         for d in store.ids:
             store._est[d] = search(store, topology, d)
-        store._rules = sum(len(row) - row.count(None) for row in store._est.values())
+        store._rules = sum(len(row.next) - row.next.count(-1) for row in store._est.values())
     store.epoch = 0
     return store
 
@@ -360,10 +449,10 @@ def _layout(n, a, b, weight, width) -> _Layout:
 
 
 def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
-    """Fill the empty `store`, whose slots are the topology's nodes in
-    sorted id order (as `initialize` gives them), with every rule of a
-    built-in path cost, solved for all destinations at once; or decline,
-    False, where the repair from empty must decide.
+    """Fill the empty `store`, whose slots are the topology's nodes in any
+    order, with every rule of a built-in path cost, solved for all
+    destinations at once; or decline, False, where the repair from empty
+    must decide.
 
     The links are read once, as arrays.  Every weight is first checked
     against the strategy's domain, whatever the path cost: the first one
@@ -403,11 +492,11 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
       -0.0, as the repair keys it.
 
     A BFS over the tight edges then gives the fewest hops L and each x's
-    next, the smallest u over a tight edge with L[u, d] + 1 == L[x, d]: the
-    key the heap would settle (`_tight_bfs`).  Each block builds its rows
-    as lists without a Python loop per pair (`_fill_rows`); where every
-    weight is equal, its keys come from one table by (L, next), each key
-    built once for the whole graph (`_hop_keys`).
+    next, the u of smallest id over a tight edge with L[u, d] + 1 ==
+    L[x, d]: the key the heap would settle (`_tight_bfs`, which ranks the
+    slots by id with one `argsort`).  Each block copies its rows' columns
+    from these arrays (`_fill_rows`); where every weight is equal, C is
+    read from L.
 
     Declined, so that `initialize` repairs from empty: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
@@ -439,9 +528,10 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     ids, index = store.ids, store.slot
     n = len(ids)
     if not m:
+        own = _tautology_key(strategy, None)[0]
         for i, d in enumerate(ids):
-            row = store._est[d] = [None] * n
-            row[i] = _tautology_key(strategy, d)
+            row = store._est[d] = _empty_row(store._code, n)
+            row.cost[i], row.length[i], row.next[i] = own, 0, i
         store._rules = n
         return True
     a = np.fromiter(map(index.__getitem__, ends_a), np.intp, m)
@@ -467,7 +557,6 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     size = min(n, 64 * max(1, _BLOCK_ELEMENTS // (64 * n)))
     edges = _layout(n, a, b, weight, size)
     uniform = not widest and (weight == weight[0]).all()
-    table = None
     if widest:
         width = _widest_widths(n, a, b, weight)
     elif uniform:
@@ -475,7 +564,10 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
         by_hops = np.full(n, weight[0], dtype=np.int64 if integral else float)
         by_hops[0] = 0
         np.add.accumulate(by_hops, out=by_hops)
-        table = np.full((1, n), None, dtype=object)
+    # the slots in id order, and each slot's place in it
+    by_id = np.argsort(np.array(ids))
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_id] = np.arange(n)
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         dests = np.arange(lo, hi)
@@ -487,62 +579,58 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
         else:
             cost = _relaxed_costs(n, edges, dests)
         tight = None if uniform else _tight(cost, edges, widest)
-        length, nxt = _tight_bfs(tight, n, dests, edges)
+        length, nxt = _tight_bfs(tight, n, dests, edges, rank, by_id)
         if uniform:
-            table = _hop_keys(table, int(length.max()), by_hops, ids)
+            cost = by_hops[length]  # an unreached group's is emptied
         elif integral:
-            # an unreached group is not filled, whatever its cost
+            # an unreached group's inf has no int64; it is emptied anyway
             cost = np.where(np.isfinite(cost), cost, 0).astype(np.int64)
         elif widest:
             cost = -cost
-        store._rules += _fill_rows(store, dests, cost, length, nxt, table)
+        store._rules += _fill_rows(store, dests, cost, length, nxt)
     return True
 
 
-def _hop_keys(table, top, by_hops, ids):
-    """The object table of equal-weight keys grown to hop count `top`: row
-    L > 0 holds the key (cost of L hops, L, ids[j]) at column j, built
-    once for the whole graph.  Row 0 and the last row hold None, so that a
-    group of length 0 or -1 (unreached) reads None."""
-    built = len(table) - 1  # rows 0 .. built - 1 hold keys or row 0's None
-    if top < built:
-        return table
-    n = len(ids)
-    grown = np.full((top + 2, n), None, dtype=object)
-    grown[:built] = table[:built]
-    for hops, cost in enumerate(by_hops[max(built, 1):top + 1].tolist(), max(built, 1)):
-        grown[hops] = np.fromiter(zip(repeat(cost, n), repeat(hops, n), ids), object, n)
-    return grown
+# the numpy type of each `array` typecode a cost column takes
+_DTYPES = {"d": np.float64, "q": np.int64}
 
 
-def _fill_rows(store, dests, cost, length, nxt, table) -> int:
-    """Build the rows of one block's destinations, each one list by slot:
-    every x with L[x, d] > 0 gets the key (C[x, d], L[x, d], ids[next]),
-    d itself its tautology and every other node None.  Returns the number
-    of rules.
-
-    With a key `table` (`_hop_keys`, where every weight is equal and the
-    cost follows from the length) the rows are read from it by (L, next)
-    in one indexing.  Otherwise the keys of the whole block are built by
-    `zip` in row order and sliced into rows, and the few unreached groups
-    are set to None after."""
-    strategy, ids = store.strategy, store.ids
-    n = len(ids)
-    if table is not None:
-        rows = table[length.T, nxt.T].tolist()
+def _fill_rows(store, dests, cost, length, nxt) -> int:
+    """Write the rows of one block's destinations from its (nodes x
+    destinations) arrays: the signed cost C, the length L (-1 where
+    unreached) and the next's slot.  d's own entry is its tautology
+    (C[d, d] is its cost, L 0, next d) and each unreached one the empty
+    rule; `cost` and `nxt` are changed to hold them.  Each row's columns
+    are one column of each array: an `array` column is copied in one
+    `frombytes`, a list column (where the store's costs have no typecode)
+    read by `tolist`.  Returns the number of rules."""
+    ids, code = store.ids, store._code
+    k = len(dests)
+    unreached = length < 0
+    cost[unreached] = _NO_RULE[0]
+    nxt[unreached] = _NO_RULE[2]
+    nxt[dests, np.arange(k)] = dests
+    if code is None:
+        costs = cost.T.tolist()
     else:
-        node = np.array(ids, dtype=object)  # slot -> id
-        keys = list(zip(cost.T.ravel().tolist(), length.T.ravel().tolist(),
-                        node[nxt.T].ravel().tolist()))
-        rows = [keys[lo:lo + n] for lo in range(0, len(keys), n)]
-        for k, i in zip(*np.nonzero(length.T < 0)):
-            rows[k][i] = None
+        costs = _columns(code, np.ascontiguousarray(cost.T, dtype=_DTYPES[code]))
+    lengths = _columns("i", np.ascontiguousarray(length.T, dtype=np.intc))
+    nexts = _columns("i", np.ascontiguousarray(nxt.T, dtype=np.intc))
     est = store._est
-    for i, row in zip(dests.tolist(), rows):
-        d = ids[i]
-        row[i] = _tautology_key(strategy, d)
-        est[d] = row
-    return int(np.count_nonzero(length > 0)) + len(dests)
+    for i, row in zip(dests.tolist(), map(Row, costs, lengths, nexts)):
+        est[ids[i]] = row
+    return int(np.count_nonzero(length > 0)) + k
+
+
+def _columns(code, matrix):
+    """Each row of the C-contiguous 2-D `matrix` as an `array` of typecode
+    `code`, copied in one `frombytes`."""
+    flat = memoryview(matrix).cast("B")
+    step = matrix.shape[1] * matrix.itemsize
+    for lo in range(0, len(flat), step):
+        column = array(code)
+        column.frombytes(flat[lo:lo + step])
+        yield column
 
 
 def _relaxed_costs(n, edges, dests):
@@ -649,18 +737,21 @@ def _bits(flags, words):
     return packed.view(np.uint64)
 
 
-def _tight_bfs(tight, n, dests, edges):
+def _tight_bfs(tight, n, dests, edges, rank, by_id):
     """Over the tight edges (`_tight`'s bits), or over every edge where
     `tight` is None: each node's fewest hops toward each of `dests` (-1 if
-    unreached) and, where that is positive, its smallest next with one hop
-    fewer, as (nodes x destinations) arrays.
+    unreached) and, where that is positive, the slot of its next with one
+    hop fewer and the smallest id, as (nodes x destinations) arrays.
+    `rank` gives each slot's place in id order, and `by_id` the slot at
+    each place.
 
     The frontier and the nodes not yet seen are bits like the tight
     edges, 64 destinations to a uint64 word (`_bits`).  A level gathers
     the frontier's words over every edge's u and ORs them along the degree
     axis of each class of the layout.  A reached node's fewest hops are
     one more than the least among its tight neighbours', so one minimum
-    of L[u] * n + u along the degree axis of each run names its next."""
+    of L[u] * n + rank[u] along the degree axis of each run names its
+    next, by rank, which `by_id` maps back to a slot."""
     k = len(dests)
     words = -(-k // 64)
     nodes, near = edges.nodes, edges.near
@@ -689,11 +780,12 @@ def _tight_bfs(tight, n, dests, edges):
         length[np.unpackbits(reached.view(np.uint8), axis=1, count=k,
                              bitorder="little").view(bool)] = level
         frontier, reached = reached, frontier
-    # the next: the least L[u] * n + u over x's edges.  A reached node's
-    # tight neighbours are reached, and over every edge all its neighbours
-    # are; an edge that is not tight reads n * n more, past every tight one
+    # the next: the least L[u] * n + rank[u] over x's edges.  A reached
+    # node's tight neighbours are reached, and over every edge all its
+    # neighbours are; an edge that is not tight reads n * n more, past
+    # every tight one
     keyed = length * n
-    keyed += nodes.astype(keyed.dtype)[:, None]
+    keyed += rank[nodes].astype(keyed.dtype)[:, None]
     far = keyed.dtype.type(n * n)
     first = np.empty_like(length)
     for rows, run, degree in edges.runs:
@@ -707,7 +799,7 @@ def _tight_bfs(tight, n, dests, edges):
     hops[nodes] = length
     hops[dests, np.arange(k)] = 0
     nxt = np.zeros((n, k), dtype=np.int32)
-    nxt[nodes] = first % n
+    nxt[nodes] = by_id[first % n]
     return hops, nxt
 
 
@@ -718,13 +810,13 @@ def search(
     skip_nodes: frozenset[NodeId] = frozenset(),
     skip_links: frozenset[tuple[NodeId, NodeId]] = frozenset(),
     until: NodeId | None = None,
-) -> list:
+) -> Row:
     """Every node's rule toward `dst` on the graph without `skip_nodes` and
     without the links `skip_links` (both directions, all parallel copies),
-    as a row over the slots of `store`: the engine's key (signed cost,
-    length, next) or None at each slot.  The slots must cover the graph's
-    nodes, as `initialize` and `step_epoch` keep them; the store's rows
-    are not read or written.
+    as a `Row` over the slots of `store` (one with no slots where `dst` is
+    not routed to).  The slots must cover the graph's nodes, as
+    `initialize` and `step_epoch` keep them; the store's rows are not read
+    or written.
 
     `_repair` of an empty tree under the store's strategy, over an
     adjacency filtered only next to a masked node and at the ends of a
@@ -733,7 +825,7 @@ def search(
     that can improve a path by extending it raises NonConvergenceError.
     """
     if dst not in graph.nodes or dst in skip_nodes:
-        return []
+        return _NO_ROW
     adj = graph.out_edges
     if skip_nodes or skip_links:
         cut = set(skip_links) | {(b, a) for a, b in skip_links}
@@ -757,15 +849,16 @@ def search(
 
 
 def _check_monotone(tree, adj, fp, neg):
-    """Raise unless extending each settled key over each of its edges gives
-    a key no smaller than the one extended."""
-    for u, key in tree.items():
-        cost = -key[0] if neg else key[0]
+    """Raise unless extending each settled node's signed cost, in `tree`,
+    over each of its edges gives a cost no smaller than the one
+    extended."""
+    for u, signed in tree.items():
+        cost = -signed if neg else signed
         for x, w in adj(u):
             if x not in tree:
                 continue  # not settled by this repair
             c = fp(w, cost)
-            if (-c if neg else c) < key[0]:
+            if (-c if neg else c) < signed:
                 raise NonConvergenceError(
                     f"extending the rule of {u} over edge ({x}, {u}) improves "
                     f"it; strategy is not convergent"
@@ -789,7 +882,7 @@ def step_epoch(
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
     slots = len(store.ids)
-    journal: dict[NodeId, tuple[list | None, set]] = {}
+    journal: dict[NodeId, tuple[Row | None, set]] = {}
     applied: list[list[EdgeRecord]] = []
     try:
         net: dict[tuple[NodeId, NodeId, float], int] = {}
@@ -823,29 +916,31 @@ def step_epoch(
         t3 = perf_counter_ns()
         neg = store._neg
         ids = store.ids
-        nothing = [None] * len(ids)
+        n = len(ids)
+        nothing = _empty_row(store._code, n)
         batch: RuleDeltaBatch = []
         changed = rules = 0
         for d, (old_row, written) in journal.items():
             if old_row is None:
                 old_row = nothing
-            elif len(old_row) < len(ids):
-                old_row = old_row + nothing[len(old_row):]
-            new_row = store._est.get(d, nothing)
+            elif len(old_row.next) < n:
+                old_row = _grown(old_row, n)
+            oc, ol, on = old_row
+            nc, nl, nn = store._est.get(d, nothing)
             for i in written:
-                old, new = old_row[i], new_row[i]
-                if old == new:
+                # an empty entry holds the same in every column
+                if oc[i] == nc[i] and ol[i] == nl[i] and on[i] == nn[i]:
                     continue
                 changed += 1
                 s = ids[i]
-                if old is not None:
+                if on[i] >= 0:
                     rules -= 1
-                    cost = -old[0] if neg else old[0]
-                    batch.append(ForwardingRule(s, d, old[2], cost, old[1], -1))
-                if new is not None:
+                    cost = -oc[i] if neg else oc[i]
+                    batch.append(ForwardingRule(s, d, ids[on[i]], cost, ol[i], -1))
+                if nn[i] >= 0:
                     rules += 1
-                    cost = -new[0] if neg else new[0]
-                    batch.append(ForwardingRule(s, d, new[2], cost, new[1], 1))
+                    cost = -nc[i] if neg else nc[i]
+                    batch.append(ForwardingRule(s, d, ids[nn[i]], cost, nl[i], 1))
         batch.sort()
         t4 = perf_counter_ns()
         stats.groups_changed = changed
@@ -872,23 +967,19 @@ def step_epoch(
 # --- repair ------------------------------------------------------------------
 
 
-def _row(store, d, journal) -> tuple[list, set]:
+def _row(store, d, journal) -> tuple[Row, set]:
     """The row of d to write, and the set of slots written to it this
     epoch.  The first call for d in an epoch replaces the row with a copy
-    as long as the slots (a new row of None if d has none) and journals the
-    old row object with that set, so a row is never changed once its epoch
-    ends."""
+    as long as the slots (a new row with no rule if d has none) and
+    journals the old row object with that set, so a row is never changed
+    once its epoch ends."""
     est = store._est
     entry = journal.get(d)
     if entry is None:
         old = est.get(d)
         entry = journal[d] = (old, set())
         n = len(store.ids)
-        if old is None:
-            est[d] = [None] * n
-        else:
-            row = est[d] = old.copy()
-            row += repeat(None, n - len(row))
+        est[d] = _empty_row(store._code, n) if old is None else _grown(old, n)
     return est[d], entry[1]
 
 
@@ -911,94 +1002,104 @@ def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
     toward them, then, per destination, drop the rules that lost their
     cost over a retracted edge.  Returns destination -> nodes dropped."""
     est, slot = store._est, store.slot
+    empty = _NO_RULE
     for n in removed:
         i = slot[n]
         if n in est:
             row, written = _row(store, n, journal)
-            written.update(compress(count(), row))
+            written.update(_live(row.next))
             del est[n]
         for d in list(est):
-            if est[d][i] is not None:
+            if est[d].next[i] >= 0:
                 row, written = _row(store, d, journal)
-                row[i] = None
+                row.cost[i], row.length[i], row.next[i] = empty
                 written.add(i)
     roots: dict[NodeId, list] = {}
     for (y, x, _w), delta in delta_g:
         if delta < 0 and x in graph.nodes:
-            i = slot[x]
-            for d, row in est.items():
-                key = row[i]
-                if key is not None and key[2] == y:
-                    roots.setdefault(d, []).append((key, x))
+            i, j = slot[x], slot[y]
+            for d, (cost, length, nxt) in est.items():
+                if nxt[i] == j:
+                    roots.setdefault(d, []).append((cost[i], length[i], x))
     adj = graph.out_edges
     return {d: _drop_affected(store, adj, d, heap, journal) for d, heap in roots.items()}
 
 
 def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
-    """Decide, in key order, which suspect nodes lose their (cost, length)
-    toward d.  A node keeps them while some neighbour that keeps its rule
-    extends to the same cost and length (a tight neighbour): then only its
-    next moves, to the smallest such neighbour, and no rule routing through
-    it changes.  A node without one is dropped and its children (z is a
-    child of x when z's next is x) become suspects.  Keys grow along every
-    path, so a node's tight neighbours are decided before it (Ramalingam
-    and Reps, J. Algorithms 1996)."""
+    """Decide, in the order of their (signed cost, length, node), which
+    `suspects` lose their cost and length toward d.  A node keeps them
+    while some neighbour that keeps its rule extends to the same cost and
+    length (a tight neighbour): then only its next moves, to the tight
+    neighbour of smallest id, and no rule routing through it changes.  A
+    node without one is dropped and its children (z is a child of x when
+    z's next is x) become suspects.  Keys grow along every path, so a
+    node's tight neighbours, one hop shorter, are decided before it
+    (Ramalingam and Reps, J. Algorithms 1996)."""
     row, written = _row(store, d, journal)
+    rc, rl, rn = row
     slot = store.slot
     strategy = store.strategy
     neg = store._neg
     fp = strategy.path_cost
+    own = _tautology_key(strategy, d)[:2]
     heapq.heapify(suspects)
     decided: set[NodeId] = set()
     dropped: list[NodeId] = []
     while suspects:
-        key, x = heapq.heappop(suspects)
+        cost, length, x = heapq.heappop(suspects)
         if x in decided:
             continue
         decided.add(x)
-        length = key[1] - 1
-        nxt = x if x == d and _tautology_key(strategy, x)[:2] == key[:2] else None
+        nxt = x if x == d and own == (cost, length) else None
+        length -= 1
         for y, w in adj(x):
-            ky = row[slot[y]]
-            if ky is None or ky[1] != length or (nxt is not None and y >= nxt):
+            j = slot[y]
+            # an empty entry's length is -1, which only a tautology's
+            # suspect would look for
+            if rl[j] != length or length < 0 or (nxt is not None and y >= nxt):
                 continue
-            c = fp(w, -ky[0] if neg else ky[0])
-            if (-c if neg else c) == key[0]:
+            c = fp(w, -rc[j] if neg else rc[j])
+            if (-c if neg else c) == cost:
                 nxt = y
         i = slot[x]
         written.add(i)
         if nxt is not None:
-            if nxt != key[2]:
-                row[i] = (key[0], key[1], nxt)
+            rn[i] = slot[nxt]
             continue
-        row[i] = None
+        rc[i], rl[i], rn[i] = _NO_RULE
         dropped.append(x)
         for z, _w in adj(x):
-            kz = row[slot[z]]
-            if kz is not None and kz[2] == x:
-                heapq.heappush(suspects, (kz, z))
+            k = slot[z]
+            if rn[k] == i:
+                heapq.heappush(suspects, (rc[k], rl[k], z))
     return dropped
 
 
 def _best_offer(store, row, adj, x, d) -> tuple:
     """The smallest key x can take toward d from the rules of d's row as
     they stand: the tautology when x is d, or a neighbour's rule extended
-    by one hop.  Returns (key, neighbour, neighbour's key); the neighbour
-    is None for the tautology, and all three are None when x has no
-    offer."""
+    by one hop.  Returns (key, neighbour, neighbour's entry as (cost,
+    length, next slot)); the neighbour is None for the tautology, and all
+    three are None when x has no offer."""
     slot = store.slot
     neg = store._neg
     fp = store.strategy.path_cost
+    rc, rl, rn = row
     top = _tautology_key(store.strategy, x) if x == d else None
     via = vkey = None
     for y, w in adj(x):
-        ky = row[slot[y]]
-        if ky is None:
+        j = slot[y]
+        if rn[j] < 0:
             continue
-        c = fp(w, -ky[0] if neg else ky[0])
-        cand = (-c if neg else c, ky[1] + 1, y)
+        cy = rc[j]
+        c = fp(w, -cy if neg else cy)
+        if neg:
+            c = -c
+        if top is not None and c > top[0]:
+            continue
+        cand = (c, rl[j] + 1, y)
         if top is None or cand < top:
-            top, via, vkey = cand, y, ky
+            top, via, vkey = cand, y, (cy, rl[j], rn[j])
     return top, via, vkey
 
 
@@ -1009,16 +1110,18 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     an empty tree a settled rule is final, and so is its path, which
     settled before it; a built-in path cost stops once `until` settles.
 
-    A heap entry remembers the key of the neighbour it extends and is
-    skipped (and its node reseeded) when that key has changed since.  A
-    node that kept its rule and settles with a new key offers it to its
-    neighbours; a child whose rule now extends to a worse key goes through
-    phase 1's decision (`_drop_affected`), and every node dropped there is
-    reseeded.
+    A heap entry remembers the entry (cost, length, next slot) of the
+    neighbour it extends and is skipped (and its node reseeded) when that
+    entry has changed since.  A node that kept its rule and settles with a
+    new key offers it to its neighbours; a child whose rule now extends to
+    a worse key goes through phase 1's decision (`_drop_affected`), and
+    every node dropped there is reseeded.  A new key is compared with a
+    rule cost first; the rule's length and next are read only on a tie.
     """
-    slot = store.slot
+    slot, ids = store.slot, store.ids
     # read only until the heap has work
-    row = store._est.get(d) or [None] * len(store.ids)
+    row = store._est.get(d) or _empty_row(store._code, len(ids))
+    rc, rl, rn = row
     neg = store._neg
     kind = store._fp_kind
     fp = store.strategy.path_cost
@@ -1037,8 +1140,10 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
 
     def seed(x):
         top, via, vkey = _best_offer(store, row, adj, x, d)
-        own = row[slot[x]]
-        if top is not None and (own is None or top < own):
+        if top is None:
+            return
+        own = _key(row, slot[x], ids)
+        if own is None or top < own:
             offer(x, top, via, vkey)
 
     if born:
@@ -1046,16 +1151,24 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     for x in dropped:
         seed(x)
     for y, x, w in added:
-        ky = row[slot[y]]
-        if ky is not None:
-            c = fp(w, -ky[0] if neg else ky[0])
-            cand = (-c if neg else c, ky[1] + 1, y)
-            kx = row[slot[x]]
-            if kx is None or cand < kx:
-                offer(x, cand, y, ky)
+        j = slot[y]
+        if rn[j] < 0:
+            continue
+        cy = rc[j]
+        c = fp(w, -cy if neg else cy)
+        if neg:
+            c = -c
+        i = slot[x]
+        if rn[i] >= 0 and c > rc[i]:
+            continue
+        cand = (c, rl[j] + 1, y)
+        own = _key(row, i, ids)
+        if own is None or cand < own:
+            offer(x, cand, y, (cy, rl[j], rn[j]))
     if not heap:
         return
     row, written = _row(store, d, journal)
+    rc, rl, rn = row
     stats.destinations_repaired += 1
     pops = stale = 0
     while heap:
@@ -1065,21 +1178,28 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             continue
         if best.get(x) == key:
             del best[x]
-        if via is not None and row[slot[via]] != vkey:
-            stale += 1
-            seed(x)
-            continue
+        if via is not None:
+            v = slot[via]
+            if rc[v] != vkey[0] or rl[v] != vkey[1] or rn[v] != vkey[2]:
+                stale += 1
+                seed(x)
+                continue
+        signed, length, nid = key
         i = slot[x]
-        old = row[i]
-        if old is not None and old <= key:
-            continue
+        j = rn[i]
+        if j >= 0:
+            c = rc[i]
+            if c < signed or c == signed and (rl[i], ids[j]) <= (length, nid):
+                continue
         settled.add(x)
         written.add(i)
-        row[i] = key
+        j = slot[nid]
+        rc[i], rl[i], rn[i] = signed, length, j
         if x == until:
             break
-        cost = -key[0] if neg else key[0]
-        length = key[1] + 1
+        mine = (signed, length, j)
+        cost = -signed if neg else signed
+        length += 1
         for z, w in adj(x):
             if z in settled:
                 continue
@@ -1089,23 +1209,31 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
                 c = w if w < cost else cost
             else:
                 c = fp(w, cost)
-            cand = (-c if neg else c, length, x)
-            kz = row[slot[z]]
-            if kz is None or cand < kz:
-                b = best.get(z)
-                if b is None or cand < b:
-                    best[z] = cand
-                    heappush(heap, (cand, z, x, key))
-            elif kz[2] == x and cand != kz:
-                # z's rule extended x's old key, which is gone
-                redo = _drop_affected(store, adj, d, [(kz, z)], journal)
-                stats.groups_invalidated += len(redo)
-                for u in redo:
-                    seed(u)
+            if neg:
+                c = -c
+            k = slot[z]
+            nz = rn[k]
+            if nz >= 0:
+                cz = rc[k]
+                # no better than z's rule: the cost decides, or on a tie
+                # the length and next
+                if c > cz or c == cz and (length, x) >= (rl[k], ids[nz]):
+                    if nz == i and (c != cz or length != rl[k]):
+                        # z's rule extended x's old key, which is gone
+                        redo = _drop_affected(store, adj, d, [(cz, rl[k], z)], journal)
+                        stats.groups_invalidated += len(redo)
+                        for u in redo:
+                            seed(u)
+                    continue
+            cand = (c, length, x)
+            b = best.get(z)
+            if b is None or cand < b:
+                best[z] = cand
+                heappush(heap, (cand, z, x, mine))
     stats.heap_pops += pops
     stats.stale_pops += stale
     if kind is None:
-        _check_monotone({u: row[slot[u]] for u in settled}, adj, fp, neg)
+        _check_monotone({u: rc[slot[u]] for u in settled}, adj, fp, neg)
 
 
 # --- serialization -----------------------------------------------------------

@@ -4,11 +4,13 @@ A strategy fixes how link attributes become edge weights, how a path's
 cost grows when extended by one edge, and which candidate rule wins for a
 (src, dst) pair.  Selection is a strict total order: the strategy's
 primary key (min path cost, or max for widest-path routing), then fewer
-hops, then the smallest next-hop id.  The engine stores each rule as the
-key tuple (signed cost, p_length, next), with the cost negated under
+hops, then the smallest next-hop id.  The engine selects by the key
+tuple (signed cost, p_length, next), with the cost negated under
 `maximize`, so plain tuple order is the selection order and the smaller
-key wins.  The deterministic tail keeps results identical whatever order
-the destinations are repaired in and the events are listed in.
+key wins; it stores the keys of a destination's rules as columns, the
+cost's typed by `cost_typecode`.  The deterministic tail keeps results
+identical whatever order the destinations are repaired in and the
+events are listed in.
 
 hop_count is the additive path cost over int weights of 1, so its costs
 are ints; the engine treats it as it treats the other additive
@@ -84,6 +86,9 @@ def _width_path_cost(w, p_cost):
     return w if w < p_cost else p_cost
 
 
+_FLOAT_LINK_COSTS = (_free_bw_link_cost, _width_link_cost)
+_LINK_COSTS = (_hop_link_cost, _utilization_link_cost, *_FLOAT_LINK_COSTS)
+
 _ADDITIVE_DOMAIN = WeightDomain(0.0, math.inf, lo_open=True)
 
 _BUILTINS = {
@@ -125,6 +130,24 @@ def path_cost_kind(strategy: Strategy) -> str | None:
         return "sum"
     if strategy.path_cost is _width_path_cost and strategy.maximize:
         return "min"
+    return None
+
+
+def cost_typecode(strategy: Strategy) -> str | None:
+    """The `array` typecode of a column that holds every path cost the
+    strategy can form, or None where only a list does.  The additive cost
+    from a float tautology over a built-in link cost is always a float,
+    and so is the width of a float link cost from a float tautology: "d".
+    hop_count's costs are its tautology's int plus one per hop, so an int
+    tautology well inside int64 gives "q".  A custom path cost or link
+    cost can form anything."""
+    kind, taut = path_cost_kind(strategy), strategy.tautology_cost
+    if kind == "sum" and strategy.link_cost in _LINK_COSTS and type(taut) is float:
+        return "d"
+    if kind == "min" and strategy.link_cost in _FLOAT_LINK_COSTS and type(taut) is float:
+        return "d"
+    if kind == "sum" and strategy.link_cost is _hop_link_cost and type(taut) is int:
+        return "q" if abs(taut) < 2**62 else None
     return None
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -158,13 +157,44 @@ def widest_paths_bruteforce(graph: GraphStore, strategy: Strategy) -> oracle.Ora
     return result
 
 
+def row_rules(store, row) -> dict:
+    """The rules of one of the store's rows as {src: key}, each key the
+    engine's (signed cost, p_length, next id)."""
+    ids = store.ids
+    return {ids[i]: routing_core._key(row, i, ids) for i in routing_core._live(row.next)}
+
+
 def rules_by_id(store) -> dict:
     """A store's rules as {dst: {src: key}}, read through its slots: two
     stores whose slots differ (nodes born in another order, a removed
     node's slot still held) compare by node id."""
-    ids = store.ids
-    return {d: dict(zip(compress(ids, row), filter(None, row)))
-            for d, row in store._est.items()}
+    return {d: row_rules(store, row) for d, row in store._est.items()}
+
+
+def key_at(store, d: NodeId, s: NodeId):
+    """The key of the rule of (s, d), (signed cost, p_length, next id), or
+    None where there is none."""
+    row = store._est.get(d)
+    return None if row is None else routing_core._key(row, store.slot[s], store.ids)
+
+
+def set_key(store, d: NodeId, s: NodeId, key) -> None:
+    """Give (s, d) the rule `key`, (signed cost, p_length, next id), or no
+    rule where None, in a copy of d's row (a new row of no rules where d
+    has none), so that rows shared with a snapshot stay as they were.  The
+    cost column becomes a list where its `array` cannot hold the cost."""
+    n = len(store.ids)
+    row = store._est.get(d)
+    row = routing_core._empty_row(store._code, n) if row is None else routing_core._grown(row, n)
+    if key is None:
+        key = routing_core._NO_RULE
+    else:
+        if type(key[0]) is not {"d": float, "q": int}.get(store._code):
+            row = row._replace(cost=list(row.cost))
+        key = (key[0], key[1], store.slot[key[2]])
+    i = store.slot[s]
+    row.cost[i], row.length[i], row.next[i] = key
+    store._est[d] = row
 
 
 def slotted_store(graph: GraphStore, strategy: Strategy) -> routing_core.RuleStore:
@@ -183,8 +213,7 @@ def rule_store(rules: dict) -> routing_core.RuleStore:
     store = routing_core.RuleStore(builtin("sd_utilization"))
     routing_core._take_slots(store, {x for pair in rules for x in pair})
     for (s, t), rule in rules.items():
-        row = store._est.setdefault(t, [None] * len(store.ids))
-        row[store.slot[s]] = (rule.p_cost, rule.p_length, rule.next)
+        set_key(store, t, s, (rule.p_cost, rule.p_length, rule.next))
     store._rules = len(rules)
     return store
 
@@ -201,7 +230,7 @@ def search_tree(graph: GraphStore, strategy: Strategy, *args, **kwargs) -> dict:
     graph's nodes."""
     store = slotted_store(graph, strategy)
     row = routing_core.search(store, graph, *args, **kwargs)
-    return dict(zip(compress(store.ids, row), filter(None, row)))
+    return row_rules(store, row)
 
 
 @st.composite

@@ -24,8 +24,6 @@ for tests that count or inspect a group's candidates.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from deltapath import routing_core as rc
 from deltapath.errors import NonConvergenceError
 from deltapath.graph_model import AddNode, RemoveNode
@@ -45,11 +43,11 @@ def step_rounds(store, graph, events):
     if rc._take_slots(store, graph.nodes):
         pad = len(store.ids)
         for d, row in store._est.items():
-            store._est[d] = row + [None] * (pad - len(row))
+            store._est[d] = rc._grown(row, pad)
     horizon = len(graph.nodes)
     rows: dict = {}  # this epoch's index of the established rules by src
     for d, row in store._est.items():
-        for s, key in zip(compress(store.ids, row), filter(None, row)):
+        for s, key in _rules(store, row):
             rows.setdefault(s, {})[d] = key
 
     # group -> [best offered key or None, neighbours whose rule is gone]
@@ -96,7 +94,13 @@ def solve_rounds(graph, strategy):
 
 
 def _count(store):
-    return sum(len(row) - row.count(None) for row in store._est.values())
+    return sum(len(row.next) - row.next.count(-1) for row in store._est.values())
+
+
+def _rules(store, row):
+    """(src, key) for each rule of the row, in slot order."""
+    ids = store.ids
+    return [(ids[i], rc._key(row, i, ids)) for i in rc._live(row.next)]
 
 
 def _settle(store, graph, pending):
@@ -130,7 +134,7 @@ def candidates(store, graph):
     horizon = len(graph.nodes)
     out = {(n, n): {rc._tautology_key(store.strategy, n): 1} for n in graph.nodes}
     for d, row in store._est.items():
-        for s, key in zip(compress(store.ids, row), filter(None, row)):
+        for s, key in _rules(store, row):
             for (x, w), mult in graph.out_edges(s).items():
                 derived = _extend(store, horizon, key, s, w)
                 if derived is not None:
@@ -142,7 +146,7 @@ def candidates(store, graph):
 def _rule(store, s, d):
     """The key of (s, d), or None."""
     row = store._est.get(d)
-    return None if row is None else row[store.slot[s]]
+    return None if row is None else rc._key(row, store.slot[s], store.ids)
 
 
 def _extend(store, horizon, key, via, w):
@@ -182,13 +186,16 @@ def _fold(store, graph, horizon, pending, journal, owned):
         if best == old:
             continue
         journal.setdefault(group, old)
+        n = len(store.ids)
         if d not in owned:
             owned.add(d)
-            est[d] = list(est.get(d) or [None] * len(store.ids))
+            est[d] = rc._grown(est[d], n) if d in est else rc._empty_row(store._code, n)
         # a row dropped earlier in the epoch comes back empty
-        row = est.setdefault(d, [None] * len(store.ids))
-        row[store.slot[s]] = best
-        if not any(row):
+        row = est.setdefault(d, rc._empty_row(store._code, n))
+        i = store.slot[s]
+        row.cost[i], row.length[i], row.next[i] = (
+            rc._NO_RULE if best is None else (best[0], best[1], store.slot[best[2]]))
+        if row.next.count(-1) == n:
             del est[d]
         changes.append((group, old, best))
     return changes

@@ -17,7 +17,7 @@ from deltapath.errors import EventParseError
 from deltapath.graph_model import AddLink, format_event, load_topology, save_topology
 from deltapath.routing_core import EpochStats, RuleStore, step_epoch
 
-from conftest import triangle, utilization_topology
+from conftest import set_key, triangle, utilization_topology
 
 
 @pytest.fixture
@@ -125,8 +125,7 @@ class TestRun:
     ):
         def corrupting_step(store, graph, events):
             batch = step_epoch(store, graph, events)
-            store._est[2] = list(store._est[2])  # a new row
-            store._est[2][store.slot[0]] = (99.0, 1, 2)
+            set_key(store, 2, 0, (99.0, 1, 2))  # in a new row
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", corrupting_step)
@@ -353,8 +352,7 @@ class TestBench:
             if isinstance(events[0], AddLink):
                 # a new row, as an epoch writes one: the bench's snapshot
                 # shares the rows the epoch left alone
-                store._est[2] = list(store._est[2])
-                store._est[2][store.slot[0]] = (99.0, 1, 2)
+                set_key(store, 2, 0, (99.0, 1, 2))
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", leaky_step)
@@ -452,7 +450,7 @@ class TestCheckAndStats:
     ):
         def corrupting_step(store, graph, events):
             batch = step_epoch(store, graph, events)
-            store._est[2][0] = (99.0, 1, 2)
+            set_key(store, 2, 0, (99.0, 1, 2))
             return batch
 
         monkeypatch.setattr("deltapath.cli.step_epoch", corrupting_step)
@@ -474,7 +472,8 @@ class TestCheckAndStats:
 
             def corrupting_step(store, graph, events):
                 batch = step(store, graph, events)
-                store._est[2][0] = (99.0, 1, 2)
+                row = store._est[2]  # the rule (99.0, 1, 2) for (0, 2)
+                row.cost[0], row.length[0], row.next[0] = 99.0, 1, store.slot[2]
                 return batch
 
             step, cli.step_epoch = cli.step_epoch, corrupting_step

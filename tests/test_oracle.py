@@ -25,12 +25,14 @@ from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
 from conftest import (
     affected_pairs,
     cost_and_length,
+    key_at,
     loose_topologies,
     pairs,
     props,
     random_connected_topology,
     real_weight_topologies,
     rule_store,
+    set_key,
     topology,
     triangle,
     utilization_topology,
@@ -671,15 +673,15 @@ def test_compare_view_of_a_corrupted_established_view():
     (d0, s0), (d1, s1), (d2, _s2), (d3, s3) = (
         (d, next(x for x in store.ids if x != d)) for d in list(rows)[:4]
     )
-    cost, length, nxt = rows[d0][slot[s0]]
-    rows[d0][slot[s0]] = (cost + 1, length, nxt)
-    cost1, length1, nxt1 = rows[d1][slot[s1]]
-    rows[d1][slot[s1]] = (None, length1, nxt1)
+    cost, length, nxt = key_at(store, d0, s0)
+    set_key(store, d0, s0, (cost + 1, length, nxt))
+    cost1, length1, nxt1 = key_at(store, d1, s1)
+    set_key(store, d1, s1, (None, length1, nxt1))
     slot[99] = len(store.ids)  # a slot for a node the graph lacks
     store.ids.append(99)
-    for d, row in rows.items():
-        row.append((1, 1, d2) if d == d2 else None)
-    rows[d3][slot[s3]] = None
+    for d in list(rows):
+        set_key(store, d, 99, (1, 1, d2) if d == d2 else None)
+    set_key(store, d3, s3, None)
     view = store.established_rules()
     assert oracle.compare_view(r, view) == [
         (s0, d0, f"cost {cost + 1} vs oracle {float(cost)}"),
@@ -702,16 +704,15 @@ def test_compare_view_names_one_wrong_entry_of_a_fattree16():
     view = store.established_rules()
     assert oracle.compare_view(r, view) == []
     s, d = 200, 5
-    row = store._est[d] = list(store._est[d])
-    cost, length, nxt = key = row[store.slot[s]]
+    cost, length, nxt = key = key_at(store, d, s)
     for wrong, reason in [
         ((cost, length, s), f"next {s} vs oracle {nxt}"),
         ((cost + 2, length, nxt), f"cost {cost + 2} vs oracle {float(cost)}"),
         ((cost, length + 2, nxt), f"length {length + 2} vs oracle {length}"),
     ]:
-        row[store.slot[s]] = wrong
+        set_key(store, d, s, wrong)
         assert oracle.compare_view(r, view) == [(s, d, reason)]
-    row[store.slot[s]] = key
+    set_key(store, d, s, key)
     assert oracle.compare_view(r, view) == []
 
 
@@ -747,36 +748,35 @@ def corrupt(store, edits):
     """Apply `row_corruptions` to the store's rows: a cost moved by 1 or
     by a relative 1e-12, a length moved by 1, another next, an entry
     deleted or set where there was none, a slot for a node the graph
-    lacks, and a row for a destination the graph lacks."""
+    lacks, and a row for a destination the graph lacks.  A next is always
+    a node with a slot, as the next column holds slots."""
     rows, ids = store._est, store.ids
-    for d in rows:
-        rows[d] = list(rows[d])
     for kind, dp, sp, vp in edits:
         d = list(rows)[dp % len(rows)]
-        row = rows[d]
         k = sp % len(ids)
-        key = row[k]
+        s = ids[k]
+        key = key_at(store, d, s)
         if kind == "slot":
             store.slot[1000 + len(ids)] = len(ids)
             ids.append(1000 + len(ids))
-            for other in rows.values():
-                other.append(None)
-            row[-1] = (vp, 1, d)
+            for other in list(rows):
+                set_key(store, other, ids[-1], None)
+            set_key(store, d, ids[-1], (vp, 1, d if d in store.slot else ids[vp % len(ids)]))
         elif kind == "row":
-            rows[2000 + dp] = [None] * len(ids)
-            rows[2000 + dp][k] = (vp, 1, ids[k])
+            rows.pop(2000 + dp, None)
+            set_key(store, 2000 + dp, s, (vp, 1, s))
         elif kind == "add" or key is None:
-            row[k] = (vp % 4, vp % 3, ids[vp % len(ids)])
+            set_key(store, d, s, (vp % 4, vp % 3, ids[vp % len(ids)]))
         elif kind == "cost":
-            row[k] = (key[0] + 1, key[1], key[2])
+            set_key(store, d, s, (key[0] + 1, key[1], key[2]))
         elif kind == "near":
-            row[k] = (key[0] * (1 + 1e-12), key[1], key[2])
+            set_key(store, d, s, (key[0] * (1 + 1e-12), key[1], key[2]))
         elif kind == "length":
-            row[k] = (key[0], key[1] + 1, key[2])
+            set_key(store, d, s, (key[0], key[1] + 1, key[2]))
         elif kind == "next":
-            row[k] = (key[0], key[1], ids[vp % len(ids)])
+            set_key(store, d, s, (key[0], key[1], ids[vp % len(ids)]))
         else:
-            row[k] = None
+            set_key(store, d, s, None)
 
 
 @pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: f"{s.name}-exact")

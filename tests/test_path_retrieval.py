@@ -8,7 +8,7 @@ from deltapath.graph_model import build_graph
 from deltapath.routing_core import initialize
 from deltapath.strategy import builtin, builtin_names
 
-from conftest import random_connected_topology, utilization_topology
+from conftest import random_connected_topology, set_key, utilization_topology
 
 SD = builtin("sd_utilization")
 
@@ -42,13 +42,14 @@ class TestRetrieve:
     def test_corrupted_view_is_detected(self, triangle_graph):
         # two rules pointing at each other can only come from corruption
         store = initialize(triangle_graph, SD)
-        store._est[9] = [(1.0, 1, 1), (1.0, 1, 0), None]  # by slot: nodes 0, 1, 2
+        set_key(store, 9, 0, (1.0, 1, 1))
+        set_key(store, 9, 1, (1.0, 1, 0))
         with pytest.raises(CycleDetectedError):
             pr.retrieve(store.established_rules(), 0, 9)
 
     def test_missing_suffix_is_unreachable(self, triangle_graph):
         store = initialize(triangle_graph, SD)
-        store._est[9] = [(1.0, 1, 1), None, None]
+        set_key(store, 9, 0, (1.0, 1, 1))
         with pytest.raises(UnreachableError, match=r"\(1, 9\)"):
             pr.retrieve(store.established_rules(), 0, 9)
 

@@ -43,6 +43,7 @@ from rounds_reference import candidates, solve_rounds, step_rounds
 from conftest import (
     affected_pairs,
     all_fixpoint,
+    key_at,
     loose_topologies,
     props,
     random_connected_topology,
@@ -50,6 +51,7 @@ from conftest import (
     real_weight_topologies,
     rules_by_id,
     search_tree,
+    set_key,
     slotted_store,
     topology,
     triangle,
@@ -310,12 +312,12 @@ class TestWidestRepair:
             WIDEST.link_cost,
         )
         store = rc.initialize(g, WIDEST)
-        assert store._est[0][2] == (-1.0, 2, 4)
-        assert store._est[0][1] == (-1.0, 2, 4)
+        assert key_at(store, 0, 2) == (-1.0, 2, 4)
+        assert key_at(store, 0, 1) == (-1.0, 2, 4)
         rc.step_epoch(store, g, [AddLink(3, 0, props(capacity=3.0))])
-        assert store._est[0][4] == (-2.0, 2, 3)
-        assert store._est[0][1] == (-2.0, 3, 4)
-        assert store._est[0][2] == (-1.0, 3, 4)  # not (-1.0, 3, 1)
+        assert key_at(store, 0, 4) == (-2.0, 2, 3)
+        assert key_at(store, 0, 1) == (-2.0, 3, 4)
+        assert key_at(store, 0, 2) == (-1.0, 3, 4)  # not (-1.0, 3, 1)
         assert store.last_stats.stale_pops >= 1
         assert store._est == rc.initialize(g, WIDEST)._est
         want = widest_paths_bruteforce(g, WIDEST)
@@ -461,7 +463,7 @@ class TestIntegrity:
             (grp, c) for grp, c in sorted(candidates(store, g).items()) if len(c) > 1
         )
         worse = sorted(cands)[1]
-        store._est[group[1]][group[0]] = worse
+        set_key(store, group[1], group[0], worse)
         with pytest.raises(AssertionError, match="stale selection"):
             store.check_integrity(g)
 
@@ -472,8 +474,31 @@ class TestIntegrity:
                for s, key in row.items() if s != d}
         s, d = next(p for p in sorted(store.established_rules())
                     if p[0] != p[1] and p not in via)
-        store._est[d][store.slot[s]] = None
+        set_key(store, d, s, None)
         with pytest.raises(AssertionError, match="no rule"):
+            store.check_integrity(g)
+
+    @pytest.mark.parametrize("column", ["cost", "length", "next"])
+    def test_short_column_is_caught(self, column):
+        g, store = self.engine()
+        row = store._est[3]
+        store._est[3] = row._replace(**{column: getattr(row, column)[:-1]})
+        with pytest.raises(AssertionError, match="column of the row of 3 is not as long"):
+            store.check_integrity(g)
+
+    def test_next_past_the_slots_is_caught(self):
+        g, store = self.engine()
+        set_key(store, 3, 5, key_at(store, 3, 5))  # a copy of the row, to write
+        store._est[3].next[store.slot[5]] = len(store.ids)
+        with pytest.raises(AssertionError, match="row of 3 names a next past the slots"):
+            store.check_integrity(g)
+
+    @pytest.mark.parametrize("column,value", [("cost", 5.0), ("length", 2), ("next", -2)])
+    def test_empty_entry_that_is_not_the_empty_rule_is_caught(self, column, value):
+        g, store = self.engine()
+        set_key(store, 3, 5, None)
+        getattr(store._est[3], column)[store.slot[5]] = value
+        with pytest.raises(AssertionError, match=r"\(5, 3\) has no rule but is not the empty"):
             store.check_integrity(g)
 
     def test_group_of_a_removed_node_is_caught(self):
@@ -656,11 +681,28 @@ class TestSlots:
         rc.step_epoch(store, g, [RemoveNode(node)])
         assert store.ids == ids and store.slot[node] == 7
         assert node not in store._est
-        assert all(len(row) == len(ids) and row[7] is None for row in store._est.values())
+        assert all(len(column) == len(ids) for row in store._est.values() for column in row)
+        assert all(key_at(store, d, node) is None for d in store._est)
         rc.step_epoch(store, g, restore)
         assert store.ids == ids and store.slot[node] == 7
-        assert all(len(row) == len(ids) for row in store._est.values())
+        assert all(len(column) == len(ids) for row in store._est.values() for column in row)
         assert store._est == before
+
+    def test_view_items_equal_a_lookup_per_pair_over_a_dead_slot(self):
+        """The view's `items()`, made row by row, give each pair's rule as
+        `__getitem__` does, in iteration order: under a negated cost, with
+        a failed switch's slot empty in every row and a fresh id's slot
+        after it."""
+        g = build_graph(gen_fattree(4, WeightPlan(PlanKind.UNIFORM, seed=7)), WIDEST.link_cost)
+        store = rc.initialize(g, WIDEST)
+        rc.step_epoch(store, g, [RemoveNode(7), AddNode(-5), AddLink(-5, 3, props())])
+        assert store.slot[7] < store.slot[-5] and 7 not in g.nodes
+        view = store.established_rules()
+        items = list(view.items())
+        assert items == [(p, view[p]) for p in view]
+        assert len(items) == len(view) == store.rule_count() == 20 * 20
+        assert any(rule.p_cost > 0 for _p, rule in items)
+        assert ((0, 3), view[(0, 3)]) in view.items()
 
     def test_a_new_id_takes_the_next_slot(self):
         g = build_graph(gen_fattree(4), HOP.link_cost)
@@ -668,7 +710,7 @@ class TestSlots:
         n = len(store.ids)
         rc.step_epoch(store, g, [AddNode(10**6), AddLink(10**6, 3, props())])
         assert store.slot[10**6] == n and store.ids[n] == 10**6
-        assert all(len(row) == n + 1 for row in store._est.values())
+        assert all(len(column) == n + 1 for row in store._est.values() for column in row)
         assert store.established_rules()[(10**6, 0)].next == 3
         store.check_integrity(g)
         # removed and added back, it keeps the slot
@@ -1032,7 +1074,25 @@ def test_hop_count_search_takes_the_smaller_parent():
     assert tree[5] == (2, 2, 1) and tree[4] == (2, 2, 2)
     assert tree[6] == (3, 3, 4)
     assert_same_rules(tree, search_tree(g, CUSTOM_HOP, 0))
-    assert all_fixpoint(g, HOP)._est[0][6] == (3, 3, 4)
+    assert key_at(all_fixpoint(g, HOP), 0, 6) == (3, 3, 4)
+
+
+@pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+def test_all_fixpoint_breaks_ties_by_id_over_any_slots(strategy):
+    """Over slots that hold the ids in reverse order, the all-destination
+    solve gives `initialize`'s rules, by id: a tie between next hops goes
+    to the smaller id, not the smaller slot.  On this jellyfish, taking
+    the smaller slot named another next for 133 of the 400 hop_count
+    rules and 6 of the shortest_widest ones."""
+    g = build_graph(gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM, seed=7), seed=7),
+                    strategy.link_cost)
+    store = rc.RuleStore(strategy)
+    store.ids = sorted(g.nodes, reverse=True)
+    store.slot = {v: i for i, v in enumerate(store.ids)}
+    assert rc._all_fixpoint(store, g)
+    assert rules_by_id(store) == rules_by_id(rc.initialize(g, strategy))
+    assert store.rule_count() == recount(store) == 400
+    store.check_integrity(g)
 
 
 def pruned_topology(topo, skip_nodes, skip_links):
@@ -1200,7 +1260,7 @@ def test_the_copy_that_counts_may_come_second_in_link_order(builtin_strategy, cl
     assert all_fixpoint(g, builtin_strategy) is not None  # no fallback here
     store = rc.initialize(g, builtin_strategy)
     assert_same_stores(store, rc.initialize(g, clone))
-    assert store._est[1][0][0] == (-1 if builtin_strategy.maximize else 1) * cost(
+    assert key_at(store, 1, 0)[0] == (-1 if builtin_strategy.maximize else 1) * cost(
         props(utilization=2.0))
 
 
@@ -1436,8 +1496,8 @@ def test_additive_strategy_outside_the_solver_falls_back_to_search(strategy, rul
     assert all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
     assert_same_stores(store, solve_rounds(g, strategy))
-    assert store._est[3][0] == rule_0_3
-    assert type(store._est[3][0][0]) is type(rule_0_3[0])
+    assert key_at(store, 3, 0) == rule_0_3
+    assert type(key_at(store, 3, 0)[0]) is type(rule_0_3[0])
 
 
 def test_a_negative_weight_is_left_to_the_repair():
@@ -1462,8 +1522,8 @@ def test_int_costs_past_the_composite_bound_are_solved():
     assert all_fixpoint(g, COMPOSITE_INT_SUM) is not None
     store = rc.initialize(g, COMPOSITE_INT_SUM)
     assert_same_stores(store, solve_rounds(g, COMPOSITE_INT_SUM))
-    assert store._est[3][0] == (3 * 2**50 + 93, 3, 1)
-    assert type(store._est[3][0][0]) is int
+    assert key_at(store, 3, 0) == (3 * 2**50 + 93, 3, 1)
+    assert type(key_at(store, 3, 0)[0]) is int
 
 
 # small int weights beside one of 2**52 - 2**8 (utilization 100):
@@ -1501,15 +1561,15 @@ def test_relaxed_costs_equal_the_heap_search(strategy, clone, topo):
     store = rc.initialize(g, strategy)
     assert_same_stores(store, rc.initialize(g, clone))
     if len(g.nodes) == 40:
-        assert max(key[1] for row in store._est.values() for key in filter(None, row)) >= 20
+        assert max(key[1] for row in rules_by_id(store).values() for key in row.values()) >= 20
     if len(g.nodes) == 9:
         assert all((x < 5) == (d < 5) for d, row in rules_by_id(store).items() for x in row)
         assert store.rule_count() == 5 * 5 + 4 * 4
     if strategy is NEAR_INT_SUM:
         total = sum(w for (_a, _b, w), _m in g.edge_items())
         assert 2**53 - 2**9 < total < 2**53
-        assert store._est[3][0] == (2**52 - 2**8 + 8, 3, 1)
-        assert type(store._est[3][0][0]) is int
+        assert key_at(store, 3, 0) == (2**52 - 2**8 + 8, 3, 1)
+        assert type(key_at(store, 3, 0)[0]) is int
 
 
 # the built-in width path cost from a tautology width other than inf
@@ -1548,8 +1608,8 @@ def test_widest_strategy_outside_the_solver_falls_back_to_search(strategy, pair,
     assert all_fixpoint(g, strategy) is None
     store = rc.initialize(g, strategy)
     assert_same_stores(store, solve_rounds(g, strategy))
-    assert store._est[pair[1]][pair[0]] == rule
-    assert type(store._est[pair[1]][pair[0]][0]) is type(rule[0])
+    assert key_at(store, pair[1], pair[0]) == rule
+    assert type(key_at(store, pair[1], pair[0])[0]) is type(rule[0])
 
 
 # the built-in path costs selected in the direction that does not converge:
@@ -1653,7 +1713,8 @@ class TestCustomStrategy:
         assert path_cost_kind(CUSTOM_SUM) is None
         g = self.jellyfish()
         store = rc.initialize(g, CUSTOM_SUM)
-        assert store._est == rc.initialize(g, SD)._est
+        # the custom cost's column is a list, the built-in's an array
+        assert rules_by_id(store) == rules_by_id(rc.initialize(g, SD))
         store.check_integrity(g)
 
     def test_not_search_tree_equals_node_deleted_oracle(self):
@@ -1686,33 +1747,41 @@ def test_rule_store_is_picklable():
     assert clone.strategy.name == store.strategy.name
     # the clone keeps working independently
     rc.step_epoch(clone, g.fork(), [RemoveLink(1, 2)])
-    assert store._est[2][store.slot[0]] is not None
+    assert key_at(store, 2, 0) is not None
 
 
-def test_rows_take_at_most_12_bytes_per_pair():
-    """Fat-tree k=16: 102 400 rules in 320 rows, each a list of 320 slots,
-    whose keys are read from one table by (hop count, next) where every
-    weight is equal: 1 under hop_count on any plan, 0.1 under sd_free_bw
-    on idle links.  A row's list takes 8 bytes a pair; a dict per row took
-    about 29, and a dict entry and a key tuple per pair about 115."""
+def test_rows_take_at_most_20_bytes_per_pair():
+    """Fat-tree k=16: 102 400 rules in 320 rows, each three columns of 320
+    slots, 16 bytes a pair: a cost of 8 (floats, or hop_count's int64)
+    and a C int each for the length and the next's slot.  Every built-in,
+    under equal weights (idle links, and a utilization of 50 on every
+    link under sd_utilization, whose weight an idle link zeroes) and
+    under unequal ones (the uniform plan; hop_count's weights stay 1).  A
+    list of shared keys took 8 bytes a pair under equal weights, and a
+    key tuple per pair about 96 under unequal ones."""
     rc.initialize(build_graph(triangle(), HOP.link_cost), HOP)  # first calls allocate for good
-    for strategy, plan in ((HOP, PlanKind.UNIFORM), (FREE_BW, PlanKind.HOP_COUNT)):
-        g = build_graph(gen_fattree(16, WeightPlan(plan, seed=0)), strategy.link_cost)
-        assert len({w for _a, _b, w in g.links()}) == 1
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            store = rc.initialize(g, strategy)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert store.rule_count() == 102_400
-        assert grown / store.rule_count() <= 12, strategy.name
+    idle = gen_fattree(16, WeightPlan(PlanKind.HOP_COUNT, seed=0))
+    busy = replace(idle, links=[(a, b, replace(p, utilization=50.0)) for a, b, p in idle.links])
+    uniform = gen_fattree(16, WeightPlan(PlanKind.UNIFORM, seed=0))
+    for strategy in BUILTINS:
+        sd, hop = strategy.name == "sd_utilization", strategy.name == "hop_count"
+        for equal, topo in ((True, busy if sd else idle), (False, uniform)):
+            g = build_graph(topo, strategy.link_cost)
+            assert (len({w for _a, _b, w in g.links()}) == 1) == (equal or hop)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                store = rc.initialize(g, strategy)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert store.rule_count() == 102_400
+            assert grown / store.rule_count() <= 20, (strategy.name, equal)
 
 
 def test_unequal_int_keys_stay_apart():
     """Over unequal weights two pairs with the same length and next but
-    costs 2**41 and 3 * 2**40 keep keys of their own, with int costs."""
+    costs 2**41 and 3 * 2**40 keep costs of their own, as ints."""
     n = 3
     cost = np.zeros((n, 1), dtype=np.int64)
     length = np.full((n, 1), -1, dtype=np.int64)
@@ -1722,9 +1791,9 @@ def test_unequal_int_keys_stay_apart():
     cost[2], length[2] = 3 * 2**40, 1
     store = rc.RuleStore(THREE_SUM)  # an int tautology cost
     rc._take_slots(store, range(n))
-    assert rc._fill_rows(store, np.arange(1), cost, length, nxt, None) == 3
-    assert store._est == {0: [(0, 0, 0), (2**41, 1, 0), (3 * 2**40, 1, 0)]}
-    assert all(type(v) is int for key in store._est[0] for v in key)
+    assert rc._fill_rows(store, np.arange(1), cost, length, nxt) == 3
+    assert rules_by_id(store) == {0: {0: (0, 0, 0), 1: (2**41, 1, 0), 2: (3 * 2**40, 1, 0)}}
+    assert all(type(v) is int for key in rules_by_id(store)[0].values() for v in key)
 
 
 def test_rules_to_csv_format():
