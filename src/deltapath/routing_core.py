@@ -132,40 +132,38 @@ class ForwardingRule(NamedTuple):
 
 RuleDeltaBatch = list  # of ForwardingRule with delta in {-1, +1}
 
-class Row(NamedTuple):
-    """One destination's rules as three columns over the slots: at slot i
-    the signed cost, the p_length and the next hop's slot of the rule of
-    the node ids[i], or `_NO_RULE` where it has none.  The cost column is
-    an `array` of the store's `cost_typecode`, or a list; the others are
-    arrays of C ints."""
-
-    cost: array | list
-    length: array
-    next: array
-
+# One destination's rules as the tuple (cost, length, next) of three
+# columns over the slots: at slot i the signed cost, the p_length and the
+# next hop's slot of the rule of the node ids[i], or `_NO_RULE` where it
+# has none.  The cost column is an `array` of the store's `cost_typecode`,
+# or a list; the others are arrays of C ints.  A plain tuple: the repair
+# unpacks rows in its inner loops, where a named tuple unpacks at half
+# the speed and is slower to make.
+Row = tuple
 
 # the (cost, length, next) of an entry with no rule, in every column
 _NO_RULE = (0, -1, -1)
 # the row of a destination that has none: every slot reads as missing
-_NO_ROW = Row([], array("i"), array("i"))
+_NO_ROW = ([], array("i"), array("i"))
 
 
 def _empty_row(code: str | None, n: int) -> Row:
     """A row of n slots with no rule, its cost column of typecode `code`
     (a list where None)."""
     cost = [0] * n if code is None else array(code, [0]) * n
-    return Row(cost, array("i", [-1]) * n, array("i", [-1]) * n)
+    return cost, array("i", [-1]) * n, array("i", [-1]) * n
 
 
 def _grown(row: Row, n: int) -> Row:
     """A copy of `row` as long as n slots, the new entries empty."""
-    cost, length, nxt = row.cost[:], row.length[:], row.next[:]
+    cost, length, nxt = row
+    cost, length, nxt = cost[:], length[:], nxt[:]
     more = n - len(nxt)
     if more:
         cost.extend(repeat(0, more))
         length.extend(repeat(-1, more))
         nxt.extend(repeat(-1, more))
-    return Row(cost, length, nxt)
+    return cost, length, nxt
 
 
 def _live(nxt: array) -> list[int]:
@@ -176,8 +174,9 @@ def _live(nxt: array) -> list[int]:
 def _key(row: Row, i: int, ids: list) -> tuple | None:
     """The selection key (signed cost, p_length, next id) of slot i of
     `row`, or None where it holds no rule."""
-    j = row.next[i]
-    return None if j < 0 else (row.cost[i], row.length[i], ids[j])
+    cost, length, nxt = row
+    j = nxt[i]
+    return None if j < 0 else (cost[i], length[i], ids[j])
 
 
 class _RowItems(ItemsView):
@@ -214,14 +213,13 @@ class EstablishedView(Mapping):
     def __getitem__(self, pair) -> ForwardingRule:
         store = self._store
         s, d = pair
-        row = store._est[d]
+        cost, length, nxt = store._est[d]
         i = store.slot[s]
-        j = row.next[i]
+        j = nxt[i]
         if j < 0:
             raise KeyError(pair)
-        cost = row.cost[i]
-        return ForwardingRule(s, d, store.ids[j], -cost if store._neg else cost,
-                              row.length[i], 1)
+        c = cost[i]
+        return ForwardingRule(s, d, store.ids[j], -c if store._neg else c, length[i], 1)
 
     def row(self, d: NodeId) -> tuple[Row, dict, list, bool]:
         """The row of d (one with no slots if d has none), the slot of each
@@ -243,7 +241,7 @@ class EstablishedView(Mapping):
     def __iter__(self):
         ids = self._store.ids
         return chain.from_iterable(
-            zip(map(ids.__getitem__, _live(row.next)), repeat(d))
+            zip(map(ids.__getitem__, _live(row[2])), repeat(d))
             for d, row in self._store._est.items()
         )
 
@@ -324,9 +322,9 @@ class RuleStore:
                 raise IntegrityError(f"the row of {d} names a removed node")
             if any(len(col) != n for col in row):
                 raise IntegrityError(f"a column of the row of {d} is not as long as the slots")
-            if any(j >= n for j in row.next):
-                raise IntegrityError(f"the row of {d} names a next past the slots")
             cost, length, nxt = row
+            if any(j >= n for j in nxt):
+                raise IntegrityError(f"the row of {d} names a next past the slots")
             for i in compress(count(), map((-1).__ge__, nxt)):
                 if (cost[i], length[i], nxt[i]) != _NO_RULE:
                     raise IntegrityError(
@@ -375,7 +373,7 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
     if not _all_fixpoint(store, topology):
         for d in store.ids:
             store._est[d] = search(store, topology, d)
-        store._rules = sum(len(row.next) - row.next.count(-1) for row in store._est.values())
+        store._rules = sum(len(nxt) - nxt.count(-1) for _c, _l, nxt in store._est.values())
     store.epoch = 0
     return store
 
@@ -530,8 +528,8 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     if not m:
         own = _tautology_key(strategy, None)[0]
         for i, d in enumerate(ids):
-            row = store._est[d] = _empty_row(store._code, n)
-            row.cost[i], row.length[i], row.next[i] = own, 0, i
+            cost, length, nxt = store._est[d] = _empty_row(store._code, n)
+            cost[i], length[i], nxt[i] = own, 0, i
         store._rules = n
         return True
     a = np.fromiter(map(index.__getitem__, ends_a), np.intp, m)
@@ -564,14 +562,18 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
         by_hops = np.full(n, weight[0], dtype=np.int64 if integral else float)
         by_hops[0] = 0
         np.add.accumulate(by_hops, out=by_hops)
-    # the slots in id order, and each slot's place in it
+    # where the slots are not in id order: the slot at each place in it,
+    # and each slot's place
     by_id = np.argsort(np.array(ids))
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_id] = np.arange(n)
+    rank = None
+    if (by_id != np.arange(n)).any():
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_id] = np.arange(n)
+    own = _tautology_key(strategy, None)[0]
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         dests = np.arange(lo, hi)
-        # (nodes x destinations); the width matrix is symmetric
+        # (nodes x destinations)
         if widest:
             cost = width[:, lo:hi]
         elif uniform:
@@ -580,13 +582,20 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
             cost = _relaxed_costs(n, edges, dests)
         tight = None if uniform else _tight(cost, edges, widest)
         length, nxt = _tight_bfs(tight, n, dests, edges, rank, by_id)
+        # (destinations x nodes) from here on: a row per destination
+        length = np.ascontiguousarray(length.T)
+        nxt = np.ascontiguousarray(nxt.T)
         if uniform:
             cost = by_hops[length]  # an unreached group's is emptied
-        elif integral:
-            # an unreached group's inf has no int64; it is emptied anyway
-            cost = np.where(np.isfinite(cost), cost, 0).astype(np.int64)
         elif widest:
-            cost = -cost
+            cost = -width[lo:hi]  # the width matrix is symmetric
+        else:
+            cost = np.ascontiguousarray(cost.T)
+            if integral:
+                # an unreached group's inf has no int64; it is emptied anyway
+                cost[~np.isfinite(cost)] = 0
+                cost = cost.astype(np.int64)
+        cost[np.arange(len(dests)), dests] = own
         store._rules += _fill_rows(store, dests, cost, length, nxt)
     return True
 
@@ -596,12 +605,12 @@ _DTYPES = {"d": np.float64, "q": np.int64}
 
 
 def _fill_rows(store, dests, cost, length, nxt) -> int:
-    """Write the rows of one block's destinations from its (nodes x
-    destinations) arrays: the signed cost C, the length L (-1 where
-    unreached) and the next's slot.  d's own entry is its tautology
-    (C[d, d] is its cost, L 0, next d) and each unreached one the empty
+    """Write the rows of one block's destinations from its (destinations
+    x nodes) arrays, C-contiguous: the signed cost C, the length L (-1
+    where unreached) and the next's slot.  d's own entry is its tautology
+    (C[d, d] holds its cost, L 0, next d) and each unreached one the empty
     rule; `cost` and `nxt` are changed to hold them.  Each row's columns
-    are one column of each array: an `array` column is copied in one
+    are one row of each array: an `array` column is copied in one
     `frombytes`, a list column (where the store's costs have no typecode)
     read by `tolist`.  Returns the number of rules."""
     ids, code = store.ids, store._code
@@ -609,15 +618,15 @@ def _fill_rows(store, dests, cost, length, nxt) -> int:
     unreached = length < 0
     cost[unreached] = _NO_RULE[0]
     nxt[unreached] = _NO_RULE[2]
-    nxt[dests, np.arange(k)] = dests
+    nxt[np.arange(k), dests] = dests
     if code is None:
-        costs = cost.T.tolist()
+        costs = cost.tolist()
     else:
-        costs = _columns(code, np.ascontiguousarray(cost.T, dtype=_DTYPES[code]))
-    lengths = _columns("i", np.ascontiguousarray(length.T, dtype=np.intc))
-    nexts = _columns("i", np.ascontiguousarray(nxt.T, dtype=np.intc))
+        costs = _columns(code, np.ascontiguousarray(cost, dtype=_DTYPES[code]))
+    lengths = _columns("i", np.ascontiguousarray(length, dtype=np.intc))
+    nexts = _columns("i", np.ascontiguousarray(nxt, dtype=np.intc))
     est = store._est
-    for i, row in zip(dests.tolist(), map(Row, costs, lengths, nexts)):
+    for i, row in zip(dests.tolist(), zip(costs, lengths, nexts)):
         est[ids[i]] = row
     return int(np.count_nonzero(length > 0)) + k
 
@@ -742,8 +751,8 @@ def _tight_bfs(tight, n, dests, edges, rank, by_id):
     `tight` is None: each node's fewest hops toward each of `dests` (-1 if
     unreached) and, where that is positive, the slot of its next with one
     hop fewer and the smallest id, as (nodes x destinations) arrays.
-    `rank` gives each slot's place in id order, and `by_id` the slot at
-    each place.
+    `rank` gives each slot's place in id order and `by_id` the slot at
+    each place; `rank` is None where the slots are in id order.
 
     The frontier and the nodes not yet seen are bits like the tight
     edges, 64 destinations to a uint64 word (`_bits`).  A level gathers
@@ -785,7 +794,7 @@ def _tight_bfs(tight, n, dests, edges, rank, by_id):
     # neighbours are; an edge that is not tight reads n * n more, past
     # every tight one
     keyed = length * n
-    keyed += rank[nodes].astype(keyed.dtype)[:, None]
+    keyed += (nodes if rank is None else rank[nodes]).astype(keyed.dtype)[:, None]
     far = keyed.dtype.type(n * n)
     first = np.empty_like(length)
     for rows, run, degree in edges.runs:
@@ -795,11 +804,16 @@ def _tight_bfs(tight, n, dests, edges, rank, by_id):
                                   bitorder="little")
             code += loose * far
         np.minimum.reduce(code.reshape(-1, degree, k), axis=1, out=first[rows])
+    # the rank left of x's key past its L[x] - 1 hops (what an unreached
+    # node reads is emptied)
+    first -= (length - 1) * n
+    if rank is not None:
+        first = by_id.take(first, mode="wrap")
     hops = np.full((n, k), -1, dtype=length.dtype)
     hops[nodes] = length
     hops[dests, np.arange(k)] = 0
     nxt = np.zeros((n, k), dtype=np.int32)
-    nxt[nodes] = by_id[first % n]
+    nxt[nodes] = first
     return hops, nxt
 
 
@@ -909,38 +923,40 @@ def step_epoch(
         t2 = perf_counter_ns()
         added = [edge for edge, delta in delta_g if delta > 0]
         # an added edge can improve a route toward any destination
-        dests = graph.nodes if added else {d for d, xs in dropped.items() if xs} | born
-        for d in dests:
-            _repair(store, graph.out_edges, d, dropped.get(d, ()), d in born,
-                    added, journal, stats)
+        offers = _edge_offers(store, added) if added else {}
+        adj = graph.out_edges
+        for d in {d for d, xs in dropped.items() if xs} | born | offers.keys():
+            _repair(store, adj, d, dropped.get(d, ()), d in born, offers.get(d, ()),
+                    journal, stats)
         t3 = perf_counter_ns()
         neg = store._neg
         ids = store.ids
         n = len(ids)
         nothing = _empty_row(store._code, n)
         batch: RuleDeltaBatch = []
+        rule = ForwardingRule._make
         changed = rules = 0
         for d, (old_row, written) in journal.items():
             if old_row is None:
                 old_row = nothing
-            elif len(old_row.next) < n:
+            elif len(old_row[2]) < n:
                 old_row = _grown(old_row, n)
             oc, ol, on = old_row
             nc, nl, nn = store._est.get(d, nothing)
             for i in written:
+                was, now = on[i], nn[i]
+                c, e, h, k = oc[i], nc[i], ol[i], nl[i]
                 # an empty entry holds the same in every column
-                if oc[i] == nc[i] and ol[i] == nl[i] and on[i] == nn[i]:
+                if was == now and c == e and h == k:
                     continue
                 changed += 1
                 s = ids[i]
-                if on[i] >= 0:
+                if was >= 0:
                     rules -= 1
-                    cost = -oc[i] if neg else oc[i]
-                    batch.append(ForwardingRule(s, d, ids[on[i]], cost, ol[i], -1))
-                if nn[i] >= 0:
+                    batch.append(rule((s, d, ids[was], -c if neg else c, h, -1)))
+                if now >= 0:
                     rules += 1
-                    cost = -nc[i] if neg else nc[i]
-                    batch.append(ForwardingRule(s, d, ids[nn[i]], cost, nl[i], 1))
+                    batch.append(rule((s, d, ids[now], -e if neg else e, k, 1)))
         batch.sort()
         t4 = perf_counter_ns()
         stats.groups_changed = changed
@@ -1007,12 +1023,12 @@ def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
         i = slot[n]
         if n in est:
             row, written = _row(store, n, journal)
-            written.update(_live(row.next))
+            written.update(_live(row[2]))
             del est[n]
         for d in list(est):
-            if est[d].next[i] >= 0:
-                row, written = _row(store, d, journal)
-                row.cost[i], row.length[i], row.next[i] = empty
+            if est[d][2][i] >= 0:
+                (cost, length, nxt), written = _row(store, d, journal)
+                cost[i], length[i], nxt[i] = empty
                 written.add(i)
     roots: dict[NodeId, list] = {}
     for (y, x, _w), delta in delta_g:
@@ -1041,7 +1057,7 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
     strategy = store.strategy
     neg = store._neg
     fp = strategy.path_cost
-    own = _tautology_key(strategy, d)[:2]
+    kind = store._fp_kind
     heapq.heapify(suspects)
     decided: set[NodeId] = set()
     dropped: list[NodeId] = []
@@ -1050,16 +1066,24 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
         if x in decided:
             continue
         decided.add(x)
-        nxt = x if x == d and own == (cost, length) else None
+        nxt = x if x == d and _tautology_key(strategy, d)[:2] == (cost, length) else None
         length -= 1
-        for y, w in adj(x):
+        # an empty entry's length is -1, which only a tautology's suspect
+        # would look for
+        for y, w in adj(x) if length >= 0 else ():
             j = slot[y]
-            # an empty entry's length is -1, which only a tautology's
-            # suspect would look for
-            if rl[j] != length or length < 0 or (nxt is not None and y >= nxt):
+            if rl[j] != length or (nxt is not None and y >= nxt):
                 continue
-            c = fp(w, -rc[j] if neg else rc[j])
-            if (-c if neg else c) == cost:
+            cy = rc[j]
+            if kind == "sum":
+                c = w + cy
+            elif kind == "min":
+                c = -w if w < -cy else cy
+            else:
+                c = fp(w, -cy if neg else cy)
+                if neg:
+                    c = -c
+            if c == cost:
                 nxt = y
         i = slot[x]
         written.add(i)
@@ -1075,6 +1099,17 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
     return dropped
 
 
+def _beats(key, row, i, ids) -> bool:
+    """Whether `key`, a (signed cost, p_length, next id), is smaller than
+    the rule at slot i of `row`, or i holds none: the costs decide, and
+    the lengths and next ids only where they tie."""
+    j = row[2][i]
+    if j < 0:
+        return True
+    c = row[0][i]
+    return key[0] < c or key[0] == c and (key[1], key[2]) < (row[1][i], ids[j])
+
+
 def _best_offer(store, row, adj, x, d) -> tuple:
     """The smallest key x can take toward d from the rules of d's row as
     they stand: the tautology when x is d, or a neighbour's rule extended
@@ -1084,44 +1119,74 @@ def _best_offer(store, row, adj, x, d) -> tuple:
     slot = store.slot
     neg = store._neg
     fp = store.strategy.path_cost
+    kind = store._fp_kind
     rc, rl, rn = row
     top = _tautology_key(store.strategy, x) if x == d else None
     via = vkey = None
     for y, w in adj(x):
         j = slot[y]
-        if rn[j] < 0:
+        k = rn[j]
+        if k < 0:
             continue
         cy = rc[j]
-        c = fp(w, -cy if neg else cy)
-        if neg:
-            c = -c
-        if top is not None and c > top[0]:
-            continue
+        if kind == "sum":
+            c = w + cy
+        elif kind == "min":
+            c = -w if w < -cy else cy
+        else:
+            c = fp(w, -cy if neg else cy)
+            if neg:
+                c = -c
         cand = (c, rl[j] + 1, y)
         if top is None or cand < top:
-            top, via, vkey = cand, y, (cy, rl[j], rn[j])
+            top, via, vkey = cand, y, (cy, cand[1] - 1, k)
     return top, via, vkey
 
 
-def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> None:
+def _edge_offers(store, added) -> dict[NodeId, list]:
+    """The offers of the added edges (y, x, w) toward each destination:
+    y's rule extended over the edge where it beats x's (`_beats`), as
+    `_repair`'s heap entries (key, x, y, y's entry as (cost, length, next
+    slot)).  Destinations without one are left out."""
+    slot, ids = store.slot, store.ids
+    neg = store._neg
+    fp = store.strategy.path_cost
+    edges = [(slot[y], slot[x], y, x, w) for y, x, w in added]
+    offers: dict[NodeId, list] = {}
+    for d, row in store._est.items():
+        rc, rl, rn = row
+        for j, i, y, x, w in edges:
+            k = rn[j]
+            if k < 0:
+                continue
+            cy = rc[j]
+            c = fp(w, -cy if neg else cy)
+            length = rl[j]
+            cand = (-c if neg else c, length + 1, y)
+            if _beats(cand, row, i, ids):
+                offers.setdefault(d, []).append((cand, x, y, (cy, length, k)))
+    return offers
+
+
+def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) -> None:
     """Phase 2 for one destination over the adjacency `adj`: seed a heap
     with the dropped nodes' and a new node's best offers (`_best_offer`)
-    and the offers of added edges, then settle nodes in key order.  From
-    an empty tree a settled rule is final, and so is its path, which
-    settled before it; a built-in path cost stops once `until` settles.
+    and the added edges' `offers` (`_edge_offers`), then settle nodes in
+    key order.  From an empty tree a settled rule is final, and so is its
+    path, which settled before it; a built-in path cost stops once `until`
+    settles.
 
     A heap entry remembers the entry (cost, length, next slot) of the
     neighbour it extends and is skipped (and its node reseeded) when that
     entry has changed since.  A node that kept its rule and settles with a
     new key offers it to its neighbours; a child whose rule now extends to
     a worse key goes through phase 1's decision (`_drop_affected`), and
-    every node dropped there is reseeded.  A new key is compared with a
-    rule cost first; the rule's length and next are read only on a tie.
+    every node dropped there is reseeded.  A key is compared with a rule
+    by `_beats`.
     """
     slot, ids = store.slot, store.ids
     # read only until the heap has work
     row = store._est.get(d) or _empty_row(store._code, len(ids))
-    rc, rl, rn = row
     neg = store._neg
     kind = store._fp_kind
     fp = store.strategy.path_cost
@@ -1132,7 +1197,7 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
     settled: set[NodeId] = set()
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    def offer(x, cand, via, vkey):
+    def offer(cand, x, via, vkey):
         b = best.get(x)
         if b is None or cand < b:
             best[x] = cand
@@ -1140,31 +1205,15 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
 
     def seed(x):
         top, via, vkey = _best_offer(store, row, adj, x, d)
-        if top is None:
-            return
-        own = _key(row, slot[x], ids)
-        if own is None or top < own:
-            offer(x, top, via, vkey)
+        if top is not None and _beats(top, row, slot[x], ids):
+            offer(top, x, via, vkey)
 
     if born:
         seed(d)
     for x in dropped:
         seed(x)
-    for y, x, w in added:
-        j = slot[y]
-        if rn[j] < 0:
-            continue
-        cy = rc[j]
-        c = fp(w, -cy if neg else cy)
-        if neg:
-            c = -c
-        i = slot[x]
-        if rn[i] >= 0 and c > rc[i]:
-            continue
-        cand = (c, rl[j] + 1, y)
-        own = _key(row, i, ids)
-        if own is None or cand < own:
-            offer(x, cand, y, (cy, rl[j], rn[j]))
+    for entry in offers:
+        offer(*entry)
     if not heap:
         return
     row, written = _row(store, d, journal)
@@ -1184,15 +1233,12 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
                 stale += 1
                 seed(x)
                 continue
-        signed, length, nid = key
         i = slot[x]
-        j = rn[i]
-        if j >= 0:
-            c = rc[i]
-            if c < signed or c == signed and (rl[i], ids[j]) <= (length, nid):
-                continue
+        if not _beats(key, row, i, ids):
+            continue
         settled.add(x)
         written.add(i)
+        signed, length, nid = key
         j = slot[nid]
         rc[i], rl[i], rn[i] = signed, length, j
         if x == until:
@@ -1215,8 +1261,6 @@ def _repair(store, adj, d, dropped, born, added, journal, stats, until=None) -> 
             nz = rn[k]
             if nz >= 0:
                 cz = rc[k]
-                # no better than z's rule: the cost decides, or on a tie
-                # the length and next
                 if c > cz or c == cz and (length, x) >= (rl[k], ids[nz]):
                     if nz == i and (c != cz or length != rl[k]):
                         # z's rule extended x's old key, which is gone

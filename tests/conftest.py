@@ -161,7 +161,7 @@ def row_rules(store, row) -> dict:
     """The rules of one of the store's rows as {src: key}, each key the
     engine's (signed cost, p_length, next id)."""
     ids = store.ids
-    return {ids[i]: routing_core._key(row, i, ids) for i in routing_core._live(row.next)}
+    return {ids[i]: routing_core._key(row, i, ids) for i in routing_core._live(row[2])}
 
 
 def rules_by_id(store) -> dict:
@@ -190,10 +190,11 @@ def set_key(store, d: NodeId, s: NodeId, key) -> None:
         key = routing_core._NO_RULE
     else:
         if type(key[0]) is not {"d": float, "q": int}.get(store._code):
-            row = row._replace(cost=list(row.cost))
+            row = (list(row[0]), *row[1:])
         key = (key[0], key[1], store.slot[key[2]])
     i = store.slot[s]
-    row.cost[i], row.length[i], row.next[i] = key
+    cost, length, nxt = row
+    cost[i], length[i], nxt[i] = key
     store._est[d] = row
 
 

@@ -94,13 +94,13 @@ def solve_rounds(graph, strategy):
 
 
 def _count(store):
-    return sum(len(row.next) - row.next.count(-1) for row in store._est.values())
+    return sum(len(nxt) - nxt.count(-1) for _c, _l, nxt in store._est.values())
 
 
 def _rules(store, row):
     """(src, key) for each rule of the row, in slot order."""
     ids = store.ids
-    return [(ids[i], rc._key(row, i, ids)) for i in rc._live(row.next)]
+    return [(ids[i], rc._key(row, i, ids)) for i in rc._live(row[2])]
 
 
 def _settle(store, graph, pending):
@@ -193,9 +193,10 @@ def _fold(store, graph, horizon, pending, journal, owned):
         # a row dropped earlier in the epoch comes back empty
         row = est.setdefault(d, rc._empty_row(store._code, n))
         i = store.slot[s]
-        row.cost[i], row.length[i], row.next[i] = (
+        cost, length, nxt = row
+        cost[i], length[i], nxt[i] = (
             rc._NO_RULE if best is None else (best[0], best[1], store.slot[best[2]]))
-        if row.next.count(-1) == n:
+        if nxt.count(-1) == n:
             del est[d]
         changes.append((group, old, best))
     return changes

@@ -472,8 +472,8 @@ class TestCheckAndStats:
 
             def corrupting_step(store, graph, events):
                 batch = step(store, graph, events)
-                row = store._est[2]  # the rule (99.0, 1, 2) for (0, 2)
-                row.cost[0], row.length[0], row.next[0] = 99.0, 1, store.slot[2]
+                cost, length, nxt = store._est[2]  # the rule (99.0, 1, 2) for (0, 2)
+                cost[0], length[0], nxt[0] = 99.0, 1, store.slot[2]
                 return batch
 
             step, cli.step_epoch = cli.step_epoch, corrupting_step

@@ -64,6 +64,8 @@ FREE_BW = builtin("sd_free_bw")
 HOP = builtin("hop_count")
 WIDEST = builtin("shortest_widest")
 BUILTINS = [builtin(name) for name in builtin_names()]
+# the columns of a row, in the order its tuple holds them
+COLUMNS = ("cost", "length", "next")
 
 
 def recount(store) -> int:
@@ -481,15 +483,17 @@ class TestIntegrity:
     @pytest.mark.parametrize("column", ["cost", "length", "next"])
     def test_short_column_is_caught(self, column):
         g, store = self.engine()
-        row = store._est[3]
-        store._est[3] = row._replace(**{column: getattr(row, column)[:-1]})
+        row = list(store._est[3])
+        k = COLUMNS.index(column)
+        row[k] = row[k][:-1]
+        store._est[3] = tuple(row)
         with pytest.raises(AssertionError, match="column of the row of 3 is not as long"):
             store.check_integrity(g)
 
     def test_next_past_the_slots_is_caught(self):
         g, store = self.engine()
         set_key(store, 3, 5, key_at(store, 3, 5))  # a copy of the row, to write
-        store._est[3].next[store.slot[5]] = len(store.ids)
+        store._est[3][2][store.slot[5]] = len(store.ids)
         with pytest.raises(AssertionError, match="row of 3 names a next past the slots"):
             store.check_integrity(g)
 
@@ -497,7 +501,7 @@ class TestIntegrity:
     def test_empty_entry_that_is_not_the_empty_rule_is_caught(self, column, value):
         g, store = self.engine()
         set_key(store, 3, 5, None)
-        getattr(store._est[3], column)[store.slot[5]] = value
+        store._est[3][COLUMNS.index(column)][store.slot[5]] = value
         with pytest.raises(AssertionError, match=r"\(5, 3\) has no rule but is not the empty"):
             store.check_integrity(g)
 
@@ -577,8 +581,16 @@ class TestAtomicEpochs:
             def __lt__(self, other):
                 raise MemoryError
 
-        def no_rule(*args):
-            raise MemoryError
+        class NoRule(rc.ForwardingRule):
+            """Fails at its first construction, by call or by `_make`."""
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                raise MemoryError
+
+            @classmethod
+            def _make(cls, iterable):
+                raise MemoryError
 
         topo = gen_fattree(4)
         a, b, _p = topo.links[0]
@@ -587,7 +599,7 @@ class TestAtomicEpochs:
         rc.step_epoch(store, g, [])
         graph0, est0, stats0 = g.fork(), copy.deepcopy(store._est), store.last_stats
         with monkeypatch.context() as m:
-            m.setattr(rc, "ForwardingRule", no_rule if site == "rule" else Unsortable)
+            m.setattr(rc, "ForwardingRule", NoRule if site == "rule" else Unsortable)
             with pytest.raises(MemoryError):
                 rc.step_epoch(store, g, [RemoveLink(a, b)])
         assert g == graph0
@@ -1783,12 +1795,13 @@ def test_unequal_int_keys_stay_apart():
     """Over unequal weights two pairs with the same length and next but
     costs 2**41 and 3 * 2**40 keep costs of their own, as ints."""
     n = 3
-    cost = np.zeros((n, 1), dtype=np.int64)
-    length = np.full((n, 1), -1, dtype=np.int64)
-    nxt = np.zeros((n, 1), dtype=np.int32)
-    length[0] = 0
-    cost[1], length[1] = 2**41, 1
-    cost[2], length[2] = 3 * 2**40, 1
+    # one row, toward destination 0
+    cost = np.zeros((1, n), dtype=np.int64)
+    length = np.full((1, n), -1, dtype=np.int64)
+    nxt = np.zeros((1, n), dtype=np.int32)
+    length[0, 0] = 0
+    cost[0, 1], length[0, 1] = 2**41, 1
+    cost[0, 2], length[0, 2] = 3 * 2**40, 1
     store = rc.RuleStore(THREE_SUM)  # an int tautology cost
     rc._take_slots(store, range(n))
     assert rc._fill_rows(store, np.arange(1), cost, length, nxt) == 3
