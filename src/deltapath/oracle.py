@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import InvalidWeightError, TooLargeError
 from .graph_model import GraphStore, NodeId
+from .routing_core import _NO_RULE
 from .strategy import Strategy
 
 # targets solved together, so that each (targets x edges) array stays near
@@ -262,7 +263,8 @@ def compare_view(result: OracleResult, view) -> list[tuple]:
     the next's slot, a negative next where a slot holds no rule.  For each
     destination the oracle's answer is laid out as the same three
     columns, and each column is compared with the row's in one numpy
-    comparison, the empty rule's columns where the oracle does not reach.
+    comparison, the store's empty rule (`routing_core._NO_RULE`) where the
+    oracle does not reach.
     Only the slots where a column differs go through `_mismatch`, which
     names the reason.
     """
@@ -278,6 +280,7 @@ def compare_view(result: OracleResult, view) -> list[tuple]:
     place[at[known]] = np.flatnonzero(known)
     at[~known] = 0
     covered, lacked, bad = [], [], []
+    no_cost, no_length, no_next = _NO_RULE
     for d, (row_cost, row_length, row_next) in rows:
         j = index.get(d)
         if j is None:
@@ -287,10 +290,11 @@ def compare_view(result: OracleResult, view) -> list[tuple]:
             covered.append(j)
             reach = missing[at, j] & known
             c, length_j, next_j = cost[at, j], length[at, j], place[nxt[at, j]]
-        has = np.frombuffer(row_next, dtype=np.intc) >= 0
-        differ = (_column(row_next) != np.where(reach, next_j, -1))
-        differ |= _column(row_length) != np.where(reach, length_j, -1)
-        differ |= _column(row_cost) != np.where(reach, -c if negated else c, 0)
+        nexts = _column(row_next)
+        has = nexts >= 0
+        differ = nexts != np.where(reach, next_j, no_next)
+        differ |= _column(row_length) != np.where(reach, length_j, no_length)
+        differ |= _column(row_cost) != np.where(reach, -c if negated else c, no_cost)
         for k in np.flatnonzero(differ).tolist():
             s = slots[k]
             if not has[k]:

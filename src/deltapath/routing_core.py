@@ -471,8 +471,9 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
 
     - "sum" with every weight equal to w: a path's cost depends only on
       its hop count, so the BFS runs over every edge, with no test, and C
-      is read from the cost of L hops, the repair's fold
-      w + (w + ... (w + 0)), int for int costs.  Nothing relaxes.
+      is the cost of L hops: L * w for int weights, exact as the repair's
+      sums are, and for float ones read from the repair's fold
+      w + (w + ... (w + 0)).  Nothing relaxes.
     - "sum" otherwise: Bellman's relaxation toward each block of
       destinations (`_relaxed_costs`) forms every cost as w + C[u, d], the
       addition the repair makes, so the costs are the same floats.  Tight:
@@ -557,9 +558,9 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     uniform = not widest and (weight == weight[0]).all()
     if widest:
         width = _widest_widths(n, a, b, weight)
-    elif uniform:
+    elif uniform and not integral:
         # the cost of L hops, folded hop by hop as the repair adds w + c
-        by_hops = np.full(n, weight[0], dtype=np.int64 if integral else float)
+        by_hops = np.full(n, weight[0])
         by_hops[0] = 0
         np.add.accumulate(by_hops, out=by_hops)
     # where the slots are not in id order: the slot at each place in it,
@@ -586,7 +587,8 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
         length = np.ascontiguousarray(length.T)
         nxt = np.ascontiguousarray(nxt.T)
         if uniform:
-            cost = by_hops[length]  # an unreached group's is emptied
+            # an unreached group's is emptied; int costs are exact, L * w
+            cost = length.astype(np.int64) * given[0] if integral else by_hops[length]
         elif widest:
             cost = -width[lo:hi]  # the width matrix is symmetric
         else:

@@ -1809,6 +1809,22 @@ def test_unequal_int_keys_stay_apart():
     assert all(type(v) is int for key in rules_by_id(store)[0].values() for v in key)
 
 
+def test_a_negative_zero_tautology_keeps_its_sign():
+    """A float tautology cost of -0.0 equals 0, so set-up solves it, and
+    each destination's own rule keeps the -0.0, as the repair from empty
+    keeps it; every other rule is the same float either way."""
+    strategy = replace(SD, tautology_cost=-0.0)
+    g = build_graph(gen_fattree(4, WeightPlan(PlanKind.UNIFORM, seed=3)), strategy.link_cost)
+    store = all_fixpoint(g, strategy)
+    assert store is not None
+    rules = rules_by_id(store)
+    for d in g.nodes:
+        assert repr(rules[d][d][0]) == "-0.0"
+        assert rules[d] == search_tree(g, strategy, d)
+    view = store.established_rules()
+    assert all(repr(view[(d, d)].p_cost) == "-0.0" for d in g.nodes)
+
+
 def test_rules_to_csv_format():
     batch = [
         rc.ForwardingRule(1, 3, 3, 5.0, 1, -1),
