@@ -78,6 +78,10 @@ both stay the repair from empty of a custom path cost that
 weights other than 1 included), the golden digests, the rounds
 reference, and every repaired epoch after set-up.
 
+The repair reads a node's edges as [(slot of y, w, y)] from a cache
+kept by the store (`_Near`), so that its loops make no slot lookup per
+edge; an epoch drops the lists of the nodes whose edges it changes.
+
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
 affected tree in two phases (Ramalingam and Reps, J. Algorithms 1996;
@@ -177,6 +181,24 @@ def _key(row: Row, i: int, ids: list) -> tuple | None:
     cost, length, nxt = row
     j = nxt[i]
     return None if j < 0 else (cost[i], length[i], ids[j])
+
+
+class _Near(dict):
+    """Each node's edges over `graph`, as the list [(slot of y, w, y)] of
+    its `out_edges` keys (y, w), made on first use and kept: the repair's
+    loops read a node's edges with one call and no slot lookup per edge.
+    `step_epoch` drops the lists of the nodes whose edges it changes."""
+
+    __slots__ = ("graph", "slot")
+
+    def __init__(self, graph: GraphStore, slot: dict):
+        super().__init__()
+        self.graph, self.slot = graph, slot
+
+    def __missing__(self, x):
+        slot = self.slot
+        edges = self[x] = [(slot[y], w, y) for y, w in self.graph.out_edges(x)]
+        return edges
 
 
 class _RowItems(ItemsView):
@@ -279,7 +301,7 @@ class RuleStore:
     from each epoch's batch."""
 
     __slots__ = ("strategy", "epoch", "last_stats", "slot", "ids", "_est", "_neg",
-                 "_fp_kind", "_code", "_rules")
+                 "_fp_kind", "_code", "_rules", "_near")
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
@@ -292,6 +314,7 @@ class RuleStore:
         self._code = cost_typecode(strategy)
         self._est: dict[NodeId, Row] = {}
         self._rules = 0
+        self._near: _Near | None = None  # the edges of the graph stepped
 
     # --- views
 
@@ -332,12 +355,12 @@ class RuleStore:
             for s in map(ids.__getitem__, _live(nxt)):
                 if s not in nodes:
                     raise IntegrityError(f"({s}, {d}) names a removed node")
-        adj = graph.out_edges
+        near = _Near(graph, slot).__getitem__
         nothing = _empty_row(self._code, n)
         for d in nodes:
             row = self._est.get(d, nothing)
             for x in nodes:
-                top = _best_offer(self, row, adj, x, d)[0]
+                top = _best_offer(self, row, near, x, d)[0]
                 key = _key(row, slot[x], ids)
                 if key == top:
                     continue
@@ -842,35 +865,35 @@ def search(
     """
     if dst not in graph.nodes or dst in skip_nodes:
         return _NO_ROW
-    adj = graph.out_edges
+    near = _Near(graph, store.slot).__getitem__
     if skip_nodes or skip_links:
         cut = set(skip_links) | {(b, a) for a, b in skip_links}
-        near = {a for a, _b in cut}
+        close = {a for a, _b in cut}
         for n in skip_nodes:
-            near.update(x for x, _w in graph.out_edges(n))
+            close.update(x for x, _w in graph.out_edges(n))
         masked = {
-            u: [(x, w) for x, w in graph.out_edges(u)
-                if x not in skip_nodes and (u, x) not in cut]
-            for u in near
+            u: [(j, w, x) for j, w, x in near(u) if x not in skip_nodes and (u, x) not in cut]
+            for u in close
         }
+        full = near
 
-        def adj(u):
+        def near(u):
             edges = masked.get(u)
-            return graph.out_edges(u) if edges is None else edges
+            return full(u) if edges is None else edges
 
     tree = RuleStore(store.strategy)  # the store's slots, none of its rows
     tree.slot, tree.ids = store.slot, store.ids
-    _repair(tree, adj, dst, (), True, (), {}, EpochStats(), until)
+    _repair(tree, near, dst, (), True, (), {}, EpochStats(), until)
     return tree._est[dst]
 
 
-def _check_monotone(tree, adj, fp, neg):
+def _check_monotone(tree, near, fp, neg):
     """Raise unless extending each settled node's signed cost, in `tree`,
     over each of its edges gives a cost no smaller than the one
     extended."""
     for u, signed in tree.items():
         cost = -signed if neg else signed
-        for x, w in adj(u):
+        for _j, w, x in near(u):
             if x not in tree:
                 continue  # not settled by this repair
             c = fp(w, cost)
@@ -900,6 +923,9 @@ def step_epoch(
     slots = len(store.ids)
     journal: dict[NodeId, tuple[Row | None, set]] = {}
     applied: list[list[EdgeRecord]] = []
+    if store._near is None or store._near.graph is not graph:
+        store._near = _Near(graph, store.slot)
+    edges = store._near
     try:
         net: dict[tuple[NodeId, NodeId, float], int] = {}
         # each event resolves against the graph as the earlier ones left it
@@ -914,6 +940,8 @@ def step_epoch(
         delta_g = sorted(
             (edge, d) for (a, b, w), d in net.items() if d for edge in ((a, b, w), (b, a, w))
         )
+        for (a, _b, _w), _d in delta_g:
+            edges.pop(a, None)  # both ends: each link is there both ways
         # a node removed and re-added in the epoch is in neither set
         removed = nodes.keys() - graph.nodes.keys()
         born = graph.nodes.keys() - nodes.keys()
@@ -926,9 +954,9 @@ def step_epoch(
         added = [edge for edge, delta in delta_g if delta > 0]
         # an added edge can improve a route toward any destination
         offers = _edge_offers(store, added) if added else {}
-        adj = graph.out_edges
+        near = edges.__getitem__
         for d in {d for d, xs in dropped.items() if xs} | born | offers.keys():
-            _repair(store, adj, d, dropped.get(d, ()), d in born, offers.get(d, ()),
+            _repair(store, near, d, dropped.get(d, ()), d in born, offers.get(d, ()),
                     journal, stats)
         t3 = perf_counter_ns()
         neg = store._neg
@@ -972,6 +1000,9 @@ def step_epoch(
         _restore(store, journal, slots)
         for done in reversed(applied):
             graph.undo_deltas(done)
+            for a, b, *_rest in done:
+                edges.pop(a, None)
+                edges.pop(b, None)
         graph.nodes.clear()
         graph.nodes.update(nodes)
         raise
@@ -1039,11 +1070,11 @@ def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
             for d, (cost, length, nxt) in est.items():
                 if nxt[i] == j:
                     roots.setdefault(d, []).append((cost[i], length[i], x))
-    adj = graph.out_edges
-    return {d: _drop_affected(store, adj, d, heap, journal) for d, heap in roots.items()}
+    near = store._near.__getitem__
+    return {d: _drop_affected(store, near, d, heap, journal) for d, heap in roots.items()}
 
 
-def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
+def _drop_affected(store, near, d, suspects, journal) -> list[NodeId]:
     """Decide, in the order of their (signed cost, length, node), which
     `suspects` lose their cost and length toward d.  A node keeps them
     while some neighbour that keeps its rule extends to the same cost and
@@ -1072,8 +1103,7 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
         length -= 1
         # an empty entry's length is -1, which only a tautology's suspect
         # would look for
-        for y, w in adj(x) if length >= 0 else ():
-            j = slot[y]
+        for j, w, y in near(x) if length >= 0 else ():
             if rl[j] != length or (nxt is not None and y >= nxt):
                 continue
             cy = rc[j]
@@ -1094,8 +1124,7 @@ def _drop_affected(store, adj, d, suspects, journal) -> list[NodeId]:
             continue
         rc[i], rl[i], rn[i] = _NO_RULE
         dropped.append(x)
-        for z, _w in adj(x):
-            k = slot[z]
+        for k, _w, z in near(x):
             if rn[k] == i:
                 heapq.heappush(suspects, (rc[k], rl[k], z))
     return dropped
@@ -1112,21 +1141,19 @@ def _beats(key, row, i, ids) -> bool:
     return key[0] < c or key[0] == c and (key[1], key[2]) < (row[1][i], ids[j])
 
 
-def _best_offer(store, row, adj, x, d) -> tuple:
+def _best_offer(store, row, near, x, d) -> tuple:
     """The smallest key x can take toward d from the rules of d's row as
     they stand: the tautology when x is d, or a neighbour's rule extended
     by one hop.  Returns (key, neighbour, neighbour's entry as (cost,
     length, next slot)); the neighbour is None for the tautology, and all
     three are None when x has no offer."""
-    slot = store.slot
     neg = store._neg
     fp = store.strategy.path_cost
     kind = store._fp_kind
     rc, rl, rn = row
     top = _tautology_key(store.strategy, x) if x == d else None
     via = vkey = None
-    for y, w in adj(x):
-        j = slot[y]
+    for j, w, y in near(x):
         k = rn[j]
         if k < 0:
             continue
@@ -1184,8 +1211,8 @@ def _edge_offers(store, added) -> dict[NodeId, list]:
     return offers
 
 
-def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) -> None:
-    """Phase 2 for one destination over the adjacency `adj`: seed a heap
+def _repair(store, near, d, dropped, born, offers, journal, stats, until=None) -> None:
+    """Phase 2 for one destination over the edges `near` (`_Near`): seed a heap
     with the dropped nodes' and a new node's best offers (`_best_offer`)
     and the added edges' `offers` (`_edge_offers`), then settle nodes in
     key order.  From an empty tree a settled rule is final, and so is its
@@ -1220,7 +1247,7 @@ def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) ->
             heappush(heap, (cand, x, via, vkey))
 
     def seed(x):
-        top, via, vkey = _best_offer(store, row, adj, x, d)
+        top, via, vkey = _best_offer(store, row, near, x, d)
         if top is not None and _beats(top, row, slot[x], ids):
             offer(top, x, via, vkey)
 
@@ -1262,7 +1289,7 @@ def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) ->
         mine = (signed, length, j)
         cost = -signed if neg else signed
         length += 1
-        for z, w in adj(x):
+        for k, w, z in near(x):
             if z in settled:
                 continue
             if kind == "sum":
@@ -1273,7 +1300,6 @@ def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) ->
                 c = fp(w, cost)
             if neg:
                 c = -c
-            k = slot[z]
             nz = rn[k]
             # not `_beats` but its test written out: most of an epoch's
             # compares are made here, and a call each made link failures
@@ -1283,7 +1309,7 @@ def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) ->
                 if c > cz or c == cz and (length, x) >= (rl[k], ids[nz]):
                     if nz == i and (c != cz or length != rl[k]):
                         # z's rule extended x's old key, which is gone
-                        redo = _drop_affected(store, adj, d, [(cz, rl[k], z)], journal)
+                        redo = _drop_affected(store, near, d, [(cz, rl[k], z)], journal)
                         stats.groups_invalidated += len(redo)
                         for u in redo:
                             seed(u)
@@ -1296,7 +1322,7 @@ def _repair(store, adj, d, dropped, born, offers, journal, stats, until=None) ->
     stats.heap_pops += pops
     stats.stale_pops += stale
     if kind is None:
-        _check_monotone({u: rc[slot[u]] for u in settled}, adj, fp, neg)
+        _check_monotone({u: rc[slot[u]] for u in settled}, near, fp, neg)
 
 
 # --- serialization -----------------------------------------------------------
