@@ -50,12 +50,15 @@ reduction along the degree axis per class.  One step depends on the
 strategy: the matrix of every group's cost, with the test for an edge to
 be tight for it (to carry a best path).  Additive costs over unequal
 weights, int or float, take the matrix from Bellman's relaxation, swept
-in numpy for a block of destinations together, and shortest_widest takes
-its widths from Kruskal's maximum spanning forest (Hu, Operations
-Research 1961).  A BFS over the tight edges, run for a block of
-destinations together as bits, 64 destinations to a word, gives each
-group's length, and one minimum over each node's edges its next: the
-tight neighbour one hop closer with the smallest id.  An additive cost
+in numpy for a block of destinations together: in float32 where every
+weight is integral and twice their total is at most 2**24, so that every
+sum it forms is an integer float32 holds exactly, and in float64
+otherwise.  shortest_widest takes its widths from Kruskal's maximum
+spanning forest (Hu, Operations Research 1961).  A BFS over the tight
+edges, run for a block of destinations together as bits, 64
+destinations to a word, gives each group's length, and one minimum over
+each node's edges its next: the tight neighbour one hop closer with the
+smallest id.  An additive cost
 whose weights are all equal (hop_count's are all 1) needs neither matrix
 nor test: a group's cost follows from its length, and the BFS runs over
 every edge.  Each block's rows are copied from these arrays, a typed
@@ -327,16 +330,23 @@ class RuleStore:
     # --- maintenance
 
     def check_integrity(self, graph: GraphStore) -> None:
-        """Check the fixpoint equation on the graph: every node has a slot;
-        every row's columns are as long as the slots, its next slots lie
-        among them, its entries without a rule hold the empty rule in
-        every column, and its rules name live nodes; and every ordered
-        pair of nodes holds a rule exactly when it has an offer
+        """Check the fixpoint equation on the graph: `slot` and `ids` are
+        inverse, as many slots as ids and `slot[ids[i]] == i`; every node
+        has a slot; every row's columns are as long as the slots, its next
+        slots lie among them, its entries without a rule hold the empty
+        rule in every column, and its rules name live nodes; and every
+        ordered pair of nodes holds a rule exactly when it has an offer
         (`_best_offer`), the smallest one.  Reads each destination's row
         once.  Raises IntegrityError naming the first row or group that
         breaks it."""
         nodes, slot, ids = graph.nodes, self.slot, self.ids
         n = len(ids)
+        if len(slot) != n:
+            raise IntegrityError(f"{len(slot)} nodes have a slot but {n} slots hold a node")
+        for i, v in enumerate(ids):
+            if slot.get(v) != i:
+                held = f"whose slot is {slot[v]}" if v in slot else "which has no slot"
+                raise IntegrityError(f"slot {i} holds {v}, {held}")
         for x in nodes:
             if x not in slot:
                 raise IntegrityError(f"node {x} has no slot")
@@ -416,8 +426,9 @@ def _take_slots(store: RuleStore, nodes) -> bool:
 # every node
 _BLOCK_ELEMENTS = 1 << 18
 # a kernel's (edges x destinations) temporaries stay near this many
-# elements, 512 KiB of float64, so that they stay in a core's L2 cache: it
-# takes each degree class in runs of rows that fit, at least one (`_layout`)
+# elements, 512 KiB of float64 or 256 KiB of float32 costs, so that they
+# stay in a core's L2 cache: it takes each degree class in runs of rows
+# that fit, at least one (`_layout`)
 _RUN_ELEMENTS = 1 << 16
 
 
@@ -500,12 +511,17 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     - "sum" otherwise: Bellman's relaxation toward each block of
       destinations (`_relaxed_costs`) forms every cost as w + C[u, d], the
       addition the repair makes, so the costs are the same floats.  Tight:
-      w + C[u, d] == C[x, d].  Int costs take the same path, exact in
-      float: after t sweeps C[u, d] is the least cost of a walk of at most
-      t edges, which a simple path attains, so it is at most the links'
-      total, and every sum w + C[u, d] is at most twice that, the weights'
-      total with each link counted both ways, below 2**53 by the guard.
-      C comes back as int.
+      w + C[u, d] == C[x, d].  A sweep lowers C[x, d] only strictly, and
+      with weights >= 0 a walk back through x offers no less than x
+      holds, so every finite cost is the weight of a simple path, at most
+      the links' total, and every sum w + C[u, d] at most twice that, the
+      weights' total with each link counted both ways.  Where every
+      weight is integral and that is at most 2**24, the weights and C are
+      float32, which holds every such sum exactly: both widths make the
+      same additions and comparisons, so the same sweeps, tight edges and
+      costs, and C goes back to float64 before its rows are filled.  Int
+      costs take the same path, exact below 2**53 by the guard, and C
+      comes back as int.
     - "min": the widest width between two nodes is the smallest weight on
       their path in a maximum spanning tree (Hu, "The maximum capacity
       route problem", Operations Research 1961), so Kruskal over the links
@@ -577,8 +593,11 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     if refused:
         return False
     size = min(n, 64 * max(1, _BLOCK_ELEMENTS // (64 * n)))
-    edges = _layout(n, a, b, weight, size)
     uniform = not widest and (weight == weight[0]).all()
+    # every sum the relaxation forms is then an integer float32 holds
+    narrow = (not (widest or uniform) and (np.floor(weight) == weight).all()
+              and 2 * weight.sum() <= 2**24)
+    edges = _layout(n, a, b, weight.astype(np.float32) if narrow else weight, size)
     if widest:
         width = _widest_widths(n, a, b, weight)
     elif uniform and not integral:
@@ -615,7 +634,7 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
         elif widest:
             cost = -width[lo:hi]  # the width matrix is symmetric
         else:
-            cost = np.ascontiguousarray(cost.T)
+            cost = np.ascontiguousarray(cost.T, dtype=np.float64)
             if integral:
                 # an unreached group's inf has no int64; it is emptied anyway
                 cost[~np.isfinite(cost)] = 0
@@ -668,9 +687,10 @@ def _columns(code, matrix):
 
 
 def _relaxed_costs(n, edges, dests):
-    """The least costs toward `dests`, as an (n x destinations) float
-    array, +inf where unreached, by Bellman's relaxation ("On a routing
-    problem", Quarterly of Applied Mathematics 1958).
+    """The least costs toward `dests`, as an (n x destinations) array of
+    the weights' float type (`edges.ws`), +inf where unreached, by
+    Bellman's relaxation ("On a routing problem", Quarterly of Applied
+    Mathematics 1958).
 
     Each sweep sets C[x, d] = min(C[x, d], min over x's edges (u, x, w) of
     w + C[u, d]) for the nodes with a neighbour whose cost fell in the
@@ -686,7 +706,7 @@ def _relaxed_costs(n, edges, dests):
     addition w + C[u, d], and the fixpoint, the largest below the start,
     does not depend on the order of the sweep: the same floats."""
     k = len(dests)
-    cost = np.full((n, k), np.inf)
+    cost = np.full((n, k), np.inf, dtype=edges.ws.dtype)
     cost[dests, np.arange(k)] = 0
     fell = np.zeros(n, dtype=bool)
     fell[dests] = True

@@ -505,6 +505,23 @@ class TestIntegrity:
         with pytest.raises(AssertionError, match=r"\(5, 3\) has no rule but is not the empty"):
             store.check_integrity(g)
 
+    @pytest.mark.parametrize("corruption,message", [
+        ("another_id", "slot 3 holds 3, whose slot is 5"),
+        ("no_slot", "slot 5 holds 99, which has no slot"),
+        ("extra_id", "12 nodes have a slot but 13 slots hold a node"),
+    ])
+    def test_slots_and_ids_that_are_not_inverse_are_caught(self, corruption, message):
+        g, store = self.engine()
+        assert store.ids == list(range(12))
+        if corruption == "another_id":
+            store.slot[3], store.slot[5] = store.slot[5], store.slot[3]
+        elif corruption == "no_slot":
+            store.ids[5] = 99
+        else:
+            store.ids.append(99)
+        with pytest.raises(AssertionError, match=message):
+            store.check_integrity(g)
+
     def test_group_of_a_removed_node_is_caught(self):
         g, store = self.engine()
         # the node leaves the table but its links and rules stay behind
@@ -1554,23 +1571,67 @@ def _ring(n, seed):
     return utilization_topology(n, [(i, (i + 1) % n, rng.randint(1, 99)) for i in range(n)])
 
 
-@pytest.mark.parametrize("strategy,clone,topo", [
-    (SD, CUSTOM_SUM, _ring(40, 3)),
+def recorded_cost_dtypes(m):
+    """Patch `_relaxed_costs` within the monkeypatch context `m` to record
+    the dtype of each cost matrix it returns; the list they are recorded
+    in."""
+    dtypes = []
+    relaxed = rc._relaxed_costs
+
+    def recording(*args):
+        cost = relaxed(*args)
+        dtypes.append(cost.dtype)
+        return cost
+
+    m.setattr(rc, "_relaxed_costs", recording)
+    return dtypes
+
+
+# the built-in additive path cost over float weights near 2**23, one per
+# utilization from 1 to 7
+_HEAVY = {1: 1.0, 2: 2.0, 3: 2.0**21 - 1, 4: 2.0**21 + 1, 5: 2.0**22 - 1,
+          6: 2.0**23 + 1, 7: 2.0**23 + 3}
+HEAVY_SUM = replace(SD, name="heavy_sum", link_cost=lambda p: _HEAVY[p.utilization])
+CUSTOM_HEAVY_SUM = replace(HEAVY_SUM, name="custom_heavy_sum", path_cost=lambda w, c: w + c)
+
+
+@pytest.mark.parametrize("strategy,clone,topo,dtype", [
+    (SD, CUSTOM_SUM, _ring(40, 3), np.float32),
     # a ring of five and a path of four
     (SD, CUSTOM_SUM, utilization_topology(9, [(0, 1, 7), (1, 2, 2), (2, 3, 9), (3, 4, 1),
-                                              (4, 0, 3), (5, 6, 4), (6, 7, 8), (7, 8, 2)])),
+                                              (4, 0, 3), (5, 6, 4), (6, 7, 8), (7, 8, 2)]),
+     np.float32),
     (NEAR_INT_SUM, CUSTOM_NEAR_INT_SUM,
-     utilization_topology(4, [(0, 1, 100), (1, 2, 3), (2, 3, 5)])),
-], ids=["ring40", "two_components", "int_near_2_53"])
-def test_relaxed_costs_equal_the_heap_search(strategy, clone, topo):
+     utilization_topology(4, [(0, 1, 100), (1, 2, 3), (2, 3, 5)]), np.float64),
+    (INT_SUM, CUSTOM_INT_SUM, _ring(40, 3), np.float32),
+    # a ring of four whose weights total 2**23: twice that is 2**24
+    (HEAVY_SUM, CUSTOM_HEAVY_SUM,
+     utilization_topology(4, [(0, 1, 5), (1, 2, 4), (2, 3, 3), (3, 0, 1)]), np.float32),
+    # the same ring one unit heavier: twice the total is 2**24 + 2
+    (HEAVY_SUM, CUSTOM_HEAVY_SUM,
+     utilization_topology(4, [(0, 1, 5), (1, 2, 4), (2, 3, 3), (3, 0, 2)]), np.float64),
+    # odd weights above 2**23: the cost from 0 to 3, 2**24 + 5, has no float32
+    (HEAVY_SUM, CUSTOM_HEAVY_SUM,
+     utilization_topology(4, [(0, 1, 6), (1, 2, 7), (2, 3, 1)]), np.float64),
+], ids=["ring40", "two_components", "int_near_2_53", "int_sum", "at_2_24", "one_past_2_24",
+        "odd_above_2_23"])
+def test_relaxed_costs_equal_the_heap_search(monkeypatch, strategy, clone, topo, dtype):
     """The relaxation of unequal weights agrees with one heap search per
     destination, key for key and type for type: on a ring of 40, whose
     best paths reach 20 hops, so that it sweeps at least 20 times; across
-    two components, whose groups between them get no rule; and over int
-    weights whose total is just below the 2**53 guard."""
+    two components, whose groups between them get no rule; over int
+    weights whose total is just below the 2**53 guard, and over small int
+    weights, whose costs stay int.  It runs in float32 exactly where every
+    weight is integral and twice their total is at most 2**24, so that
+    every offer w + C[u, d] is an integer float32 holds, and in float64
+    past that: one unit past, and over odd weights whose sums float32
+    would round."""
     g = build_graph(topo, strategy.link_cost)
     assert all_fixpoint(g, strategy) is not None  # no fallback here
-    store = rc.initialize(g, strategy)
+    with monkeypatch.context() as m:
+        dtypes = recorded_cost_dtypes(m)
+        store = rc.initialize(g, strategy)
+    assert dtypes == [dtype]
     assert_same_stores(store, rc.initialize(g, clone))
     if len(g.nodes) == 40:
         assert max(key[1] for row in rules_by_id(store).values() for key in row.values()) >= 20
@@ -1582,6 +1643,50 @@ def test_relaxed_costs_equal_the_heap_search(strategy, clone, topo):
         assert 2**53 - 2**9 < total < 2**53
         assert key_at(store, 3, 0) == (2**52 - 2**8 + 8, 3, 1)
         assert type(key_at(store, 3, 0)[0]) is int
+    if strategy is HEAVY_SUM:
+        total = sum(w for _a, _b, w in g.links())
+        assert (2 * total <= 2**24) == (dtype is np.float32)
+        if len(g.links()) == 3:
+            assert float(np.float32(2**24 + 5)) == 2**24 + 4
+            assert key_at(store, 3, 0) == (2**24 + 5, 3, 1)
+
+
+def test_the_churn_topology_relaxes_in_float32(monkeypatch):
+    """fattree12-sdutil-churn's topology (fat-tree k=12, uniform plan,
+    seed 0) under sd_utilization draws integral utilizations, so its one
+    block of destinations relaxes in float32."""
+    g = build_graph(gen_fattree(12, WeightPlan(PlanKind.UNIFORM, seed=0)), SD.link_cost)
+    with monkeypatch.context() as m:
+        dtypes = recorded_cost_dtypes(m)
+        rc.initialize(g, SD)
+    assert dtypes == [np.float32]
+
+
+@settings(max_examples=150, deadline=None)
+@given(topo=st.one_of(real_weight_topologies(), loose_topologies()))
+# a ring of 40, whose best paths reach 20 hops
+@example(topo=_ring(40, 3))
+def test_float32_relaxation_equals_float64_within_the_bound(topo):
+    """Wherever every weight is integral and twice their total is at most
+    2**24, the relaxation over a float32 layout gives the float64 layout's
+    costs exactly, and the same tight edges."""
+    g = build_graph(topo, SD.link_cost)
+    with pytest.MonkeyPatch.context() as m:
+        layouts = recorded_layouts(m)
+        rc.initialize(g, SD)
+    if not layouts:
+        return  # no links: nothing to relax
+    [(n, a, b, weight, size)] = layouts
+    weight = weight.astype(np.float64)
+    if not ((np.floor(weight) == weight).all() and 2 * weight.sum() <= 2**24):
+        return
+    dests = np.arange(n)
+    wide = rc._layout(n, a, b, weight, size)
+    narrow = rc._layout(n, a, b, weight.astype(np.float32), size)
+    cost, narrow_cost = rc._relaxed_costs(n, wide, dests), rc._relaxed_costs(n, narrow, dests)
+    assert narrow_cost.dtype == np.float32
+    assert np.array_equal(narrow_cost.astype(np.float64), cost)
+    assert np.array_equal(rc._tight(narrow_cost, narrow, False), rc._tight(cost, wide, False))
 
 
 # the built-in width path cost from a tautology width other than inf
