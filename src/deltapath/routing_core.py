@@ -29,7 +29,9 @@ check.
 
 Rows are copy-on-write per epoch: the first write to a row in an epoch
 replaces it with a copy, one buffer copy per column, and journals the
-old row object (`_row`), so a row is never changed once its epoch ends.  A shallow copy of the table of
+old row object (`_row`), so a row is never changed once its epoch ends;
+a re-solved row (below) replaces the old one whole and journals it the
+same way (`_replace_row`).  A shallow copy of the table of
 rows is then a true snapshot, a failed epoch is undone by putting the old
 rows back, and the emitted batch is the diff of each journaled row over
 the slots written.  An epoch that gives a born node a new slot copies
@@ -102,9 +104,20 @@ decision, and a heap entry whose neighbour key has changed since it was
 pushed is skipped.  A custom path cost that can improve a path by
 extending it raises NonConvergenceError, and the epoch is rolled back.
 
+A large epoch is re-solved instead: one that changes at least
+`_RESOLVE_LINKS` links and `_RESOLVE_SHARE` of the live links, a
+re-weighted link counting twice.  Its repair would redo nearly every
+tree, pair by pair through the heap, so every live destination is solved
+afresh as set-up solves it (`_all_fixpoint`, over the store's slots: a
+dead slot has no edges and no row reaches it), a re-solved row is kept
+only where it differs from the old one, and the batch is built from the
+slots that differ.  Both reach the unique fixpoint, so the batch is the
+one the repair would emit.  A custom path cost, and the inputs set-up's
+solve declines, are repaired whatever the epoch's size.
+
 An epoch applies its events to the graph one at a time, each against the
-graph as the earlier ones left it, and then repairs the rules once, for
-the net edge change.
+graph as the earlier ones left it, and then repairs or re-solves the
+rules once, for the net edge change.
 """
 
 from __future__ import annotations
@@ -116,6 +129,7 @@ from array import array
 from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
+from operator import ne
 from time import perf_counter_ns
 from typing import NamedTuple
 
@@ -277,12 +291,14 @@ class EstablishedView(Mapping):
 @dataclass
 class EpochStats:
     """What one `step_epoch` did: destinations whose repair had work,
-    rules dropped for recomputation, heap entries popped and those skipped
-    as stale, groups whose rule changed, the rules established after it,
-    and the `perf_counter_ns` spent ingesting events, invalidating,
-    recomputing and diffing."""
+    destinations solved afresh by a large epoch's re-solve, rules dropped
+    for recomputation, heap entries popped and those skipped as stale,
+    groups whose rule changed, the rules established after it, and the
+    `perf_counter_ns` spent ingesting events, invalidating, recomputing
+    (a re-solve counts here) and diffing."""
 
     destinations_repaired: int = 0
+    destinations_resolved: int = 0
     groups_invalidated: int = 0
     heap_pops: int = 0
     stale_pops: int = 0
@@ -403,10 +419,12 @@ def initialize(topology: GraphStore, strategy: Strategy) -> RuleStore:
         raise DeltaPathError("cannot initialize on an empty topology")
     store = RuleStore(strategy)
     _take_slots(store, topology.nodes)
-    if not _all_fixpoint(store, topology):
+    rules = _all_fixpoint(store, topology, _slots_of(store, topology.nodes))
+    if rules is None:
         for d in store.ids:
             store._est[d] = search(store, topology, d)
-        store._rules = sum(len(nxt) - nxt.count(-1) for _c, _l, nxt in store._est.values())
+        rules = sum(len(nxt) - nxt.count(-1) for _c, _l, nxt in store._est.values())
+    store._rules = rules
     store.epoch = 0
     return store
 
@@ -420,6 +438,20 @@ def _take_slots(store: RuleStore, nodes) -> bool:
     return bool(new)
 
 
+def _slots_of(store: RuleStore, nodes) -> np.ndarray:
+    """The slots of `nodes`, ascending."""
+    return np.sort(np.fromiter(map(store.slot.__getitem__, nodes), np.intp, len(nodes)))
+
+
+# an epoch that changes at least this many links, and this share of the
+# live links, re-solves every live destination as set-up does
+# (`_all_fixpoint`) in place of the repair; a re-weighted link counts
+# twice, as the edge it retracts and the one it adds.  Chosen from the
+# crossover of the two, measured on fat-trees k=4 to 16 and jellyfish
+# n=64 and n=200 (CHANGES.md): past 1600 live links the share decides,
+# and below that the count, which covers the re-solve's fixed cost
+_RESOLVE_LINKS = 16
+_RESOLVE_SHARE = 0.01
 # set-up's (nodes x destinations) matrices stay near this many elements
 # whatever the graph's size: a block of destinations solved together is as
 # many of the BFS's 64-destination words as fit, at least one and at most
@@ -480,11 +512,18 @@ def _layout(n, a, b, weight, width) -> _Layout:
     return _Layout(nodes, us, ws, place[us], runs, classes)
 
 
-def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
-    """Fill the empty `store`, whose slots are the topology's nodes in any
-    order, with every rule of a built-in path cost, solved for all
-    destinations at once; or decline, False, where the repair from empty
-    must decide.
+def _all_fixpoint(store: RuleStore, topology: GraphStore, dests: np.ndarray,
+                  journal: dict | None = None) -> int | None:
+    """Write the rows of the destinations at the slots `dests`, nodes of
+    the topology, with every rule of a built-in path cost, solved for all
+    of them at once, and return the number of rules they hold; or decline,
+    None, where the repair must decide.  The store's slots cover the
+    topology's nodes, in any order, and may hold removed nodes: such a
+    dead slot has no edges, so no row reaches it.  Without a `journal`
+    (set-up, into an empty store) each row is written as solved; with one
+    (an epoch's re-solve, into the live store) it replaces the old row
+    only where they differ, journaled (`_replace_row`), so that a failure
+    in a later block leaves `_restore` the old rows to put back.
 
     The links are read once, as arrays.  Every weight is first checked
     against the strategy's domain, whatever the path cost: the first one
@@ -525,7 +564,7 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     - "min": the widest width between two nodes is the smallest weight on
       their path in a maximum spanning tree (Hu, "The maximum capacity
       route problem", Operations Research 1961), so Kruskal over the links
-      in descending width fills C (`_widest_widths`).  Tight:
+      in descending width fills C (`_widest_widths`), once per call.  Tight:
       min(w, C[u, d]) == C[x, d].  Keys hold -C, and a width of 0 is keyed
       -0.0, as the repair keys it.
 
@@ -536,7 +575,8 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     from these arrays (`_fill_rows`); where every weight is equal, C is
     read from L.
 
-    Declined, so that `initialize` repairs from empty: a custom path cost;
+    Declined, so that `initialize` repairs from empty and an epoch
+    repairs its trees: a custom path cost;
     under "sum" a nonzero tautology cost, weights whose total is not
     finite (an infinite weight, or path costs that could overflow), a
     negative weight (a cycle over its link and back would never let the
@@ -560,18 +600,20 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     taut = strategy.tautology_cost
     integral = type(taut) is int and not widest
     if kind is None or not (integral or type(taut) is float):
-        return False
+        return None
     if taut != (math.inf if widest else 0):
-        return False
+        return None
     ids, index = store.ids, store.slot
     n = len(ids)
+    own = _tautology_key(strategy, None)[0]
     if not m:
-        own = _tautology_key(strategy, None)[0]
-        for i, d in enumerate(ids):
-            cost, length, nxt = store._est[d] = _empty_row(store._code, n)
-            cost[i], length[i], nxt[i] = own, 0, i
-        store._rules = n
-        return True
+        # each row holds its destination's own rule alone
+        k = len(dests)
+        length = np.full((k, n), -1, dtype=np.intc)
+        length[np.arange(k), dests] = 0
+        cost = np.zeros((k, n), dtype=object)
+        cost[np.arange(k), dests] = own
+        return _fill_rows(store, dests, cost, length, np.zeros_like(length), journal)
     a = np.fromiter(map(index.__getitem__, ends_a), np.intp, m)
     b = np.fromiter(map(index.__getitem__, ends_b), np.intp, m)
     weight = given.astype(float)
@@ -591,8 +633,8 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
             or integral and not (set(map(type, given)) == {int} and 2 * sum(given) < 2**53)
         )
     if refused:
-        return False
-    size = min(n, 64 * max(1, _BLOCK_ELEMENTS // (64 * n)))
+        return None
+    size = min(len(dests), 64 * max(1, _BLOCK_ELEMENTS // (64 * n)))
     uniform = not widest and (weight == weight[0]).all()
     # every sum the relaxation forms is then an integer float32 holds
     narrow = (not (widest or uniform) and (np.floor(weight) == weight).all()
@@ -612,19 +654,18 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
     if (by_id != np.arange(n)).any():
         rank = np.empty(n, dtype=np.intp)
         rank[by_id] = np.arange(n)
-    own = _tautology_key(strategy, None)[0]
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        dests = np.arange(lo, hi)
+    rules = 0
+    for lo in range(0, len(dests), size):
+        block = dests[lo:lo + size]
         # (nodes x destinations)
         if widest:
-            cost = width[:, lo:hi]
+            cost = width[:, block]
         elif uniform:
             cost = None
         else:
-            cost = _relaxed_costs(n, edges, dests)
+            cost = _relaxed_costs(n, edges, block)
         tight = None if uniform else _tight(cost, edges, widest)
-        length, nxt = _tight_bfs(tight, n, dests, edges, rank, by_id)
+        length, nxt = _tight_bfs(tight, n, block, edges, rank, by_id)
         # (destinations x nodes) from here on: a row per destination
         length = np.ascontiguousarray(length.T)
         nxt = np.ascontiguousarray(nxt.T)
@@ -632,23 +673,23 @@ def _all_fixpoint(store: RuleStore, topology: GraphStore) -> bool:
             # an unreached group's is emptied; int costs are exact, L * w
             cost = length.astype(np.int64) * given[0] if integral else by_hops[length]
         elif widest:
-            cost = -width[lo:hi]  # the width matrix is symmetric
+            cost = -width[block]  # the width matrix is symmetric
         else:
             cost = np.ascontiguousarray(cost.T, dtype=np.float64)
             if integral:
                 # an unreached group's inf has no int64; it is emptied anyway
                 cost[~np.isfinite(cost)] = 0
                 cost = cost.astype(np.int64)
-        cost[np.arange(len(dests)), dests] = own
-        store._rules += _fill_rows(store, dests, cost, length, nxt)
-    return True
+        cost[np.arange(len(block)), block] = own
+        rules += _fill_rows(store, block, cost, length, nxt, journal)
+    return rules
 
 
 # the numpy type of each `array` typecode a cost column takes
 _DTYPES = {"d": np.float64, "q": np.int64}
 
 
-def _fill_rows(store, dests, cost, length, nxt) -> int:
+def _fill_rows(store, dests, cost, length, nxt, journal=None) -> int:
     """Write the rows of one block's destinations from its (destinations
     x nodes) arrays, C-contiguous: the signed cost C, the length L (-1
     where unreached) and the next's slot.  d's own entry is its tautology
@@ -656,7 +697,9 @@ def _fill_rows(store, dests, cost, length, nxt) -> int:
     rule; `cost` and `nxt` are changed to hold them.  Each row's columns
     are one row of each array: an `array` column is copied in one
     `frombytes`, a list column (where the store's costs have no typecode)
-    read by `tolist`.  Returns the number of rules."""
+    read by `tolist`.  With a `journal` each row goes through
+    `_replace_row`, otherwise into the store as it is.  Returns the
+    number of rules."""
     ids, code = store.ids, store._code
     k = len(dests)
     unreached = length < 0
@@ -671,8 +714,45 @@ def _fill_rows(store, dests, cost, length, nxt) -> int:
     nexts = _columns("i", np.ascontiguousarray(nxt, dtype=np.intc))
     est = store._est
     for i, row in zip(dests.tolist(), zip(costs, lengths, nexts)):
-        est[ids[i]] = row
+        if journal is None:
+            est[ids[i]] = row
+        else:
+            _replace_row(store, ids[i], row, journal)
     return int(np.count_nonzero(length > 0)) + k
+
+
+def _replace_row(store, d, new, journal) -> None:
+    """Put the re-solved row `new`, as long as the slots, in place of d's
+    row, and journal the old one, as `_row` does, with the list of the
+    slots whose entries differ in place of a set of the slots written:
+    the batch is built from them alone.  A row equal to the old one is
+    dropped, and the old row kept unjournaled; a row with fewer slots, or
+    none, is always replaced."""
+    old = store._est.get(d)
+    n = len(new[2])
+    if old is None:
+        was = _empty_row(store._code, n)
+    else:
+        was = old if len(old[2]) == n else _grown(old, n)
+    changed = _changed_slots(was, new)
+    if changed or was is not old:
+        journal[d] = (old, changed)
+        store._est[d] = new
+
+
+def _changed_slots(a: Row, b: Row) -> list[int]:
+    """The slots whose entries differ between two rows as long as each
+    other, in slot order.  An `array` column is compared over its buffer,
+    a list column element by element, as the batch compares its costs."""
+    (ac, al, an), (bc, bl, bn) = a, b
+    differ = np.frombuffer(al, dtype=np.intc) != np.frombuffer(bl, dtype=np.intc)
+    differ |= np.frombuffer(an, dtype=np.intc) != np.frombuffer(bn, dtype=np.intc)
+    if isinstance(ac, array):
+        dtype = _DTYPES[ac.typecode]
+        differ |= np.frombuffer(ac, dtype=dtype) != np.frombuffer(bc, dtype=dtype)
+    else:
+        differ |= np.fromiter(map(ne, ac, bc), dtype=bool, count=len(ac))
+    return np.flatnonzero(differ).tolist()
 
 
 def _columns(code, matrix):
@@ -932,16 +1012,23 @@ def step_epoch(
     +1 for their replacements.  What the epoch did is left in
     `store.last_stats`.
 
-    If an event, the edge update, the repair or building the batch fails,
-    the graph and the store are left as they were (`epoch`, `last_stats`,
-    the rule count and the slots included) and the error propagates.
+    A large epoch re-solves its live destinations instead of repairing
+    their trees (`_RESOLVE_LINKS`, `_RESOLVE_SHARE`); `destinations_resolved`
+    counts them.
+
+    If an event, the edge update, the repair or re-solve, or building the
+    batch fails, the graph and the store are left as they were (`epoch`,
+    `last_stats`, the rule count and the slots included) and the error
+    propagates: a re-solved row is journaled as a repaired one is, so
+    `_restore` puts the old rows back either way.
     """
     strategy = store.strategy
     stats = EpochStats()
     t0 = perf_counter_ns()
     nodes = dict(graph.nodes)
     slots = len(store.ids)
-    journal: dict[NodeId, tuple[Row | None, set]] = {}
+    # d -> (its row before the epoch, the slots written: a set, or a list from `_replace_row`)
+    journal: dict[NodeId, tuple[Row | None, set | list]] = {}
     applied: list[list[EdgeRecord]] = []
     if store._near is None or store._near.graph is not graph:
         store._near = _Near(graph, store.slot)
@@ -965,19 +1052,31 @@ def step_epoch(
         # a node removed and re-added in the epoch is in neither set
         removed = nodes.keys() - graph.nodes.keys()
         born = graph.nodes.keys() - nodes.keys()
-        if _take_slots(store, born):
-            for d in list(store._est):
-                _row(store, d, journal)  # as long as the new slots
-        t1 = perf_counter_ns()
-        dropped = _invalidate(store, graph, removed, delta_g, journal)
-        t2 = perf_counter_ns()
-        added = [edge for edge, delta in delta_g if delta > 0]
-        # an added edge can improve a route toward any destination
-        offers = _edge_offers(store, added) if added else {}
-        near = edges.__getitem__
-        for d in {d for d, xs in dropped.items() if xs} | born | offers.keys():
-            _repair(store, near, d, dropped.get(d, ()), d in born, offers.get(d, ()),
-                    journal, stats)
+        grew = _take_slots(store, born)
+        t1 = t2 = perf_counter_ns()
+        # each changed link is in `delta_g` both ways
+        changed = len(delta_g) // 2
+        if (changed >= max(_RESOLVE_LINKS, _RESOLVE_SHARE * len(graph.links()))
+                and store._fp_kind is not None
+                and _all_fixpoint(store, graph, _slots_of(store, graph.nodes), journal) is not None):
+            # a large epoch: every live destination was solved afresh
+            for n in removed:
+                _retire(store, n, journal)
+            stats.destinations_resolved = len(graph.nodes)
+            dropped = {}
+        else:
+            if grew:
+                for d in list(store._est):
+                    _row(store, d, journal)  # as long as the new slots
+            dropped = _invalidate(store, graph, removed, delta_g, journal)
+            t2 = perf_counter_ns()
+            added = [edge for edge, delta in delta_g if delta > 0]
+            # an added edge can improve a route toward any destination
+            offers = _edge_offers(store, added) if added else {}
+            near = edges.__getitem__
+            for d in {d for d, xs in dropped.items() if xs} | born | offers.keys():
+                _repair(store, near, d, dropped.get(d, ()), d in born, offers.get(d, ()),
+                        journal, stats)
         t3 = perf_counter_ns()
         neg = store._neg
         ids = store.ids
@@ -1066,6 +1165,15 @@ def _restore(store, journal, slots) -> None:
     del store.ids[slots:]
 
 
+def _retire(store, n, journal) -> None:
+    """Drop the row of the removed node n, if it has one, journaled with
+    every slot it holds a rule at."""
+    if n in store._est:
+        row, written = _row(store, n, journal)
+        written.update(_live(row[2]))
+        del store._est[n]
+
+
 def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
     """Phase 1: retire the groups of the removed nodes and of the nodes
     toward them, then, per destination, drop the rules that lost their
@@ -1074,10 +1182,7 @@ def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
     empty = _NO_RULE
     for n in removed:
         i = slot[n]
-        if n in est:
-            row, written = _row(store, n, journal)
-            written.update(_live(row[2]))
-            del est[n]
+        _retire(store, n, journal)
         for d in list(est):
             if est[d][2][i] >= 0:
                 (cost, length, nxt), written = _row(store, d, journal)

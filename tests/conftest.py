@@ -223,7 +223,11 @@ def all_fixpoint(graph: GraphStore, strategy: Strategy):
     """The store `routing_core._all_fixpoint` fills, or None where it
     declines."""
     store = slotted_store(graph, strategy)
-    return store if routing_core._all_fixpoint(store, graph) else None
+    rules = routing_core._all_fixpoint(store, graph, np.arange(len(store.ids)))
+    if rules is None:
+        return None
+    store._rules = rules
+    return store
 
 
 def search_tree(graph: GraphStore, strategy: Strategy, *args, **kwargs) -> dict:

@@ -503,7 +503,7 @@ class TestCheckAndStats:
             f.name[:-3] + "_ms" if f.name.endswith("_ns") else f.name
             for f in fields(EpochStats)
         ]
-        assert len(names) == 10
+        assert len(names) == 11
         for line in lines:
             assert [kv.split("=")[0] for kv in line.split(" stats: ")[1].split()] == names
         assert "groups_changed=4" in lines[0]

@@ -543,6 +543,7 @@ def test_no_built_in_loads_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
         from pathlib import Path
+        import numpy as np
         from deltapath import oracle
         from deltapath.cli import main
         from deltapath.graph_model import AddLink, RemoveLink, RemoveNode, build_graph
@@ -560,7 +561,7 @@ def test_no_built_in_loads_scipy(tmp_path):
             g = build_graph(topo, strategy.link_cost)
             empty = RuleStore(strategy)
             _take_slots(empty, g.nodes)
-            assert _all_fixpoint(empty, g)
+            assert _all_fixpoint(empty, g, np.arange(len(empty.ids)))
             store = initialize(g, strategy)
             assert step_epoch(store, g, [RemoveLink(a, b)])
             assert step_epoch(store, g, [AddLink(a, b, props)])

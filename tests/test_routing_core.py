@@ -34,6 +34,7 @@ from deltapath.strategy import (
     WeightDomain,
     builtin,
     builtin_names,
+    cost_typecode,
     path_cost_kind,
 )
 from deltapath.workloads import PlanKind, WeightPlan, gen_fattree, gen_jellyfish
@@ -361,7 +362,9 @@ class TestEpochStats:
     def test_rules_equal_a_recount(self):
         """`rules`, kept from each batch's +1 and -1, equals a recount of
         the rows after a link failure, a switch failure, a weight batch and
-        a node added with its links, and `rule_count()` reads it."""
+        a node added with its links, and `rule_count()` reads it.  The
+        weight batch re-weights 8 of the 32 links, 16 edge changes, and is
+        re-solved: each live destination, and none repaired."""
         g = build_graph(gen_fattree(4, WeightPlan(PlanKind.UNIFORM, seed=4)), SD.link_cost)
         store = rc.initialize(g, SD)
         assert store.rule_count() == recount(store) == 400
@@ -374,16 +377,21 @@ class TestEpochStats:
         ]
         for events in epochs:
             rc.step_epoch(store, g, events)
-            assert store.last_stats.rules == recount(store) == store.rule_count(), events
+            stats = store.last_stats
+            assert stats.rules == recount(store) == store.rule_count(), events
             assert len(store.established_rules()) == store.rule_count()
+            if isinstance(events[0], UpdateWeight):
+                assert (stats.destinations_resolved, stats.destinations_repaired) == (19, 0)
+            else:
+                assert stats.destinations_resolved == 0 < stats.destinations_repaired
 
     def test_empty_epoch_does_no_work(self, triangle_graph):
         store = rc.initialize(triangle_graph, SD)
         assert store.last_stats is None
         rc.step_epoch(store, triangle_graph, [])
         stats = store.last_stats
-        assert (stats.destinations_repaired, stats.groups_invalidated,
-                stats.heap_pops, stats.groups_changed) == (0, 0, 0, 0)
+        assert (stats.destinations_repaired, stats.destinations_resolved,
+                stats.groups_invalidated, stats.heap_pops, stats.groups_changed) == (0, 0, 0, 0, 0)
 
 
 class TestStress:
@@ -629,6 +637,53 @@ class TestAtomicEpochs:
         batch = rc.step_epoch(store, g, [RemoveLink(a, b)])
         assert batch and batch == rc.step_epoch(clean, g_clean, [RemoveLink(a, b)])
         assert store.epoch == clean.epoch == 2
+
+    @pytest.mark.parametrize("site", ["_relaxed_costs", "_fill_rows"])
+    @pytest.mark.parametrize("born", [False, True], ids=["weights", "weights-and-a-birth"])
+    def test_a_fault_in_the_resolve_changes_nothing(self, monkeypatch, site, born):
+        """MemoryError from the re-solve's second call to `_relaxed_costs`
+        or `_fill_rows`, with blocks of 64 destinations, so that the first
+        block of fat-tree k=8's 80 (81 with a node born) is already in the
+        rows: the graph, the rows, the slots, `epoch`, `last_stats`, the
+        rule count and the edge cache stay as they were, and the next
+        clean epoch emits what an untouched engine emits."""
+        topo = gen_fattree(8, WeightPlan(PlanKind.UNIFORM, seed=2))
+        g = build_graph(topo, SD.link_cost)
+        store = rc.initialize(g, SD)
+        links = sorted({(a, b) for (a, b, _w), _m in g.edge_items() if a < b})
+        events = [UpdateWeight(a, b, float(1 + 7 * i % 97)) for i, (a, b) in enumerate(links[:40])]
+        if born:
+            events = [AddNode(10**6), AddLink(10**6, links[0][0], props(utilization=5.0))] + events
+        graph0, est0, rows0, ids0 = g.fork(), copy.deepcopy(store._est), dict(store._est), list(store.ids)
+        real, calls = getattr(rc, site), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(rc, "_BLOCK_ELEMENTS", 1)
+            m.setattr(rc, site, failing)
+            with pytest.raises(MemoryError):
+                rc.step_epoch(store, g, events)
+        assert len(calls) == 2
+        assert g == graph0
+        assert store._est == est0 and store._est.keys() == rows0.keys()
+        assert all(store._est[d] is row for d, row in rows0.items())
+        assert store.ids == ids0 and store.slot == {v: i for i, v in enumerate(ids0)}
+        assert store.epoch == 0 and store.last_stats is None
+        assert store.rule_count() == recount(store) == 6400
+        fresh = rc._Near(g, store.slot)
+        assert all(store._near[x] == fresh[x] for x in g.nodes)
+        g_clean = build_graph(topo, SD.link_cost)
+        clean = rc.initialize(g_clean, SD)
+        batch = rc.step_epoch(store, g, events)
+        assert batch and batch == rc.step_epoch(clean, g_clean, events)
+        assert store.last_stats.destinations_resolved == len(g.nodes)
+        assert_same_stores(store, clean)
+        store.check_integrity(g)
 
     def test_failed_first_epoch_leaves_the_store_empty(self):
         g, store = GraphStore(), rc.RuleStore(SHRINKING)
@@ -1118,7 +1173,7 @@ def test_all_fixpoint_breaks_ties_by_id_over_any_slots(strategy):
     store = rc.RuleStore(strategy)
     store.ids = sorted(g.nodes, reverse=True)
     store.slot = {v: i for i, v in enumerate(store.ids)}
-    assert rc._all_fixpoint(store, g)
+    store._rules = rc._all_fixpoint(store, g, np.arange(len(store.ids)))
     assert rules_by_id(store) == rules_by_id(rc.initialize(g, strategy))
     assert store.rule_count() == recount(store) == 400
     store.check_integrity(g)
@@ -1819,6 +1874,93 @@ def test_repair_emits_the_rounds_batches(script, strategy):
         assert s1._est == s2._est
     g1.check_integrity()
     s1.check_integrity(g1)
+
+
+def forced_step(store, graph, events, resolve):
+    """`step_epoch` with every epoch that changes a link re-solved where
+    `resolve`, and none otherwise."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rc, "_RESOLVE_LINKS", 1 if resolve else math.inf)
+        m.setattr(rc, "_RESOLVE_SHARE", 0.0 if resolve else math.inf)
+        return rc.step_epoch(store, graph, events)
+
+
+@pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_resolved_epochs_emit_the_repairs_batches(strategy, seed):
+    """With every epoch that changes a link re-solved, random link epochs,
+    an epoch that brings in a fresh id smaller than every other (so that
+    the slots leave id order), one that removes a node and one that brings
+    it back, with link epochs after each, emit the repair's batches and
+    leave the repair's rows, key for key and type for type, which the
+    oracle's view equals."""
+    rng = random.Random(seed)
+    topo = gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM, seed=seed), seed=seed)
+    g1, g2 = build_graph(topo, strategy.link_cost), build_graph(topo, strategy.link_cost)
+    resolved, repaired = rc.initialize(g1, strategy), rc.initialize(g2, strategy)
+    fresh = min(g1.nodes) - 1
+    back: list = []
+    for kind in ["links", "birth", "links", "removal", "links", "return", "links"] * 2:
+        if kind == "birth":
+            events = [AddNode(fresh)] + [AddLink(fresh, x, props(utilization=float(u)))
+                                         for x, u in zip(rng.sample(sorted(g1.nodes), 3), (2, 9, 40))]
+            fresh -= 1
+        elif kind == "removal":
+            gone = rng.choice(sorted(g1.nodes))
+            events = [RemoveNode(gone)]
+            back = [AddNode(gone, g1.nodes[gone].label)]
+            for (x, w), mult in g1.out_edges(gone).items():
+                back += [AddLink(gone, x, g1.link_props(gone, x, w))] * mult
+        elif kind == "return":
+            events = back
+        else:
+            events = random_events(rng, g1, rng.randint(1, 8))
+        edges = dict(g1.edge_items())
+        batch = forced_step(resolved, g1, events, True)
+        assert batch == forced_step(repaired, g2, events, False), (kind, events)
+        changed = dict(g1.edge_items()) != edges
+        assert resolved.last_stats.destinations_resolved == (len(g1.nodes) if changed else 0)
+        assert resolved.last_stats.destinations_repaired == 0 or not changed
+        assert repaired.last_stats.destinations_resolved == 0
+        assert resolved.rule_count() == repaired.rule_count() == recount(resolved)
+        assert_same_stores(resolved, repaired)
+        assert oracle.compare_view(oracle.solve(g1, strategy), resolved.established_rules()) == []
+    # the two fresh ids, the smallest, hold the last slots
+    assert resolved.ids[20:] == [-1, -2]
+    resolved.check_integrity(g1)
+
+
+# additive delay that grows with the queue: a custom link cost under the
+# built-in additive path cost, whose costs have no `array` typecode
+QUEUE_DELAY = replace(SD, name="queue_delay", link_cost=lambda p: p.delay + p.utilization / 8)
+
+
+@pytest.mark.parametrize("strategy", [QUEUE_DELAY, INT_SUM], ids=lambda s: s.name)
+def test_resolved_list_columns_equal_the_repair(strategy):
+    """Where `cost_typecode` is None, a row's cost column is a list: float
+    delays, and INT_SUM's int costs.  The re-solve compares such a row
+    with its old one, and diffs it slot by slot, element by element, and
+    its weight batches, link failures and restores emit the repair's
+    batches and leave its rows, key for key and type for type."""
+    assert cost_typecode(strategy) is None
+    topo = gen_fattree(4, WeightPlan(PlanKind.UNIFORM, seed=3))
+    g1, g2 = build_graph(topo, strategy.link_cost), build_graph(topo, strategy.link_cost)
+    resolved, repaired = rc.initialize(g1, strategy), rc.initialize(g2, strategy)
+    links = sorted({(a, b): p for a, b, p in topo.links}.items())
+    epochs = [
+        [UpdateWeight(a, b, float(1 + 13 * i % 90)) for i, ((a, b), _p) in enumerate(links[:12])],
+        [RemoveLink(a, b) for (a, b), _p in links[3:9]],
+        [AddLink(a, b, p) for (a, b), p in links[3:9]],
+        [UpdateWeight(a, b, float(1 + 29 * i % 90)) for i, ((a, b), _p) in enumerate(links[6:])],
+    ]
+    for events in epochs:
+        batch = forced_step(resolved, g1, events, True)
+        assert batch and batch == forced_step(repaired, g2, events, False), events
+        assert resolved.last_stats.destinations_resolved == len(g1.nodes)
+        assert all(type(row[0]) is list for row in resolved._est.values())
+        assert_same_stores(resolved, repaired)
+    assert oracle.compare_view(oracle.solve(g1, strategy), resolved.established_rules()) == []
+    resolved.check_integrity(g1)
 
 
 class TestCustomStrategy:
