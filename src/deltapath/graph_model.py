@@ -357,20 +357,28 @@ def build_graph(topo: Topology, link_cost: LinkCostFn) -> GraphStore:
     The store equals the one that adding each link by `AddLink` through
     `apply_deltas` would build, and refuses what that refuses: a repeated
     node id, a link to an unknown node, a self-link.  It counts each
-    link's copies and writes each link once, in key order; of parallel
-    copies with the same weight, the last one's properties are kept."""
+    link's copies and writes each link once, in key order, both directions
+    and its properties as `_store_link` does; of parallel copies with the
+    same weight, the last one's properties are kept."""
     store = GraphStore()
     for rec in topo.nodes:
         store.add_node(rec)
+    nodes, adj, kept = store.nodes, store._adj, store._props
     count: dict[tuple[NodeId, NodeId, float], int] = {}
     last: dict[tuple[NodeId, NodeId, float], LinkProperties] = {}
     for a, b, props in topo.links:
-        store._check_ends(a, b)
-        key = _link(a, b, link_cost(props))
+        if a not in nodes or b not in nodes or a == b:
+            store._check_ends(a, b)
+        w = link_cost(props)
+        key = (a, b, w) if a < b else (b, a, w)
         count[key] = count.get(key, 0) + 1
         last[key] = props
     for key in sorted(count):
-        store._store_link(key, count[key], last[key])
+        a, b, w = key
+        mult = count[key]
+        adj.setdefault(a, {})[b, w] = mult
+        adj.setdefault(b, {})[a, w] = mult
+        kept[key] = last[key]
     return store
 
 

@@ -58,9 +58,12 @@ sum it forms is an integer float32 holds exactly, and in float64
 otherwise.  shortest_widest takes its widths from Kruskal's maximum
 spanning forest (Hu, Operations Research 1961).  A BFS over the tight
 edges, run for a block of destinations together as bits, 64
-destinations to a word, gives each group's length, and one minimum over
-each node's edges its next: the tight neighbour one hop closer with the
-smallest id.  An additive cost
+destinations to a word, gives each group's length: each level ORs the
+nodes it reaches into bit planes of its number, unpacked once a plane
+when the search ends.  One minimum over each node's edges of the key
+L * n + rank by id, in the narrowest integer type that holds every key
+for the depth found, gives its next: the tight neighbour one hop closer
+with the smallest id.  An additive cost
 whose weights are all equal (hop_count's are all 1) needs neither matrix
 nor test: a group's cost follows from its length, and the BFS runs over
 every edge.  Each block's rows are copied from these arrays, a typed
@@ -784,28 +787,36 @@ def _relaxed_costs(n, edges, dests):
     cost further in each sweep.  The (n x destinations) matrix is one
     block's (`_BLOCK_ELEMENTS`).  Every cost is formed by the repair's
     addition w + C[u, d], and the fixpoint, the largest below the start,
-    does not depend on the order of the sweep: the same floats."""
+    does not depend on the order of the sweep: the same floats.
+
+    Each run's nodes, neighbour table and weights are sliced once per
+    call.  A sweep takes a run's rows whole where every one is live, and
+    compresses them to the live ones otherwise; it stores the minimum of
+    the new and the old costs for every row it took, so that a row whose
+    costs did not fall is written back unchanged, and records which rows
+    fell in the same pass."""
     k = len(dests)
     cost = np.full((n, k), np.inf, dtype=edges.ws.dtype)
     cost[dests, np.arange(k)] = 0
+    runs = [(edges.nodes[rows], edges.us[run].reshape(-1, degree),
+             edges.ws[run].reshape(-1, degree, 1)) for rows, run, degree in edges.runs]
     fell = np.zeros(n, dtype=bool)
     fell[dests] = True
     while fell.any():
         swept, fell = fell, np.zeros(n, dtype=bool)
-        for rows, run, degree in edges.runs:
-            near = edges.us[run].reshape(-1, degree)
+        for at, near, w in runs:
             live = swept[near].any(axis=1)
-            if not live.any():
-                continue
-            at, near = edges.nodes[rows][live], near[live]
+            if not live.all():
+                if not live.any():
+                    continue
+                at, near, w = at[live], near[live], w[live]
             offer = np.take(cost, near, axis=0)
-            offer += edges.ws[run].reshape(-1, degree, 1)[live]
+            offer += w
             new = offer.min(axis=1)
             old = cost[at]
-            down = (new < old).any(axis=1)
-            at = at[down]
-            cost[at] = np.minimum(new[down], old[down])
-            fell[at] = True
+            # a node is in one run alone, so this sets its flag for the sweep
+            fell[at] = (new < old).any(axis=1)
+            cost[at] = np.minimum(new, old, out=new)
     return cost
 
 
@@ -871,21 +882,41 @@ def _bits(flags, words):
     return packed.view(np.uint64)
 
 
+def _flags(words, k):
+    """The first `k` bits of each row of uint64 `words` (`_bits`), as a
+    (rows x k) array of 0 and 1, uint8."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
+
+
 def _tight_bfs(tight, n, dests, edges, rank, by_id):
     """Over the tight edges (`_tight`'s bits), or over every edge where
     `tight` is None: each node's fewest hops toward each of `dests` (-1 if
     unreached) and, where that is positive, the slot of its next with one
-    hop fewer and the smallest id, as (nodes x destinations) arrays.
-    `rank` gives each slot's place in id order and `by_id` the slot at
-    each place; `rank` is None where the slots are in id order.
+    hop fewer and the smallest id, as (nodes x destinations) arrays, the
+    hops of the integer type the next's keys took.  `rank` gives each
+    slot's place in id order and `by_id` the slot at each place; `rank`
+    is None where the slots are in id order.
 
     The frontier and the nodes not yet seen are bits like the tight
     edges, 64 destinations to a uint64 word (`_bits`).  A level gathers
     the frontier's words over every edge's u and ORs them along the degree
-    axis of each class of the layout.  A reached node's fewest hops are
-    one more than the least among its tight neighbours', so one minimum
-    of L[u] * n + rank[u] along the degree axis of each run names its
-    next, by rank, which `by_id` maps back to a slot."""
+    axis of each class of the layout.  It ORs the nodes it reaches into
+    the bit planes of its number, plane j holding bit j of each node's
+    fewest hops, so that the hops are unpacked once per plane when the
+    search ends, and once for the nodes never reached.
+
+    A reached node's fewest hops L are one more than the least among its
+    tight neighbours', so one minimum of the key L[u] * n + rank[u] along
+    the degree axis of each run names its next, by rank, which `by_id`
+    maps back to a slot.  A reached node's tight neighbours are reached,
+    and over every edge all its neighbours are; an edge that is not tight
+    reads `levels * n` more, past every tight one, where `levels`, one
+    past the deepest level, bounds every L.  Every key then lies in
+    [-n, levels * n) plus that offset, and the least one less x's own
+    (L[x] - 1) * n below (levels + 2) * n plus it, an unreached x's too
+    (its next is emptied), so the keys take the narrowest integer type
+    that holds that.  Over every edge there is no offset: a fat-tree k=48
+    (2880 nodes, 4 levels) keys in 16 bits."""
     k = len(dests)
     words = -(-k // 64)
     nodes, near = edges.nodes, edges.near
@@ -895,12 +926,10 @@ def _tight_bfs(tight, n, dests, edges, rank, by_id):
     unseen = ~frontier
     hit = np.empty((len(near), words), dtype=np.uint64)
     reached = np.empty_like(frontier)
-    # the next's keys stay below 2 * n * n: int32 below 2**15 nodes
-    length = np.full((len(nodes), k), -1, dtype=np.int32 if n < 2**15 else np.int64)
-    length[source] = 0
-    level = 0
+    planes = []
+    levels = 0
     while True:
-        level += 1
+        levels += 1
         np.take(frontier, near, axis=0, out=hit)
         if tight is not None:
             hit &= tight
@@ -911,30 +940,35 @@ def _tight_bfs(tight, n, dests, edges, rank, by_id):
         if not reached.any():
             break
         unseen ^= reached
-        length[np.unpackbits(reached.view(np.uint8), axis=1, count=k,
-                             bitorder="little").view(bool)] = level
+        # plane j holds bit j of each reached node's level: level 2**j opens it
+        if levels >> len(planes):
+            planes.append(np.zeros_like(reached))
+        for j, plane in enumerate(planes):
+            if levels >> j & 1:
+                plane |= reached
         frontier, reached = reached, frontier
-    # the next: the least L[u] * n + rank[u] over x's edges.  A reached
-    # node's tight neighbours are reached, and over every edge all its
-    # neighbours are; an edge that is not tight reads n * n more, past
-    # every tight one
+    far = 0 if tight is None else levels * n
+    bound = (levels + 2) * n + far
+    key = np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
+    length = np.zeros((len(nodes), k), dtype=key)
+    for j, plane in enumerate(planes):
+        length += np.left_shift(_flags(plane, k), j, dtype=key)
+    length -= _flags(unseen, k)
+    # the next: the least key over x's edges
     keyed = length * n
-    keyed += (nodes if rank is None else rank[nodes]).astype(keyed.dtype)[:, None]
-    far = keyed.dtype.type(n * n)
+    keyed += (nodes if rank is None else rank[nodes]).astype(key)[:, None]
     first = np.empty_like(length)
     for rows, run, degree in edges.runs:
         code = np.take(keyed, near[run], axis=0)
         if tight is not None:
-            loose = np.unpackbits((~tight[run]).view(np.uint8), axis=1, count=k,
-                                  bitorder="little")
-            code += loose * far
+            code += np.multiply(_flags(~tight[run], k), far, dtype=key)
         np.minimum.reduce(code.reshape(-1, degree, k), axis=1, out=first[rows])
     # the rank left of x's key past its L[x] - 1 hops (what an unreached
     # node reads is emptied)
     first -= (length - 1) * n
     if rank is not None:
         first = by_id.take(first, mode="wrap")
-    hops = np.full((n, k), -1, dtype=length.dtype)
+    hops = np.full((n, k), -1, dtype=key)
     hops[nodes] = length
     hops[dests, np.arange(k)] = 0
     nxt = np.zeros((n, k), dtype=np.int32)

@@ -1642,6 +1642,27 @@ def recorded_cost_dtypes(m):
     return dtypes
 
 
+class _RecordedGathers:
+    """numpy as `routing_core` sees it, with `take` recording, for each
+    gather over a 2-D table of neighbours (the relaxation's), whether the
+    table was a run's own, a view into the layout's edges, or a copy of
+    its live rows."""
+
+    def __init__(self):
+        self.whole = self.compressed = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, a, indices, *args, **kwargs):
+        if np.ndim(indices) == 2:
+            if indices.base is None:
+                self.compressed += 1
+            else:
+                self.whole += 1
+        return np.take(a, indices, *args, **kwargs)
+
+
 # the built-in additive path cost over float weights near 2**23, one per
 # utilization from 1 to 7
 _HEAVY = {1: 1.0, 2: 2.0, 3: 2.0**21 - 1, 4: 2.0**21 + 1, 5: 2.0**22 - 1,
@@ -1650,27 +1671,30 @@ HEAVY_SUM = replace(SD, name="heavy_sum", link_cost=lambda p: _HEAVY[p.utilizati
 CUSTOM_HEAVY_SUM = replace(HEAVY_SUM, name="custom_heavy_sum", path_cost=lambda w, c: w + c)
 
 
-@pytest.mark.parametrize("strategy,clone,topo,dtype", [
-    (SD, CUSTOM_SUM, _ring(40, 3), np.float32),
+@pytest.mark.parametrize("strategy,clone,topo,dtype,run", [
+    (SD, CUSTOM_SUM, _ring(40, 3), np.float32, None),
     # a ring of five and a path of four
     (SD, CUSTOM_SUM, utilization_topology(9, [(0, 1, 7), (1, 2, 2), (2, 3, 9), (3, 4, 1),
                                               (4, 0, 3), (5, 6, 4), (6, 7, 8), (7, 8, 2)]),
-     np.float32),
+     np.float32, None),
     (NEAR_INT_SUM, CUSTOM_NEAR_INT_SUM,
-     utilization_topology(4, [(0, 1, 100), (1, 2, 3), (2, 3, 5)]), np.float64),
-    (INT_SUM, CUSTOM_INT_SUM, _ring(40, 3), np.float32),
+     utilization_topology(4, [(0, 1, 100), (1, 2, 3), (2, 3, 5)]), np.float64, None),
+    (INT_SUM, CUSTOM_INT_SUM, _ring(40, 3), np.float32, None),
     # a ring of four whose weights total 2**23: twice that is 2**24
     (HEAVY_SUM, CUSTOM_HEAVY_SUM,
-     utilization_topology(4, [(0, 1, 5), (1, 2, 4), (2, 3, 3), (3, 0, 1)]), np.float32),
+     utilization_topology(4, [(0, 1, 5), (1, 2, 4), (2, 3, 3), (3, 0, 1)]), np.float32, None),
     # the same ring one unit heavier: twice the total is 2**24 + 2
     (HEAVY_SUM, CUSTOM_HEAVY_SUM,
-     utilization_topology(4, [(0, 1, 5), (1, 2, 4), (2, 3, 3), (3, 0, 2)]), np.float64),
+     utilization_topology(4, [(0, 1, 5), (1, 2, 4), (2, 3, 3), (3, 0, 2)]), np.float64, None),
     # odd weights above 2**23: the cost from 0 to 3, 2**24 + 5, has no float32
     (HEAVY_SUM, CUSTOM_HEAVY_SUM,
-     utilization_topology(4, [(0, 1, 6), (1, 2, 7), (2, 3, 1)]), np.float64),
+     utilization_topology(4, [(0, 1, 6), (1, 2, 7), (2, 3, 1)]), np.float64, None),
+    # a ring of 300 in runs of 109 rows, and in runs of one row
+    (SD, CUSTOM_SUM, _ring(300, 3), np.float32, rc._RUN_ELEMENTS),
+    (SD, CUSTOM_SUM, _ring(300, 3), np.float32, 1),
 ], ids=["ring40", "two_components", "int_near_2_53", "int_sum", "at_2_24", "one_past_2_24",
-        "odd_above_2_23"])
-def test_relaxed_costs_equal_the_heap_search(monkeypatch, strategy, clone, topo, dtype):
+        "odd_above_2_23", "ring300", "ring300_one_row_runs"])
+def test_relaxed_costs_equal_the_heap_search(monkeypatch, strategy, clone, topo, dtype, run):
     """The relaxation of unequal weights agrees with one heap search per
     destination, key for key and type for type: on a ring of 40, whose
     best paths reach 20 hops, so that it sweeps at least 20 times; across
@@ -1680,14 +1704,25 @@ def test_relaxed_costs_equal_the_heap_search(monkeypatch, strategy, clone, topo,
     weight is integral and twice their total is at most 2**24, so that
     every offer w + C[u, d] is an integer float32 holds, and in float64
     past that: one unit past, and over odd weights whose sums float32
-    would round."""
+    would round.  On a ring of 300 in runs of many rows, the late sweeps
+    leave most rows of a run idle: the relaxation gathers some runs whole
+    and others compressed to their live rows; in runs of one row it only
+    ever gathers whole runs."""
     g = build_graph(topo, strategy.link_cost)
     assert all_fixpoint(g, strategy) is not None  # no fallback here
     with monkeypatch.context() as m:
         dtypes = recorded_cost_dtypes(m)
+        gathers = _RecordedGathers()
+        if run is not None:
+            m.setattr(rc, "_RUN_ELEMENTS", run)
+            m.setattr(rc, "np", gathers)
         store = rc.initialize(g, strategy)
     assert dtypes == [dtype]
     assert_same_stores(store, rc.initialize(g, clone))
+    if run == 1:
+        assert gathers.whole > 0 and gathers.compressed == 0
+    elif run is not None:
+        assert gathers.whole > 0 and gathers.compressed > 0
     if len(g.nodes) == 40:
         assert max(key[1] for row in rules_by_id(store).values() for key in row.values()) >= 20
     if len(g.nodes) == 9:
@@ -1742,6 +1777,101 @@ def test_float32_relaxation_equals_float64_within_the_bound(topo):
     assert narrow_cost.dtype == np.float32
     assert np.array_equal(narrow_cost.astype(np.float64), cost)
     assert np.array_equal(rc._tight(narrow_cost, narrow, False), rc._tight(cost, wide, False))
+
+
+def bfs_reference(n, edges, tight, dests, ids):
+    """Per destination slot, a plain BFS over the edges (u, x) of the
+    layout that are tight for it (all of them where `tight` is None):
+    {x: (fewest hops, slot of the next)} for every reached x, the next
+    being the neighbour one hop closer with the smallest id."""
+    us = edges.us.tolist()
+    xs = [x for rows, _run, k in edges.runs for x in np.repeat(edges.nodes[rows], k).tolist()]
+    if tight is not None:
+        flags = np.unpackbits(tight.view(np.uint8), axis=1, bitorder="little")
+    out = []
+    for j, d in enumerate(dests.tolist()):
+        via = {}  # u -> the nodes x that may route through u
+        for e, (u, x) in enumerate(zip(us, xs)):
+            if tight is None or flags[e, j]:
+                via.setdefault(u, []).append(x)
+        hops, frontier, level = {d: (0, d)}, [d], 0
+        while frontier:
+            level += 1
+            closer = {}
+            for u in frontier:
+                for x in via.get(u, ()):
+                    if x not in hops:
+                        closer.setdefault(x, []).append(u)
+            hops.update({x: (level, min(near, key=ids.__getitem__)) for x, near in closer.items()})
+            frontier = list(closer)
+        out.append(hops)
+    return out
+
+
+def _path(n):
+    return utilization_topology(n, [(i, i + 1, 1 + i % 5) for i in range(n - 1)])
+
+
+# (topology, destination slots or None for all): paths whose deepest
+# group sits 1 to 17 hops out, across the bit planes' boundaries, rings,
+# the hub, two components, and paths of 100 to 200 nodes, on either
+# side of the 16-bit keys' bound
+TIGHT_BFS_CASES = {
+    **{f"path{depth + 1}": (_path(depth + 1), None) for depth in (1, 2, 3, 4, 7, 8, 15, 16, 17)},
+    "ring16": (_ring(16, 5), None),
+    "ring34": (_ring(34, 5), [0, 3, 17, 33]),
+    # toward 0, node 11 routes the long way round, 11 hops over tight edges,
+    # beside its heavy link to 0, whose key holds the smallest rank
+    "ring12_heavy": (utilization_topology(12, [(i, i + 1, 1) for i in range(11)]
+                                          + [(11, 0, 90)]), None),
+    "hub70": (hub_topology(70), None),
+    "hub70_some": (hub_topology(70), list(range(0, 70, 3))),
+    # a path of 10 and a ring of 9, apart: neither reaches the other
+    "two_components": (utilization_topology(19, [(i, i + 1, 2 + i % 3) for i in range(9)]
+                                            + [(10 + i, 10 + (i + 1) % 9, 1 + i % 4)
+                                               for i in range(9)]), None),
+    "path100": (_path(100), None),
+    "path150": (_path(150), None),
+    "path200": (_path(200), None),
+}
+# the cases whose keys pass 16 bits, over every edge and over the tight ones
+WIDE_KEYS = {"path150": (False, True), "path200": (True, True)}
+
+
+@pytest.mark.parametrize("name", list(TIGHT_BFS_CASES))
+def test_tight_bfs_equals_a_plain_bfs(name):
+    """`_tight_bfs` gives each group the fewest hops over the tight edges,
+    or over every edge where `tight` is None, and as next the neighbour
+    one hop closer with the smallest id, as a plain BFS does: with the
+    slots in id order and out of it, for every destination (blocks that
+    end mid-word past 64 nodes) and for a few.  Its keys are 16-bit up to
+    the 100-node path, where (levels + 2) * n, plus levels * n over the
+    tight edges, stays within 2**15; on the 150-node path only over the
+    tight edges, and on the 200-node path both ways, they are 32-bit."""
+    topo, some = TIGHT_BFS_CASES[name]
+    g = build_graph(topo, SD.link_cost)
+    n = len(g.nodes)
+    a, b, w = map(np.array, zip(*g.links()))
+    dests = np.arange(n) if some is None else np.array(some)
+    edges = rc._layout(n, a, b, w.astype(float), len(dests))
+    tight = rc._tight(rc._relaxed_costs(n, edges, dests), edges, False)
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    dtypes = {}
+    for ids in (list(range(n)), [3 * i - n for i in shuffled]):
+        by_id = np.argsort(ids)
+        rank = None if ids == sorted(ids) else np.argsort(by_id)
+        for bits in (None, tight):
+            hops, nxt = rc._tight_bfs(bits, n, dests, edges, rank, by_id)
+            dtypes.setdefault(bits is not None, set()).add(hops.dtype)
+            assert hops.shape == nxt.shape == (n, len(dests))
+            for j, want in enumerate(bfs_reference(n, edges, bits, dests, ids)):
+                # a destination's own next is written by `_fill_rows`
+                got = {x: (hops[x, j], nxt[x, j] if hops[x, j] else x)
+                       for x in range(n) if hops[x, j] >= 0}
+                assert got == want, (name, j)
+    wide = WIDE_KEYS.get(name, (False, False))
+    assert dtypes == {over: {np.dtype(np.int32 if w else np.int16)} for over, w in enumerate(wide)}
 
 
 # the built-in width path cost from a tautology width other than inf
