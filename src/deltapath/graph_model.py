@@ -131,12 +131,20 @@ TopologyEvent = Union[AddLink, RemoveLink, AddNode, RemoveNode, UpdateWeight]
 class GraphStore:
     """Delta-multiset edge store plus the node table.
 
-    Single-writer.  `fork` yields an independently writable copy; it serves
+    Single-writer.  `edge_cache` holds one reader's lists of each node's
+    edges, keyed by node (the routing core's `_Near`), or None.  Every
+    edge is written by `_store_link`, which drops the lists of both ends
+    of the link it writes, so the lists kept stay those of the graph as
+    it is, however it was changed.  Neither `==` nor `check_integrity`
+    reads the cache.  The cache refers back to the graph: the two form a
+    cycle, freed together by the garbage collector.
+
+    `fork` yields an independently writable copy, with no cache; it serves
     the tests and the benchmark's NOT check, which prunes a copy for the
     oracle.
     """
 
-    __slots__ = ("nodes", "_adj", "_props")
+    __slots__ = ("nodes", "_adj", "_props", "edge_cache")
 
     def __init__(self):
         self.nodes: dict[NodeId, NodeRecord] = {}
@@ -144,6 +152,7 @@ class GraphStore:
         self._adj: dict[NodeId, dict[tuple[NodeId, float], int]] = {}
         # (src, dst, w) with src < dst -> the link's properties
         self._props: dict[tuple[NodeId, NodeId, float], LinkProperties] = {}
+        self.edge_cache: dict | None = None
 
     # --- inspection
 
@@ -288,8 +297,12 @@ class GraphStore:
         self, key: tuple[NodeId, NodeId, float], mult: int, props: LinkProperties | None
     ) -> None:
         """Store `mult` copies of the link `key` under both directions, with
-        `props`; a count of zero removes the link."""
+        `props`; a count of zero removes the link.  Drops both ends' lists
+        from the edge cache."""
         a, b, w = key
+        if self.edge_cache is not None:
+            self.edge_cache.pop(a, None)
+            self.edge_cache.pop(b, None)
         for src, dst in ((a, b), (b, a)):
             row = self._adj.setdefault(src, {})
             if mult:
@@ -304,7 +317,8 @@ class GraphStore:
             self._props.pop(key, None)
 
     def fork(self) -> GraphStore:
-        """Independent copy sharing no mutable state with the original."""
+        """Independent copy sharing no mutable state with the original, and
+        with no edge cache."""
         other = GraphStore()
         other.nodes = dict(self.nodes)  # the records are immutable
         other._adj = {src: dict(out) for src, out in self._adj.items()}
@@ -358,8 +372,9 @@ def build_graph(topo: Topology, link_cost: LinkCostFn) -> GraphStore:
     `apply_deltas` would build, and refuses what that refuses: a repeated
     node id, a link to an unknown node, a self-link.  It counts each
     link's copies and writes each link once, in key order, both directions
-    and its properties as `_store_link` does; of parallel copies with the
-    same weight, the last one's properties are kept."""
+    and its properties as `_store_link` does, into a store with no edge
+    cache yet; of parallel copies with the same weight, the last one's
+    properties are kept."""
     store = GraphStore()
     for rec in topo.nodes:
         store.add_node(rec)

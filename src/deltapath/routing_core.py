@@ -86,9 +86,11 @@ both stay the repair from empty of a custom path cost that
 weights other than 1 included), the golden digests, the rounds
 reference, and every repaired epoch after set-up.
 
-The repair reads a node's edges as [(slot of y, w, y)] from a cache
-kept by the store (`_Near`), so that its loops make no slot lookup per
-edge; an epoch drops the lists of the nodes whose edges it changes.
+The repair and every NOT or backup search read a node's edges as
+[(slot of y, w, y)] from one cache that the graph holds (`_Near`), so
+that their loops make no slot lookup per edge.  The graph drops the
+lists of both ends of every link it writes, whoever writes it, so no
+epoch, rollback or query keeps the cache valid by hand.
 
 Rules toward different destinations never interact, and a destination's
 rules form a tree over the next pointers, so an epoch repairs each
@@ -207,7 +209,8 @@ class _Near(dict):
     """Each node's edges over `graph`, as the list [(slot of y, w, y)] of
     its `out_edges` keys (y, w), made on first use and kept: the repair's
     loops read a node's edges with one call and no slot lookup per edge.
-    `step_epoch` drops the lists of the nodes whose edges it changes."""
+    The graph holds one (`GraphStore.edge_cache`, read through `_near_of`)
+    and drops the lists of the nodes whose edges it writes."""
 
     __slots__ = ("graph", "slot")
 
@@ -219,6 +222,16 @@ class _Near(dict):
         slot = self.slot
         edges = self[x] = [(slot[y], w, y) for y, w in self.graph.out_edges(x)]
         return edges
+
+
+def _near_of(store: RuleStore, graph: GraphStore) -> _Near:
+    """The graph's edge cache over the store's slots: the one the graph
+    holds, or a new one it then holds, where it holds none or one over
+    another slot map."""
+    near = graph.edge_cache
+    if near is None or near.slot is not store.slot:
+        near = graph.edge_cache = _Near(graph, store.slot)
+    return near
 
 
 class _RowItems(ItemsView):
@@ -323,7 +336,7 @@ class RuleStore:
     from each epoch's batch."""
 
     __slots__ = ("strategy", "epoch", "last_stats", "slot", "ids", "_est", "_neg",
-                 "_fp_kind", "_code", "_rules", "_near")
+                 "_fp_kind", "_code", "_rules")
 
     def __init__(self, strategy: Strategy):
         self.strategy = strategy
@@ -336,7 +349,6 @@ class RuleStore:
         self._code = cost_typecode(strategy)
         self._est: dict[NodeId, Row] = {}
         self._rules = 0
-        self._near: _Near | None = None  # the edges of the graph stepped
 
     # --- views
 
@@ -991,15 +1003,16 @@ def search(
     `initialize` and `step_epoch` keep them; the store's rows are not read
     or written.
 
-    `_repair` of an empty tree under the store's strategy, over an
-    adjacency filtered only next to a masked node and at the ends of a
-    masked link.  Under a built-in path cost it stops once `until`
-    settles, whose rule and path are then in the row.  A custom path cost
-    that can improve a path by extending it raises NonConvergenceError.
+    `_repair` of an empty tree under the store's strategy, over the
+    graph's edge cache (`_near_of`), filtered only next to a masked node
+    and at the ends of a masked link.  Under a built-in path cost it stops
+    once `until` settles, whose rule and path are then in the row.  A
+    custom path cost that can improve a path by extending it raises
+    NonConvergenceError.
     """
     if dst not in graph.nodes or dst in skip_nodes:
         return _NO_ROW
-    near = _Near(graph, store.slot).__getitem__
+    near = _near_of(store, graph).__getitem__
     if skip_nodes or skip_links:
         cut = set(skip_links) | {(b, a) for a, b in skip_links}
         close = {a for a, _b in cut}
@@ -1064,9 +1077,6 @@ def step_epoch(
     # d -> (its row before the epoch, the slots written: a set, or a list from `_replace_row`)
     journal: dict[NodeId, tuple[Row | None, set | list]] = {}
     applied: list[list[EdgeRecord]] = []
-    if store._near is None or store._near.graph is not graph:
-        store._near = _Near(graph, store.slot)
-    edges = store._near
     try:
         net: dict[tuple[NodeId, NodeId, float], int] = {}
         # each event resolves against the graph as the earlier ones left it
@@ -1081,8 +1091,6 @@ def step_epoch(
         delta_g = sorted(
             (edge, d) for (a, b, w), d in net.items() if d for edge in ((a, b, w), (b, a, w))
         )
-        for (a, _b, _w), _d in delta_g:
-            edges.pop(a, None)  # both ends: each link is there both ways
         # a node removed and re-added in the epoch is in neither set
         removed = nodes.keys() - graph.nodes.keys()
         born = graph.nodes.keys() - nodes.keys()
@@ -1107,7 +1115,7 @@ def step_epoch(
             added = [edge for edge, delta in delta_g if delta > 0]
             # an added edge can improve a route toward any destination
             offers = _edge_offers(store, added) if added else {}
-            near = edges.__getitem__
+            near = _near_of(store, graph).__getitem__
             for d in {d for d, xs in dropped.items() if xs} | born | offers.keys():
                 _repair(store, near, d, dropped.get(d, ()), d in born, offers.get(d, ()),
                         journal, stats)
@@ -1153,9 +1161,6 @@ def step_epoch(
         _restore(store, journal, slots)
         for done in reversed(applied):
             graph.undo_deltas(done)
-            for a, b, *_rest in done:
-                edges.pop(a, None)
-                edges.pop(b, None)
         graph.nodes.clear()
         graph.nodes.update(nodes)
         raise
@@ -1229,7 +1234,7 @@ def _invalidate(store, graph, removed, delta_g, journal) -> dict[NodeId, list]:
             for d, (cost, length, nxt) in est.items():
                 if nxt[i] == j:
                     roots.setdefault(d, []).append((cost[i], length[i], x))
-    near = store._near.__getitem__
+    near = _near_of(store, graph).__getitem__
     return {d: _drop_affected(store, near, d, heap, journal) for d, heap in roots.items()}
 
 

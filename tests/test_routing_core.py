@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from deltapath import oracle
 from deltapath import routing_core as rc
 from deltapath.errors import (
     DeltaPathError,
+    IntegrityError,
     InvalidWeightError,
     NonConvergenceError,
     UnknownLinkError,
@@ -28,7 +30,7 @@ from deltapath.graph_model import (
     UpdateWeight,
     build_graph,
 )
-from deltapath.policy_engine import PolicyEngine, parse_policy
+from deltapath.policy_engine import NotNodes, PathRule, Policy, PolicyEngine, parse_policy
 from deltapath.strategy import (
     Strategy,
     WeightDomain,
@@ -644,9 +646,10 @@ class TestAtomicEpochs:
         """MemoryError from the re-solve's second call to `_relaxed_costs`
         or `_fill_rows`, with blocks of 64 destinations, so that the first
         block of fat-tree k=8's 80 (81 with a node born) is already in the
-        rows: the graph, the rows, the slots, `epoch`, `last_stats`, the
-        rule count and the edge cache stay as they were, and the next
-        clean epoch emits what an untouched engine emits."""
+        rows: the graph, the rows, the slots, `epoch`, `last_stats` and the
+        rule count stay as they were, every list in the graph's edge cache
+        is the graph's, and the next clean epoch emits what an untouched
+        engine emits."""
         topo = gen_fattree(8, WeightPlan(PlanKind.UNIFORM, seed=2))
         g = build_graph(topo, SD.link_cost)
         store = rc.initialize(g, SD)
@@ -655,6 +658,9 @@ class TestAtomicEpochs:
         if born:
             events = [AddNode(10**6), AddLink(10**6, links[0][0], props(utilization=5.0))] + events
         graph0, est0, rows0, ids0 = g.fork(), copy.deepcopy(store._est), dict(store._est), list(store.ids)
+        cached = rc._near_of(store, g)
+        for x in g.nodes:
+            cached[x]  # every list cached before the epoch writes edges
         real, calls = getattr(rc, site), []
 
         def failing(*args):
@@ -676,7 +682,7 @@ class TestAtomicEpochs:
         assert store.epoch == 0 and store.last_stats is None
         assert store.rule_count() == recount(store) == 6400
         fresh = rc._Near(g, store.slot)
-        assert all(store._near[x] == fresh[x] for x in g.nodes)
+        assert all(g.edge_cache[x] == fresh[x] for x in g.nodes)
         g_clean = build_graph(topo, SD.link_cost)
         clean = rc.initialize(g_clean, SD)
         batch = rc.step_epoch(store, g, events)
@@ -951,6 +957,159 @@ def test_failing_epoch_leaves_graph_and_rules_unchanged(case):
     )
     assert bad_pairs == [], bad_pairs[:3]
     store.check_integrity(g)
+
+
+def assert_cache_is_the_graphs(g):
+    """Every list in the graph's edge cache equals a fresh `_Near`'s."""
+    cache = g.edge_cache
+    if cache is not None:
+        fresh = rc._Near(g, cache.slot)
+        stale = [x for x in list(cache) if cache[x] != fresh[x]]
+        assert not stale, stale
+
+
+def outcome(engine, policy):
+    """What `engine` evaluates `policy` to: its result, or the error it raises."""
+    try:
+        return engine.evaluate(policy)
+    except DeltaPathError as exc:
+        return type(exc), str(exc)
+
+
+def outside_write(g, strategy, data) -> list:
+    """One link added, removed or re-weighted through `apply_deltas` of an
+    `ingest_event`, not `step_epoch`; what `apply_deltas` returned."""
+    links = sorted({(a, b, w) for (a, b, w), _m in g.edge_items() if a < b})
+    live = sorted(g.nodes)
+    events = [AddLink(a, b, props(utilization=u)) for a in live for b in live if a < b
+              for u in (1.0, 4.0)]
+    events += [RemoveLink(a, b, w) for a, b, w in links]
+    events += [UpdateWeight(a, b, u) for a, b, _w in links
+               if len(set(g.weights_between(a, b))) == 1 for u in (2.0, 5.0)]
+    if not events:
+        return []
+    return g.apply_deltas(g.ingest_event(data.draw(st.sampled_from(events)), strategy.link_cost))
+
+
+@settings(max_examples=100, deadline=None)
+@given(loose_topologies(), st.sampled_from(BUILTINS), st.data())
+def test_the_edge_cache_follows_every_write(topo, strategy, data):
+    """Epochs, epochs that fail at an injected MemoryError (the first
+    `_empty_row`, at the latest while building the batch) and link writes
+    from outside `step_epoch`, undone later by `undo_deltas`, in any
+    order: after each, every list in the graph's edge cache is the
+    graph's, and each NOT and backup evaluation equals the one on a fork
+    of the graph, which starts with no cache.  The store steps epochs
+    only while no outside write is left."""
+    g = build_graph(topo, strategy.link_cost)
+    store = rc.initialize(g, strategy)
+    engine = PolicyEngine(g, store, strategy)
+    kinds = st.sampled_from(["+link", "-link", "weight", "+node", "-node", "-ends"])
+    epoch_ops = st.lists(st.tuples(kinds, st.integers(0, 999), st.integers(1, 5)),
+                         min_size=1, max_size=4)
+    spare: list = []
+    writes: list = []
+
+    def no_row(*_args):
+        raise MemoryError
+
+    steps = st.lists(st.sampled_from(["epoch", "fail", "write", "undo"]), max_size=10)
+    for step in data.draw(steps):
+        if step == "write":
+            writes.append(outside_write(g, strategy, data))
+        elif step == "undo" and writes:
+            g.undo_deltas(writes.pop())
+        elif step in ("epoch", "fail"):
+            while writes:
+                g.undo_deltas(writes.pop())
+            kept = list(spare)
+            events = one_epoch(data.draw(epoch_ops), g, spare)
+            if step == "epoch":
+                rc.step_epoch(store, g, events)
+            else:
+                graph0, est0 = g.fork(), dict(store._est)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(rc, "_empty_row", no_row)
+                    with pytest.raises(MemoryError):
+                        rc.step_epoch(store, g, events)
+                assert g == graph0 and store._est == est0
+                spare[:] = kept
+        assert_cache_is_the_graphs(g)
+        live = sorted(g.nodes)
+        if len(live) > 1:
+            s, t = data.draw(st.sampled_from([(a, b) for a in live for b in live if a != b]))
+            policies = [Policy(1, s, t, PathRule.BACKUP)]
+            others = [x for x in live if x not in (s, t)]
+            if others:
+                masked = frozenset({data.draw(st.sampled_from(others))})
+                policies.append(Policy(2, s, t, NotNodes(masked)))
+            fresh = PolicyEngine(g.fork(), store, strategy)
+            for policy in policies:
+                assert outcome(engine, policy) == outcome(fresh, policy), policy
+            assert_cache_is_the_graphs(g)
+    while writes:
+        g.undo_deltas(writes.pop())
+    assert_cache_is_the_graphs(g)
+    store.check_integrity(g)
+
+
+@pytest.mark.parametrize("strategy", BUILTINS, ids=lambda s: s.name)
+def test_two_stores_search_one_graph_over_their_own_slots(strategy):
+    """Two stores with their own slot maps, one in id order and one
+    reversed, search one graph in turn with a node masked: each search
+    returns the row that the same search on a fork of the graph, with no
+    edge cache, returns, so the graph's cache is rebound to each store's
+    slots in turn."""
+    g = build_graph(gen_jellyfish(20, 4, WeightPlan(PlanKind.UNIFORM, seed=7), seed=7),
+                    strategy.link_cost)
+    up = rc.initialize(g, strategy)
+    down = rc.RuleStore(strategy)
+    down.ids = sorted(g.nodes, reverse=True)
+    down.slot = {v: i for i, v in enumerate(down.ids)}
+    rng = random.Random(5)
+    rows = []
+    for d in sorted(g.nodes)[:6]:
+        mask = frozenset({rng.choice(sorted(g.nodes.keys() - {d}))})
+        for store in (up, down, up, down):
+            row = rc.search(store, g, d, skip_nodes=mask)
+            assert row == rc.search(store, g.fork(), d, skip_nodes=mask)
+            rows.append(row)
+    assert rows[0] != rows[1]  # the slot maps order the rows apart
+
+
+def test_check_integrity_reads_no_cached_edges():
+    """A wrong list planted in the graph's edge cache, for an end of no
+    changed link: node 2 of a ring of six unit links gets a link to 4 of
+    weight 3 that the graph lacks.  The repair of a link failure reads it
+    and routes 2 over it toward 4, and only toward 4 would the link
+    improve a rule, so the rules agree with the planted lists:
+    `check_integrity` must read fresh lists of its own to refute them."""
+    g, store = sd_engine(6, [(i, (i + 1) % 6, 1) for i in range(6)])
+    near = rc._near_of(store, g)
+    planted = near[2] + [(store.slot[4], 3.0, 4)]
+    near[2] = planted
+    rc.step_epoch(store, g, [RemoveLink(3, 4)])
+    assert g.edge_cache[2] is planted
+    assert key_at(store, 4, 2) == (3.0, 1, 4)
+    with pytest.raises(IntegrityError, match=r"stale selection for \(2, 4\)"):
+        store.check_integrity(g)
+
+
+def test_a_dropped_graph_and_its_edge_cache_are_collected():
+    """The graph holds its edge cache and the cache holds the graph, a
+    reference cycle: a full collection, as perfbench's set-up makes before
+    it builds a new engine, frees both."""
+    def caches():
+        return sum(isinstance(o, rc._Near) for o in gc.get_objects())
+
+    gc.collect()
+    before = caches()
+    g, store = sd_engine(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    rc.search(store, g, 3)
+    assert g.edge_cache is not None and caches() == before + 1
+    del g, store
+    gc.collect()
+    assert caches() == before
 
 
 class TestDeterminism:
